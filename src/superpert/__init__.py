@@ -7,7 +7,6 @@ corrections through order 4 and dense exact diagonalization are included
 as baselines, plus a batch CLI producing deterministic CSV/JSON reports.
 """
 
-from ._jacobi import HAS_NUMBA, default_backend, jacobi_eigh
 from .averaging import AveragingResult, SmallDenominatorError, average, min_cross_block_gap
 from .kolmogorov import (
     ConsistencyError,
@@ -58,7 +57,6 @@ __all__ = [
     "AveragingResult",
     "BUILTIN_MODELS",
     "ConsistencyError",
-    "HAS_NUMBA",
     "KolmogorovState",
     "MAX_ORDER",
     "ModelFormatError",
@@ -76,14 +74,12 @@ __all__ = [
     "commutator_ad",
     "conjugate_series",
     "conjugate_series_table",
-    "default_backend",
     "default_n_stages",
     "eigh",
     "eval_series",
     "hermitian_part",
     "hermiticity_defect",
     "init",
-    "jacobi_eigh",
     "load_model",
     "make_model",
     "match_labels",

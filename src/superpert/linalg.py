@@ -1,15 +1,15 @@
-"""Dense complex Hermitian matrix algebra and the self-contained eigensolver.
+"""Dense complex Hermitian matrix algebra and the eigendecomposition front end.
 
 Matrices are plain complex128 numpy arrays; every operator in the package
 is represented this way, including generators (stored as their Hermitian
-part, with the i/hbar factor living inside the adjoint action).
+part, with the i/hbar factor living inside the adjoint action).  `eigh`
+wraps LAPACK's Hermitian solver (numpy.linalg.eigh) and adds the
+package's deterministic ordering, degeneracy blocks and column phases.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._jacobi import jacobi_eigh
 
 HERMITICITY_TOL = 1e-10
 
@@ -25,20 +25,6 @@ def as_operator(a) -> np.ndarray:
 def _require_same_shape(a, b):
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def matmul(a, b) -> np.ndarray:
-    _require_same_shape(a, b)
-    return a @ b
-
-
-def add(a, b) -> np.ndarray:
-    _require_same_shape(a, b)
-    return a + b
-
-
-def scale(alpha, a) -> np.ndarray:
-    return alpha * np.asarray(a)
 
 
 def adjoint(a) -> np.ndarray:
@@ -61,9 +47,18 @@ def hermiticity_defect(a) -> float:
     return max_norm(a - a.conj().T)
 
 
+def nonfinite_entry(a):
+    """Index (j, k) of the first NaN or Inf entry of a, or None."""
+    bad = np.argwhere(~np.isfinite(a))
+    return tuple(int(i) for i in bad[0]) if bad.size else None
+
+
 def require_hermitian(a, tol=HERMITICITY_TOL, what="matrix"):
-    """Validate conjugate symmetry relative to max(1, |a|_max)."""
+    """Validate finite entries and conjugate symmetry relative to max(1, |a|_max)."""
     a = as_operator(a)
+    bad = nonfinite_entry(a)
+    if bad is not None:
+        raise ValueError(f"{what} has a non-finite entry {bad} = {a[bad]}")
     defect = hermiticity_defect(a)
     bound = tol * max(1.0, max_norm(a))
     if defect > bound:
@@ -137,26 +132,22 @@ def fix_column_phases(v) -> np.ndarray:
     return v
 
 
-def eigh(a, deg_tol=None, backend=None) -> SpectralData:
-    """Full eigendecomposition via cyclic Jacobi rotations.
+def eigh(a, deg_tol=None) -> SpectralData:
+    """Full eigendecomposition via LAPACK (numpy.linalg.eigh).
 
     Parameters
     ----------
-    a : square array, Hermitian within HERMITICITY_TOL
+    a : square array, finite and Hermitian within HERMITICITY_TOL
     deg_tol : float or None
         Gap below which adjacent eigenvalues join one degeneracy block.
         None means 1e-9 times the spectral range.
-    backend : forwarded to the Jacobi kernels (None = module default)
 
     Ordering is deterministic: ascending eigenvalues, and inside a
     degeneracy block columns are ordered by the basis index of their
     dominant component; column phases are canonicalized.
     """
     a = require_hermitian(a, what="eigh input")
-    lam, v = jacobi_eigh(hermitian_part(a), backend=backend)
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    v = v[:, order]
+    lam, v = np.linalg.eigh(hermitian_part(a))
     if deg_tol is None:
         deg_tol = 1e-9 * max(float(lam[-1] - lam[0]), 0.0)
     if deg_tol < 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import hermiticity_defect, hermitian_part, max_norm
+from .linalg import hermiticity_defect, hermitian_part, max_norm, nonfinite_entry
 from .series import OperatorSeries, zero_padded
 
 
@@ -45,14 +45,22 @@ class ModelSpec:
         return zero_padded(dict(self.h_coeffs), self.dim, order, self.hbar)
 
     def with_hbar(self, hbar: float) -> "ModelSpec":
-        return replace(self, hbar=float(hbar))
+        return replace(self, hbar=_checked_hbar(hbar, self.name))
+
+
+def _checked_hbar(hbar, context) -> float:
+    hbar = float(hbar)
+    if not (np.isfinite(hbar) and hbar > 0):
+        raise ModelFormatError(
+            f"{context}: hbar must be positive and finite, got {hbar}"
+        )
+    return hbar
 
 
 def _validate_terms(dim, terms, hbar, name, provenance, context):
     if dim < 1:
         raise ModelFormatError(f"{context}: dimension must be positive, got {dim}")
-    if hbar <= 0:
-        raise ModelFormatError(f"{context}: hbar must be positive, got {hbar}")
+    hbar = _checked_hbar(hbar, context)
     orders = [p for p, _ in terms]
     if len(set(orders)) != len(orders):
         raise ModelFormatError(f"{context}: duplicate term orders {sorted(orders)}")
@@ -68,6 +76,12 @@ def _validate_terms(dim, terms, hbar, name, provenance, context):
                 f"{context}: term of order {p} has shape {mat.shape}, "
                 f"expected ({dim}, {dim})"
             )
+        bad = nonfinite_entry(mat)
+        if bad is not None:
+            raise ModelFormatError(
+                f"{context}: term of order {p} has a non-finite entry "
+                f"{bad} = {mat[bad]}"
+            )
         defect = hermiticity_defect(mat)
         if defect > 1e-10 * max(1.0, max_norm(mat)):
             d = np.abs(mat - mat.conj().T)
@@ -80,7 +94,7 @@ def _validate_terms(dim, terms, hbar, name, provenance, context):
     return ModelSpec(
         dim=int(dim),
         h_coeffs=tuple(clean),
-        hbar=float(hbar),
+        hbar=hbar,
         name=name,
         provenance=provenance,
     )

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 import superpert as sp
 
@@ -16,8 +15,3 @@ def random_diagonal_model(rng, n, gap=0.5, v_scale=1.0):
     v = random_hermitian(rng, n, scale=v_scale)
     return sp.make_model(n, [(0, h0), (1, v)])
 
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # first eigh call compiles the numba sweep; keep that cost out of tests
-    sp.eigh(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128))

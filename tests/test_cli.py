@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,24 @@ def test_reports_are_deterministic(capsys):
     _, first, _ = _run(args, capsys)
     _, second, _ = _run(args, capsys)
     assert first == second
+
+
+def test_reports_identical_across_blas_thread_counts():
+    # LAPACK may block its reductions differently per thread count; the
+    # report must not change with it
+    args = [
+        sys.executable, "-m", "superpert.cli", "--method", "compare",
+        "--builtin", "quartic_oscillator", "--dim", "40", "--eps", "0.05,0.1",
+        "--levels", "0,1", "--format", "json",
+    ]
+    src = str(Path(sp.__file__).resolve().parents[1])
+    base = dict(os.environ)
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    outputs = []
+    for env in ({**base, "OPENBLAS_NUM_THREADS": "1"}, base):
+        proc = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_csv_and_json_carry_identical_numbers(capsys, tmp_path):

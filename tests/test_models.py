@@ -174,3 +174,30 @@ def test_symmetrization_within_tolerance(tmp_path):
     h0 = sp.load_model(path).coefficient(0)
     assert sp.hermiticity_defect(h0) == 0.0
     assert h0[0, 1] == pytest.approx(0.5, abs=1e-11)
+
+
+def test_load_rejects_non_finite_entries_and_hbar(tmp_path):
+    # json.load accepts NaN and Infinity, and a NaN Hermiticity defect
+    # compares False, so only an explicit finiteness check catches these
+    h0 = [[0.0, 0.0], [0.0, 2.0]]
+    nan_term = [[0.0, 1.0], [1.0, float("nan")]]
+    path = _write_model(
+        tmp_path,
+        {"dimension": 2, "terms": [{"order": 0, "matrix": h0},
+                                   {"order": 1, "matrix": nan_term}]},
+    )
+    with pytest.raises(sp.ModelFormatError, match=r"order 1 .*non-finite.*\(1, 1\)"):
+        sp.load_model(path)
+    inf_term = [[0.0, [0.0, float("inf")]], [[0.0, -1.0], 0.0]]
+    with pytest.raises(sp.ModelFormatError, match=r"order 2 .*non-finite.*\(0, 1\)"):
+        sp.model_from_dict(
+            {"dimension": 2, "terms": [{"order": 0, "matrix": h0},
+                                       {"order": 2, "matrix": inf_term}]}
+        )
+    with pytest.raises(sp.ModelFormatError, match="hbar must be positive and finite"):
+        sp.model_from_dict(
+            {"dimension": 2, "hbar": float("nan"),
+             "terms": [{"order": 0, "matrix": h0}]}
+        )
+    with pytest.raises(sp.ModelFormatError, match="hbar"):
+        sp.build_quartic_oscillator(8).with_hbar(float("inf"))
