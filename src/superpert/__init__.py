@@ -15,7 +15,6 @@ from .kolmogorov import (
     SuResult,
     default_n_stages,
     init,
-    match_labels,
     run,
     step,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "init",
     "load_model",
     "make_model",
-    "match_labels",
     "max_norm",
     "min_cross_block_gap",
     "model_from_dict",

@@ -8,7 +8,8 @@ average and its primitive are, in A's eigenbasis,
 
 so that (i/hbar)[Bbar, A] = 0 and (i/hbar)[S, A] = Bbar - B hold at
 working precision by construction.  For degenerate A the full intra-block
-part is retained, which still commutes with A.
+part is retained, which still commutes with A.  `average_diagonal` applies
+these formulas in A's eigenbasis; `average` rotates B in and the results out.
 
 Cross-block gaps below the guard abort with a diagnostic instead of
 amplifying noise through the denominators.
@@ -38,14 +39,14 @@ class AveragingResult:
 
 
 def default_gap_guard(spectral: SpectralData) -> float:
-    return 1e-6 * max(spectral.spectral_range, 0.0)
+    return 1e-6 * float(np.ptp(spectral.eigenvalues))
 
 
 def min_cross_block_gap(spectral: SpectralData) -> float:
     """Smallest |E_j - E_k| over pairs in different blocks (inf if one block).
 
-    Blocks are contiguous in the ascending spectrum, so the minimum is
-    attained at a block boundary."""
+    Blocks come in ascending energy, so the minimum is attained at a block
+    boundary."""
     lam = spectral.eigenvalues
     gap = float("inf")
     for prev, nxt in zip(spectral.blocks, spectral.blocks[1:]):
@@ -75,6 +76,16 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
         raise ValueError(f"dimension mismatch: {b.shape[0]} vs {spectral.dim}")
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
+    v = spectral.eigenvectors
+    bbar_t, s_t = average_diagonal(spectral, v.conj().T @ b @ v, hbar, gap_guard)
+    b_bar = hermitian_part(v @ bbar_t @ v.conj().T)
+    s_of_b = hermitian_part(v @ s_t @ v.conj().T)
+    return AveragingResult(b_bar, s_of_b, spectral.blocks)
+
+
+def average_diagonal(spectral: SpectralData, bt, hbar=1.0, gap_guard=None):
+    """(Bbar, S), both Hermitian, for B given as bt in the eigenbasis of A,
+    i.e. for A = diag(spectral.eigenvalues); gap_guard as in `average`."""
     if gap_guard is None:
         gap_guard = default_gap_guard(spectral)
 
@@ -91,8 +102,6 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
                 gap=gap,
             )
 
-    v = spectral.eigenvectors
-    bt = v.conj().T @ b @ v
     ids = spectral.block_ids()
     same = ids[:, None] == ids[None, :]
 
@@ -100,7 +109,4 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
     denom = lam[:, None] - lam[None, :]
     denom = np.where(same, 1.0, denom)  # intra-block entries are masked out anyway
     s_t = np.where(same, 0.0, (hbar / 1j) * bt / denom)
-
-    b_bar = hermitian_part(v @ bbar_t @ v.conj().T)
-    s_of_b = hermitian_part(v @ s_t @ v.conj().T)
-    return AveragingResult(b_bar, s_of_b, spectral.blocks)
+    return hermitian_part(bbar_t), hermitian_part(s_t)

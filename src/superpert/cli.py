@@ -12,10 +12,11 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .averaging import SmallDenominatorError
-from .kolmogorov import ConsistencyError, default_n_stages, match_labels, run
-from .linalg import eigh
+from .kolmogorov import ConsistencyError, default_n_stages, run
+from .linalg import eigh, require_finite, require_tolerance
 from .models import BUILTIN_MODELS, ModelFormatError, load_model
 from .rayleigh_schrodinger import rs_corrections
 from .series import eval_series
@@ -61,11 +62,19 @@ def _load_config_model(config: RunConfig):
     return model
 
 
-def _exact_levels(model, eps, deg_tol):
-    """Eigenvalues of the evaluated series, labelled by unperturbed level."""
+def match_labels(v_prev: np.ndarray, v_new: np.ndarray) -> np.ndarray:
+    """perm[i] = column of v_new carrying the state of v_prev column i."""
+    weight = np.abs(v_prev.conj().T @ v_new) ** 2
+    rows, cols = linear_sum_assignment(-weight)
+    perm = np.empty(v_prev.shape[1], dtype=np.int64)
+    perm[rows] = cols
+    return perm
+
+
+def _exact_levels(model, base, eps, deg_tol):
+    """Eigenvalues of the evaluated series, labelled by base, the H_0 levels."""
     h = eval_series(model.series(model.max_order), eps)
     spectral = eigh(h, deg_tol=deg_tol)
-    base = eigh(model.coefficient(0), deg_tol=deg_tol)
     perm = match_labels(base.eigenvectors, spectral.eigenvectors)
     return spectral.eigenvalues[perm]
 
@@ -85,7 +94,9 @@ def compute_report(config: RunConfig) -> dict:
     for j in levels:
         if not 0 <= j < model.dim:
             raise ValueError(f"level {j} outside 0..{model.dim - 1}")
-    eps_list = tuple(sorted(float(e) for e in config.eps_list))
+    eps_list = tuple(sorted(require_finite(e, "--eps") for e in config.eps_list))
+    deg_tol = require_tolerance(config.deg_tol, "--deg-tol")
+    gap_guard = require_tolerance(config.gap_guard, "--gap-guard")
     n_stages = (
         config.n_stages if config.n_stages is not None
         else default_n_stages(config.order)
@@ -110,7 +121,8 @@ def compute_report(config: RunConfig) -> dict:
             f"(model {model.name!r} has higher-order terms)"
         )
 
-    exact = {eps: _exact_levels(model, eps, config.deg_tol) for eps in eps_list}
+    base = eigh(model.coefficient(0), deg_tol=deg_tol)
+    exact = {eps: _exact_levels(model, base, eps, deg_tol) for eps in eps_list}
 
     rows = []
 
@@ -133,13 +145,12 @@ def compute_report(config: RunConfig) -> dict:
 
     rs = None
     if want_rs:
-        base = eigh(model.coefficient(0), deg_tol=config.deg_tol)
         rs = rs_corrections(
             base,
             model.coefficient(1),
             max_order=rs_max,
             levels=levels,
-            gap_guard=config.gap_guard,
+            gap_guard=gap_guard,
         )
         for eps in eps_list:
             for j in levels:
@@ -155,8 +166,8 @@ def compute_report(config: RunConfig) -> dict:
                 eps,
                 config.order,
                 n_stages=n_stages,
-                deg_tol=config.deg_tol,
-                gap_guard=config.gap_guard,
+                deg_tol=deg_tol,
+                gap_guard=gap_guard,
             )
             su_results[eps] = result
             stage_residuals.append(
@@ -191,8 +202,9 @@ def compute_report(config: RunConfig) -> dict:
     dim_drift = []
     if config.method == "exact" and model.name in BUILTIN_MODELS:
         bigger = BUILTIN_MODELS[model.name](model.dim + 20, hbar=model.hbar)
+        bigger_base = eigh(bigger.coefficient(0), deg_tol=deg_tol)
         for eps in eps_list:
-            grown = _exact_levels(bigger, eps, config.deg_tol)
+            grown = _exact_levels(bigger, bigger_base, eps, deg_tol)
             for j in levels:
                 dim_drift.append(
                     {

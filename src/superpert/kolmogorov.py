@@ -9,21 +9,28 @@ values and zeroed, and everything from order 2^n up is kept transformed.
 The engine therefore works at a fixed evaluation point eps; its H_0 is an
 expansion in functions of eps, not a plain power series.
 
-Eigenvalues are tracked per unperturbed label through maximal-overlap
-assignment between successive eigenvector sets, and eigenvectors of the
-original Hamiltonian are reconstructed by chaining the per-stage flow
-expansions.
+`init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
+diagonal up to degeneracy blocks, which alone are diagonalized after each
+fold.  A level's label is its index in this never re-sorted basis; its
+eigenvector of H(eps) is that column of V0 * prod_n U_n(eps) Q_n.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .averaging import SmallDenominatorError, average, min_cross_block_gap
-from .linalg import SpectralData, eigh, fix_column_phases, max_norm
+from .averaging import SmallDenominatorError, average_diagonal, min_cross_block_gap
+from .linalg import (
+    SpectralData,
+    degeneracy_blocks,
+    eigh,
+    fix_column_phases,
+    max_norm,
+    require_finite,
+    require_tolerance,
+)
 from .models import ModelSpec
 from .series import (
     OperatorSeries,
@@ -51,10 +58,10 @@ class StageInfo:
 class KolmogorovState:
     stage: int
     eps: float
-    series: OperatorSeries
-    spectral0: SpectralData
+    series: OperatorSeries  # in the running basis: coeffs[0] == diag(levels)
+    spectral0: SpectralData  # levels of coeffs[0], label = index; vectors = I
+    basis: np.ndarray  # running basis in original coordinates: V0 prod U_n(eps) Q_n
     generators: tuple
-    u_products: tuple
     deg_tol: float | None
     gap_guard: float | None
     history: tuple
@@ -91,22 +98,41 @@ class SuResult:
 
 
 def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None):
-    """Stage-0 state: the model's series zero-padded to the truncation order."""
+    """Stage-0 state: the model's series in its H_0 eigenbasis, zero-padded."""
     if order < 1:
         raise ValueError(f"truncation order must be at least 1, got {order}")
-    series = zero_padded(dict(model.h_coeffs), model.dim, order, model.hbar)
-    spectral0 = eigh(series.coeffs[0], deg_tol=deg_tol)
+    eps = require_finite(eps, "eps")
+    deg_tol = require_tolerance(deg_tol, "deg_tol")
+    gap_guard = require_tolerance(gap_guard, "gap_guard")
+    spectral0 = eigh(model.coefficient(0), deg_tol=deg_tol)
+    v = spectral0.eigenvectors
+    terms = {p: v.conj().T @ mat @ v for p, mat in model.h_coeffs}
+    terms[0] = np.diag(spectral0.eigenvalues)
     return KolmogorovState(
         stage=0,
-        eps=float(eps),
-        series=series,
-        spectral0=spectral0,
+        eps=eps,
+        series=zero_padded(terms, model.dim, order, model.hbar),
+        spectral0=replace(spectral0, eigenvectors=np.eye(model.dim)),
+        basis=v,
         generators=(),
-        u_products=(),
         deg_tol=deg_tol,
         gap_guard=gap_guard,
         history=(),
     )
+
+
+def _diagonalize_blocks(h0, levels, deg_tol):
+    """Levels of h0, diagonal outside the blocks of `levels`, and the unitary
+    of its eigenvectors (None if h0 is diagonal).  One stacked eigh per block
+    size; a block's eigenvalues go to its own indices, both ascending."""
+    lam, blocks = h0.diagonal().real.copy(), levels.blocks
+    sizes = sorted({len(b) for b in blocks} - {1})
+    q = np.eye(len(lam), dtype=np.complex128) if sizes else None
+    for size in sizes:
+        idx = np.array([sorted(b) for b in blocks if len(b) == size])
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        lam[idx], q[rows, cols] = np.linalg.eigh(h0[rows, cols])
+    return SpectralData(lam, levels.eigenvectors, *degeneracy_blocks(lam, deg_tol)), q
 
 
 def step(state: KolmogorovState) -> KolmogorovState:
@@ -124,13 +150,13 @@ def step(state: KolmogorovState) -> KolmogorovState:
     averaged = {}
     for p in range(lo, hi + 1):
         try:
-            avg = average(state.spectral0, series.coeffs[p], hbar, state.gap_guard)
+            averaged[p], w_slots[p - 1] = average_diagonal(
+                state.spectral0, series.coeffs[p], hbar, state.gap_guard
+            )
         except SmallDenominatorError as exc:
             raise SmallDenominatorError(
                 f"stage {n}, order {p}: {exc}", indices=exc.indices, gap=exc.gap
             ) from exc
-        averaged[p] = avg.b_bar
-        w_slots[p - 1] = avg.s_of_b
 
     generator = OperatorSeries(tuple(w_slots), hbar)
     ts = TransformSeries(generator)
@@ -154,6 +180,14 @@ def step(state: KolmogorovState) -> KolmogorovState:
             f"by {residual:.3e} (scale {scale:.3e})"
         )
 
+    basis = state.basis @ weighted_sum(u_coefficients(ts), state.eps)
+    spectral0 = state.spectral0
+    if averaged:
+        spectral0, q = _diagonalize_blocks(new_coeffs[0], spectral0, state.deg_tol)
+        new_coeffs[0] = np.diag(spectral0.eigenvalues)
+        if q is not None:
+            new_coeffs[1:] = [q.conj().T @ c @ q for c in new_coeffs[1:]]
+            basis = basis @ q
     new_series = OperatorSeries(tuple(new_coeffs), hbar)
     info = StageInfo(
         stage=n,
@@ -165,9 +199,9 @@ def step(state: KolmogorovState) -> KolmogorovState:
         stage=n,
         eps=state.eps,
         series=new_series,
-        spectral0=eigh(new_coeffs[0], deg_tol=state.deg_tol),
+        spectral0=spectral0,
+        basis=basis,
         generators=state.generators + (ts,),
-        u_products=state.u_products + (tuple(u_coefficients(ts)),),
         deg_tol=state.deg_tol,
         gap_guard=state.gap_guard,
         history=state.history + (info,),
@@ -177,15 +211,6 @@ def step(state: KolmogorovState) -> KolmogorovState:
 def default_n_stages(order: int) -> int:
     # ceil(log2(order + 1)): exactly covers every representable slot
     return int(order).bit_length()
-
-
-def match_labels(v_prev: np.ndarray, v_new: np.ndarray) -> np.ndarray:
-    """perm[i] = column of v_new carrying the state of v_prev column i."""
-    weight = np.abs(v_prev.conj().T @ v_new) ** 2
-    rows, cols = linear_sum_assignment(-weight)
-    perm = np.empty(v_prev.shape[1], dtype=np.int64)
-    perm[rows] = cols
-    return perm
 
 
 def run(
@@ -223,22 +248,12 @@ def run(
         )
 
     state = init(model, eps, order, deg_tol=deg_tol, gap_guard=gap_guard)
-    labels = np.arange(state.dim)
-    v_prev = state.spectral0.eigenvectors
-    energies = [state.spectral0.eigenvalues.copy()]
+    energies = [state.spectral0.eigenvalues]
     for _ in range(n_stages):
         state = step(state)
-        v_new = state.spectral0.eigenvectors
-        perm = match_labels(v_prev, v_new)
-        labels = perm[labels]
-        energies.append(state.spectral0.eigenvalues[labels])
-        v_prev = v_new
+        energies.append(state.spectral0.eigenvalues)
 
-    u_total = np.eye(state.dim, dtype=np.complex128)
-    for u_mats in state.u_products:
-        u_total = u_total @ weighted_sum(u_mats, eps)
-    vecs = u_total @ state.spectral0.eigenvectors[:, labels]
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
+    vecs = state.basis / np.linalg.norm(state.basis, axis=0, keepdims=True)
     vecs = fix_column_phases(vecs)
 
     return SuResult(

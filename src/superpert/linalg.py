@@ -7,6 +7,7 @@ wraps LAPACK's Hermitian solver (numpy.linalg.eigh) and adds the
 package's deterministic ordering, degeneracy blocks and column phases.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,24 @@ def nonfinite_entry(a):
     return tuple(int(i) for i in bad[0]) if bad.size else None
 
 
+def require_finite(value, what) -> float:
+    """float(value); raises ValueError naming `what` for NaN or Inf."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
+
+
+def require_tolerance(value, what):
+    """None, or a finite nonnegative float; raises ValueError naming `what`."""
+    if value is None:
+        return None
+    value = require_finite(value, what)
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
 def require_hermitian(a, tol=HERMITICITY_TOL, what="matrix"):
     """Validate finite entries and conjugate symmetry relative to max(1, |a|_max)."""
     a = as_operator(a)
@@ -82,10 +101,9 @@ def commutator_ad(w, a, hbar=1.0) -> np.ndarray:
 class SpectralData:
     """Eigendecomposition of a Hermitian matrix.
 
-    eigenvalues are ascending; eigenvectors is unitary with column j the
-    eigenvector of eigenvalues[j]; blocks partitions indices into
-    degeneracy classes (chained: adjacent eigenvalues closer than deg_tol
-    fall into one block, transitively).
+    eigenvectors is unitary with column j the eigenvector of eigenvalues[j]
+    (ascending when made by `eigh`); blocks partitions indices into
+    degeneracy classes, see `degeneracy_blocks`.
     """
 
     eigenvalues: np.ndarray
@@ -97,10 +115,6 @@ class SpectralData:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @property
-    def spectral_range(self) -> float:
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
     def block_ids(self) -> np.ndarray:
         ids = np.empty(self.dim, dtype=np.int64)
         for b, members in enumerate(self.blocks):
@@ -109,15 +123,17 @@ class SpectralData:
         return ids
 
 
-def _degeneracy_blocks(lam, deg_tol):
-    blocks = []
-    start = 0
-    for i in range(1, lam.shape[0]):
-        if lam[i] - lam[i - 1] > deg_tol:
-            blocks.append(tuple(range(start, i)))
-            start = i
-    blocks.append(tuple(range(start, lam.shape[0])))
-    return tuple(blocks)
+def degeneracy_blocks(lam, deg_tol=None):
+    """(blocks, deg_tol): sorted levels closer than deg_tol (None = 1e-9 times
+    the range) chain into one block.  Blocks and members ascend in energy."""
+    order = np.argsort(lam, kind="stable")
+    if deg_tol is None:
+        deg_tol = 1e-9 * float(np.ptp(lam))
+    if deg_tol < 0:
+        raise ValueError(f"deg_tol must be nonnegative, got {deg_tol}")
+    cuts = np.flatnonzero(np.diff(lam[order]) > deg_tol) + 1
+    blocks = tuple(tuple(int(i) for i in part) for part in np.split(order, cuts))
+    return blocks, float(deg_tol)
 
 
 def fix_column_phases(v) -> np.ndarray:
@@ -148,11 +164,7 @@ def eigh(a, deg_tol=None) -> SpectralData:
     """
     a = require_hermitian(a, what="eigh input")
     lam, v = np.linalg.eigh(hermitian_part(a))
-    if deg_tol is None:
-        deg_tol = 1e-9 * max(float(lam[-1] - lam[0]), 0.0)
-    if deg_tol < 0:
-        raise ValueError(f"deg_tol must be nonnegative, got {deg_tol}")
-    blocks = _degeneracy_blocks(lam, deg_tol)
+    blocks, deg_tol = degeneracy_blocks(lam, deg_tol)
     dominant = [int(np.argmax(np.abs(v[:, j]))) for j in range(v.shape[1])]
     for members in blocks:
         if len(members) > 1:
@@ -161,4 +173,4 @@ def eigh(a, deg_tol=None) -> SpectralData:
             lam[idx] = lam[perm]
             v[:, idx] = v[:, perm]
     v = fix_column_phases(v)
-    return SpectralData(lam, v, blocks, float(deg_tol))
+    return SpectralData(lam, v, blocks, deg_tol)

@@ -106,44 +106,24 @@ def make_model(dim, terms, hbar=1.0, name="custom", provenance="memory") -> Mode
     return _validate_terms(dim, list(terms), hbar, name, provenance, name)
 
 
-def _position_matrix(n: int) -> np.ndarray:
-    a = np.diag(np.sqrt(np.arange(1.0, n)), 1)
-    return (a + a.T) / np.sqrt(2.0)
-
-
-def _banded_square(x: np.ndarray, bandwidth: int) -> np.ndarray:
-    # Hand-rolled banded product with a fixed ascending summation order, so
-    # every retained entry depends only on its own indices; enlarging the
-    # workspace cannot perturb interior entries even at the last bit.
-    n = x.shape[0]
-    out = np.zeros_like(x)
-    for j in range(n):
-        for k in range(max(0, j - 2 * bandwidth), min(n, j + 2 * bandwidth + 1)):
-            lo = max(0, j - bandwidth, k - bandwidth)
-            hi = min(n, j + bandwidth + 1, k + bandwidth + 1)
-            acc = 0.0
-            for m in range(lo, hi):
-                acc += x[j, m] * x[m, k]
-            out[j, k] = acc
-    return out
-
-
 def build_quartic_oscillator(dim: int, hbar: float = 1.0) -> ModelSpec:
     """Quartic anharmonic oscillator truncated to the lowest dim levels.
 
-    x^4 is formed on a (dim+4)-sized workspace and truncated afterwards, so
-    the retained entries are the exact infinite-basis matrix elements.
+    x^4 = (a + a^dagger)^4 / 4 is built from its ladder matrix elements;
+    each depends only on its own indices, so the retained entries are the
+    exact infinite-basis ones for any truncation.
     """
     if dim < 8:
         raise ValueError(f"quartic oscillator needs dim >= 8, got {dim}")
-    m = dim + 4
-    x = _position_matrix(m)
-    x2 = _banded_square(x, 1)
-    x4 = _banded_square(x2, 2)[:dim, :dim]
-    h0 = np.diag(2.0 * np.arange(dim) + 1.0)
+    n = np.arange(dim, dtype=float)
+    m2, m4 = n[:-2], n[:-4]
+    off2 = (2.0 * m2 + 3.0) / 2.0 * np.sqrt((m2 + 1.0) * (m2 + 2.0))
+    off4 = np.sqrt((m4 + 1.0) * (m4 + 2.0) * (m4 + 3.0) * (m4 + 4.0)) / 4.0
+    upper = np.diag(off2, 2) + np.diag(off4, 4)
+    x4 = np.diag((6.0 * n**2 + 6.0 * n + 3.0) / 4.0) + upper + upper.T
     return _validate_terms(
         dim,
-        [(0, h0), (1, x4)],
+        [(0, np.diag(2.0 * n + 1.0)), (1, x4)],
         hbar,
         name="quartic_oscillator",
         provenance="builtin",

@@ -284,3 +284,19 @@ def test_small_denominator_surfaces_as_diagnostic(capsys, tmp_path):
         capsys,
     )
     assert code == 1 and "small denominator" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--eps", "0.1,nan"), ("--deg-tol", "nan"), ("--gap-guard", "nan"),
+     ("--gap-guard", "-1e-6")],
+    ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative"],
+)
+def test_bad_numeric_flag_is_named(capsys, flag, value):
+    args = [
+        "--method", "compare", "--builtin", "quartic_oscillator", "--dim", "12",
+        "--eps", "0.1", "--levels", "0",
+    ]
+    code, out, err = _run(args + [f"{flag}={value}"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and flag in err

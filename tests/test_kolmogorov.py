@@ -1,3 +1,9 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,9 +133,7 @@ def test_unitary_equivalence_scaling():
 
     def equivalence_error(eps):
         res = sp.run(model, eps, P, n_stages=3)
-        u = np.eye(10, dtype=complex)
-        for mats in res.state.u_products:
-            u = u @ sp.weighted_sum(mats, eps)
+        u = res.state.basis  # V0 prod U_n(eps) Q_n
         original = sp.eval_series(model.series(P), eps)
         transformed = sp.eval_series(res.state.series, eps)
         return sp.max_norm(transformed - u.conj().T @ original @ u)
@@ -188,22 +192,81 @@ def test_default_stage_counts_and_warning():
 
 
 def test_consistency_error_message_names_stage():
-    # sabotage: a state whose spectral data disagrees with its series makes
-    # the homological solution invalid, which the slot check must catch
+    # sabotage: a state whose levels disagree with its series makes the
+    # homological solution invalid, which the slot check must catch
     model = sp.build_quartic_oscillator(8)
     state = sp.init(model, 0.1, 2)
-    rng = np.random.default_rng(51)
-    wrong = sp.eigh(random_hermitian(rng, 8, scale=3.0))
-    bad = sp.KolmogorovState(
-        stage=state.stage,
-        eps=state.eps,
-        series=state.series,
-        spectral0=wrong,
-        generators=state.generators,
-        u_products=state.u_products,
-        deg_tol=state.deg_tol,
-        gap_guard=state.gap_guard,
-        history=state.history,
-    )
+    levels = state.spectral0
+    wrong = dataclasses.replace(levels, eigenvalues=2.0 * levels.eigenvalues)
+    bad = dataclasses.replace(state, spectral0=wrong)
     with pytest.raises(sp.ConsistencyError, match="stage 1"):
         sp.step(bad)
+
+
+def _rotated(model, q):
+    return sp.make_model(
+        model.dim, [(p, q @ m @ q.conj().T) for p, m in model.h_coeffs]
+    )
+
+
+def _random_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(z)[0]
+
+
+def test_rotated_doubly_degenerate_unperturbed_part():
+    rng = np.random.default_rng(52)
+    levels = np.repeat([1.0, 2.5, 3.7, 5.2], 2)
+    base = sp.make_model(
+        8, [(0, np.diag(levels)), (1, random_hermitian(rng, 8, scale=0.1))]
+    )
+    model = _rotated(base, _random_unitary(rng, 8))
+    eps = 0.05
+    res = sp.run(model, eps, 8, n_stages=4)
+    h = model.coefficient(0) + eps * model.coefficient(1)
+    np.testing.assert_allclose(
+        np.sort(res.energies[-1]), np.linalg.eigvalsh(h), rtol=0, atol=1e-9
+    )
+    vecs = res.eigenvectors
+    residual = np.linalg.norm(h @ vecs - vecs * res.energies[-1], axis=0)
+    assert residual.max() <= 1e-9
+
+
+def test_run_is_unitarily_invariant():
+    rng = np.random.default_rng(53)
+    diagonal = random_diagonal_model(rng, 6, gap=1.0, v_scale=0.4)
+    q = _random_unitary(rng, 6)
+    eps = 0.05
+    plain = sp.run(diagonal, eps, 8)
+    rotated = sp.run(_rotated(diagonal, q), eps, 8)
+    for stage in range(len(plain.energies)):
+        np.testing.assert_allclose(
+            rotated.energies[stage], plain.energies[stage], rtol=0, atol=1e-10
+        )
+    # equal up to one phase per column
+    expected = q @ plain.eigenvectors
+    overlap = np.abs(np.sum(expected.conj() * rotated.eigenvectors, axis=0))
+    np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "param, bad",
+    [("eps", float("nan")), ("deg_tol", float("nan")), ("gap_guard", float("inf")),
+     ("gap_guard", -1e-6)],
+    ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative"],
+)
+def test_run_rejects_bad_parameter(param, bad):
+    model = sp.build_quartic_oscillator(8)
+    kwargs = {"eps": 0.1, "order": 4, param: bad}
+    with pytest.raises(ValueError, match=param):
+        sp.run(model, **kwargs)
+    with pytest.raises(ValueError, match=param):
+        sp.init(model, **kwargs)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, superpert; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
