@@ -11,8 +11,9 @@ expansion in functions of eps, not a plain power series.
 
 `init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
 diagonal up to degeneracy blocks, which alone are diagonalized after each
-fold.  A level's label is its index in this never re-sorted basis; its
-eigenvector of H(eps) is that column of V0 * prod_n U_n(eps) Q_n.
+fold.  A level's label is its index in this never re-sorted basis (inside a
+block, the index it overlaps most); its eigenvector of H(eps) is that column
+of V0 * prod_n U_n(eps) Q_n.
 """
 
 import math
@@ -124,14 +125,18 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
 def _diagonalize_blocks(h0, levels, deg_tol):
     """Levels of h0, diagonal outside the blocks of `levels`, and the unitary
     of its eigenvectors (None if h0 is diagonal).  One stacked eigh per block
-    size; a block's eigenvalues go to its own indices, both ascending."""
+    size; as in `eigh`, each eigenvector keeps its dominant component's index."""
     lam, blocks = h0.diagonal().real.copy(), levels.blocks
     sizes = sorted({len(b) for b in blocks} - {1})
     q = np.eye(len(lam), dtype=np.complex128) if sizes else None
     for size in sizes:
         idx = np.array([sorted(b) for b in blocks if len(b) == size])
         rows, cols = idx[:, :, None], idx[:, None, :]
-        lam[idx], q[rows, cols] = np.linalg.eigh(h0[rows, cols])
+        vals, vecs = np.linalg.eigh(h0[rows, cols])
+        dominant = np.argmax(np.abs(vecs), axis=1)
+        perm = np.argsort(dominant, axis=1, kind="stable")
+        lam[idx] = np.take_along_axis(vals, perm, axis=1)
+        q[rows, cols] = np.take_along_axis(vecs, perm[:, None, :], axis=2)
     return SpectralData(lam, levels.eigenvectors, *degeneracy_blocks(lam, deg_tol)), q
 
 
@@ -167,6 +172,8 @@ def step(state: KolmogorovState) -> KolmogorovState:
     new_coeffs = [k.coeffs[0].copy()]
     for p in range(lo, hi + 1):
         new_coeffs[0] += (state.eps**p / math.factorial(p)) * averaged[p]
+    if not np.isfinite(new_coeffs[0]).all():
+        raise ValueError(f"stage {n}: H_0 has a non-finite entry")
     for p in range(1, P + 1):
         if p <= hi:
             predicted = averaged.get(p, zero)
@@ -186,7 +193,7 @@ def step(state: KolmogorovState) -> KolmogorovState:
         spectral0, q = _diagonalize_blocks(new_coeffs[0], spectral0, state.deg_tol)
         new_coeffs[0] = np.diag(spectral0.eigenvalues)
         if q is not None:
-            new_coeffs[1:] = [q.conj().T @ c @ q for c in new_coeffs[1:]]
+            new_coeffs[hi + 1 :] = [q.conj().T @ c @ q for c in new_coeffs[hi + 1 :]]
             basis = basis @ q
     new_series = OperatorSeries(tuple(new_coeffs), hbar)
     info = StageInfo(

@@ -286,6 +286,35 @@ def test_small_denominator_surfaces_as_diagnostic(capsys, tmp_path):
     assert code == 1 and "small denominator" in err
 
 
+def test_su_labels_inside_degenerate_block_match_exact(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dimension": 3,
+                "terms": [
+                    {"order": 0, "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]]},
+                    {"order": 1, "matrix": [[1.0, 0.0, 0.2], [0.0, -1.0, 0.3], [0.2, 0.3, 0.0]]},
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, _ = _run(
+        [
+            "--method", "su", "--model", str(path), "--eps", "0.05",
+            "--levels", "0,1,2", "--order", "8", "--stages", "4",
+        ],
+        capsys,
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    final = {int(r[1]): (float(r[4]), float(r[5])) for r in rows if r[3] == "4"}
+    assert sorted(final) == [0, 1, 2]
+    assert final[0][0] > final[1][0]
+    assert max(err for _, err in final.values()) <= 1e-10
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--eps", "0.1,nan"), ("--deg-tol", "nan"), ("--gap-guard", "nan"),

@@ -232,6 +232,36 @@ def test_rotated_doubly_degenerate_unperturbed_part():
     assert residual.max() <= 1e-9
 
 
+def test_degenerate_block_labels_follow_overlap():
+    # the degenerate pair splits at stage 1 into 1 + eps*sqrt(1.01) on label 0
+    # and 1 - eps*sqrt(1.01) on label 1: labels follow levels, not energy order
+    h0 = np.diag([1.0, 1.0, 3.0])
+    v = np.array([[1.0, 0.1, 0.2], [0.1, -1.0, 0.3], [0.2, 0.3, 0.0]])
+    model = sp.make_model(3, [(0, h0), (1, v)])
+    eps = 0.05
+    res = sp.run(model, eps, 8, n_stages=4)
+    h = h0 + eps * v
+    vals, vecs = np.linalg.eigh(h)
+    labels = np.argmax(np.abs(vecs), axis=0)
+    assert sorted(labels) == [0, 1, 2]
+    expected = np.empty(3)
+    expected[labels] = vals
+    assert expected[0] > expected[1]
+    np.testing.assert_allclose(res.energies[-1], expected, rtol=0, atol=1e-10)
+    residual = np.linalg.norm(
+        h @ res.eigenvectors - res.eigenvectors * expected, axis=0
+    )
+    assert residual.max() <= 1e-9
+
+
+def test_overflowing_series_is_rejected():
+    rng = np.random.default_rng(54)
+    h0 = np.diag([0.0, 1.0, 2.0, 3.5])
+    model = sp.make_model(4, [(0, h0), (1, 1e150 * random_hermitian(rng, 4))])
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
+        sp.run(model, 1.0, 4)
+
+
 def test_run_is_unitarily_invariant():
     rng = np.random.default_rng(53)
     diagonal = random_diagonal_model(rng, 6, gap=1.0, v_scale=0.4)

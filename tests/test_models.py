@@ -49,18 +49,10 @@ def test_quartic_matches_ladder_closed_forms():
                 want = _x4_band(j, k)
                 assert abs(v[j, k].real - want) <= 1e-12 * max(1.0, abs(want))
                 assert v[j, k].imag == 0.0
-
-
-def test_quartic_ladder_hand_values_and_dense_power():
-    v = sp.build_quartic_oscillator(30).coefficient(1)
-    assert v[0, 0] == pytest.approx(3.0 / 4.0, rel=1e-15)
-    assert v[0, 2] == pytest.approx(3.0 / np.sqrt(2.0), rel=1e-15)
-    assert v[0, 4] == pytest.approx(np.sqrt(6.0) / 2.0, rel=1e-15)
-    # dense (a + a^dag)^4 / 4 on a larger workspace, cut down afterwards
-    a = np.diag(np.sqrt(np.arange(1.0, 40.0)), 1)
-    dense = (np.linalg.matrix_power(a + a.T, 4) / 4.0)[:30, :30]
-    np.testing.assert_allclose(v.real, dense, rtol=1e-14, atol=0)
-    assert not v.imag.any()
+        # dense (a + a^dag)^4 / 4 on a workspace of dim + 4, cut down afterwards
+        a = np.diag(np.sqrt(np.arange(1.0, dim + 4.0)), 1)
+        dense = (np.linalg.matrix_power(a + a.T, 4) / 4.0)[:dim, :dim]
+        np.testing.assert_allclose(v.real, dense, rtol=1e-13, atol=0)
 
 
 def test_quartic_truncation_stability():
