@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralData, hermitian_part, require_hermitian
+from .linalg import SpectralData, hermitian_part, require_hermitian, require_tolerance
 
 
 class SmallDenominatorError(ValueError):
@@ -63,7 +63,8 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
     b : Hermitian matrix to average
     hbar : positive scale of the adjoint action
     gap_guard : float or None
-        Denominator guard; None means 1e-6 times A's spectral range.
+        Denominator guard, finite and nonnegative; None means 1e-6 times
+        A's spectral range.
 
     Returns
     -------
@@ -76,6 +77,7 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
         raise ValueError(f"dimension mismatch: {b.shape[0]} vs {spectral.dim}")
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
+    gap_guard = require_tolerance(gap_guard, "gap_guard")
     v = spectral.eigenvectors
     bbar_t, s_t = average_diagonal(spectral, v.conj().T @ b @ v, hbar, gap_guard)
     b_bar = hermitian_part(v @ bbar_t @ v.conj().T)

@@ -12,7 +12,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .averaging import SmallDenominatorError
 from .kolmogorov import ConsistencyError, default_n_stages, run
@@ -63,12 +62,28 @@ def _load_config_model(config: RunConfig):
 
 
 def match_labels(v_prev: np.ndarray, v_new: np.ndarray) -> np.ndarray:
-    """perm[i] = column of v_new carrying the state of v_prev column i."""
+    """perm[i] = column of v_new carrying the state of v_prev column i.
+
+    Greedy maximal overlap: pairs (i, j) are taken in descending weight
+    |<prev_i|new_j>|^2, ties in row-major order, while row i and column j
+    are both free.  For unitary v_prev, v_new every row and column of the
+    weights sums to 1, so when each row's largest weight exceeds 1/2 those
+    maxima form the unique optimal assignment and come first in the order.
+    """
     weight = np.abs(v_prev.conj().T @ v_new) ** 2
-    rows, cols = linear_sum_assignment(-weight)
-    perm = np.empty(v_prev.shape[1], dtype=np.int64)
-    perm[rows] = cols
-    return perm
+    n_cols = weight.shape[1]
+    perm = [-1] * weight.shape[0]
+    col_free = [True] * n_cols
+    left = len(perm)
+    for flat in np.argsort(-weight, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n_cols)
+        if perm[i] < 0 and col_free[j]:
+            perm[i] = j
+            col_free[j] = False
+            left -= 1
+            if left == 0:
+                break
+    return np.array(perm, dtype=np.int64)
 
 
 def _exact_levels(model, base, eps, deg_tol):

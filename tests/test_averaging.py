@@ -124,6 +124,15 @@ def test_small_denominator_guard():
     assert np.isfinite(res.s_of_b).all()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+def test_bad_gap_guard_is_rejected(bad):
+    # a NaN guard compares False against every gap and would let 1/1e-8 through
+    spectral = sp.eigh(np.diag([0.0, 1e-8, 1.0]).astype(complex), deg_tol=1e-12)
+    b = np.ones((3, 3), dtype=complex)
+    with pytest.raises(ValueError, match="gap_guard"):
+        sp.average(spectral, b, gap_guard=bad)
+
+
 def test_guard_default_scales_with_range():
     a = np.diag([0.0, 1.0, 2.0]).astype(complex)
     assert default_gap_guard(sp.eigh(a)) == pytest.approx(2e-6)

@@ -6,6 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 import superpert as sp
 from superpert import cli
@@ -313,6 +317,47 @@ def test_su_labels_inside_degenerate_block_match_exact(capsys, tmp_path):
     assert sorted(final) == [0, 1, 2]
     assert final[0][0] > final[1][0]
     assert max(err for _, err in final.values()) <= 1e-10
+
+
+def _random_unitary(rng, n):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(m)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_match_labels_is_a_permutation(n, seed):
+    rng = np.random.default_rng(seed)
+    perm = cli.match_labels(_random_unitary(rng, n), _random_unitary(rng, n))
+    assert sorted(perm.tolist()) == list(range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(0.0, 1.0),
+)
+def test_match_labels_is_optimal_when_each_row_max_exceeds_half(n, seed, t):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = (m + m.conj().T) / (2.0 * np.sqrt(2.0 * n))
+    v_prev = _random_unitary(rng, n)
+    v_new = (v_prev @ expm(1j * t * k))[:, rng.permutation(n)]
+    weight = np.abs(v_prev.conj().T @ v_new) ** 2
+    assume(weight.max(axis=1).min() > 0.5)
+    rows, cols = linear_sum_assignment(-weight)
+    assert np.array_equal(cli.match_labels(v_prev, v_new)[rows], cols)
+
+
+def test_match_labels_breaks_an_exact_tie_deterministically():
+    # a degenerate pair split into (e0 +- e1)/sqrt(2): weights 1/2 each way
+    r = np.sqrt(0.5)
+    v_new = np.array([[r, r, 0.0], [r, -r, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    v_prev = np.eye(3, dtype=complex)
+    first = cli.match_labels(v_prev, v_new)
+    assert first.tolist() == [0, 1, 2]
+    assert np.array_equal(cli.match_labels(v_prev, v_new), first)
 
 
 @pytest.mark.parametrize(

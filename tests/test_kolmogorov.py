@@ -294,9 +294,14 @@ def test_run_rejects_bad_parameter(param, bad):
         sp.init(model, **kwargs)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+@pytest.mark.parametrize("module", ["superpert", "superpert.cli"])
+def test_import_loads_no_scipy(module):
     src = str(Path(sp.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, superpert; assert 'scipy.optimize' not in sys.modules"
+    code = (
+        f"import sys, {module}; "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "assert not loaded, loaded"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
