@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralData, hermitian_part, require_hermitian, require_tolerance
+from .linalg import (
+    SpectralData,
+    hermitian_part,
+    require_hermitian,
+    require_positive,
+    require_tolerance,
+)
 
 
 class SmallDenominatorError(ValueError):
@@ -75,8 +81,7 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
     b = require_hermitian(b, what="averaging input")
     if b.shape[0] != spectral.dim:
         raise ValueError(f"dimension mismatch: {b.shape[0]} vs {spectral.dim}")
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    hbar = require_positive(hbar, "hbar")
     gap_guard = require_tolerance(gap_guard, "gap_guard")
     v = spectral.eigenvectors
     bbar_t, s_t = average_diagonal(spectral, v.conj().T @ b @ v, hbar, gap_guard)

@@ -87,11 +87,14 @@ def match_labels(v_prev: np.ndarray, v_new: np.ndarray) -> np.ndarray:
 
 
 def _exact_levels(model, base, eps, deg_tol):
-    """Eigenvalues of the evaluated series, labelled by base, the H_0 levels."""
+    """Eigenvalues of the evaluated series, labelled by base, the H_0 levels,
+    and each label's overlap weight |<base_j|exact_j>|^2."""
     h = eval_series(model.series(model.max_order), eps)
     spectral = eigh(h, deg_tol=deg_tol)
     perm = match_labels(base.eigenvectors, spectral.eigenvectors)
-    return spectral.eigenvalues[perm]
+    vecs = spectral.eigenvectors[:, perm]
+    overlap = np.abs(np.sum(base.eigenvectors.conj() * vecs, axis=0)) ** 2
+    return spectral.eigenvalues[perm], overlap
 
 
 def compute_report(config: RunConfig) -> dict:
@@ -137,7 +140,16 @@ def compute_report(config: RunConfig) -> dict:
         )
 
     base = eigh(model.coefficient(0), deg_tol=deg_tol)
-    exact = {eps: _exact_levels(model, base, eps, deg_tol) for eps in eps_list}
+    exact = {}
+    for eps in eps_list:
+        exact[eps], overlap = _exact_levels(model, base, eps, deg_tol)
+        for j in levels:
+            if overlap[j] <= 0.5:
+                warnings_list.append(
+                    f"eps {eps:g}: the exact level labelled {j} overlaps its "
+                    f"H_0 eigenvector by only {overlap[j]:.3f} (<= 1/2); "
+                    "the label is ambiguous"
+                )
 
     rows = []
 
@@ -219,7 +231,7 @@ def compute_report(config: RunConfig) -> dict:
         bigger = BUILTIN_MODELS[model.name](model.dim + 20, hbar=model.hbar)
         bigger_base = eigh(bigger.coefficient(0), deg_tol=deg_tol)
         for eps in eps_list:
-            grown = _exact_levels(bigger, bigger_base, eps, deg_tol)
+            grown, _ = _exact_levels(bigger, bigger_base, eps, deg_tol)
             for j in levels:
                 dim_drift.append(
                     {

@@ -37,6 +37,7 @@ from .series import (
     OperatorSeries,
     TransformSeries,
     conjugate_series,
+    shared_zero,
     u_coefficients,
     weighted_sum,
     zero_padded,
@@ -150,8 +151,8 @@ def step(state: KolmogorovState) -> KolmogorovState:
     hbar = series.hbar
     dim = series.dim
 
-    zero = np.zeros((dim, dim), dtype=np.complex128)
-    w_slots = [zero.copy() for _ in range(P + 1)]
+    zero = shared_zero(dim)
+    w_slots = [zero] * (P + 1)
     averaged = {}
     for p in range(lo, hi + 1):
         try:
@@ -163,11 +164,13 @@ def step(state: KolmogorovState) -> KolmogorovState:
                 f"stage {n}, order {p}: {exc}", indices=exc.indices, gap=exc.gap
             ) from exc
 
-    generator = OperatorSeries(tuple(w_slots), hbar)
-    ts = TransformSeries(generator)
-    k = conjugate_series(ts, series)
+    try:
+        ts = TransformSeries(OperatorSeries(tuple(w_slots), hbar))
+        k = conjugate_series(ts, series)
+    except ValueError as exc:  # an overflow shows as a non-finite slot
+        raise ValueError(f"stage {n}: {exc}") from exc
 
-    scale = max(max_norm(c) for c in series.coeffs)
+    scale = max(series.norms)
     residual = 0.0
     new_coeffs = [k.coeffs[0].copy()]
     for p in range(lo, hi + 1):
@@ -176,9 +179,12 @@ def step(state: KolmogorovState) -> KolmogorovState:
         raise ValueError(f"stage {n}: H_0 has a non-finite entry")
     for p in range(1, P + 1):
         if p <= hi:
-            predicted = averaged.get(p, zero)
-            residual = max(residual, max_norm(k.coeffs[p] - predicted))
-            new_coeffs.append(zero.copy())
+            if p in averaged:
+                deviation = max_norm(k.coeffs[p] - averaged[p])
+            else:
+                deviation = k.norms[p]  # predicted zero
+            residual = max(residual, deviation)
+            new_coeffs.append(zero)
         else:
             new_coeffs.append(k.coeffs[p])
     if residual > 1e-8 * max(scale, 1e-300):

@@ -62,6 +62,14 @@ def require_finite(value, what) -> float:
     return value
 
 
+def require_positive(value, what) -> float:
+    """float(value); raises ValueError naming `what` unless finite and > 0."""
+    value = require_finite(value, what)
+    if value <= 0:
+        raise ValueError(f"{what} must be positive, got {value}")
+    return value
+
+
 def require_tolerance(value, what):
     """None, or a finite nonnegative float; raises ValueError naming `what`."""
     if value is None:
@@ -89,8 +97,7 @@ def require_hermitian(a, tol=HERMITICITY_TOL, what="matrix"):
 
 def commutator_ad(w, a, hbar=1.0) -> np.ndarray:
     """Adjoint action (i/hbar)(WA - AW); Hermitian for Hermitian W, A."""
-    if hbar <= 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    hbar = require_positive(hbar, "hbar")
     w = np.asarray(w, dtype=np.complex128)
     a = np.asarray(a, dtype=np.complex128)
     _require_same_shape(w, a)

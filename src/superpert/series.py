@@ -14,11 +14,18 @@ as an independent cross-check.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_operator, commutator_ad, hermiticity_defect, max_norm
+from .linalg import (
+    as_operator,
+    commutator_ad,
+    hermiticity_defect,
+    max_norm,
+    nonfinite_entry,
+    require_positive,
+)
 
 MAX_ORDER = 62  # binomials stay exact in int64 up to this order
 
@@ -29,12 +36,24 @@ def binomial(p: int, l: int) -> float:
     return _BINOM[p][l]
 
 
+def shared_zero(dim: int) -> np.ndarray:
+    """Read-only zero matrix, safe to put in several slots at once."""
+    zero = np.zeros((dim, dim), dtype=np.complex128)
+    zero.flags.writeable = False
+    return zero
+
+
 @dataclass(frozen=True)
 class OperatorSeries:
-    """Finite graded family: coeffs[p] multiplies eps^p/p!."""
+    """Finite graded family: coeffs[p] multiplies eps^p/p!.
+
+    norms[p] is max_norm(coeffs[p]); entries are finite, so a slot is an
+    exact zero matrix exactly when its norm is 0 (see `live`).
+    """
 
     coeffs: tuple
     hbar: float = 1.0
+    norms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.coeffs:
@@ -43,21 +62,35 @@ class OperatorSeries:
             raise ValueError(
                 f"series order {len(self.coeffs) - 1} exceeds the cap {MAX_ORDER}"
             )
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        hbar = require_positive(self.hbar, "hbar")
         mats = tuple(as_operator(c) for c in self.coeffs)
         dim = mats[0].shape[0]
+        norms = []
         for p, c in enumerate(mats):
             if c.shape[0] != dim:
                 raise ValueError(
                     f"coefficient {p} has dimension {c.shape[0]}, expected {dim}"
                 )
-            defect = hermiticity_defect(c)
-            if defect > 1e-10 * max(1.0, max_norm(c)):
+            norm = max_norm(c)
+            if not math.isfinite(norm):
+                bad = nonfinite_entry(c)
+                raise ValueError(
+                    f"coefficient {p} has a non-finite entry {bad} = {c[bad]}"
+                )
+            defect = hermiticity_defect(c) if norm else 0.0
+            if defect > 1e-10 * max(1.0, norm):
                 raise ValueError(
                     f"coefficient {p} is not Hermitian (defect {defect:.3e})"
                 )
+            norms.append(norm)
         object.__setattr__(self, "coeffs", mats)
+        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "norms", tuple(norms))
+
+    @property
+    def live(self) -> list:
+        """Orders whose coefficient is not the zero matrix, ascending."""
+        return [p for p, norm in enumerate(self.norms) if norm != 0.0]
 
     @property
     def order(self) -> int:
@@ -87,17 +120,30 @@ class TransformSeries:
         return self.generator.hbar
 
 
-def _t_images(ts: TransformSeries, a: np.ndarray, up_to: int):
-    """[T_0(a), ..., T_up_to(a)].  Zero generator slots are skipped so that
-    structurally-absent orders come out as exact zeros."""
-    w = ts.generator.coeffs
-    hbar = ts.hbar
-    images = [np.array(a, dtype=np.complex128)]
+def _add(acc, term):
+    """acc + term, where acc None is an empty sum; may reuse acc's memory."""
+    if acc is None:
+        return term
+    acc += term
+    return acc
+
+
+def _t_images(gen: OperatorSeries, a: np.ndarray, up_to: int):
+    """[T_0(a), ..., T_up_to(a)], None for an image no term lands in.
+
+    Only live generator slots and images enter a sum, and each sum starts
+    from its first term, so the nonzero terms add up in the same order as
+    in the full recursion and skipped orders are structural zeros."""
+    w, live, hbar = gen.coeffs, gen.live, gen.hbar
+    images = [a]
     for p in range(up_to):
-        nxt = np.zeros_like(images[0])
-        for l in range(p + 1):
-            if w[l].any() and images[p - l].any():
-                nxt += binomial(p, l) * commutator_ad(w[l], images[p - l], hbar)
+        nxt = None
+        for l in live:
+            if l > p:
+                break
+            src = images[p - l]
+            if src is not None:
+                nxt = _add(nxt, binomial(p, l) * commutator_ad(w[l], src, hbar))
         images.append(nxt)
     return images
 
@@ -106,52 +152,69 @@ def t_apply(ts: TransformSeries, p: int, a) -> np.ndarray:
     """Image T_p(a) of one operator under the transform expansion."""
     if not 0 <= p <= ts.order:
         raise ValueError(f"order index {p} outside 0..{ts.order}")
-    a = as_operator(a)
+    a = as_operator(np.array(a, dtype=np.complex128))
     if a.shape[0] != ts.dim:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {ts.dim}")
-    return _t_images(ts, a, p)[p]
+    image = _t_images(ts.generator, a, p)[p]
+    return np.zeros_like(a) if image is None else image
 
 
-def conjugate_series(ts: TransformSeries, h: OperatorSeries) -> OperatorSeries:
-    """Transformed series, Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j)."""
+def _check_match(ts: TransformSeries, h: OperatorSeries):
     if ts.order != h.order or ts.dim != h.dim:
         raise ValueError(
             f"transform (order {ts.order}, dim {ts.dim}) does not match "
             f"series (order {h.order}, dim {h.dim})"
         )
+
+
+def _all_images(ts: TransformSeries, h: OperatorSeries):
+    """images[j][i] = T_i(H_j) for i + j <= order; None for structural zeros."""
     P = h.order
-    images = [_t_images(ts, h.coeffs[j], P - j) for j in range(P + 1)]
+    live = set(h.live)
+    return [
+        _t_images(ts.generator, h.coeffs[j], P - j) if j in live else [None] * (P + 1 - j)
+        for j in range(P + 1)
+    ]
+
+
+def _filled(slots, dim, hbar) -> OperatorSeries:
+    zero = shared_zero(dim)
+    return OperatorSeries(tuple(zero if c is None else c for c in slots), hbar)
+
+
+def conjugate_series(ts: TransformSeries, h: OperatorSeries) -> OperatorSeries:
+    """Transformed series, Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j)."""
+    _check_match(ts, h)
+    images = _all_images(ts, h)
     out = []
-    for p in range(P + 1):
-        kp = np.zeros_like(h.coeffs[0])
+    for p in range(h.order + 1):
+        kp = None
         for j in range(p + 1):
             term = images[j][p - j]
-            if term.any():
-                kp += binomial(p, j) * term
+            if term is not None:
+                kp = _add(kp, binomial(p, j) * term)
         out.append(kp)
-    return OperatorSeries(tuple(out), h.hbar)
+    return _filled(out, h.dim, h.hbar)
 
 
 def conjugate_series_table(ts: TransformSeries, h: OperatorSeries) -> OperatorSeries:
     """Same transform through the stagewise recursion; cross-check route."""
-    if ts.order != h.order or ts.dim != h.dim:
-        raise ValueError("transform/series order or dimension mismatch")
-    P = h.order
-    w = ts.generator.coeffs
-    hbar = h.hbar
-    images = [_t_images(ts, h.coeffs[j], P - j) for j in range(P + 1)]
-    out = [np.array(h.coeffs[0], dtype=np.complex128)]
-    for p in range(1, P + 1):
-        kp = np.zeros_like(h.coeffs[0])
+    _check_match(ts, h)
+    gen = ts.generator
+    w, w_live, hbar = gen.coeffs, set(gen.live), h.hbar
+    images = _all_images(ts, h)
+    out = [None if images[0][0] is None else images[0][0].copy()]
+    for p in range(1, h.order + 1):
+        kp = None
         for j in range(1, p + 1):
             cof = binomial(p - 1, j - 1)
-            if w[j - 1].any() and out[p - j].any():
-                kp += cof * commutator_ad(w[j - 1], out[p - j], hbar)
+            if j - 1 in w_live and out[p - j] is not None:
+                kp = _add(kp, cof * commutator_ad(w[j - 1], out[p - j], hbar))
             term = images[j][p - j]
-            if term.any():
-                kp += cof * term
+            if term is not None:
+                kp = _add(kp, cof * term)
         out.append(kp)
-    return OperatorSeries(tuple(out), h.hbar)
+    return _filled(out, h.dim, h.hbar)
 
 
 def u_coefficients(ts: TransformSeries):
@@ -159,18 +222,21 @@ def u_coefficients(ts: TransformSeries):
 
     The flow solves U' = -(i/hbar) U W(eps) with U_0 = I, so that
     U(eps)^{-1} A U(eps) reproduces the conjugated series to O(eps^{P+1}).
+    Structurally zero coefficients share one read-only zero matrix.
     """
-    w = ts.generator.coeffs
-    hbar = ts.hbar
-    n = ts.dim
-    u = [np.eye(n, dtype=np.complex128)]
+    gen = ts.generator
+    w, live, hbar = gen.coeffs, gen.live, gen.hbar
+    u = [np.eye(ts.dim, dtype=np.complex128)]
     for p in range(ts.order):
-        nxt = np.zeros((n, n), dtype=np.complex128)
-        for l in range(p + 1):
-            if w[l].any() and u[p - l].any():
-                nxt += binomial(p, l) * (u[p - l] @ w[l])
-        u.append((-1j / hbar) * nxt)
-    return u
+        nxt = None
+        for l in live:
+            if l > p:
+                break
+            if u[p - l] is not None:
+                nxt = _add(nxt, binomial(p, l) * (u[p - l] @ w[l]))
+        u.append(None if nxt is None else (-1j / hbar) * nxt)
+    zero = shared_zero(ts.dim)
+    return [zero if c is None else c for c in u]
 
 
 def weighted_sum(mats, eps: float) -> np.ndarray:
@@ -190,8 +256,7 @@ def eval_series(s: OperatorSeries, eps: float) -> np.ndarray:
 
 def zero_padded(coeffs_by_order, dim: int, order: int, hbar: float) -> OperatorSeries:
     """Series of the given order from a sparse {order: matrix} mapping."""
-    zero = np.zeros((dim, dim), dtype=np.complex128)
-    slots = [zero.copy() for _ in range(order + 1)]
+    slots = [shared_zero(dim)] * (order + 1)
     for p, mat in coeffs_by_order.items():
         if p > order:
             raise ValueError(

@@ -1,6 +1,11 @@
 import numpy as np
+from hypothesis import settings
 
 import superpert as sp
+
+# Property tests draw the same examples on every run.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_hermitian(rng, n, scale=1.0):

@@ -133,6 +133,13 @@ def test_bad_gap_guard_is_rejected(bad):
         sp.average(spectral, b, gap_guard=bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0], ids=["nan", "inf", "zero"])
+def test_bad_hbar_is_rejected(bad):
+    spectral = sp.eigh(np.diag([0.0, 1.0]).astype(complex))
+    with pytest.raises(ValueError, match="hbar must be"):
+        sp.average(spectral, np.ones((2, 2), dtype=complex), hbar=bad)
+
+
 def test_guard_default_scales_with_range():
     a = np.diag([0.0, 1.0, 2.0]).astype(complex)
     assert default_gap_guard(sp.eigh(a)) == pytest.approx(2e-6)

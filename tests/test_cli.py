@@ -195,6 +195,24 @@ def test_negative_eps_flagged_but_allowed(capsys):
     assert "eps < 0" in err
 
 
+def test_ambiguous_exact_label_is_flagged(capsys):
+    # at eps 0.2 the quartic's exact level 5 keeps only 0.416 of its H_0 state;
+    # level 0 keeps 0.995 and level 5 at eps 0.1 keeps 0.678
+    code, out, err = _run(
+        [
+            "--method", "exact", "--builtin", "quartic_oscillator", "--dim", "30",
+            "--eps", "0.1,0.2", "--levels", "0,5", "--format", "json",
+        ],
+        capsys,
+    )
+    assert code == 0
+    warnings = json.loads(out)["diagnostics"]["warnings"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("eps 0.2: the exact level labelled 5 ")
+    assert "0.416" in warnings[0]
+    assert warnings[0] in err
+
+
 def test_model_file_run_and_errors(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(

@@ -45,6 +45,14 @@ def test_commutator_dimension_mismatch():
         sp.commutator_ad(np.eye(2, dtype=complex), np.eye(2, dtype=complex), 0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+def test_commutator_rejects_bad_hbar(bad):
+    # a NaN hbar used to pass `hbar <= 0` and return a NaN matrix
+    a = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="hbar must be"):
+        sp.commutator_ad(a, a, bad)
+
+
 def test_ring_operations():
     rng = np.random.default_rng(3)
     a = random_hermitian(rng, 5)

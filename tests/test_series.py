@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import superpert as sp
@@ -200,6 +202,95 @@ def test_series_validation():
         sp.conjugate_series(
             TransformSeries(OperatorSeries((a, a))), OperatorSeries((a,))
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_series_rejects_non_finite_entries(bad):
+    # a NaN Hermiticity defect compares False, so the defect check alone
+    # let such slots through
+    a = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match=r"coefficient 0 has a non-finite entry \(0, 0\)"):
+        OperatorSeries((np.diag([bad, 1.0]), a))
+    b = a.copy()
+    b[1, 0] = b[0, 1] = bad
+    with pytest.raises(ValueError, match=r"coefficient 2 has a non-finite entry \(0, 1\)"):
+        OperatorSeries((a, a, b))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+def test_series_rejects_bad_hbar(bad):
+    with pytest.raises(ValueError, match="hbar must be"):
+        OperatorSeries((np.eye(2, dtype=complex),), hbar=bad)
+
+
+def test_series_norms_and_live_orders():
+    a = np.array([[1.0, -3.0j], [3.0j, 0.5]])
+    zero = np.zeros((2, 2))
+    s = OperatorSeries((a, zero, 2.0 * a, zero), hbar=0.5)
+    assert s.norms == (3.0, 0.0, 6.0, 0.0)
+    assert s.live == [0, 2]
+    assert s.hbar == 0.5
+
+
+def _full_images(w, a, up_to, hbar):
+    # the expansion maps with every term summed, zero or not
+    images = [np.array(a, dtype=complex)]
+    for p in range(up_to):
+        nxt = np.zeros_like(images[0])
+        for l in range(p + 1):
+            nxt += binomial(p, l) * sp.commutator_ad(w[l], images[p - l], hbar)
+        images.append(nxt)
+    return images
+
+
+def _full_conjugations(ts, h):
+    """(Cauchy route, table route, flow coefficients) without skipping."""
+    P, w, hbar = h.order, ts.generator.coeffs, h.hbar
+    images = [_full_images(w, h.coeffs[j], P - j, hbar) for j in range(P + 1)]
+    cauchy, table, u = [], [np.array(h.coeffs[0])], [np.eye(h.dim, dtype=complex)]
+    for p in range(P + 1):
+        kp = np.zeros_like(h.coeffs[0])
+        for j in range(p + 1):
+            kp += binomial(p, j) * images[j][p - j]
+        cauchy.append(kp)
+    for p in range(1, P + 1):
+        kp = np.zeros_like(h.coeffs[0])
+        for j in range(1, p + 1):
+            cof = binomial(p - 1, j - 1)
+            kp += cof * sp.commutator_ad(w[j - 1], table[p - j], hbar)
+            kp += cof * images[j][p - j]
+        table.append(kp)
+    for p in range(P):
+        nxt = np.zeros_like(u[0])
+        for l in range(p + 1):
+            nxt += binomial(p, l) * (u[p - l] @ w[l])
+        u.append((-1j / hbar) * nxt)
+    return cauchy, table, u
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(1, 6),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    zero_w=st.sets(st.integers(0, 8)),
+    zero_h=st.sets(st.integers(0, 8)),
+)
+def test_zero_slot_skipping_is_exact(n, order, seed, zero_w, zero_h):
+    # skipping zero slots only leaves out exact zeros, so the results are
+    # bit-identical to the recursions that sum every term
+    rng = np.random.default_rng(seed)
+    h = _series(rng, n, order, hbar=0.7, zero_slots=zero_h)
+    ts = TransformSeries(_series(rng, n, order, hbar=0.7, scale=0.5, zero_slots=zero_w))
+    cauchy, table, u = _full_conjugations(ts, h)
+    for got, want in (
+        (sp.conjugate_series(ts, h).coeffs, cauchy),
+        (sp.conjugate_series_table(ts, h).coeffs, table),
+        (sp.u_coefficients(ts), u),
+    ):
+        assert len(got) == len(want)
+        for g, r in zip(got, want):
+            np.testing.assert_array_equal(g, r)
 
 
 def test_binomials_exact_small_orders():
