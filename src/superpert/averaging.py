@@ -83,6 +83,8 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
         raise ValueError(f"dimension mismatch: {b.shape[0]} vs {spectral.dim}")
     hbar = require_positive(hbar, "hbar")
     gap_guard = require_tolerance(gap_guard, "gap_guard")
+    if gap_guard is None:
+        gap_guard = default_gap_guard(spectral)
     v = spectral.eigenvectors
     bbar_t, s_t = average_diagonal(spectral, v.conj().T @ b @ v, hbar, gap_guard)
     b_bar = hermitian_part(v @ bbar_t @ v.conj().T)
@@ -90,12 +92,9 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
     return AveragingResult(b_bar, s_of_b, spectral.blocks)
 
 
-def average_diagonal(spectral: SpectralData, bt, hbar=1.0, gap_guard=None):
+def average_diagonal(spectral: SpectralData, bt, hbar, gap_guard):
     """(Bbar, S), both Hermitian, for B given as bt in the eigenbasis of A,
-    i.e. for A = diag(spectral.eigenvalues); gap_guard as in `average`."""
-    if gap_guard is None:
-        gap_guard = default_gap_guard(spectral)
-
+    i.e. for A = diag(spectral.eigenvalues); gap_guard is a resolved float."""
     lam = spectral.eigenvalues
     for prev, nxt in zip(spectral.blocks, spectral.blocks[1:]):
         j, k = prev[-1], nxt[0]

@@ -9,7 +9,6 @@ identical numbers.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,40 +23,15 @@ _METHODS = ("su", "rs", "exact", "compare")
 _METHOD_RANK = {"exact": 0, "rs": 1, "su": 2}
 
 
-@dataclass
-class RunConfig:
-    method: str
-    eps_list: tuple
-    levels: tuple
-    order: int = 4
-    n_stages: int | None = None
-    model_path: str | None = None
-    builtin: str | None = None
-    dim: int | None = None
-    hbar: float | None = None
-    deg_tol: float | None = None
-    gap_guard: float | None = None
-    fmt: str = "csv"
-    out: str | None = None
-
-
-def _load_config_model(config: RunConfig):
-    if (config.model_path is None) == (config.builtin is None):
-        raise ValueError("exactly one of --model and --builtin is required")
-    if config.model_path is not None:
-        model = load_model(config.model_path)
+def _model_from_args(args):
+    if args.model is not None:
+        model = load_model(args.model)
+    elif args.dim is None:
+        raise ValueError("--builtin requires --dim")
     else:
-        builder = BUILTIN_MODELS.get(config.builtin)
-        if builder is None:
-            raise ValueError(
-                f"unknown builtin {config.builtin!r}; available: "
-                f"{sorted(BUILTIN_MODELS)}"
-            )
-        if config.dim is None:
-            raise ValueError("--builtin requires --dim")
-        model = builder(config.dim)
-    if config.hbar is not None:
-        model = model.with_hbar(config.hbar)
+        model = BUILTIN_MODELS[args.builtin](args.dim)
+    if args.hbar is not None:
+        model = model.with_hbar(args.hbar)
     return model
 
 
@@ -97,33 +71,27 @@ def _exact_levels(model, base, eps, deg_tol):
     return spectral.eigenvalues[perm], overlap
 
 
-def compute_report(config: RunConfig) -> dict:
-    """All rows and diagnostics for one run, as plain python values."""
-    if config.method not in _METHODS:
-        raise ValueError(f"unknown method {config.method!r}")
-    if not config.eps_list:
-        raise ValueError("at least one eps value is required")
-    if not config.levels:
-        raise ValueError("at least one level is required")
-    if config.order < 1:
-        raise ValueError(f"--order must be at least 1, got {config.order}")
-    model = _load_config_model(config)
-    levels = tuple(int(j) for j in config.levels)
+def compute_report(args: argparse.Namespace) -> dict:
+    """All rows and diagnostics for one run, as plain python values.
+
+    `args` holds the flags as parsed by `build_parser`, which already
+    enforces the choices, the model source and nonempty lists."""
+    if args.order < 1:
+        raise ValueError(f"--order must be at least 1, got {args.order}")
+    model = _model_from_args(args)
+    levels = tuple(int(j) for j in args.levels)
     for j in levels:
         if not 0 <= j < model.dim:
             raise ValueError(f"level {j} outside 0..{model.dim - 1}")
-    eps_list = tuple(sorted(require_finite(e, "--eps") for e in config.eps_list))
-    deg_tol = require_tolerance(config.deg_tol, "--deg-tol")
-    gap_guard = require_tolerance(config.gap_guard, "--gap-guard")
-    n_stages = (
-        config.n_stages if config.n_stages is not None
-        else default_n_stages(config.order)
-    )
+    eps_list = tuple(sorted(require_finite(e, "--eps") for e in args.eps))
+    deg_tol = require_tolerance(args.deg_tol, "--deg-tol")
+    gap_guard = require_tolerance(args.gap_guard, "--gap-guard")
+    n_stages = args.stages if args.stages is not None else default_n_stages(args.order)
 
-    want_su = config.method in ("su", "compare")
-    want_rs = config.method in ("rs", "compare")
-    want_exact_rows = config.method in ("exact", "compare")
-    rs_max = min(config.order, 4)
+    want_su = args.method in ("su", "compare")
+    want_rs = args.method in ("rs", "compare")
+    want_exact_rows = args.method in ("exact", "compare")
+    rs_max = min(args.order, 4)
 
     warnings_list = []
     negative = [e for e in eps_list if e < 0]
@@ -191,7 +159,7 @@ def compute_report(config: RunConfig) -> dict:
             result = run(
                 model,
                 eps,
-                config.order,
+                args.order,
                 n_stages=n_stages,
                 deg_tol=deg_tol,
                 gap_guard=gap_guard,
@@ -208,7 +176,7 @@ def compute_report(config: RunConfig) -> dict:
                     add_row(eps, j, "su", str(stage), result.energies[stage][j])
 
     comparisons = []
-    if config.method == "compare":
+    if args.method == "compare":
         for eps in eps_list:
             for j in levels:
                 su_err = abs(
@@ -227,7 +195,7 @@ def compute_report(config: RunConfig) -> dict:
                 )
 
     dim_drift = []
-    if config.method == "exact" and model.name in BUILTIN_MODELS:
+    if args.method == "exact" and model.name in BUILTIN_MODELS:
         bigger = BUILTIN_MODELS[model.name](model.dim + 20, hbar=model.hbar)
         bigger_base = eigh(bigger.coefficient(0), deg_tol=deg_tol)
         for eps in eps_list:
@@ -262,10 +230,10 @@ def compute_report(config: RunConfig) -> dict:
             "provenance": model.provenance,
             "dimension": model.dim,
             "hbar": model.hbar,
-            "method": config.method,
+            "method": args.method,
             "eps": list(eps_list),
             "levels": list(levels),
-            "order": config.order,
+            "order": args.order,
             "stages": n_stages if want_su else None,
         },
         "rows": rows,
@@ -346,14 +314,14 @@ def render_report(report: dict, fmt: str) -> str:
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def cmd_run(config: RunConfig) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     """Compute, render, and write one report; returns the exit code."""
-    report = compute_report(config)
-    text = render_report(report, config.fmt)
-    if config.out is None:
+    report = compute_report(args)
+    text = render_report(report, args.format)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     for note in report["diagnostics"]["warnings"]:
         print(f"warning: {note}", file=sys.stderr)
@@ -405,23 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        method=args.method,
-        eps_list=tuple(args.eps),
-        levels=tuple(args.levels),
-        order=args.order,
-        n_stages=args.stages,
-        model_path=args.model,
-        builtin=args.builtin,
-        dim=args.dim,
-        hbar=args.hbar,
-        deg_tol=args.deg_tol,
-        gap_guard=args.gap_guard,
-        fmt=args.format,
-        out=args.out,
-    )
     try:
-        return cmd_run(config)
+        return cmd_run(args)
     except (
         ModelFormatError,
         SmallDenominatorError,

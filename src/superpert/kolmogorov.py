@@ -22,7 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averaging import SmallDenominatorError, average_diagonal, min_cross_block_gap
+from .averaging import (
+    SmallDenominatorError,
+    average_diagonal,
+    default_gap_guard,
+    min_cross_block_gap,
+)
 from .linalg import (
     SpectralData,
     degeneracy_blocks,
@@ -65,7 +70,7 @@ class KolmogorovState:
     basis: np.ndarray  # running basis in original coordinates: V0 prod U_n(eps) Q_n
     generators: tuple
     deg_tol: float | None
-    gap_guard: float | None
+    gap_guard: float  # resolved once from the H_0 levels when not given
     history: tuple
 
     @property
@@ -107,6 +112,8 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
     deg_tol = require_tolerance(deg_tol, "deg_tol")
     gap_guard = require_tolerance(gap_guard, "gap_guard")
     spectral0 = eigh(model.coefficient(0), deg_tol=deg_tol)
+    if gap_guard is None:
+        gap_guard = default_gap_guard(spectral0)
     v = spectral0.eigenvectors
     terms = {p: v.conj().T @ mat @ v for p, mat in model.h_coeffs}
     terms[0] = np.diag(spectral0.eigenvalues)
@@ -165,7 +172,7 @@ def step(state: KolmogorovState) -> KolmogorovState:
             ) from exc
 
     try:
-        ts = TransformSeries(OperatorSeries(tuple(w_slots), hbar))
+        ts = TransformSeries(OperatorSeries._computed(w_slots, hbar))
         k = conjugate_series(ts, series)
     except ValueError as exc:  # an overflow shows as a non-finite slot
         raise ValueError(f"stage {n}: {exc}") from exc
@@ -197,11 +204,11 @@ def step(state: KolmogorovState) -> KolmogorovState:
     spectral0 = state.spectral0
     if averaged:
         spectral0, q = _diagonalize_blocks(new_coeffs[0], spectral0, state.deg_tol)
-        new_coeffs[0] = np.diag(spectral0.eigenvalues)
+        new_coeffs[0] = np.diag(spectral0.eigenvalues).astype(np.complex128)
         if q is not None:
             new_coeffs[hi + 1 :] = [q.conj().T @ c @ q for c in new_coeffs[hi + 1 :]]
             basis = basis @ q
-    new_series = OperatorSeries(tuple(new_coeffs), hbar)
+    new_series = OperatorSeries._computed(new_coeffs, hbar)
     info = StageInfo(
         stage=n,
         slot_residual=residual,
@@ -242,7 +249,8 @@ def run(
     eps : evaluation point of the perturbation parameter
     order : truncation order P of the graded series (>= 1)
     n_stages : number of elimination stages; default ceil(log2(P+1))
-    deg_tol, gap_guard : degeneracy tolerances, None = relative defaults
+    deg_tol, gap_guard : degeneracy tolerances; None = 1e-9 and 1e-6 times
+        the range of the H_0 levels
 
     Returns
     -------

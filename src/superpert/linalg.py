@@ -48,10 +48,14 @@ def hermiticity_defect(a) -> float:
     return max_norm(a - a.conj().T)
 
 
-def nonfinite_entry(a):
-    """Index (j, k) of the first NaN or Inf entry of a, or None."""
-    bad = np.argwhere(~np.isfinite(a))
-    return tuple(int(i) for i in bad[0]) if bad.size else None
+def finite_norm(a, what) -> float:
+    """max_norm(a); raises ValueError naming `what` and the first NaN or Inf
+    entry (j, k) unless that norm is finite."""
+    norm = max_norm(a)
+    if not math.isfinite(norm):
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+        raise ValueError(f"{what} has a non-finite entry {bad} = {a[bad]}")
+    return norm
 
 
 def require_finite(value, what) -> float:
@@ -64,9 +68,9 @@ def require_finite(value, what) -> float:
 
 def require_positive(value, what) -> float:
     """float(value); raises ValueError naming `what` unless finite and > 0."""
-    value = require_finite(value, what)
-    if value <= 0:
-        raise ValueError(f"{what} must be positive, got {value}")
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
     return value
 
 
@@ -81,16 +85,18 @@ def require_tolerance(value, what):
 
 
 def require_hermitian(a, tol=HERMITICITY_TOL, what="matrix"):
-    """Validate finite entries and conjugate symmetry relative to max(1, |a|_max)."""
+    """a as a square complex128 matrix, checked to have finite entries and a
+    Hermiticity defect within tol * max(1, |a|_max).  The one validator of
+    caller-supplied operators; its ValueError names `what` and the entry
+    (j, k) at fault: the first non-finite one, or the most asymmetric one."""
     a = as_operator(a)
-    bad = nonfinite_entry(a)
-    if bad is not None:
-        raise ValueError(f"{what} has a non-finite entry {bad} = {a[bad]}")
-    defect = hermiticity_defect(a)
-    bound = tol * max(1.0, max_norm(a))
-    if defect > bound:
+    bound = tol * max(1.0, finite_norm(a, what))
+    if hermiticity_defect(a) > bound:
+        d = np.abs(a - a.conj().T)
+        j, k = np.unravel_index(int(np.argmax(d)), d.shape)
         raise ValueError(
-            f"{what} is not Hermitian: defect {defect:.3e} exceeds {bound:.3e}"
+            f"{what} is not Hermitian: worst entry ({j}, {k}) has defect "
+            f"{d[j, k]:.3e}, above {bound:.3e}"
         )
     return a
 

@@ -7,11 +7,12 @@ x^4 as the order-1 perturbation.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import hermiticity_defect, hermitian_part, max_norm, nonfinite_entry
+from .linalg import hermitian_part, require_hermitian, require_positive
 from .series import OperatorSeries, zero_padded
 
 
@@ -45,29 +46,33 @@ class ModelSpec:
         return zero_padded(dict(self.h_coeffs), self.dim, order, self.hbar)
 
     def with_hbar(self, hbar: float) -> "ModelSpec":
-        return replace(self, hbar=_checked_hbar(hbar, self.name))
+        with _model_error(self.name):
+            return replace(self, hbar=require_positive(hbar, "hbar"))
 
 
-def _checked_hbar(hbar, context) -> float:
-    hbar = float(hbar)
-    if not (np.isfinite(hbar) and hbar > 0):
-        raise ModelFormatError(
-            f"{context}: hbar must be positive and finite, got {hbar}"
-        )
-    return hbar
+@contextmanager
+def _model_error(context):
+    """Re-raise a validator's ValueError as ModelFormatError under `context`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ModelFormatError(f"{context}: {exc}") from exc
 
 
 def _validate_terms(dim, terms, hbar, name, provenance, context):
+    """ModelSpec from (order, matrix) pairs; a bad matrix is named by its
+    index in `terms` and its order."""
     if dim < 1:
         raise ModelFormatError(f"{context}: dimension must be positive, got {dim}")
-    hbar = _checked_hbar(hbar, context)
+    with _model_error(context):
+        hbar = require_positive(hbar, "hbar")
     orders = [p for p, _ in terms]
     if len(set(orders)) != len(orders):
         raise ModelFormatError(f"{context}: duplicate term orders {sorted(orders)}")
     if 0 not in orders:
         raise ModelFormatError(f"{context}: the order-0 (unperturbed) term is required")
     clean = []
-    for p, mat in sorted(terms, key=lambda t: t[0]):
+    for i, (p, mat) in enumerate(terms):
         if p < 0:
             raise ModelFormatError(f"{context}: negative term order {p}")
         mat = np.asarray(mat, dtype=np.complex128)
@@ -76,24 +81,12 @@ def _validate_terms(dim, terms, hbar, name, provenance, context):
                 f"{context}: term of order {p} has shape {mat.shape}, "
                 f"expected ({dim}, {dim})"
             )
-        bad = nonfinite_entry(mat)
-        if bad is not None:
-            raise ModelFormatError(
-                f"{context}: term of order {p} has a non-finite entry "
-                f"{bad} = {mat[bad]}"
-            )
-        defect = hermiticity_defect(mat)
-        if defect > 1e-10 * max(1.0, max_norm(mat)):
-            d = np.abs(mat - mat.conj().T)
-            j, k = np.unravel_index(int(np.argmax(d)), d.shape)
-            raise ModelFormatError(
-                f"{context}: term of order {p} is not Hermitian; worst entry "
-                f"({j}, {k}) with defect {d[j, k]:.3e}"
-            )
+        with _model_error(context):
+            mat = require_hermitian(mat, what=f"terms[{i}]: term of order {p}")
         clean.append((int(p), hermitian_part(mat)))
     return ModelSpec(
         dim=int(dim),
-        h_coeffs=tuple(clean),
+        h_coeffs=tuple(sorted(clean, key=lambda t: t[0])),
         hbar=hbar,
         name=name,
         provenance=provenance,

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import SmallDenominatorError, default_gap_guard
-from .linalg import SpectralData, require_hermitian
+from .linalg import (
+    HERMITICITY_TOL,
+    SpectralData,
+    require_hermitian,
+    require_tolerance,
+)
 
 MAX_RS_ORDER = 4
 
@@ -80,6 +85,7 @@ def rs_corrections(h0: SpectralData, v, max_order=4, levels=0, gap_guard=None):
     for j in levels:
         if not 0 <= j < h0.dim:
             raise ValueError(f"level {j} outside 0..{h0.dim - 1}")
+    gap_guard = require_tolerance(gap_guard, "gap_guard")
     if gap_guard is None:
         gap_guard = default_gap_guard(h0)
 
@@ -111,7 +117,7 @@ def rs_corrections(h0: SpectralData, v, max_order=4, levels=0, gap_guard=None):
                     rhs = rhs + e[m] * psi[l - m]
                 psi.append(resolvent * rhs)
         worst_imag = float(np.max(np.abs(e.imag)))
-        if worst_imag > 1e-10 * max(1.0, float(np.max(np.abs(e)))):
+        if worst_imag > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(e)))):
             raise ValueError(
                 f"level {j}: corrections came out complex ({worst_imag:.3e}); "
                 f"input is not Hermitian enough"

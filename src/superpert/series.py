@@ -21,9 +21,8 @@ import numpy as np
 from .linalg import (
     as_operator,
     commutator_ad,
-    hermiticity_defect,
-    max_norm,
-    nonfinite_entry,
+    finite_norm,
+    require_hermitian,
     require_positive,
 )
 
@@ -47,8 +46,11 @@ def shared_zero(dim: int) -> np.ndarray:
 class OperatorSeries:
     """Finite graded family: coeffs[p] multiplies eps^p/p!.
 
-    norms[p] is max_norm(coeffs[p]); entries are finite, so a slot is an
-    exact zero matrix exactly when its norm is 0 (see `live`).
+    The constructor validates caller-supplied coefficients (`require_hermitian`)
+    and hbar; the engine builds the series it computes from validated operands
+    through `_computed`, which skips those checks.  norms[p] is
+    max_norm(coeffs[p]); entries are finite, so a slot is an exact zero
+    matrix exactly when its norm is 0 (see `live`).
     """
 
     coeffs: tuple
@@ -58,34 +60,39 @@ class OperatorSeries:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("series needs at least the order-0 coefficient")
-        if len(self.coeffs) - 1 > MAX_ORDER:
-            raise ValueError(
-                f"series order {len(self.coeffs) - 1} exceeds the cap {MAX_ORDER}"
-            )
         hbar = require_positive(self.hbar, "hbar")
-        mats = tuple(as_operator(c) for c in self.coeffs)
-        dim = mats[0].shape[0]
-        norms = []
+        mats = tuple(
+            require_hermitian(c, what=f"coefficient {p}")
+            for p, c in enumerate(self.coeffs)
+        )
         for p, c in enumerate(mats):
-            if c.shape[0] != dim:
+            if c.shape != mats[0].shape:
                 raise ValueError(
-                    f"coefficient {p} has dimension {c.shape[0]}, expected {dim}"
+                    f"coefficient {p} has dimension {c.shape[0]}, "
+                    f"expected {mats[0].shape[0]}"
                 )
-            norm = max_norm(c)
-            if not math.isfinite(norm):
-                bad = nonfinite_entry(c)
-                raise ValueError(
-                    f"coefficient {p} has a non-finite entry {bad} = {c[bad]}"
-                )
-            defect = hermiticity_defect(c) if norm else 0.0
-            if defect > 1e-10 * max(1.0, norm):
-                raise ValueError(
-                    f"coefficient {p} is not Hermitian (defect {defect:.3e})"
-                )
-            norms.append(norm)
+        self._set(mats, hbar)
+
+    def _set(self, mats, hbar):
+        """Store the fields; a non-finite slot raises ValueError naming it,
+        which is how an overflow inside the engine surfaces."""
+        if len(mats) - 1 > MAX_ORDER:
+            raise ValueError(
+                f"series order {len(mats) - 1} exceeds the cap {MAX_ORDER}"
+            )
+        norms = tuple(finite_norm(c, f"coefficient {p}") for p, c in enumerate(mats))
         object.__setattr__(self, "coeffs", mats)
         object.__setattr__(self, "hbar", hbar)
-        object.__setattr__(self, "norms", tuple(norms))
+        object.__setattr__(self, "norms", norms)
+
+    @classmethod
+    def _computed(cls, mats, hbar):
+        """Series of square complex128 matrices computed from validated
+        operands, with a validated hbar: Hermitian by construction, so only
+        the order cap, the norms and the non-finite check are done."""
+        series = object.__new__(cls)
+        series._set(tuple(mats), hbar)
+        return series
 
     @property
     def live(self) -> list:
@@ -179,7 +186,7 @@ def _all_images(ts: TransformSeries, h: OperatorSeries):
 
 def _filled(slots, dim, hbar) -> OperatorSeries:
     zero = shared_zero(dim)
-    return OperatorSeries(tuple(zero if c is None else c for c in slots), hbar)
+    return OperatorSeries._computed([zero if c is None else c for c in slots], hbar)
 
 
 def conjugate_series(ts: TransformSeries, h: OperatorSeries) -> OperatorSeries:
@@ -255,7 +262,8 @@ def eval_series(s: OperatorSeries, eps: float) -> np.ndarray:
 
 
 def zero_padded(coeffs_by_order, dim: int, order: int, hbar: float) -> OperatorSeries:
-    """Series of the given order from a sparse {order: matrix} mapping."""
+    """Series of the given order from a sparse {order: matrix} mapping of
+    validated Hermitian matrices, e.g. a model's terms; they are copied."""
     slots = [shared_zero(dim)] * (order + 1)
     for p, mat in coeffs_by_order.items():
         if p > order:
@@ -263,4 +271,4 @@ def zero_padded(coeffs_by_order, dim: int, order: int, hbar: float) -> OperatorS
                 f"term of order {p} does not fit truncation order {order}"
             )
         slots[p] = np.array(mat, dtype=np.complex128)
-    return OperatorSeries(tuple(slots), hbar)
+    return OperatorSeries._computed(slots, hbar)

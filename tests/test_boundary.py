@@ -1,0 +1,116 @@
+"""Caller-supplied operators are validated once, where they enter; series the
+engine computes from validated operands are not checked again."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import superpert as sp
+from superpert import series
+
+from conftest import random_hermitian
+
+H0 = np.diag([0.0, 1.0, 2.5]).astype(np.complex128)
+
+
+def _document(matrix):
+    return [[[float(e.real), float(e.imag)] for e in row] for row in matrix]
+
+
+ENTRY_POINTS = {
+    "make_model": lambda m: sp.make_model(3, [(0, H0), (1, m)]),
+    "model_from_dict": lambda m: sp.model_from_dict(
+        {
+            "dimension": 3,
+            "terms": [
+                {"order": 0, "matrix": _document(H0)},
+                {"order": 1, "matrix": _document(m)},
+            ],
+        }
+    ),
+    "OperatorSeries": lambda m: sp.OperatorSeries((H0, m)),
+    "eigh": sp.eigh,
+    "average": lambda m: sp.average(sp.eigh(H0), m),
+    "rs_corrections": lambda m: sp.rs_corrections(sp.eigh(H0), m),
+}
+
+
+@pytest.mark.parametrize("kind", ["nan", "asymmetric"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_boundary_rejects_bad_operator_naming_the_entry(entry, kind):
+    m = random_hermitian(np.random.default_rng(7), 3)
+    if kind == "nan":
+        m[1, 2] = np.nan
+    else:
+        m[1, 2] += 0.5
+    with pytest.raises(ValueError, match=r"\(1, 2\)") as err:
+        ENTRY_POINTS[entry](m)
+    if entry in ("make_model", "model_from_dict"):
+        assert isinstance(err.value, sp.ModelFormatError)
+        assert "terms[1]" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-6], ids=["nan", "negative"])
+def test_rs_corrections_rejects_bad_gap_guard(bad):
+    # a NaN guard compared False against every gap, so it switched the
+    # small-denominator check off
+    h0 = sp.eigh(np.diag([0.0, 1e-8, 1.0]).astype(np.complex128))
+    with pytest.raises(ValueError, match="gap_guard"):
+        sp.rs_corrections(h0, np.ones((3, 3)), gap_guard=bad)
+
+
+_FINITE = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_corrupted_model_document_names_term_and_entry(data):
+    dim = data.draw(st.integers(1, 4), label="dim")
+    orders = data.draw(st.permutations(range(data.draw(st.integers(1, 3)))))
+    terms = []
+    for p in orders:
+        m = [[0.0] * dim for _ in range(dim)]
+        for j in range(dim):
+            m[j][j] = data.draw(_FINITE)
+            for k in range(j + 1, dim):
+                re, im = data.draw(_FINITE), data.draw(_FINITE)
+                m[j][k], m[k][j] = [re, im], [re, -im]
+        terms.append({"order": p, "matrix": m})
+    i = data.draw(st.integers(0, len(terms) - 1), label="term")
+    m = terms[i]["matrix"]
+    kinds = ["nan", "inf", "-inf"] + (["asymmetric"] if dim > 1 else [])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "asymmetric":
+        j = data.draw(st.integers(0, dim - 2), label="j")
+        k = data.draw(st.integers(j + 1, dim - 1), label="k")
+        # far beyond the tolerance: 1e-10 * max(1, |matrix|_max), |matrix|_max < 20
+        delta = data.draw(st.floats(1e-3, 10.0), label="delta")
+        m[j][k] = [m[j][k][0] + delta, m[j][k][1]]
+    else:
+        j = data.draw(st.integers(0, dim - 1), label="j")
+        k = data.draw(st.integers(0, dim - 1), label="k")
+        m[j][k] = float(kind)
+    with pytest.raises(sp.ModelFormatError) as err:
+        sp.model_from_dict({"dimension": dim, "terms": terms})
+    message = str(err.value)
+    assert f"terms[{i}]" in message
+    assert f"({j}, {k})" in message
+
+
+def test_step_does_not_revalidate_the_series_it_builds(monkeypatch):
+    calls = []
+    validator = series.require_hermitian
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("what"))
+        return validator(*args, **kwargs)
+
+    monkeypatch.setattr(series, "require_hermitian", counted)
+    state = sp.init(sp.build_quartic_oscillator(10), 0.1, 8)
+    sp.OperatorSeries(state.series.coeffs)  # the public constructor validates
+    assert len(calls) == state.order + 1
+    calls.clear()
+    for _ in range(4):
+        state = sp.step(state)
+    assert calls == []

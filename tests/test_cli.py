@@ -149,6 +149,25 @@ def test_compare_su_beats_rs_at_tenth(capsys):
     assert comp["su_error"] < comp["rs_error"]
 
 
+def test_default_gap_guard_is_taken_from_the_h0_levels(capsys):
+    # The default guard is 1e-6 times the range of the H_0 levels, fixed at
+    # init; re-derived from the folded levels at each stage it outgrew the
+    # dim-150 oscillator's lowest gaps and aborted this run.
+    args = [
+        "--method", "compare", "--builtin", "quartic_oscillator", "--dim", "150",
+        "--eps", "0.02,0.05,0.1,0.15,0.2", "--levels", "0,1", "--format", "json",
+    ]
+    code, out, err = _run(args, capsys)
+    assert code == 0, err
+    code, absolute, _ = _run(args + ["--gap-guard", "1e-6"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["rows"] == json.loads(absolute)["rows"]
+    level0 = [c for c in report["comparisons"] if c["level"] == 0]
+    assert len(level0) == 5
+    assert all(c["winner"] == "su" for c in level0)
+
+
 def test_per_stage_rows_present(capsys):
     code, out, _ = _run(
         [
