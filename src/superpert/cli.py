@@ -20,7 +20,6 @@ from .rayleigh_schrodinger import rs_corrections
 from .series import eval_series
 
 _METHODS = ("su", "rs", "exact", "compare")
-_METHOD_RANK = {"exact": 0, "rs": 1, "su": 2}
 
 
 def _model_from_args(args):
@@ -60,22 +59,30 @@ def match_labels(v_prev: np.ndarray, v_new: np.ndarray) -> np.ndarray:
     return np.array(perm, dtype=np.int64)
 
 
-def _exact_levels(model, base, eps, deg_tol):
-    """Eigenvalues of the evaluated series, labelled by base, the H_0 levels,
-    and each label's overlap weight |<base_j|exact_j>|^2."""
-    h = eval_series(model.series(model.max_order), eps)
-    spectral = eigh(h, deg_tol=deg_tol)
+def _exact_levels(series, base, eps, deg_tol):
+    """Eigenvalues of the series evaluated at eps, labelled by base, the H_0
+    levels, and each label's overlap weight |<base_j|exact_j>|^2."""
+    spectral = eigh(eval_series(series, eps), deg_tol=deg_tol)
     perm = match_labels(base.eigenvectors, spectral.eigenvectors)
     vecs = spectral.eigenvectors[:, perm]
     overlap = np.abs(np.sum(base.eigenvectors.conj() * vecs, axis=0)) ** 2
     return spectral.eigenvalues[perm], overlap
 
 
+def _require_distinct(values: tuple, flag: str) -> None:
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{flag} lists {v:g} more than once")
+
+
 def compute_report(args: argparse.Namespace) -> dict:
     """All rows and diagnostics for one run, as plain python values.
 
     `args` holds the flags as parsed by `build_parser`, which already
-    enforces the choices, the model source and nonempty lists."""
+    enforces the choices, the model source and nonempty lists.  Each eps
+    is computed on its own, in ascending order, and its rows are appended
+    in output order: levels ascending, within a level `exact`, then `rs`
+    orders, then `su` stages."""
     if args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
     model = _model_from_args(args)
@@ -83,7 +90,9 @@ def compute_report(args: argparse.Namespace) -> dict:
     for j in levels:
         if not 0 <= j < model.dim:
             raise ValueError(f"level {j} outside 0..{model.dim - 1}")
+    _require_distinct(levels, "--levels")
     eps_list = tuple(sorted(require_finite(e, "--eps") for e in args.eps))
+    _require_distinct(eps_list, "--eps")
     deg_tol = require_tolerance(args.deg_tol, "--deg-tol")
     gap_guard = require_tolerance(args.gap_guard, "--gap-guard")
     n_stages = args.stages if args.stages is not None else default_n_stages(args.order)
@@ -108,36 +117,7 @@ def compute_report(args: argparse.Namespace) -> dict:
         )
 
     base = eigh(model.coefficient(0), deg_tol=deg_tol)
-    exact = {}
-    for eps in eps_list:
-        exact[eps], overlap = _exact_levels(model, base, eps, deg_tol)
-        for j in levels:
-            if overlap[j] <= 0.5:
-                warnings_list.append(
-                    f"eps {eps:g}: the exact level labelled {j} overlaps its "
-                    f"H_0 eigenvector by only {overlap[j]:.3f} (<= 1/2); "
-                    "the label is ambiguous"
-                )
-
-    rows = []
-
-    def add_row(eps, level, method, soo, energy):
-        rows.append(
-            {
-                "eps": float(eps),
-                "level": int(level),
-                "method": method,
-                "stage_or_order": soo,
-                "energy": float(energy),
-                "abs_error_vs_exact": abs(float(energy) - float(exact[eps][level])),
-            }
-        )
-
-    if want_exact_rows:
-        for eps in eps_list:
-            for j in levels:
-                add_row(eps, j, "exact", "-", exact[eps][j])
-
+    series = model.series(model.max_order)
     rs = None
     if want_rs:
         rs = rs_corrections(
@@ -147,15 +127,20 @@ def compute_report(args: argparse.Namespace) -> dict:
             levels=levels,
             gap_guard=gap_guard,
         )
-        for eps in eps_list:
-            for j in levels:
-                for order in range(1, rs_max + 1):
-                    add_row(eps, j, "rs", str(order), rs.energy(eps, j, order))
+    drift = None
+    if args.method == "exact" and model.name in BUILTIN_MODELS:
+        bigger = BUILTIN_MODELS[model.name](model.dim + 20, hbar=model.hbar)
+        drift = (
+            bigger.series(bigger.max_order),
+            eigh(bigger.coefficient(0), deg_tol=deg_tol),
+        )
 
-    su_results = {}
-    stage_residuals = []
-    if want_su:
-        for eps in eps_list:
+    rows, comparisons, stage_residuals, dim_drift = [], [], [], []
+    min_gap = None
+    for eps in eps_list:
+        exact, overlap = _exact_levels(series, base, eps, deg_tol)
+        result = None
+        if want_su:
             result = run(
                 model,
                 eps,
@@ -164,25 +149,45 @@ def compute_report(args: argparse.Namespace) -> dict:
                 deg_tol=deg_tol,
                 gap_guard=gap_guard,
             )
-            su_results[eps] = result
-            stage_residuals.append(
-                {
-                    "eps": eps,
-                    "residuals": [info.slot_residual for info in result.history],
-                }
-            )
-            for j in levels:
-                for stage in range(1, result.n_stages + 1):
-                    add_row(eps, j, "su", str(stage), result.energies[stage][j])
+            residuals = [info.slot_residual for info in result.history]
+            stage_residuals.append({"eps": eps, "residuals": residuals})
+            gap = result.min_gap
+            if np.isfinite(gap) and (min_gap is None or gap < min_gap):
+                min_gap = gap
 
-    comparisons = []
-    if args.method == "compare":
-        for eps in eps_list:
-            for j in levels:
-                su_err = abs(
-                    float(su_results[eps].energies[-1][j]) - float(exact[eps][j])
+        for j in sorted(levels):
+            energies = [("exact", "-", exact[j])] if want_exact_rows else []
+            if rs is not None:
+                energies += [
+                    ("rs", str(k), rs.energy(eps, j, k)) for k in range(1, rs_max + 1)
+                ]
+            if result is not None:
+                energies += [
+                    ("su", str(n), result.energies[n][j])
+                    for n in range(1, result.n_stages + 1)
+                ]
+            for method, soo, energy in energies:
+                rows.append(
+                    {
+                        "eps": float(eps),
+                        "level": j,
+                        "method": method,
+                        "stage_or_order": soo,
+                        "energy": float(energy),
+                        "abs_error_vs_exact": abs(float(energy) - float(exact[j])),
+                    }
                 )
-                rs_err = abs(rs.energy(eps, j, rs_max) - float(exact[eps][j]))
+
+        for j in levels:
+            if overlap[j] <= 0.5:
+                warnings_list.append(
+                    f"eps {eps:g}: the exact level labelled {j} overlaps its "
+                    f"H_0 eigenvector by only {overlap[j]:.3f} (<= 1/2); "
+                    "the label is ambiguous"
+                )
+            if args.method == "compare":
+                su_err = abs(float(result.energies[-1][j]) - float(exact[j]))
+                rs_err = abs(rs.energy(eps, j, rs_max) - float(exact[j]))
                 winner = "su" if su_err < rs_err else ("rs" if rs_err < su_err else "tie")
                 comparisons.append(
                     {
@@ -193,36 +198,12 @@ def compute_report(args: argparse.Namespace) -> dict:
                         "winner": winner,
                     }
                 )
-
-    dim_drift = []
-    if args.method == "exact" and model.name in BUILTIN_MODELS:
-        bigger = BUILTIN_MODELS[model.name](model.dim + 20, hbar=model.hbar)
-        bigger_base = eigh(bigger.coefficient(0), deg_tol=deg_tol)
-        for eps in eps_list:
-            grown, _ = _exact_levels(bigger, bigger_base, eps, deg_tol)
-            for j in levels:
-                dim_drift.append(
-                    {
-                        "eps": eps,
-                        "level": j,
-                        "drift": abs(float(exact[eps][j]) - float(grown[j])),
-                    }
-                )
-
-    min_gap = None
-    if su_results:
-        finite = [r.min_gap for r in su_results.values() if np.isfinite(r.min_gap)]
-        min_gap = min(finite) if finite else None
-
-    rank = _METHOD_RANK
-    rows.sort(
-        key=lambda r: (
-            r["eps"],
-            r["level"],
-            rank[r["method"]],
-            -1 if r["stage_or_order"] == "-" else int(r["stage_or_order"]),
-        )
-    )
+        if drift is not None:
+            grown, _ = _exact_levels(*drift, eps, deg_tol)
+            dim_drift += [
+                {"eps": eps, "level": j, "drift": abs(float(exact[j]) - float(grown[j]))}
+                for j in levels
+            ]
 
     return {
         "config": {

@@ -93,7 +93,6 @@ class SuResult:
     energies: tuple  # energies[n][j] for stage n, label j
     eigenvectors: np.ndarray  # column j approximates level j of H(eps)
     history: tuple
-    state: KolmogorovState
 
     @property
     def min_gap(self) -> float:
@@ -284,5 +283,4 @@ def run(
         energies=tuple(energies),
         eigenvectors=vecs,
         history=state.history,
-        state=state,
     )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superpert as sp
 from superpert.averaging import default_gap_guard
@@ -50,6 +52,35 @@ def test_lemma_identities_random():
         bound = 1e-11 * max(sp.max_norm(b), 1e-300)
         assert e1 <= bound
         assert e2 <= bound
+
+
+
+@settings(max_examples=60)
+@given(
+    spacings=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=4),
+    picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=8),
+    hbar=st.floats(0.3, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lemma_identities_repeated_and_clustered_levels(spacings, picks, hbar, seed):
+    # clusters at least 0.5 apart; inside one, levels repeat exactly or sit
+    # 0.02 apart
+    centers = np.cumsum(spacings)
+    levels = np.array(
+        [centers[0], centers[1]]
+        + [centers[c % len(centers)] + 0.02 * m for c, m in picks]
+    )
+    n = len(levels)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    spectral = sp.eigh(q @ np.diag(levels) @ q.conj().T)
+    assert len(spectral.blocks) == len(set(levels.tolist()))
+    b = random_hermitian(rng, n)
+    res = sp.average(spectral, b, hbar)
+    e1, e2 = _identity_errors(spectral, b, res, hbar)
+    bound = 1e-11 * max(sp.max_norm(b), 1e-300)
+    assert e1 <= bound
+    assert e2 <= bound
 
 
 def test_average_is_projection():

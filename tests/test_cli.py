@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,83 @@ def test_ambiguous_exact_label_is_flagged(capsys):
     assert warnings[0] in err
 
 
+def test_rows_follow_eps_level_method_and_stage_order(capsys):
+    args = [
+        "--method", "compare", "--builtin", "quartic_oscillator", "--dim", "30",
+        "--eps", "0.2,0.1", "--levels", "3,0,1",
+    ]
+    methods = (
+        [("exact", "-")]
+        + [("rs", str(k)) for k in range(1, 5)]
+        + [("su", str(n)) for n in range(1, 4)]
+    )
+    expected = [
+        (eps, j, method, soo)
+        for eps in (0.1, 0.2)
+        for j in (0, 1, 3)
+        for method, soo in methods
+    ]
+    code, csv_text, _ = _run(args, capsys)
+    assert code == 0
+    csv_keys = [
+        (float(eps), int(level), method, soo)
+        for eps, level, method, soo, _, _ in (
+            line.split(",") for line in csv_text.strip().splitlines()[1:]
+        )
+    ]
+    assert csv_keys == expected
+    code, out, _ = _run(args + ["--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    json_keys = [
+        (r["eps"], r["level"], r["method"], r["stage_or_order"]) for r in report["rows"]
+    ]
+    assert json_keys == expected
+    # the comparisons keep the requested level order
+    assert report["config"]["levels"] == [3, 0, 1]
+    assert report["config"]["eps"] == [0.1, 0.2]
+    assert [(c["eps"], c["level"]) for c in report["comparisons"]] == [
+        (eps, j) for eps in (0.1, 0.2) for j in (3, 0, 1)
+    ]
+
+    code, out, _ = _run(
+        ["--method", "exact"] + args[2:] + ["--format", "json"], capsys
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert [(r["eps"], r["level"]) for r in report["rows"]] == [
+        (eps, j) for eps in (0.1, 0.2) for j in (0, 1, 3)
+    ]
+    assert [(d["eps"], d["level"]) for d in report["diagnostics"]["dim_drift"]] == [
+        (eps, j) for eps in (0.1, 0.2) for j in (3, 0, 1)
+    ]
+
+
+def test_one_engine_result_alive_at_a_time(capsys, monkeypatch):
+    # each eps is computed on its own: its SuResult is dropped once its rows
+    # are written, so the report never holds more than one engine result
+    results, alive_at_call = [], []
+    engine = cli.run
+
+    def tracked(*args, **kwargs):
+        alive_at_call.append(sum(ref() is not None for ref in results))
+        result = engine(*args, **kwargs)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "run", tracked)
+    code, _, _ = _run(
+        [
+            "--method", "compare", "--builtin", "quartic_oscillator", "--dim", "12",
+            "--eps", "0.05,0.1,0.15,0.2", "--levels", "0,1", "--format", "json",
+        ],
+        capsys,
+    )
+    assert code == 0 and len(results) == 4
+    assert max(alive_at_call) <= 1
+    assert all(ref() is None for ref in results)
+
+
 def test_model_file_run_and_errors(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(
@@ -400,8 +478,9 @@ def test_match_labels_breaks_an_exact_tie_deterministically():
 @pytest.mark.parametrize(
     "flag, value",
     [("--eps", "0.1,nan"), ("--deg-tol", "nan"), ("--gap-guard", "nan"),
-     ("--gap-guard", "-1e-6")],
-    ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative"],
+     ("--gap-guard", "-1e-6"), ("--eps", "0.1,0.1"), ("--levels", "0,0")],
+    ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative", "eps_repeated",
+         "levels_repeated"],
 )
 def test_bad_numeric_flag_is_named(capsys, flag, value):
     args = [

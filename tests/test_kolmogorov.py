@@ -132,10 +132,12 @@ def test_unitary_equivalence_scaling():
     P = 4
 
     def equivalence_error(eps):
-        res = sp.run(model, eps, P, n_stages=3)
-        u = res.state.basis  # V0 prod U_n(eps) Q_n
+        state = sp.init(model, eps, P)
+        for _ in range(3):
+            state = sp.step(state)
+        u = state.basis  # V0 prod U_n(eps) Q_n
         original = sp.eval_series(model.series(P), eps)
-        transformed = sp.eval_series(res.state.series, eps)
+        transformed = sp.eval_series(state.series, eps)
         return sp.max_norm(transformed - u.conj().T @ original @ u)
 
     eps = 0.2

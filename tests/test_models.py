@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superpert as sp
 
@@ -205,3 +207,40 @@ def test_load_rejects_non_finite_entries_and_hbar(tmp_path):
         )
     with pytest.raises(sp.ModelFormatError, match="hbar"):
         sp.build_quartic_oscillator(8).with_hbar(float("inf"))
+
+
+_ENTRY = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_json_model_round_trip(data):
+    dim = data.draw(st.integers(1, 6), label="dim")
+    higher = data.draw(st.lists(st.integers(1, 6), unique=True, max_size=3))
+    orders = data.draw(st.permutations([0] + higher), label="orders")
+    hbar = data.draw(st.floats(1e-3, 1e3), label="hbar")
+    terms, expected = [], {}
+    for p in orders:
+        m = np.zeros((dim, dim), dtype=np.complex128)
+        rows = [[None] * dim for _ in range(dim)]
+        for j in range(dim):
+            m[j, j] = data.draw(_ENTRY)
+            rows[j][j] = data.draw(st.sampled_from([m[j, j].real, [m[j, j].real, 0.0]]))
+            for k in range(j + 1, dim):
+                re = data.draw(_ENTRY)
+                im = data.draw(st.one_of(st.just(0.0), _ENTRY))
+                m[j, k], m[k, j] = complex(re, im), complex(re, -im)
+                if im == 0.0 and data.draw(st.booleans()):
+                    rows[j][k] = rows[k][j] = re
+                else:
+                    rows[j][k], rows[k][j] = [re, im], [re, -im]
+        flat = data.draw(st.booleans(), label="flat")
+        matrix = [e for row in rows for e in row] if flat else rows
+        terms.append({"order": p, "matrix": matrix})
+        expected[p] = m
+    text = json.dumps({"dimension": dim, "hbar": hbar, "terms": terms})
+    model = sp.model_from_dict(json.loads(text))
+    assert model.dim == dim and model.hbar == hbar
+    assert [p for p, _ in model.h_coeffs] == sorted(orders)
+    for p, m in expected.items():
+        assert np.array_equal(model.coefficient(p), m)
