@@ -20,7 +20,6 @@ from .kolmogorov import (
 )
 from .linalg import (
     SpectralData,
-    adjoint,
     commutator_ad,
     eigh,
     hermitian_part,
@@ -41,7 +40,6 @@ from .rayleigh_schrodinger import RsCorrections, rs_corrections
 from .series import (
     MAX_ORDER,
     OperatorSeries,
-    TransformSeries,
     conjugate_series,
     conjugate_series_table,
     eval_series,
@@ -66,8 +64,6 @@ __all__ = [
     "SpectralData",
     "StageInfo",
     "SuResult",
-    "TransformSeries",
-    "adjoint",
     "average",
     "build_quartic_oscillator",
     "commutator_ad",

@@ -9,7 +9,8 @@ average and its primitive are, in A's eigenbasis,
 so that (i/hbar)[Bbar, A] = 0 and (i/hbar)[S, A] = Bbar - B hold at
 working precision by construction.  For degenerate A the full intra-block
 part is retained, which still commutes with A.  `average_diagonal` applies
-these formulas in A's eigenbasis; `average` rotates B in and the results out.
+these formulas in A's eigenbasis, to one matrix or to a stack of them with
+one set of denominators; `average` rotates B in and the results out.
 
 Cross-block gaps below the guard abort with a diagnostic instead of
 amplifying noise through the denominators.
@@ -41,23 +42,25 @@ class SmallDenominatorError(ValueError):
 class AveragingResult:
     b_bar: np.ndarray
     s_of_b: np.ndarray
-    blocks: tuple
 
 
 def default_gap_guard(spectral: SpectralData) -> float:
     return 1e-6 * float(np.ptp(spectral.eigenvalues))
 
 
-def min_cross_block_gap(spectral: SpectralData) -> float:
-    """Smallest |E_j - E_k| over pairs in different blocks (inf if one block).
+def _boundary_gaps(lam, blocks):
+    """(j, k, E_k - E_j) for the last level j of each block and the first
+    level k of the next.  Blocks come in ascending energy, so the smallest
+    gap between levels of different blocks is one of these."""
+    for prev, nxt in zip(blocks, blocks[1:]):
+        j, k = prev[-1], nxt[0]
+        yield j, k, float(lam[k] - lam[j])
 
-    Blocks come in ascending energy, so the minimum is attained at a block
-    boundary."""
-    lam = spectral.eigenvalues
-    gap = float("inf")
-    for prev, nxt in zip(spectral.blocks, spectral.blocks[1:]):
-        gap = min(gap, float(lam[nxt[0]] - lam[prev[-1]]))
-    return gap
+
+def min_cross_block_gap(spectral: SpectralData) -> float:
+    """Smallest |E_j - E_k| over pairs in different blocks (inf if one block)."""
+    gaps = _boundary_gaps(spectral.eigenvalues, spectral.blocks)
+    return min((gap for _, _, gap in gaps), default=float("inf"))
 
 
 def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingResult:
@@ -86,19 +89,23 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
     if gap_guard is None:
         gap_guard = default_gap_guard(spectral)
     v = spectral.eigenvectors
-    bbar_t, s_t = average_diagonal(spectral, v.conj().T @ b @ v, hbar, gap_guard)
+    bbar_t, s_t, _ = average_diagonal(
+        spectral.eigenvalues, spectral.blocks, v.conj().T @ b @ v, hbar, gap_guard
+    )
     b_bar = hermitian_part(v @ bbar_t @ v.conj().T)
     s_of_b = hermitian_part(v @ s_t @ v.conj().T)
-    return AveragingResult(b_bar, s_of_b, spectral.blocks)
+    return AveragingResult(b_bar, s_of_b)
 
 
-def average_diagonal(spectral: SpectralData, bt, hbar, gap_guard):
-    """(Bbar, S), both Hermitian, for B given as bt in the eigenbasis of A,
-    i.e. for A = diag(spectral.eigenvalues); gap_guard is a resolved float."""
-    lam = spectral.eigenvalues
-    for prev, nxt in zip(spectral.blocks, spectral.blocks[1:]):
-        j, k = prev[-1], nxt[0]
-        gap = float(lam[k] - lam[j])
+def average_diagonal(lam, blocks, bt, hbar, gap_guard):
+    """(Bbar, S, min_gap) for A = diag(lam) with degeneracy blocks `blocks`.
+
+    bt holds B in A's eigenbasis, one matrix (d, d) or a stack (k, d, d)
+    averaged slot by slot; Bbar and S have its shape and are Hermitian.
+    gap_guard is a resolved float, checked once at every block boundary;
+    min_gap is the smallest of those gaps (inf for a single block)."""
+    min_gap = float("inf")
+    for j, k, gap in _boundary_gaps(lam, blocks):
         if gap <= gap_guard:
             raise SmallDenominatorError(
                 f"small denominator: levels {j} and {k} sit in different "
@@ -107,12 +114,15 @@ def average_diagonal(spectral: SpectralData, bt, hbar, gap_guard):
                 indices=(j, k),
                 gap=gap,
             )
+        min_gap = min(min_gap, gap)
 
-    ids = spectral.block_ids()
+    ids = np.empty(len(lam), dtype=np.int64)
+    for b, members in enumerate(blocks):
+        ids[list(members)] = b
     same = ids[:, None] == ids[None, :]
 
     bbar_t = np.where(same, bt, 0.0)
     denom = lam[:, None] - lam[None, :]
     denom = np.where(same, 1.0, denom)  # intra-block entries are masked out anyway
     s_t = np.where(same, 0.0, (hbar / 1j) * bt / denom)
-    return hermitian_part(bbar_t), hermitian_part(s_t)
+    return hermitian_part(bbar_t), hermitian_part(s_t), min_gap

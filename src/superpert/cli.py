@@ -138,72 +138,78 @@ def compute_report(args: argparse.Namespace) -> dict:
     rows, comparisons, stage_residuals, dim_drift = [], [], [], []
     min_gap = None
     for eps in eps_list:
-        exact, overlap = _exact_levels(series, base, eps, deg_tol)
-        result = None
-        if want_su:
-            result = run(
-                model,
-                eps,
-                args.order,
-                n_stages=n_stages,
-                deg_tol=deg_tol,
-                gap_guard=gap_guard,
-            )
-            residuals = [info.slot_residual for info in result.history]
-            stage_residuals.append({"eps": eps, "residuals": residuals})
-            gap = result.min_gap
-            if np.isfinite(gap) and (min_gap is None or gap < min_gap):
-                min_gap = gap
+        try:
+            exact, overlap = _exact_levels(series, base, eps, deg_tol)
+            result = None
+            if want_su:
+                result = run(
+                    model,
+                    eps,
+                    args.order,
+                    n_stages=n_stages,
+                    deg_tol=deg_tol,
+                    gap_guard=gap_guard,
+                )
+                residuals = [info.slot_residual for info in result.history]
+                stage_residuals.append({"eps": eps, "residuals": residuals})
+                gap = result.min_gap
+                if np.isfinite(gap) and (min_gap is None or gap < min_gap):
+                    min_gap = gap
 
-        for j in sorted(levels):
-            energies = [("exact", "-", exact[j])] if want_exact_rows else []
-            if rs is not None:
-                energies += [
-                    ("rs", str(k), rs.energy(eps, j, k)) for k in range(1, rs_max + 1)
-                ]
-            if result is not None:
-                energies += [
-                    ("su", str(n), result.energies[n][j])
-                    for n in range(1, result.n_stages + 1)
-                ]
-            for method, soo, energy in energies:
-                rows.append(
-                    {
-                        "eps": float(eps),
-                        "level": j,
-                        "method": method,
-                        "stage_or_order": soo,
-                        "energy": float(energy),
-                        "abs_error_vs_exact": abs(float(energy) - float(exact[j])),
-                    }
-                )
+            for j in sorted(levels):
+                energies = [("exact", "-", exact[j])] if want_exact_rows else []
+                if rs is not None:
+                    energies += [
+                        ("rs", str(k), rs.energy(eps, j, k)) for k in range(1, rs_max + 1)
+                    ]
+                if result is not None:
+                    energies += [
+                        ("su", str(n), result.energies[n][j])
+                        for n in range(1, result.n_stages + 1)
+                    ]
+                for method, soo, energy in energies:
+                    rows.append(
+                        {
+                            "eps": float(eps),
+                            "level": j,
+                            "method": method,
+                            "stage_or_order": soo,
+                            "energy": float(energy),
+                            "abs_error_vs_exact": abs(float(energy) - float(exact[j])),
+                        }
+                    )
 
-        for j in levels:
-            if overlap[j] <= 0.5:
-                warnings_list.append(
-                    f"eps {eps:g}: the exact level labelled {j} overlaps its "
-                    f"H_0 eigenvector by only {overlap[j]:.3f} (<= 1/2); "
-                    "the label is ambiguous"
-                )
-            if args.method == "compare":
-                su_err = abs(float(result.energies[-1][j]) - float(exact[j]))
-                rs_err = abs(rs.energy(eps, j, rs_max) - float(exact[j]))
-                winner = "su" if su_err < rs_err else ("rs" if rs_err < su_err else "tie")
-                comparisons.append(
-                    {
-                        "eps": eps,
-                        "level": j,
-                        "su_error": su_err,
-                        "rs_error": rs_err,
-                        "winner": winner,
-                    }
-                )
-        if drift is not None:
-            grown, _ = _exact_levels(*drift, eps, deg_tol)
-            dim_drift += [
-                {"eps": eps, "level": j, "drift": abs(float(exact[j]) - float(grown[j]))}
-                for j in levels
-            ]
+            for j in levels:
+                if overlap[j] <= 0.5:
+                    warnings_list.append(
+                        f"eps {eps:g}: the exact level labelled {j} overlaps its "
+                        f"H_0 eigenvector by only {overlap[j]:.3f} (<= 1/2); "
+                        "the label is ambiguous"
+                    )
+                if args.method == "compare":
+                    su_err = abs(float(result.energies[-1][j]) - float(exact[j]))
+                    rs_err = abs(rs.energy(eps, j, rs_max) - float(exact[j]))
+                    winner = "su" if su_err < rs_err else ("rs" if rs_err < su_err else "tie")
+                    comparisons.append(
+                        {
+                            "eps": eps,
+                            "level": j,
+                            "su_error": su_err,
+                            "rs_error": rs_err,
+                            "winner": winner,
+                        }
+                    )
+            if drift is not None:
+                grown, _ = _exact_levels(*drift, eps, deg_tol)
+                dim_drift += [
+                    {"eps": eps, "level": j, "drift": abs(float(exact[j]) - float(grown[j]))}
+                    for j in levels
+                ]
+        except ArithmeticError as exc:  # e.g. eps**p overflowing a float
+            raise ValueError(
+                f"--eps {eps:g}: the computation failed with "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
     return {
         "config": {

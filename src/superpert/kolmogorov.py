@@ -18,18 +18,12 @@ of V0 * prod_n U_n(eps) Q_n.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import (
-    SmallDenominatorError,
-    average_diagonal,
-    default_gap_guard,
-    min_cross_block_gap,
-)
+from .averaging import SmallDenominatorError, average_diagonal, default_gap_guard
 from .linalg import (
-    SpectralData,
     degeneracy_blocks,
     eigh,
     fix_column_phases,
@@ -40,7 +34,6 @@ from .linalg import (
 from .models import ModelSpec
 from .series import (
     OperatorSeries,
-    TransformSeries,
     conjugate_series,
     shared_zero,
     u_coefficients,
@@ -59,6 +52,7 @@ class StageInfo:
     slot_residual: float  # max |K_p - predicted|_max over eliminated slots
     series_scale: float  # max coefficient norm of the series entering the stage
     min_gap: float  # smallest denominator gap in this stage's averaging basis
+    generator_norms: tuple  # max_norm of the generator slots W_1..W_{P+1}
 
 
 @dataclass(frozen=True)
@@ -66,9 +60,9 @@ class KolmogorovState:
     stage: int
     eps: float
     series: OperatorSeries  # in the running basis: coeffs[0] == diag(levels)
-    spectral0: SpectralData  # levels of coeffs[0], label = index; vectors = I
+    levels: np.ndarray  # diagonal of coeffs[0]; a level's label is its index
+    blocks: tuple  # degeneracy blocks of levels, see `degeneracy_blocks`
     basis: np.ndarray  # running basis in original coordinates: V0 prod U_n(eps) Q_n
-    generators: tuple
     deg_tol: float | None
     gap_guard: float  # resolved once from the H_0 levels when not given
     history: tuple
@@ -110,30 +104,31 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
     eps = require_finite(eps, "eps")
     deg_tol = require_tolerance(deg_tol, "deg_tol")
     gap_guard = require_tolerance(gap_guard, "gap_guard")
-    spectral0 = eigh(model.coefficient(0), deg_tol=deg_tol)
+    spectral = eigh(model.coefficient(0), deg_tol=deg_tol)
     if gap_guard is None:
-        gap_guard = default_gap_guard(spectral0)
-    v = spectral0.eigenvectors
+        gap_guard = default_gap_guard(spectral)
+    v = spectral.eigenvectors
     terms = {p: v.conj().T @ mat @ v for p, mat in model.h_coeffs}
-    terms[0] = np.diag(spectral0.eigenvalues)
+    terms[0] = np.diag(spectral.eigenvalues)
     return KolmogorovState(
         stage=0,
         eps=eps,
         series=zero_padded(terms, model.dim, order, model.hbar),
-        spectral0=replace(spectral0, eigenvectors=np.eye(model.dim)),
+        levels=spectral.eigenvalues,
+        blocks=spectral.blocks,
         basis=v,
-        generators=(),
         deg_tol=deg_tol,
         gap_guard=gap_guard,
         history=(),
     )
 
 
-def _diagonalize_blocks(h0, levels, deg_tol):
-    """Levels of h0, diagonal outside the blocks of `levels`, and the unitary
-    of its eigenvectors (None if h0 is diagonal).  One stacked eigh per block
-    size; as in `eigh`, each eigenvector keeps its dominant component's index."""
-    lam, blocks = h0.diagonal().real.copy(), levels.blocks
+def _diagonalize_blocks(h0, blocks, deg_tol):
+    """(levels, blocks, q): the levels of h0, which is diagonal outside
+    `blocks`, their degeneracy blocks, and the unitary of h0's eigenvectors
+    (None if h0 is diagonal).  One stacked eigh per block size; as in `eigh`,
+    each eigenvector keeps its dominant component's index."""
+    lam = h0.diagonal().real.copy()
     sizes = sorted({len(b) for b in blocks} - {1})
     q = np.eye(len(lam), dtype=np.complex128) if sizes else None
     for size in sizes:
@@ -144,7 +139,7 @@ def _diagonalize_blocks(h0, levels, deg_tol):
         perm = np.argsort(dominant, axis=1, kind="stable")
         lam[idx] = np.take_along_axis(vals, perm, axis=1)
         q[rows, cols] = np.take_along_axis(vecs, perm[:, None, :], axis=2)
-    return SpectralData(lam, levels.eigenvectors, *degeneracy_blocks(lam, deg_tol)), q
+    return lam, degeneracy_blocks(lam, deg_tol), q
 
 
 def step(state: KolmogorovState) -> KolmogorovState:
@@ -157,70 +152,72 @@ def step(state: KolmogorovState) -> KolmogorovState:
     hbar = series.hbar
     dim = series.dim
 
+    # one homological equation for the window lo..hi, one set of denominators
     zero = shared_zero(dim)
     w_slots = [zero] * (P + 1)
-    averaged = {}
-    for p in range(lo, hi + 1):
+    averaged = ()
+    min_gap = float("inf")
+    if lo <= hi:
         try:
-            averaged[p], w_slots[p - 1] = average_diagonal(
-                state.spectral0, series.coeffs[p], hbar, state.gap_guard
+            averaged, w_window, min_gap = average_diagonal(
+                state.levels,
+                state.blocks,
+                np.stack(series.coeffs[lo : hi + 1]),
+                hbar,
+                state.gap_guard,
             )
         except SmallDenominatorError as exc:
             raise SmallDenominatorError(
-                f"stage {n}, order {p}: {exc}", indices=exc.indices, gap=exc.gap
+                f"stage {n}: {exc}", indices=exc.indices, gap=exc.gap
             ) from exc
+        w_slots[lo - 1 : hi] = w_window
 
     try:
-        ts = TransformSeries(OperatorSeries._computed(w_slots, hbar))
-        k = conjugate_series(ts, series)
+        gen = OperatorSeries._computed(w_slots, hbar)
+        k = conjugate_series(gen, series)
     except ValueError as exc:  # an overflow shows as a non-finite slot
         raise ValueError(f"stage {n}: {exc}") from exc
 
     scale = max(series.norms)
-    residual = 0.0
     new_coeffs = [k.coeffs[0].copy()]
-    for p in range(lo, hi + 1):
-        new_coeffs[0] += (state.eps**p / math.factorial(p)) * averaged[p]
+    for p, avg in zip(range(lo, hi + 1), averaged):
+        new_coeffs[0] += (state.eps**p / math.factorial(p)) * avg
     if not np.isfinite(new_coeffs[0]).all():
         raise ValueError(f"stage {n}: H_0 has a non-finite entry")
-    for p in range(1, P + 1):
-        if p <= hi:
-            if p in averaged:
-                deviation = max_norm(k.coeffs[p] - averaged[p])
-            else:
-                deviation = k.norms[p]  # predicted zero
-            residual = max(residual, deviation)
-            new_coeffs.append(zero)
-        else:
-            new_coeffs.append(k.coeffs[p])
+    # slots below the window are predicted zero, the window its averages
+    residual = max(k.norms[1 : min(lo, hi + 1)], default=0.0)
+    if lo <= hi:
+        window = np.stack(k.coeffs[lo : hi + 1])
+        residual = max(residual, max_norm(window - averaged))
+    new_coeffs += [zero] * hi + list(k.coeffs[hi + 1 :])
     if residual > 1e-8 * max(scale, 1e-300):
         raise ConsistencyError(
             f"stage {n}: eliminated slots deviate from their averaged values "
             f"by {residual:.3e} (scale {scale:.3e})"
         )
 
-    basis = state.basis @ weighted_sum(u_coefficients(ts), state.eps)
-    spectral0 = state.spectral0
-    if averaged:
-        spectral0, q = _diagonalize_blocks(new_coeffs[0], spectral0, state.deg_tol)
-        new_coeffs[0] = np.diag(spectral0.eigenvalues).astype(np.complex128)
+    basis = state.basis @ weighted_sum(u_coefficients(gen), state.eps)
+    levels, blocks = state.levels, state.blocks
+    if lo <= hi:
+        levels, blocks, q = _diagonalize_blocks(new_coeffs[0], blocks, state.deg_tol)
+        new_coeffs[0] = np.diag(levels).astype(np.complex128)
         if q is not None:
             new_coeffs[hi + 1 :] = [q.conj().T @ c @ q for c in new_coeffs[hi + 1 :]]
             basis = basis @ q
-    new_series = OperatorSeries._computed(new_coeffs, hbar)
     info = StageInfo(
         stage=n,
         slot_residual=residual,
         series_scale=scale,
-        min_gap=min_cross_block_gap(state.spectral0) if averaged else float("inf"),
+        min_gap=min_gap,
+        generator_norms=gen.norms,
     )
     return KolmogorovState(
         stage=n,
         eps=state.eps,
-        series=new_series,
-        spectral0=spectral0,
+        series=OperatorSeries._computed(new_coeffs, hbar),
+        levels=levels,
+        blocks=blocks,
         basis=basis,
-        generators=state.generators + (ts,),
         deg_tol=state.deg_tol,
         gap_guard=state.gap_guard,
         history=state.history + (info,),
@@ -268,10 +265,10 @@ def run(
         )
 
     state = init(model, eps, order, deg_tol=deg_tol, gap_guard=gap_guard)
-    energies = [state.spectral0.eigenvalues]
+    energies = [state.levels]
     for _ in range(n_stages):
         state = step(state)
-        energies.append(state.spectral0.eigenvalues)
+        energies.append(state.levels)
 
     vecs = state.basis / np.linalg.norm(state.basis, axis=0, keepdims=True)
     vecs = fix_column_phases(vecs)

@@ -28,10 +28,6 @@ def _require_same_shape(a, b):
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def adjoint(a) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
 def max_norm(a) -> float:
     """Entrywise max modulus, max_jk |a_jk|."""
     a = np.asarray(a)
@@ -39,8 +35,9 @@ def max_norm(a) -> float:
 
 
 def hermitian_part(a) -> np.ndarray:
+    """(a + a^H)/2 over the last two axes, so a stack of matrices works."""
     a = np.asarray(a, dtype=np.complex128)
-    return (a + a.conj().T) / 2.0
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def hermiticity_defect(a) -> float:
@@ -122,31 +119,22 @@ class SpectralData:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     blocks: tuple
-    deg_tol: float
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def block_ids(self) -> np.ndarray:
-        ids = np.empty(self.dim, dtype=np.int64)
-        for b, members in enumerate(self.blocks):
-            for i in members:
-                ids[i] = b
-        return ids
 
-
-def degeneracy_blocks(lam, deg_tol=None):
-    """(blocks, deg_tol): sorted levels closer than deg_tol (None = 1e-9 times
-    the range) chain into one block.  Blocks and members ascend in energy."""
+def degeneracy_blocks(lam, deg_tol=None) -> tuple:
+    """Sorted levels closer than deg_tol (finite and nonnegative; None = 1e-9
+    times the range) chain into one block.  Blocks and members ascend in
+    energy."""
     order = np.argsort(lam, kind="stable")
+    deg_tol = require_tolerance(deg_tol, "deg_tol")
     if deg_tol is None:
         deg_tol = 1e-9 * float(np.ptp(lam))
-    if deg_tol < 0:
-        raise ValueError(f"deg_tol must be nonnegative, got {deg_tol}")
     cuts = np.flatnonzero(np.diff(lam[order]) > deg_tol) + 1
-    blocks = tuple(tuple(int(i) for i in part) for part in np.split(order, cuts))
-    return blocks, float(deg_tol)
+    return tuple(tuple(int(i) for i in part) for part in np.split(order, cuts))
 
 
 def fix_column_phases(v) -> np.ndarray:
@@ -168,8 +156,8 @@ def eigh(a, deg_tol=None) -> SpectralData:
     ----------
     a : square array, finite and Hermitian within HERMITICITY_TOL
     deg_tol : float or None
-        Gap below which adjacent eigenvalues join one degeneracy block.
-        None means 1e-9 times the spectral range.
+        Gap below which adjacent eigenvalues join one degeneracy block,
+        finite and nonnegative.  None means 1e-9 times the spectral range.
 
     Ordering is deterministic: ascending eigenvalues, and inside a
     degeneracy block columns are ordered by the basis index of their
@@ -177,7 +165,7 @@ def eigh(a, deg_tol=None) -> SpectralData:
     """
     a = require_hermitian(a, what="eigh input")
     lam, v = np.linalg.eigh(hermitian_part(a))
-    blocks, deg_tol = degeneracy_blocks(lam, deg_tol)
+    blocks = degeneracy_blocks(lam, deg_tol)
     dominant = [int(np.argmax(np.abs(v[:, j]))) for j in range(v.shape[1])]
     for members in blocks:
         if len(members) > 1:
@@ -186,4 +174,4 @@ def eigh(a, deg_tol=None) -> SpectralData:
             lam[idx] = lam[perm]
             v[:, idx] = v[:, perm]
     v = fix_column_phases(v)
-    return SpectralData(lam, v, blocks, deg_tol)
+    return SpectralData(lam, v, blocks)

@@ -168,6 +168,17 @@ def _parse_matrix(data, dim, context):
     )
 
 
+def _dimension_and_hbar(data, provenance):
+    """The document's integer 'dimension' and real 'hbar' (default 1)."""
+    dim = data["dimension"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ModelFormatError(f"{provenance}: 'dimension' must be an integer")
+    hbar = data.get("hbar", 1.0)
+    if not _is_number(hbar):
+        raise ModelFormatError(f"{provenance}: 'hbar' must be a real number")
+    return dim, float(hbar)
+
+
 def model_from_dict(data, provenance="memory") -> ModelSpec:
     """Build a ModelSpec from the JSON model schema (see README)."""
     if not isinstance(data, dict):
@@ -182,17 +193,12 @@ def model_from_dict(data, provenance="memory") -> ModelSpec:
             )
         if "dimension" not in data:
             raise ModelFormatError(f"{provenance}: builtin selector needs 'dimension'")
-        model = builder(int(data["dimension"]), hbar=float(data.get("hbar", 1.0)))
-        return replace(model, provenance=provenance)
+        dim, hbar = _dimension_and_hbar(data, provenance)
+        return replace(builder(dim, hbar=hbar), provenance=provenance)
     for field in ("dimension", "terms"):
         if field not in data:
             raise ModelFormatError(f"{provenance}: missing required field {field!r}")
-    dim = data["dimension"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ModelFormatError(f"{provenance}: 'dimension' must be an integer")
-    hbar = data.get("hbar", 1.0)
-    if not _is_number(hbar):
-        raise ModelFormatError(f"{provenance}: 'hbar' must be a real number")
+    dim, hbar = _dimension_and_hbar(data, provenance)
     if not isinstance(data["terms"], list) or not data["terms"]:
         raise ModelFormatError(f"{provenance}: 'terms' must be a nonempty list")
     terms = []
@@ -207,7 +213,7 @@ def model_from_dict(data, provenance="memory") -> ModelSpec:
             raise ModelFormatError(f"{context}: 'order' must be an integer >= 0")
         terms.append((order, _parse_matrix(term["matrix"], dim, context)))
     return _validate_terms(
-        dim, terms, float(hbar), data.get("name", "custom"), provenance, provenance
+        dim, terms, hbar, data.get("name", "custom"), provenance, provenance
     )
 
 

@@ -2,8 +2,9 @@
 
 A series sum_p eps^p/p! A_p is stored as the coefficient list [A_0..A_P];
 the factorial weights are part of the grading, not of the stored matrices.
-A transform carries a generator series whose slot l holds W_{l+1}, and
-acts on operators through the expansion maps
+A transform is given by its generator, an OperatorSeries whose slot l holds
+W_{l+1}: the transform is generated by -W(eps) and acts on operators
+through the expansion maps
 
     T_0 = id,   T_{p+1} = sum_{l=0}^{p} C(p, l) ad W_{l+1} o T_{p-l}
 
@@ -108,25 +109,6 @@ class OperatorSeries:
         return self.coeffs[0].shape[0]
 
 
-@dataclass(frozen=True)
-class TransformSeries:
-    """Transform generated by -W(eps); generator.coeffs[l] = W_{l+1}."""
-
-    generator: OperatorSeries
-
-    @property
-    def order(self) -> int:
-        return self.generator.order
-
-    @property
-    def dim(self) -> int:
-        return self.generator.dim
-
-    @property
-    def hbar(self) -> float:
-        return self.generator.hbar
-
-
 def _add(acc, term):
     """acc + term, where acc None is an empty sum; may reuse acc's memory."""
     if acc is None:
@@ -155,31 +137,31 @@ def _t_images(gen: OperatorSeries, a: np.ndarray, up_to: int):
     return images
 
 
-def t_apply(ts: TransformSeries, p: int, a) -> np.ndarray:
-    """Image T_p(a) of one operator under the transform expansion."""
-    if not 0 <= p <= ts.order:
-        raise ValueError(f"order index {p} outside 0..{ts.order}")
+def t_apply(gen: OperatorSeries, p: int, a) -> np.ndarray:
+    """Image T_p(a) of one operator under the transform generated by gen."""
+    if not 0 <= p <= gen.order:
+        raise ValueError(f"order index {p} outside 0..{gen.order}")
     a = as_operator(np.array(a, dtype=np.complex128))
-    if a.shape[0] != ts.dim:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {ts.dim}")
-    image = _t_images(ts.generator, a, p)[p]
+    if a.shape[0] != gen.dim:
+        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {gen.dim}")
+    image = _t_images(gen, a, p)[p]
     return np.zeros_like(a) if image is None else image
 
 
-def _check_match(ts: TransformSeries, h: OperatorSeries):
-    if ts.order != h.order or ts.dim != h.dim:
+def _check_match(gen: OperatorSeries, h: OperatorSeries):
+    if gen.order != h.order or gen.dim != h.dim:
         raise ValueError(
-            f"transform (order {ts.order}, dim {ts.dim}) does not match "
+            f"generator (order {gen.order}, dim {gen.dim}) does not match "
             f"series (order {h.order}, dim {h.dim})"
         )
 
 
-def _all_images(ts: TransformSeries, h: OperatorSeries):
+def _all_images(gen: OperatorSeries, h: OperatorSeries):
     """images[j][i] = T_i(H_j) for i + j <= order; None for structural zeros."""
     P = h.order
     live = set(h.live)
     return [
-        _t_images(ts.generator, h.coeffs[j], P - j) if j in live else [None] * (P + 1 - j)
+        _t_images(gen, h.coeffs[j], P - j) if j in live else [None] * (P + 1 - j)
         for j in range(P + 1)
     ]
 
@@ -189,10 +171,10 @@ def _filled(slots, dim, hbar) -> OperatorSeries:
     return OperatorSeries._computed([zero if c is None else c for c in slots], hbar)
 
 
-def conjugate_series(ts: TransformSeries, h: OperatorSeries) -> OperatorSeries:
-    """Transformed series, Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j)."""
-    _check_match(ts, h)
-    images = _all_images(ts, h)
+def conjugate_series(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
+    """Series transformed by gen, Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j)."""
+    _check_match(gen, h)
+    images = _all_images(gen, h)
     out = []
     for p in range(h.order + 1):
         kp = None
@@ -204,12 +186,11 @@ def conjugate_series(ts: TransformSeries, h: OperatorSeries) -> OperatorSeries:
     return _filled(out, h.dim, h.hbar)
 
 
-def conjugate_series_table(ts: TransformSeries, h: OperatorSeries) -> OperatorSeries:
+def conjugate_series_table(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
     """Same transform through the stagewise recursion; cross-check route."""
-    _check_match(ts, h)
-    gen = ts.generator
+    _check_match(gen, h)
     w, w_live, hbar = gen.coeffs, set(gen.live), h.hbar
-    images = _all_images(ts, h)
+    images = _all_images(gen, h)
     out = [None if images[0][0] is None else images[0][0].copy()]
     for p in range(1, h.order + 1):
         kp = None
@@ -224,17 +205,16 @@ def conjugate_series_table(ts: TransformSeries, h: OperatorSeries) -> OperatorSe
     return _filled(out, h.dim, h.hbar)
 
 
-def u_coefficients(ts: TransformSeries):
-    """Coefficients of the flow itself: Phi(eps) ~ sum_p eps^p/p! U_p.
+def u_coefficients(gen: OperatorSeries):
+    """Coefficients of the flow generated by gen: Phi(eps) ~ sum_p eps^p/p! U_p.
 
     The flow solves U' = -(i/hbar) U W(eps) with U_0 = I, so that
     U(eps)^{-1} A U(eps) reproduces the conjugated series to O(eps^{P+1}).
     Structurally zero coefficients share one read-only zero matrix.
     """
-    gen = ts.generator
     w, live, hbar = gen.coeffs, gen.live, gen.hbar
-    u = [np.eye(ts.dim, dtype=np.complex128)]
-    for p in range(ts.order):
+    u = [np.eye(gen.dim, dtype=np.complex128)]
+    for p in range(gen.order):
         nxt = None
         for l in live:
             if l > p:
@@ -242,7 +222,7 @@ def u_coefficients(ts: TransformSeries):
             if u[p - l] is not None:
                 nxt = _add(nxt, binomial(p, l) * (u[p - l] @ w[l]))
         u.append(None if nxt is None else (-1j / hbar) * nxt)
-    zero = shared_zero(ts.dim)
+    zero = shared_zero(gen.dim)
     return [zero if c is None else c for c in u]
 
 

@@ -209,7 +209,7 @@ def test_criterion_8_conjugation_consistency():
         h_coeffs = tuple(random_hermitian(rng, 4) for _ in range(P + 1))
         w_coeffs = tuple(random_hermitian(rng, 4, scale=0.7) for _ in range(P + 1))
         h = sp.OperatorSeries(h_coeffs, 0.9)
-        ts = sp.TransformSeries(sp.OperatorSeries(w_coeffs, 0.9))
+        ts = sp.OperatorSeries(w_coeffs, 0.9)
         k1 = sp.conjugate_series(ts, h)
         k2 = sp.conjugate_series_table(ts, h)
         for p in range(P + 1):
@@ -219,9 +219,7 @@ def test_criterion_8_conjugation_consistency():
 
     P = 4
     h = sp.OperatorSeries(tuple(random_hermitian(rng, 4) for _ in range(P + 1)))
-    ts = sp.TransformSeries(
-        sp.OperatorSeries(tuple(random_hermitian(rng, 4, scale=0.6) for _ in range(P + 1)))
-    )
+    ts = sp.OperatorSeries(tuple(random_hermitian(rng, 4, scale=0.6) for _ in range(P + 1)))
     k = sp.conjugate_series(ts, h)
     u = sp.u_coefficients(ts)
 

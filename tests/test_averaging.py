@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superpert as sp
-from superpert.averaging import default_gap_guard
+from superpert.averaging import average_diagonal, default_gap_guard
 
 from conftest import random_hermitian
 
@@ -187,3 +187,30 @@ def test_min_cross_block_gap():
     assert sp.min_cross_block_gap(spectral) == pytest.approx(0.3)
     one_block = sp.eigh(np.eye(3, dtype=complex))
     assert sp.min_cross_block_gap(one_block) == float("inf")
+
+
+def test_stacked_average_matches_slot_by_slot():
+    # one call on a window of slots gives each slot's own average, bit for
+    # bit, and the smallest boundary gap it checked
+    rng = np.random.default_rng(44)
+    lam = np.array([0.0, 0.0, 0.7, 1.5, 1.5, 1.5, 2.0])
+    blocks = ((0, 1), (2,), (3, 4, 5), (6,))
+    stack = np.stack([random_hermitian(rng, 7) for _ in range(4)])
+    bbar, s, gap = average_diagonal(lam, blocks, stack, 0.8, 1e-6)
+    assert bbar.shape == s.shape == stack.shape
+    for bt, b1, s1 in zip(stack, bbar, s):
+        b2, s2, gap2 = average_diagonal(lam, blocks, bt, 0.8, 1e-6)
+        np.testing.assert_array_equal(b1, b2)
+        np.testing.assert_array_equal(s1, s2)
+        assert gap2 == gap
+    assert gap == pytest.approx(0.5)
+    spectral = sp.SpectralData(lam, np.eye(7, dtype=complex), blocks)
+    assert gap == sp.min_cross_block_gap(spectral)
+
+
+def test_hermitian_part_of_a_stack():
+    rng = np.random.default_rng(45)
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    got = sp.hermitian_part(stack)
+    for m, h in zip(stack, got):
+        np.testing.assert_array_equal(h, sp.hermitian_part(m))

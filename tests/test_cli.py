@@ -478,9 +478,10 @@ def test_match_labels_breaks_an_exact_tie_deterministically():
 @pytest.mark.parametrize(
     "flag, value",
     [("--eps", "0.1,nan"), ("--deg-tol", "nan"), ("--gap-guard", "nan"),
-     ("--gap-guard", "-1e-6"), ("--eps", "0.1,0.1"), ("--levels", "0,0")],
+     ("--gap-guard", "-1e-6"), ("--eps", "0.1,0.1"), ("--levels", "0,0"),
+     ("--eps", "1e300")],
     ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative", "eps_repeated",
-         "levels_repeated"],
+         "levels_repeated", "eps_overflow"],
 )
 def test_bad_numeric_flag_is_named(capsys, flag, value):
     args = [
@@ -490,3 +491,27 @@ def test_bad_numeric_flag_is_named(capsys, flag, value):
     code, out, err = _run(args + [f"{flag}={value}"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and flag in err
+
+
+def test_overflowing_eps_is_named_for_rs_alone(capsys):
+    # eps**k of the order-4 series overflows a float
+    code, out, err = _run(
+        ["--method", "rs", "--builtin", "quartic_oscillator", "--dim", "12",
+         "--eps", "1e200"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: --eps 1e+200") and "Traceback" not in err
+
+
+def test_builtin_model_file_with_null_hbar_is_an_error(capsys, tmp_path):
+    path = tmp_path / "null_hbar.json"
+    path.write_text(
+        json.dumps({"builtin": "quartic_oscillator", "dimension": 12, "hbar": None}),
+        encoding="utf-8",
+    )
+    code, out, err = _run(
+        ["--method", "exact", "--model", str(path), "--eps", "0.1"], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'hbar'" in err

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import superpert as sp
+from superpert import kolmogorov
 from superpert.kolmogorov import default_n_stages
 
 from conftest import random_diagonal_model, random_hermitian
@@ -55,8 +56,8 @@ def test_diagonal_perturbation_needs_no_generator():
     v = np.diag([0.3, -0.2, 0.1]).astype(complex)
     model = sp.make_model(3, [(0, h0), (1, v)])
     state = sp.step(sp.init(model, 0.2, 3))
-    for w in state.generators[0].generator.coeffs:
-        assert sp.max_norm(w) == 0.0
+    for norm in state.history[0].generator_norms:
+        assert norm == 0.0
     np.testing.assert_allclose(state.series.coeffs[0], h0 + 0.2 * v, atol=1e-15)
     for p in range(1, 4):
         assert sp.max_norm(state.series.coeffs[p]) == 0.0
@@ -67,12 +68,12 @@ def test_generators_respect_stage_windows():
     state = sp.init(model, 0.05, 7)
     for n in (1, 2, 3):
         state = sp.step(state)
-        gen = state.generators[-1].generator.coeffs
+        gen_norms = state.history[n - 1].generator_norms
         lo, hi = 2 ** (n - 1), min(2**n - 1, 7)
-        for l, w in enumerate(gen):
+        for l, norm in enumerate(gen_norms):
             p = l + 1
             if not lo <= p <= hi:
-                assert sp.max_norm(w) == 0.0
+                assert norm == 0.0
 
 
 def test_eliminated_slots_match_closed_forms():
@@ -198,11 +199,38 @@ def test_consistency_error_message_names_stage():
     # homological solution invalid, which the slot check must catch
     model = sp.build_quartic_oscillator(8)
     state = sp.init(model, 0.1, 2)
-    levels = state.spectral0
-    wrong = dataclasses.replace(levels, eigenvalues=2.0 * levels.eigenvalues)
-    bad = dataclasses.replace(state, spectral0=wrong)
+    bad = dataclasses.replace(state, levels=2.0 * state.levels)
     with pytest.raises(sp.ConsistencyError, match="stage 1"):
         sp.step(bad)
+
+
+def test_one_averaging_call_per_stage(monkeypatch):
+    calls = []
+    real = kolmogorov.average_diagonal
+
+    def counting(lam, blocks, bt, hbar, gap_guard):
+        calls.append(bt.shape[0])
+        return real(lam, blocks, bt, hbar, gap_guard)
+
+    monkeypatch.setattr(kolmogorov, "average_diagonal", counting)
+    state = sp.init(sp.build_quartic_oscillator(12), 0.05, 7)
+    for _ in range(4):
+        entering = sp.SpectralData(state.levels, np.eye(12), state.blocks)
+        state = sp.step(state)
+        if state.stage < 4:
+            assert state.history[-1].min_gap == sp.min_cross_block_gap(entering)
+    # windows 1, 2..3 and 4..7; the fourth stage has no slot left
+    assert calls == [1, 2, 4]
+    assert state.history[-1].min_gap == float("inf")
+
+
+def test_small_denominator_names_the_stage():
+    h0 = np.diag([0.0, 1e-8, 1.0]).astype(complex)
+    model = sp.make_model(3, [(0, h0), (1, np.ones((3, 3), dtype=complex))])
+    with pytest.raises(sp.SmallDenominatorError, match=r"^stage 1: small denominator") as err:
+        sp.run(model, 0.1, 3, n_stages=2)
+    assert "order" not in str(err.value)
+    assert err.value.indices == (0, 1)
 
 
 def _rotated(model, q):

@@ -56,12 +56,7 @@ def test_commutator_rejects_bad_hbar(bad):
 def test_ring_operations():
     rng = np.random.default_rng(3)
     a = random_hermitian(rng, 5)
-    b = random_hermitian(rng, 5)
     assert sp.max_norm(np.zeros((4, 4))) == 0.0
-    np.testing.assert_array_equal(sp.adjoint(sp.adjoint(a)), a)
-    np.testing.assert_allclose(
-        sp.adjoint(a + b), sp.adjoint(a) + sp.adjoint(b), atol=1e-15
-    )
     with pytest.raises(ValueError, match="mismatch"):
         sp.commutator_ad(a, np.eye(3, dtype=complex))
 
@@ -128,6 +123,15 @@ def test_degeneracy_blocks_chain():
     assert s.blocks == ((0, 1, 2), (3,))
     s2 = sp.eigh(a, deg_tol=t / 2)
     assert s2.blocks == ((0,), (1,), (2,), (3,))
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -1e-9], ids=["nan", "inf", "negative"]
+)
+def test_eigh_rejects_bad_deg_tol(bad):
+    # a NaN or Inf tolerance used to chain every level into one block
+    with pytest.raises(ValueError, match="deg_tol"):
+        sp.eigh(np.diag([0.0, 1.0, 2.0]), deg_tol=bad)
 
 
 def test_eigh_degenerate_deterministic():

@@ -119,6 +119,19 @@ def test_load_builtin_selector(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("dimension", 40.7), ("dimension", "abc"), ("dimension", True),
+     ("hbar", "2"), ("hbar", None)],
+    ids=["dimension_float", "dimension_str", "dimension_bool", "hbar_str",
+         "hbar_null"],
+)
+def test_builtin_selector_checks_fields(field, value):
+    doc = {"builtin": "quartic_oscillator", "dimension": 40, field: value}
+    with pytest.raises(sp.ModelFormatError, match=f"'{field}' must be"):
+        sp.model_from_dict(doc)
+
+
 def test_load_rejects_missing_order_zero(tmp_path):
     path = _write_model(
         tmp_path,

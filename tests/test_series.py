@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import superpert as sp
-from superpert.series import OperatorSeries, TransformSeries, binomial, zero_padded
+from superpert.series import OperatorSeries, binomial, zero_padded
 
 from conftest import random_hermitian
 
@@ -26,7 +26,7 @@ def _transform_only_w1(w1, order, hbar=1.0):
     n = w1.shape[0]
     slots = [np.zeros((n, n), dtype=complex) for _ in range(order + 1)]
     slots[0] = w1
-    return TransformSeries(OperatorSeries(tuple(slots), hbar))
+    return OperatorSeries(tuple(slots), hbar)
 
 
 def _horner(coeffs, eps):
@@ -100,7 +100,7 @@ def test_conjugate_identity_when_generator_vanishes():
     zero_gen = OperatorSeries(
         tuple(np.zeros((4, 4), dtype=complex) for _ in range(5))
     )
-    k = sp.conjugate_series(TransformSeries(zero_gen), h)
+    k = sp.conjugate_series(zero_gen, h)
     for p in range(5):
         np.testing.assert_array_equal(k.coeffs[p], h.coeffs[p])
 
@@ -122,18 +122,37 @@ def test_conjugation_routes_agree():
     for P in range(1, 7):
         h = _series(rng, 4, P, hbar=0.9)
         gen = _series(rng, 4, P, hbar=0.9, scale=0.8)
-        ts = TransformSeries(gen)
-        k1 = sp.conjugate_series(ts, h)
-        k2 = sp.conjugate_series_table(ts, h)
+        k1 = sp.conjugate_series(gen, h)
+        k2 = sp.conjugate_series_table(gen, h)
         for p in range(P + 1):
             scale = max(1.0, sp.max_norm(k1.coeffs[p]), sp.max_norm(k2.coeffs[p]))
             assert sp.max_norm(k1.coeffs[p] - k2.coeffs[p]) <= 1e-11 * scale
 
 
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 6),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    hbar=st.floats(0.4, 1.8),
+    zero_w=st.sets(st.integers(0, 8)),
+    zero_h=st.sets(st.integers(0, 8)),
+)
+def test_conjugation_routes_agree_on_random_series(n, order, seed, hbar, zero_w, zero_h):
+    rng = np.random.default_rng(seed)
+    h = _series(rng, n, order, hbar=hbar, zero_slots=zero_h)
+    gen = _series(rng, n, order, hbar=hbar, scale=0.5, zero_slots=zero_w)
+    k1 = sp.conjugate_series(gen, h)
+    k2 = sp.conjugate_series_table(gen, h)
+    for c1, c2 in zip(k1.coeffs, k2.coeffs):
+        scale = max(1.0, sp.max_norm(c1), sp.max_norm(c2))
+        assert sp.max_norm(c1 - c2) <= 1e-11 * scale
+
+
 def test_conjugation_preserves_hermiticity():
     rng = np.random.default_rng(27)
     h = _series(rng, 5, 5)
-    ts = TransformSeries(_series(rng, 5, 5, scale=0.7))
+    ts = _series(rng, 5, 5, scale=0.7)
     k = sp.conjugate_series(ts, h)
     for c in k.coeffs:
         assert sp.hermiticity_defect(c) <= 1e-11 * max(1.0, sp.max_norm(c))
@@ -142,7 +161,7 @@ def test_conjugation_preserves_hermiticity():
 def test_u_coefficients_trivial_and_powers():
     rng = np.random.default_rng(28)
     zero_gen = OperatorSeries(tuple(np.zeros((3, 3), dtype=complex) for _ in range(4)))
-    u = sp.u_coefficients(TransformSeries(zero_gen))
+    u = sp.u_coefficients(zero_gen)
     np.testing.assert_array_equal(u[0], np.eye(3))
     for p in range(1, 4):
         assert sp.max_norm(u[p]) == 0.0
@@ -158,7 +177,7 @@ def test_u_coefficients_trivial_and_powers():
 def test_truncated_flow_unitarity_defect_scaling():
     rng = np.random.default_rng(29)
     P = 4
-    ts = TransformSeries(_series(rng, 4, P, scale=0.6))
+    ts = _series(rng, 4, P, scale=0.6)
     u = sp.u_coefficients(ts)
 
     def defect(eps):
@@ -173,7 +192,7 @@ def test_truncated_flow_matches_series_conjugation():
     rng = np.random.default_rng(30)
     P = 4
     h = _series(rng, 4, P)
-    ts = TransformSeries(_series(rng, 4, P, scale=0.6))
+    ts = _series(rng, 4, P, scale=0.6)
     k = sp.conjugate_series(ts, h)
     u = sp.u_coefficients(ts)
 
@@ -199,9 +218,7 @@ def test_series_validation():
     with pytest.raises(ValueError, match="hbar"):
         OperatorSeries((a,), hbar=-1.0)
     with pytest.raises(ValueError, match="mismatch|order"):
-        sp.conjugate_series(
-            TransformSeries(OperatorSeries((a, a))), OperatorSeries((a,))
-        )
+        sp.conjugate_series(OperatorSeries((a, a)), OperatorSeries((a,)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -245,7 +262,7 @@ def _full_images(w, a, up_to, hbar):
 
 def _full_conjugations(ts, h):
     """(Cauchy route, table route, flow coefficients) without skipping."""
-    P, w, hbar = h.order, ts.generator.coeffs, h.hbar
+    P, w, hbar = h.order, ts.coeffs, h.hbar
     images = [_full_images(w, h.coeffs[j], P - j, hbar) for j in range(P + 1)]
     cauchy, table, u = [], [np.array(h.coeffs[0])], [np.eye(h.dim, dtype=complex)]
     for p in range(P + 1):
@@ -281,7 +298,7 @@ def test_zero_slot_skipping_is_exact(n, order, seed, zero_w, zero_h):
     # bit-identical to the recursions that sum every term
     rng = np.random.default_rng(seed)
     h = _series(rng, n, order, hbar=0.7, zero_slots=zero_h)
-    ts = TransformSeries(_series(rng, n, order, hbar=0.7, scale=0.5, zero_slots=zero_w))
+    ts = _series(rng, n, order, hbar=0.7, scale=0.5, zero_slots=zero_w)
     cauchy, table, u = _full_conjugations(ts, h)
     for got, want in (
         (sp.conjugate_series(ts, h).coeffs, cauchy),
