@@ -101,7 +101,9 @@ def average_diagonal(lam, blocks, bt, hbar, gap_guard):
     """(Bbar, S, min_gap) for A = diag(lam) with degeneracy blocks `blocks`.
 
     bt holds B in A's eigenbasis, one matrix (d, d) or a stack (k, d, d)
-    averaged slot by slot; Bbar and S have its shape and are Hermitian.
+    averaged slot by slot; Bbar and S have its shape.  Masking and the
+    antisymmetric real denominators keep Hermiticity exact: for bt Hermitian
+    to the bit, so are Bbar and S.
     gap_guard is a resolved float, checked once at every block boundary;
     min_gap is the smallest of those gaps (inf for a single block)."""
     min_gap = float("inf")
@@ -125,4 +127,4 @@ def average_diagonal(lam, blocks, bt, hbar, gap_guard):
     denom = lam[:, None] - lam[None, :]
     denom = np.where(same, 1.0, denom)  # intra-block entries are masked out anyway
     s_t = np.where(same, 0.0, (hbar / 1j) * bt / denom)
-    return hermitian_part(bbar_t), hermitian_part(s_t), min_gap
+    return bbar_t, s_t, min_gap

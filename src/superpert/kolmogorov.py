@@ -11,9 +11,11 @@ expansion in functions of eps, not a plain power series.
 
 `init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
 diagonal up to degeneracy blocks, which alone are diagonalized after each
-fold.  A level's label is its index in this never re-sorted basis (inside a
-block, the index it overlaps most); its eigenvector of H(eps) is that column
-of V0 * prod_n U_n(eps) Q_n.
+fold.  Both rotations are symmetrized, so every slot and generator the
+engine builds is Hermitian to the bit, as the conjugation kernel needs.  A
+level's label is its index in this never re-sorted basis (inside a block,
+the index it overlaps most); its eigenvector of H(eps) is that column of
+V0 * prod_n U_n(eps) Q_n.
 """
 
 import math
@@ -27,6 +29,7 @@ from .linalg import (
     degeneracy_blocks,
     eigh,
     fix_column_phases,
+    hermitian_part,
     max_norm,
     require_finite,
     require_tolerance,
@@ -108,7 +111,7 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
     if gap_guard is None:
         gap_guard = default_gap_guard(spectral)
     v = spectral.eigenvectors
-    terms = {p: v.conj().T @ mat @ v for p, mat in model.h_coeffs}
+    terms = {p: hermitian_part(v.conj().T @ mat @ v) for p, mat in model.h_coeffs}
     terms[0] = np.diag(spectral.eigenvalues)
     return KolmogorovState(
         stage=0,
@@ -202,7 +205,9 @@ def step(state: KolmogorovState) -> KolmogorovState:
         levels, blocks, q = _diagonalize_blocks(new_coeffs[0], blocks, state.deg_tol)
         new_coeffs[0] = np.diag(levels).astype(np.complex128)
         if q is not None:
-            new_coeffs[hi + 1 :] = [q.conj().T @ c @ q for c in new_coeffs[hi + 1 :]]
+            new_coeffs[hi + 1 :] = [
+                hermitian_part(q.conj().T @ c @ q) for c in new_coeffs[hi + 1 :]
+            ]
             basis = basis @ q
     info = StageInfo(
         stage=n,

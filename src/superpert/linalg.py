@@ -140,12 +140,15 @@ def degeneracy_blocks(lam, deg_tol=None) -> tuple:
 def fix_column_phases(v) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real positive."""
     v = np.array(v, dtype=np.complex128, copy=True)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        d = int(np.argmax(np.abs(col)))
-        piv = col[d]
-        if abs(piv) > 0.0:
-            v[:, j] = col * (piv.conjugate() / abs(piv))
+    piv = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None, :], axis=0)[0]
+    # np.hypot rounds as abs() of one complex scalar (np.abs of an array can
+    # differ in the last bit), and each column is scaled as one vector times
+    # one scalar, so the result equals a column-by-column loop to the bit;
+    # zero columns are left as they are
+    mag = np.hypot(piv.real, piv.imag)
+    turn = np.flatnonzero(mag > 0.0)
+    cols = v.T
+    cols[turn] = cols[turn] * (piv[turn].conj() / mag[turn])[:, None]
     return v
 
 
@@ -166,7 +169,7 @@ def eigh(a, deg_tol=None) -> SpectralData:
     a = require_hermitian(a, what="eigh input")
     lam, v = np.linalg.eigh(hermitian_part(a))
     blocks = degeneracy_blocks(lam, deg_tol)
-    dominant = [int(np.argmax(np.abs(v[:, j]))) for j in range(v.shape[1])]
+    dominant = np.argmax(np.abs(v), axis=0).tolist()
     for members in blocks:
         if len(members) > 1:
             perm = sorted(members, key=lambda j: (dominant[j], j))

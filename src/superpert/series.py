@@ -12,6 +12,17 @@ where ad W = (i/hbar)[W, .].  Conjugating a Hamiltonian series is the
 Cauchy product K_p = sum_j C(p, j) T_{p-j}(H_j); an equivalent recursion
 (K_p = sum_{j=1}^{p} C(p-1, j-1)(ad W_j(K_{p-j}) + T_{p-j}(H_j))) is kept
 as an independent cross-check.
+
+The images T_p are computed by one kernel, `_next_image`.  For Hermitian W
+and A, [W, A] = Y - Y^H with Y = W A, so each image accumulates
+Y = sum_l C(p, l) W_{l+1} T_{p-l}(a), one matrix product per live term, and
+is anti-Hermitized once: T_{p+1}(a) = (i/hbar)(Y - Y^H).  That halves the
+matrix products of the two-product commutator, and the image is Hermitian
+to the bit.  The kernel needs Hermitian operands to the bit, so every matrix
+that is Hermitian only up to rounding is symmetrized where it enters a
+series: the public `OperatorSeries` constructor and `t_apply` symmetrize
+their operands, and the stage engine its basis rotations.  The cross-check
+route keeps the two-product `commutator_ad` for its own terms.
 """
 
 import math
@@ -20,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    as_operator,
     commutator_ad,
     finite_norm,
+    hermitian_part,
     require_hermitian,
     require_positive,
 )
@@ -48,8 +59,9 @@ class OperatorSeries:
     """Finite graded family: coeffs[p] multiplies eps^p/p!.
 
     The constructor validates caller-supplied coefficients (`require_hermitian`)
-    and hbar; the engine builds the series it computes from validated operands
-    through `_computed`, which skips those checks.  norms[p] is
+    and hbar, and stores each coefficient's Hermitian part, so that every slot
+    is Hermitian to the bit; the engine builds the series it computes from
+    such operands through `_computed`, which skips those steps.  norms[p] is
     max_norm(coeffs[p]); entries are finite, so a slot is an exact zero
     matrix exactly when its norm is 0 (see `live`).
     """
@@ -63,7 +75,7 @@ class OperatorSeries:
             raise ValueError("series needs at least the order-0 coefficient")
         hbar = require_positive(self.hbar, "hbar")
         mats = tuple(
-            require_hermitian(c, what=f"coefficient {p}")
+            hermitian_part(require_hermitian(c, what=f"coefficient {p}"))
             for p, c in enumerate(self.coeffs)
         )
         for p, c in enumerate(mats):
@@ -88,9 +100,9 @@ class OperatorSeries:
 
     @classmethod
     def _computed(cls, mats, hbar):
-        """Series of square complex128 matrices computed from validated
-        operands, with a validated hbar: Hermitian by construction, so only
-        the order cap, the norms and the non-finite check are done."""
+        """Series of square complex128 matrices, Hermitian to the bit, computed
+        from validated operands, with a validated hbar: only the order cap,
+        the norms and the non-finite check are done."""
         series = object.__new__(cls)
         series._set(tuple(mats), hbar)
         return series
@@ -117,31 +129,45 @@ def _add(acc, term):
     return acc
 
 
-def _t_images(gen: OperatorSeries, a: np.ndarray, up_to: int):
-    """[T_0(a), ..., T_up_to(a)], None for an image no term lands in.
+def _next_image(w, live, images, hbar):
+    """T_{p+1}(a) from images = [T_0(a), ..., T_p(a)], None if no term lands.
 
-    Only live generator slots and images enter a sum, and each sum starts
-    from its first term, so the nonzero terms add up in the same order as
-    in the full recursion and skipped orders are structural zeros."""
+    Y = sum_l C(p, l) W_{l+1} T_{p-l}(a) over live generator slots and
+    images, one matrix product each; then (i/hbar)[W, T] = (i/hbar)(Y - Y^H)
+    for the whole sum, which is exact only for operands Hermitian to the bit.
+    Each sum starts from its first term, so the nonzero terms add up in the
+    same order as in the full recursion and skipped orders are structural
+    zeros."""
+    p = len(images) - 1
+    y = None
+    for l in live:
+        if l > p:
+            break
+        src = images[p - l]
+        if src is not None:
+            y = _add(y, binomial(p, l) * (w[l] @ src))
+    if y is None:
+        return None
+    y -= y.conj().T
+    y *= 1j / hbar
+    return y
+
+
+def _t_images(gen: OperatorSeries, a: np.ndarray, up_to: int):
+    """[T_0(a), ..., T_up_to(a)], None for an image no term lands in."""
     w, live, hbar = gen.coeffs, gen.live, gen.hbar
     images = [a]
-    for p in range(up_to):
-        nxt = None
-        for l in live:
-            if l > p:
-                break
-            src = images[p - l]
-            if src is not None:
-                nxt = _add(nxt, binomial(p, l) * commutator_ad(w[l], src, hbar))
-        images.append(nxt)
+    for _ in range(up_to):
+        images.append(_next_image(w, live, images, hbar))
     return images
 
 
 def t_apply(gen: OperatorSeries, p: int, a) -> np.ndarray:
-    """Image T_p(a) of one operator under the transform generated by gen."""
+    """Image T_p(a) of one Hermitian operator under the transform generated
+    by gen; a is validated (`require_hermitian`) and symmetrized."""
     if not 0 <= p <= gen.order:
         raise ValueError(f"order index {p} outside 0..{gen.order}")
-    a = as_operator(np.array(a, dtype=np.complex128))
+    a = hermitian_part(require_hermitian(a, what="t_apply operand"))
     if a.shape[0] != gen.dim:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {gen.dim}")
     image = _t_images(gen, a, p)[p]

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superpert as sp
 from superpert import kolmogorov
@@ -260,6 +262,45 @@ def test_rotated_doubly_degenerate_unperturbed_part():
     vecs = res.eigenvectors
     residual = np.linalg.norm(h @ vecs - vecs * res.energies[-1], axis=0)
     assert residual.max() <= 1e-9
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(3, 8),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+)
+def test_engine_series_are_hermitian_to_the_bit(n, order, seed, degenerate):
+    # the one-product conjugation kernel is exact only on operands Hermitian
+    # to the bit: every slot the engine builds and every generator must be
+    rng = np.random.default_rng(seed)
+    levels = np.cumsum(1.0 + rng.uniform(0.0, 1.0, size=n))
+    if degenerate:
+        levels = np.repeat(levels[: (n + 1) // 2], 2)[:n]
+    v = random_hermitian(rng, n, scale=0.3)
+    v[0, -1] += 1e-12  # an asymmetry inside HERMITICITY_TOL
+    base = sp.make_model(n, [(0, np.diag(levels)), (1, v)])
+    model = _rotated(base, _random_unitary(rng, n))
+    seen = []
+    real = kolmogorov.conjugate_series
+
+    def recording(gen, h):
+        seen.extend(gen.coeffs)
+        return real(gen, h)
+
+    def defects(mats):
+        return {sp.hermiticity_defect(c) for c in mats}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kolmogorov, "conjugate_series", recording)
+        state = sp.init(model, 0.05, order)
+        assert defects(state.series.coeffs) == {0.0}
+        for _ in range(default_n_stages(order)):
+            state = sp.step(state)
+            assert defects(state.series.coeffs) == {0.0}
+    assert len(seen) == default_n_stages(order) * (order + 1)
+    assert defects(seen) == {0.0}
 
 
 def test_degenerate_block_labels_follow_overlap():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import superpert as sp
+from superpert.linalg import degeneracy_blocks, fix_column_phases
 
 from conftest import random_hermitian
 
@@ -161,3 +162,47 @@ def test_column_phase_canonicalization():
         piv = v[np.argmax(np.abs(v[:, j])), j]
         assert abs(piv.imag) <= 1e-14
         assert piv.real > 0
+
+
+def _column_phases_by_column(v):
+    # per-column reference of fix_column_phases
+    v = np.array(v, dtype=np.complex128, copy=True)
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        piv = col[int(np.argmax(np.abs(col)))]
+        if abs(piv) > 0.0:
+            v[:, j] = col * (piv.conjugate() / abs(piv))
+    return v
+
+
+def _eigh_by_column(a, deg_tol):
+    # per-column reference of eigh's block ordering and phases
+    lam, v = np.linalg.eigh(sp.hermitian_part(a))
+    dominant = [int(np.argmax(np.abs(v[:, j]))) for j in range(v.shape[1])]
+    for members in degeneracy_blocks(lam, deg_tol):
+        perm = sorted(members, key=lambda j: (dominant[j], j))
+        lam[list(members)] = lam[perm]
+        v[:, list(members)] = v[:, perm]
+    return lam, _column_phases_by_column(v)
+
+
+def test_vectorized_column_loops_match_per_column_references():
+    rng = np.random.default_rng(8)
+    for n, m in ((1, 1), (1, 2), (1, 4), (2, 3), (5, 3), (9, 9), (40, 40)):
+        for scale in (1e-300, 1.0, 1e300):
+            v = scale * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+            v[:, m // 2] = 0.0  # a zero column stays as it is
+            for layout in (v, np.asfortranarray(v)):
+                np.testing.assert_array_equal(
+                    fix_column_phases(layout), _column_phases_by_column(layout)
+                )
+    for levels in ([1.0, 1.0, 1.0, 3.0, 3.0, 4.0], np.linspace(0.0, 1.0, 30)):
+        q = np.linalg.qr(
+            rng.standard_normal((len(levels),) * 2)
+            + 1j * rng.standard_normal((len(levels),) * 2)
+        )[0]
+        a = q @ np.diag(levels) @ q.conj().T
+        got = sp.eigh(a, deg_tol=1e-8)
+        lam, v = _eigh_by_column(a, 1e-8)
+        np.testing.assert_array_equal(got.eigenvalues, lam)
+        np.testing.assert_array_equal(got.eigenvectors, v)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import superpert as sp
+from superpert import series
 from superpert.series import OperatorSeries, binomial, zero_padded
 
 from conftest import random_hermitian
@@ -72,6 +73,30 @@ def test_t_apply_order_zero_and_one():
         sp.t_apply(ts, 4, a)
     with pytest.raises(ValueError, match="order index"):
         sp.t_apply(ts, -1, a)
+
+
+def test_t_apply_rejects_a_non_hermitian_operand():
+    # the one-product kernel would return a wrong image for it, silently
+    rng = np.random.default_rng(31)
+    ts = _transform_only_w1(random_hermitian(rng, 3), 2)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    with pytest.raises(ValueError, match=r"t_apply operand is not Hermitian: worst entry \("):
+        sp.t_apply(ts, 1, a)
+    with pytest.raises(ValueError, match=r"t_apply operand has a non-finite entry \(0, 0\)"):
+        sp.t_apply(ts, 1, np.diag([np.nan, 1.0, 1.0]))
+
+
+def test_t_apply_symmetrizes_a_nearly_hermitian_operand():
+    rng = np.random.default_rng(32)
+    w1 = random_hermitian(rng, 4)
+    a = random_hermitian(rng, 4)
+    a[0, 2] += 1e-12  # inside HERMITICITY_TOL
+    ts = _transform_only_w1(w1, 2, hbar=0.7)
+    image = sp.t_apply(ts, 1, a)
+    assert sp.hermiticity_defect(image) == 0.0
+    np.testing.assert_allclose(
+        image, sp.commutator_ad(w1, sp.hermitian_part(a), 0.7), rtol=0, atol=1e-14
+    )
 
 
 def test_t_expansion_against_matrix_exponential():
@@ -155,7 +180,25 @@ def test_conjugation_preserves_hermiticity():
     ts = _series(rng, 5, 5, scale=0.7)
     k = sp.conjugate_series(ts, h)
     for c in k.coeffs:
-        assert sp.hermiticity_defect(c) <= 1e-11 * max(1.0, sp.max_norm(c))
+        assert sp.hermiticity_defect(c) == 0.0
+
+
+def test_commutator_ad_is_left_to_the_cross_check_route(monkeypatch):
+    # the engine's conjugations run on the one-product kernel; the table
+    # route keeps the two-product commutator for its own terms
+    calls = []
+    real = series.commutator_ad
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(series, "commutator_ad", counted)
+    sp.run(sp.build_quartic_oscillator(10), 0.1, 8)
+    assert calls == []
+    rng = np.random.default_rng(34)
+    sp.conjugate_series_table(_series(rng, 4, 3, scale=0.5), _series(rng, 4, 3))
+    assert len(calls) > 0
 
 
 def test_u_coefficients_trivial_and_powers():
@@ -240,6 +283,16 @@ def test_series_rejects_bad_hbar(bad):
         OperatorSeries((np.eye(2, dtype=complex),), hbar=bad)
 
 
+def test_series_constructor_symmetrizes():
+    rng = np.random.default_rng(35)
+    a = random_hermitian(rng, 4)
+    a[1, 3] += 1e-12  # inside HERMITICITY_TOL
+    s = OperatorSeries((a, a))
+    for c in s.coeffs:
+        assert sp.hermiticity_defect(c) == 0.0
+        np.testing.assert_array_equal(c, sp.hermitian_part(a))
+
+
 def test_series_norms_and_live_orders():
     a = np.array([[1.0, -3.0j], [3.0j, 0.5]])
     zero = np.zeros((2, 2))
@@ -250,13 +303,14 @@ def test_series_norms_and_live_orders():
 
 
 def _full_images(w, a, up_to, hbar):
-    # the expansion maps with every term summed, zero or not
+    # the expansion maps with every term summed, zero or not: Y = sum of the
+    # products W T, anti-Hermitized once per image
     images = [np.array(a, dtype=complex)]
     for p in range(up_to):
-        nxt = np.zeros_like(images[0])
+        y = np.zeros_like(images[0])
         for l in range(p + 1):
-            nxt += binomial(p, l) * sp.commutator_ad(w[l], images[p - l], hbar)
-        images.append(nxt)
+            y += binomial(p, l) * (w[l] @ images[p - l])
+        images.append((1j / hbar) * (y - y.conj().T))
     return images
 
 
