@@ -34,10 +34,16 @@ def _model_from_args(args):
     return model
 
 
-def _greedy(weight: np.ndarray) -> np.ndarray:
-    """Greedy maximal overlap: pairs (i, j) are taken in descending weight,
-    ties in row-major order, while row i and column j are both free; -1
-    marks a row left without a column."""
+def match_labels(v_prev: np.ndarray, v_new: np.ndarray) -> np.ndarray:
+    """perm[i] = column of v_new carrying the state of v_prev column i.
+
+    Greedy maximal overlap: pairs (i, j) are taken in descending weight
+    |<prev_i|new_j>|^2, ties in row-major order, while row i and column j
+    are both free.  For unitary v_prev, v_new every row and column of the
+    weights sums to 1, so when each row's largest weight exceeds 1/2 those
+    maxima form the unique optimal assignment and come first in the order.
+    """
+    weight = np.abs(v_prev.conj().T @ v_new) ** 2
     n_cols = weight.shape[1]
     perm = [-1] * weight.shape[0]
     col_free = [True] * n_cols
@@ -51,36 +57,6 @@ def _greedy(weight: np.ndarray) -> np.ndarray:
             if left == 0:
                 break
     return np.array(perm, dtype=np.int64)
-
-
-def match_labels(v_prev: np.ndarray, v_new: np.ndarray) -> np.ndarray:
-    """perm[i] = column of v_new carrying the state of v_prev column i.
-
-    The greedy maximal overlap assignment of the weights
-    |<prev_i|new_j>|^2 (see `_greedy`).  A row whose largest weight exceeds
-    1/2 takes its first maximal column, provided no two such rows share it:
-    no other row can claim that column before it in the greedy order, since
-    another row's weight there is either at most 1/2 or that row's own
-    maximum comes first.  Greedy runs only on the other rows and the free
-    columns, and the labels equal those of a greedy walk over all rows.
-    For unitary v_prev, v_new every row and column of the weights sums to
-    1, so when each row's largest weight exceeds 1/2 those maxima form the
-    unique optimal assignment and no greedy step is left.
-    """
-    weight = np.abs(v_prev.conj().T @ v_new) ** 2
-    rows = np.arange(weight.shape[0])
-    best = np.argmax(weight, axis=1)
-    sure = weight[rows, best] > 0.5
-    claims = np.bincount(best[sure], minlength=weight.shape[1])
-    if claims.max(initial=0) > 1:  # a shared column: greedy decides all
-        sure[:] = False
-        claims[:] = 0
-    perm = np.where(sure, best, -1)
-    rest = rows[~sure]
-    if rest.size:
-        cols = np.append(np.flatnonzero(claims == 0), -1)  # -1 passes an unmatched row
-        perm[rest] = cols[_greedy(weight[np.ix_(rest, cols[:-1])])]
-    return perm
 
 
 def _exact_levels(series, base, eps, deg_tol):

@@ -20,9 +20,11 @@ is anti-Hermitized once: T_{p+1}(a) = (i/hbar)(Y - Y^H).  That halves the
 matrix products of the two-product commutator, and the image is Hermitian
 to the bit.  The kernel needs Hermitian operands to the bit, so every matrix
 that is Hermitian only up to rounding is symmetrized where it enters a
-series: the public `OperatorSeries` constructor and `t_apply` symmetrize
-their operands, and the stage engine its basis rotations.  The cross-check
-route keeps the two-product `commutator_ad` for its own terms.
+series: the public `OperatorSeries` constructor symmetrizes its
+coefficients, and the stage engine its basis rotations.  `t_apply` takes any
+square operand and runs the kernel on its Hermitian and anti-Hermitian
+parts.  The cross-check route keeps the two-product `commutator_ad` for its
+own terms.
 """
 
 import math
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    as_operator,
     commutator_ad,
     finite_norm,
     hermitian_part,
@@ -163,15 +166,22 @@ def _t_images(gen: OperatorSeries, a: np.ndarray, up_to: int):
 
 
 def t_apply(gen: OperatorSeries, p: int, a) -> np.ndarray:
-    """Image T_p(a) of one Hermitian operator under the transform generated
-    by gen; a is validated (`require_hermitian`) and symmetrized."""
+    """Image T_p(a) of one square operator under the transform generated by
+    gen.  T_p is linear and the kernel takes Hermitian operands, so a is
+    split as h + i k with h, k Hermitian: T_p(a) = T_p(h) + i T_p(k)."""
     if not 0 <= p <= gen.order:
         raise ValueError(f"order index {p} outside 0..{gen.order}")
-    a = hermitian_part(require_hermitian(a, what="t_apply operand"))
+    a = as_operator(np.array(a, dtype=np.complex128))
     if a.shape[0] != gen.dim:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {gen.dim}")
-    image = _t_images(gen, a, p)[p]
-    return np.zeros_like(a) if image is None else image
+    if p == 0:
+        return a
+    image = np.zeros_like(a)
+    for part, phase in ((hermitian_part(a), 1.0), (hermitian_part(-1j * a), 1j)):
+        t = _t_images(gen, part, p)[p] if part.any() else None
+        if t is not None:
+            image += phase * t
+    return image
 
 
 def _check_match(gen: OperatorSeries, h: OperatorSeries):

@@ -465,39 +465,6 @@ def test_match_labels_is_optimal_when_each_row_max_exceeds_half(n, seed, t):
     assert np.array_equal(cli.match_labels(v_prev, v_new)[rows], cols)
 
 
-def _greedy_labels(v_prev, v_new):
-    # the full greedy: every pair in descending weight, ties row-major
-    weight = np.abs(v_prev.conj().T @ v_new) ** 2
-    perm = [-1] * weight.shape[0]
-    for flat in np.argsort(-weight, axis=None, kind="stable").tolist():
-        i, j = divmod(flat, weight.shape[1])
-        if perm[i] < 0 and j not in perm:
-            perm[i] = j
-    return perm
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    n=st.integers(1, 12),
-    seed=st.integers(0, 2**32 - 1),
-    t=st.floats(0.0, 3.0),
-    mixed=st.integers(0, 12),
-)
-def test_match_labels_equals_the_full_greedy(n, seed, t, mixed):
-    # rows with a maximum above 1/2 take the vectorized argmax, the rest the
-    # greedy; `mixed` rows are rotated in pairs by pi/4, so their maxima sit
-    # at about 1/2
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    k = (m + m.conj().T) / (2.0 * np.sqrt(2.0 * n))
-    r = np.eye(n, dtype=complex)
-    for i in range(0, min(mixed, n) - 1, 2):
-        r[i : i + 2, i : i + 2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    v_prev = _random_unitary(rng, n)
-    v_new = (v_prev @ r @ expm(1j * t * k))[:, rng.permutation(n)]
-    assert cli.match_labels(v_prev, v_new).tolist() == _greedy_labels(v_prev, v_new)
-
-
 def test_match_labels_breaks_an_exact_tie_deterministically():
     # a degenerate pair split into (e0 +- e1)/sqrt(2): weights 1/2 each way
     r = np.sqrt(0.5)

@@ -75,28 +75,42 @@ def test_t_apply_order_zero_and_one():
         sp.t_apply(ts, -1, a)
 
 
-def test_t_apply_rejects_a_non_hermitian_operand():
-    # the one-product kernel would return a wrong image for it, silently
+def _two_product_images(w, a, up_to, hbar):
+    # T_{p+1}(a) = sum_l C(p, l) (i/hbar)[W_{l+1}, T_{p-l}(a)], for any a
+    images = [np.array(a, dtype=complex)]
+    for p in range(up_to):
+        nxt = np.zeros_like(images[0])
+        for l in range(p + 1):
+            nxt += binomial(p, l) * sp.commutator_ad(w[l], images[p - l], hbar)
+        images.append(nxt)
+    return images
+
+
+def test_t_apply_takes_a_non_hermitian_operand():
+    # a ladder-type |0><2| and a random complex matrix: the transform is
+    # linear, so it is defined for any operator, not only Hermitian ones
     rng = np.random.default_rng(31)
-    ts = _transform_only_w1(random_hermitian(rng, 3), 2)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    with pytest.raises(ValueError, match=r"t_apply operand is not Hermitian: worst entry \("):
-        sp.t_apply(ts, 1, a)
-    with pytest.raises(ValueError, match=r"t_apply operand has a non-finite entry \(0, 0\)"):
-        sp.t_apply(ts, 1, np.diag([np.nan, 1.0, 1.0]))
+    ts = _series(rng, 4, 3, hbar=0.7, scale=0.5, zero_slots=(1,))
+    rank_one = np.zeros((4, 4), dtype=complex)
+    rank_one[0, 2] = 1.0
+    for a in (rank_one, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))):
+        ref = _two_product_images(ts.coeffs, a, 3, 0.7)
+        np.testing.assert_array_equal(sp.t_apply(ts, 0, a), a)
+        for p in range(1, 4):
+            got = sp.t_apply(ts, p, a)
+            np.testing.assert_allclose(got, ref[p], rtol=0, atol=1e-13 * sp.max_norm(ref[p]))
+        assert sp.hermiticity_defect(sp.t_apply(ts, 1, a)) > 1e-3
+    np.testing.assert_array_equal(sp.t_apply(ts, 2, np.zeros((4, 4))), np.zeros((4, 4)))
 
 
-def test_t_apply_symmetrizes_a_nearly_hermitian_operand():
+def test_t_apply_of_a_hermitian_operand_is_hermitian_to_the_bit():
     rng = np.random.default_rng(32)
-    w1 = random_hermitian(rng, 4)
+    ts = _series(rng, 4, 3, hbar=0.7)
     a = random_hermitian(rng, 4)
-    a[0, 2] += 1e-12  # inside HERMITICITY_TOL
-    ts = _transform_only_w1(w1, 2, hbar=0.7)
-    image = sp.t_apply(ts, 1, a)
-    assert sp.hermiticity_defect(image) == 0.0
-    np.testing.assert_allclose(
-        image, sp.commutator_ad(w1, sp.hermitian_part(a), 0.7), rtol=0, atol=1e-14
-    )
+    for p in range(1, 4):
+        image = sp.t_apply(ts, p, a)
+        assert sp.hermiticity_defect(image) == 0.0
+        np.testing.assert_array_equal(image, series._t_images(ts, a, p)[p])
 
 
 def test_t_expansion_against_matrix_exponential():
