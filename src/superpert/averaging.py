@@ -49,18 +49,19 @@ def default_gap_guard(spectral: SpectralData) -> float:
 
 
 def _boundary_gaps(lam, blocks):
-    """(j, k, E_k - E_j) for the last level j of each block and the first
-    level k of the next.  Blocks come in ascending energy, so the smallest
-    gap between levels of different blocks is one of these."""
-    for prev, nxt in zip(blocks, blocks[1:]):
-        j, k = prev[-1], nxt[0]
-        yield j, k, float(lam[k] - lam[j])
+    """(j, k, E_k - E_j) as arrays, one entry per block boundary in ascending
+    energy: j the level just below it, k the one just above.  Levels of two
+    different blocks straddle a boundary, so their gap is at least one of these."""
+    order = np.argsort(lam, kind="stable")
+    cut = np.flatnonzero(np.diff(blocks[order]))
+    j, k = order[cut], order[cut + 1]
+    return j, k, lam[k] - lam[j]
 
 
 def min_cross_block_gap(spectral: SpectralData) -> float:
     """Smallest |E_j - E_k| over pairs in different blocks (inf if one block)."""
-    gaps = _boundary_gaps(spectral.eigenvalues, spectral.blocks)
-    return min((gap for _, _, gap in gaps), default=float("inf"))
+    gaps = _boundary_gaps(spectral.eigenvalues, spectral.blocks)[2]
+    return float(np.min(gaps, initial=np.inf))
 
 
 def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingResult:
@@ -98,7 +99,7 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
 
 
 def average_diagonal(lam, blocks, bt, hbar, gap_guard):
-    """(Bbar, S, min_gap) for A = diag(lam) with degeneracy blocks `blocks`.
+    """(Bbar, S, min_gap) for A = diag(lam) with block labels `blocks`.
 
     bt holds B in A's eigenbasis, one matrix (d, d) or a stack (k, d, d)
     averaged slot by slot; Bbar and S have its shape.  Masking and the
@@ -106,22 +107,19 @@ def average_diagonal(lam, blocks, bt, hbar, gap_guard):
     to the bit, so are Bbar and S.
     gap_guard is a resolved float, checked once at every block boundary;
     min_gap is the smallest of those gaps (inf for a single block)."""
-    min_gap = float("inf")
-    for j, k, gap in _boundary_gaps(lam, blocks):
-        if gap <= gap_guard:
-            raise SmallDenominatorError(
-                f"small denominator: levels {j} and {k} sit in different "
-                f"degeneracy blocks but are only {gap:.6e} apart "
-                f"(guard {gap_guard:.6e})",
-                indices=(j, k),
-                gap=gap,
-            )
-        min_gap = min(min_gap, gap)
-
-    ids = np.empty(len(lam), dtype=np.int64)
-    for b, members in enumerate(blocks):
-        ids[list(members)] = b
-    same = ids[:, None] == ids[None, :]
+    j, k, gaps = _boundary_gaps(lam, blocks)
+    low = np.flatnonzero(gaps <= gap_guard)
+    if low.size:
+        j, k, gap = int(j[low[0]]), int(k[low[0]]), float(gaps[low[0]])
+        raise SmallDenominatorError(
+            f"small denominator: levels {j} and {k} sit in different "
+            f"degeneracy blocks but are only {gap:.6e} apart "
+            f"(guard {gap_guard:.6e})",
+            indices=(j, k),
+            gap=gap,
+        )
+    min_gap = float(np.min(gaps, initial=np.inf))
+    same = blocks[:, None] == blocks[None, :]
 
     bbar_t = np.where(same, bt, 0.0)
     denom = lam[:, None] - lam[None, :]

@@ -9,6 +9,7 @@ identical numbers.
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -142,14 +143,20 @@ def compute_report(args: argparse.Namespace) -> dict:
             exact, overlap = _exact_levels(series, base, eps, deg_tol)
             result = None
             if want_su:
-                result = run(
-                    model,
-                    eps,
-                    args.order,
-                    n_stages=n_stages,
-                    deg_tol=deg_tol,
-                    gap_guard=gap_guard,
-                )
+                # the engine's warnings go to the report, once each
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    result = run(
+                        model,
+                        eps,
+                        args.order,
+                        n_stages=n_stages,
+                        deg_tol=deg_tol,
+                        gap_guard=gap_guard,
+                    )
+                for note in caught:
+                    if str(note.message) not in warnings_list:
+                        warnings_list.append(str(note.message))
                 residuals = [info.slot_residual for info in result.history]
                 stage_residuals.append({"eps": eps, "residuals": residuals})
                 gap = result.min_gap

@@ -26,6 +26,7 @@ import numpy as np
 
 from .averaging import SmallDenominatorError, average_diagonal, default_gap_guard
 from .linalg import (
+    default_deg_tol,
     degeneracy_blocks,
     eigh,
     fix_column_phases,
@@ -64,9 +65,9 @@ class KolmogorovState:
     eps: float
     series: OperatorSeries  # in the running basis: coeffs[0] == diag(levels)
     levels: np.ndarray  # diagonal of coeffs[0]; a level's label is its index
-    blocks: tuple  # degeneracy blocks of levels, see `degeneracy_blocks`
+    blocks: np.ndarray  # blocks[j], the degeneracy block of level j
     basis: np.ndarray  # running basis in original coordinates: V0 prod U_n(eps) Q_n
-    deg_tol: float | None
+    deg_tol: float  # resolved once from the H_0 levels when not given
     gap_guard: float  # resolved once from the H_0 levels when not given
     history: tuple
 
@@ -108,6 +109,8 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
     deg_tol = require_tolerance(deg_tol, "deg_tol")
     gap_guard = require_tolerance(gap_guard, "gap_guard")
     spectral = eigh(model.coefficient(0), deg_tol=deg_tol)
+    if deg_tol is None:
+        deg_tol = default_deg_tol(spectral.eigenvalues)
     if gap_guard is None:
         gap_guard = default_gap_guard(spectral)
     v = spectral.eigenvectors
@@ -128,14 +131,17 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
 
 def _diagonalize_blocks(h0, blocks, deg_tol):
     """(levels, blocks, q): the levels of h0, which is diagonal outside
-    `blocks`, their degeneracy blocks, and the unitary of h0's eigenvectors
-    (None if h0 is diagonal).  One stacked eigh per block size; as in `eigh`,
-    each eigenvector keeps its dominant component's index."""
+    the block labels `blocks`, their degeneracy blocks, and the unitary of
+    h0's eigenvectors (None if h0 is diagonal).  One stacked eigh per block
+    size; as in `eigh`, each eigenvector keeps its dominant component's index."""
     lam = h0.diagonal().real.copy()
-    sizes = sorted({len(b) for b in blocks} - {1})
-    q = np.eye(len(lam), dtype=np.complex128) if sizes else None
+    size_of = np.bincount(blocks)[blocks]  # the size of each level's block
+    by_block = np.argsort(blocks, kind="stable")  # index order inside a block
+    sizes = np.flatnonzero(np.bincount(size_of))  # the sizes present, ascending
+    sizes = sizes[sizes > 1]
+    q = np.eye(len(lam), dtype=np.complex128) if sizes.size else None
     for size in sizes:
-        idx = np.array([sorted(b) for b in blocks if len(b) == size])
+        idx = by_block[size_of[by_block] == size].reshape(-1, size)
         rows, cols = idx[:, :, None], idx[:, None, :]
         vals, vecs = np.linalg.eigh(h0[rows, cols])
         dominant = np.argmax(np.abs(vecs), axis=1)
@@ -250,8 +256,8 @@ def run(
     eps : evaluation point of the perturbation parameter
     order : truncation order P of the graded series (>= 1)
     n_stages : number of elimination stages; default ceil(log2(P+1))
-    deg_tol, gap_guard : degeneracy tolerances; None = 1e-9 and 1e-6 times
-        the range of the H_0 levels
+    deg_tol, gap_guard : degeneracy tolerances; None = 1e-9 times the
+        largest |H_0 level| and 1e-6 times the range of the H_0 levels
 
     Returns
     -------

@@ -112,29 +112,36 @@ class SpectralData:
     """Eigendecomposition of a Hermitian matrix.
 
     eigenvectors is unitary with column j the eigenvector of eigenvalues[j]
-    (ascending when made by `eigh`); blocks partitions indices into
-    degeneracy classes, see `degeneracy_blocks`.
+    (ascending when made by `eigh`); blocks[j] is the degeneracy block of
+    level j, an int64 label array, see `degeneracy_blocks`.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    blocks: tuple
+    blocks: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
 
-def degeneracy_blocks(lam, deg_tol=None) -> tuple:
-    """Sorted levels closer than deg_tol (finite and nonnegative; None = 1e-9
-    times the range) chain into one block.  Blocks and members ascend in
-    energy."""
-    order = np.argsort(lam, kind="stable")
+def default_deg_tol(lam) -> float:
+    """1e-9 times the largest |E_j|: a rounding split of a degenerate level
+    stays below it, however narrow the range of the levels."""
+    return 1e-9 * max_norm(lam)
+
+
+def degeneracy_blocks(lam, deg_tol=None) -> np.ndarray:
+    """block[j], the degeneracy block of level j (int64).  Sorted levels
+    closer than deg_tol (finite and nonnegative; None = `default_deg_tol`)
+    chain into one block; blocks are numbered 0, 1, ... in ascending energy."""
     deg_tol = require_tolerance(deg_tol, "deg_tol")
     if deg_tol is None:
-        deg_tol = 1e-9 * float(np.ptp(lam))
-    cuts = np.flatnonzero(np.diff(lam[order]) > deg_tol) + 1
-    return tuple(tuple(int(i) for i in part) for part in np.split(order, cuts))
+        deg_tol = default_deg_tol(lam)
+    order = np.argsort(lam, kind="stable")
+    block = np.empty(len(order), dtype=np.int64)
+    block[order] = np.cumsum(np.diff(lam[order], prepend=lam[order[:1]]) > deg_tol)
+    return block
 
 
 def fix_column_phases(v) -> np.ndarray:
@@ -160,21 +167,19 @@ def eigh(a, deg_tol=None) -> SpectralData:
     a : square array, finite and Hermitian within HERMITICITY_TOL
     deg_tol : float or None
         Gap below which adjacent eigenvalues join one degeneracy block,
-        finite and nonnegative.  None means 1e-9 times the spectral range.
+        finite and nonnegative.  None means `default_deg_tol`, 1e-9 times
+        the largest |eigenvalue|.
 
     Ordering is deterministic: ascending eigenvalues, and inside a
     degeneracy block columns are ordered by the basis index of their
-    dominant component; column phases are canonicalized.
+    dominant component; column phases are canonicalized.  `blocks` labels
+    each column with its block, numbered in ascending energy.
     """
     a = require_hermitian(a, what="eigh input")
     lam, v = np.linalg.eigh(hermitian_part(a))
     blocks = degeneracy_blocks(lam, deg_tol)
-    dominant = np.argmax(np.abs(v), axis=0).tolist()
-    for members in blocks:
-        if len(members) > 1:
-            perm = sorted(members, key=lambda j: (dominant[j], j))
-            idx = list(members)
-            lam[idx] = lam[perm]
-            v[:, idx] = v[:, perm]
-    v = fix_column_phases(v)
-    return SpectralData(lam, v, blocks)
+    # LAPACK's levels ascend, so `blocks` does too and sorting by it only
+    # reorders columns inside a block
+    perm = np.lexsort((np.argmax(np.abs(v), axis=0), blocks))
+    v = fix_column_phases(v[:, perm])
+    return SpectralData(lam[perm], v, blocks)

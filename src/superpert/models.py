@@ -199,6 +199,12 @@ def model_from_dict(data, provenance="memory") -> ModelSpec:
         if field not in data:
             raise ModelFormatError(f"{provenance}: missing required field {field!r}")
     dim, hbar = _dimension_and_hbar(data, provenance)
+    name = data.get("name", "custom")
+    if isinstance(name, str) and name in BUILTIN_MODELS:
+        raise ModelFormatError(
+            f"{provenance}: 'name' {name!r} is reserved for the builtin model; "
+            f"select it with 'builtin'"
+        )
     if not isinstance(data["terms"], list) or not data["terms"]:
         raise ModelFormatError(f"{provenance}: 'terms' must be a nonempty list")
     terms = []
@@ -212,9 +218,7 @@ def model_from_dict(data, provenance="memory") -> ModelSpec:
         if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise ModelFormatError(f"{context}: 'order' must be an integer >= 0")
         terms.append((order, _parse_matrix(term["matrix"], dim, context)))
-    return _validate_terms(
-        dim, terms, hbar, data.get("name", "custom"), provenance, provenance
-    )
+    return _validate_terms(dim, terms, hbar, name, provenance, provenance)
 
 
 def load_model(path) -> ModelSpec:

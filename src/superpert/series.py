@@ -185,10 +185,10 @@ def t_apply(gen: OperatorSeries, p: int, a) -> np.ndarray:
 
 
 def _check_match(gen: OperatorSeries, h: OperatorSeries):
-    if gen.order != h.order or gen.dim != h.dim:
+    if (gen.order, gen.dim, gen.hbar) != (h.order, h.dim, h.hbar):
         raise ValueError(
-            f"generator (order {gen.order}, dim {gen.dim}) does not match "
-            f"series (order {h.order}, dim {h.dim})"
+            f"generator (order {gen.order}, dim {gen.dim}, hbar {gen.hbar}) "
+            f"does not match series (order {h.order}, dim {h.dim}, hbar {h.hbar})"
         )
 
 

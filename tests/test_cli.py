@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -213,6 +214,25 @@ def test_negative_eps_flagged_but_allowed(capsys):
     report = json.loads(out)
     assert any("eps < 0" in w for w in report["diagnostics"]["warnings"])
     assert "eps < 0" in err
+
+
+def test_engine_warning_goes_to_the_report_once(capsys):
+    # run() warns that stages past default_n_stages(4) = 3 do nothing; the
+    # report records it once for both eps and nothing else reaches stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(
+            [
+                "--method", "su", "--builtin", "quartic_oscillator", "--dim", "12",
+                "--eps", "0.01,0.02", "--order", "4", "--stages", "5",
+                "--format", "json",
+            ],
+            capsys,
+        )
+    assert code == 0
+    notes = json.loads(out)["diagnostics"]["warnings"]
+    assert notes == ["stages beyond 3 are no-ops at truncation order 4"]
+    assert err == f"warning: {notes[0]}\n"
 
 
 def test_ambiguous_exact_label_is_flagged(capsys):

@@ -264,6 +264,26 @@ def test_rotated_doubly_degenerate_unperturbed_part():
     assert residual.max() <= 1e-9
 
 
+def test_rotated_fully_degenerate_pair_stays_one_block():
+    # rounding splits Q diag(1.5, 1.5) Q^H by about 1e-16; a tolerance taken
+    # from the range of the levels (about 1e-25) used to cut that pair into
+    # two blocks and the stage-1 slot check failed
+    q = _random_unitary(np.random.default_rng(0), 2)
+    v = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])
+    diagonal = sp.make_model(2, [(0, np.diag([1.5, 1.5])), (1, v)])
+    rotated = _rotated(diagonal, q)
+    lam = np.linalg.eigvalsh(rotated.coefficient(0))
+    assert lam[0] != lam[1]
+    state = sp.init(rotated, 0.05, 1)
+    assert state.deg_tol == pytest.approx(1.5e-9)
+    assert state.blocks.tolist() == [0, 0]
+    got = sp.run(rotated, 0.05, 1)
+    want = sp.run(diagonal, 0.05, 1)
+    np.testing.assert_allclose(
+        np.sort(got.energies[-1]), np.sort(want.energies[-1]), rtol=0, atol=1e-14
+    )
+
+
 @settings(max_examples=30)
 @given(
     n=st.integers(3, 8),

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superpert as sp
+from superpert.averaging import average_diagonal
+from superpert.kolmogorov import _diagonalize_blocks
 from superpert.linalg import degeneracy_blocks, fix_column_phases
 
 from conftest import random_hermitian
@@ -121,9 +125,9 @@ def test_degeneracy_blocks_chain():
     a = np.diag([0.0, t, 2.0 * t, 1.0]).astype(complex)
     s = sp.eigh(a, deg_tol=t)
     # 0 and 2t are linked through t even though their direct gap exceeds deg_tol
-    assert s.blocks == ((0, 1, 2), (3,))
+    assert s.blocks.tolist() == [0, 0, 0, 1]
     s2 = sp.eigh(a, deg_tol=t / 2)
-    assert s2.blocks == ((0,), (1,), (2,), (3,))
+    assert s2.blocks.tolist() == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize(
@@ -141,7 +145,7 @@ def test_eigh_degenerate_deterministic():
     a = q @ np.diag([1.0, 1.0, 1.0, 3.0]) @ q.conj().T
     s1 = sp.eigh(a, deg_tol=1e-8)
     s2 = sp.eigh(a, deg_tol=1e-8)
-    assert len(s1.blocks[0]) == 3
+    assert s1.blocks.tolist() == [0, 0, 0, 1]
     np.testing.assert_array_equal(s1.eigenvalues, s2.eigenvalues)
     np.testing.assert_array_equal(s1.eigenvectors, s2.eigenvectors)
     resid = sp.max_norm(a @ s1.eigenvectors - s1.eigenvectors @ np.diag(s1.eigenvalues))
@@ -150,7 +154,7 @@ def test_eigh_degenerate_deterministic():
 
 def test_eigh_identity_degenerate_block():
     s = sp.eigh(np.eye(4, dtype=complex))
-    assert s.blocks == ((0, 1, 2, 3),)
+    assert s.blocks.tolist() == [0, 0, 0, 0]
     np.testing.assert_array_equal(s.eigenvectors, np.eye(4, dtype=complex))
 
 
@@ -176,13 +180,15 @@ def _column_phases_by_column(v):
 
 
 def _eigh_by_column(a, deg_tol):
-    # per-column reference of eigh's block ordering and phases
+    # per-block reference of eigh's block ordering and phases
     lam, v = np.linalg.eigh(sp.hermitian_part(a))
     dominant = [int(np.argmax(np.abs(v[:, j]))) for j in range(v.shape[1])]
-    for members in degeneracy_blocks(lam, deg_tol):
+    blocks = degeneracy_blocks(lam, deg_tol)
+    for b in np.unique(blocks):
+        members = np.flatnonzero(blocks == b).tolist()
         perm = sorted(members, key=lambda j: (dominant[j], j))
-        lam[list(members)] = lam[perm]
-        v[:, list(members)] = v[:, perm]
+        lam[members] = lam[perm]
+        v[:, members] = v[:, perm]
     return lam, _column_phases_by_column(v)
 
 
@@ -206,3 +212,86 @@ def test_vectorized_column_loops_match_per_column_references():
         lam, v = _eigh_by_column(a, 1e-8)
         np.testing.assert_array_equal(got.eigenvalues, lam)
         np.testing.assert_array_equal(got.eigenvectors, v)
+
+
+@st.composite
+def _engine_levels(draw):
+    """(levels, deg_tol, seed): clusters at least 0.5 apart whose levels
+    repeat exactly or sit 0.02 apart, in shuffled order, as the engine labels
+    levels by basis index rather than by energy."""
+    centers = np.cumsum(draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4)))
+    picks = draw(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=9)
+    )
+    levels = np.array([centers[c % len(centers)] + 0.02 * m for c, m in picks])
+    seed = draw(st.integers(0, 2**32 - 1))
+    levels = np.random.default_rng(seed).permutation(levels)
+    deg_tol = draw(st.sampled_from([None, 0.0, 0.01, 0.03]))
+    return levels, deg_tol, seed
+
+
+def _blocks_by_walk(lam, deg_tol):
+    # reference: walk the levels in ascending energy and open a new block at
+    # every step wider than deg_tol
+    if deg_tol is None:
+        deg_tol = 1e-9 * max(abs(x) for x in lam)
+    order = sorted(range(len(lam)), key=lambda j: (lam[j], j))
+    block = [0] * len(lam)
+    for prev, j in zip(order, order[1:]):
+        block[j] = block[prev] + int(lam[j] - lam[prev] > deg_tol)
+    return block
+
+
+@settings(max_examples=80)
+@given(case=_engine_levels())
+def test_block_labels_match_a_walk_over_sorted_levels(case):
+    levels, deg_tol, _ = case
+    blocks = degeneracy_blocks(levels, deg_tol)
+    assert blocks.dtype == np.int64
+    assert blocks.tolist() == _blocks_by_walk(levels.tolist(), deg_tol)
+
+
+@settings(max_examples=80)
+@given(case=_engine_levels())
+def test_averaging_gap_is_the_smallest_cross_block_gap(case):
+    levels, deg_tol, seed = case
+    blocks = degeneracy_blocks(levels, deg_tol)
+    n = len(levels)
+    cross = [
+        abs(levels[j] - levels[k])
+        for j in range(n)
+        for k in range(n)
+        if blocks[j] != blocks[k]
+    ]
+    bt = random_hermitian(np.random.default_rng(seed), n)
+    _, _, min_gap = average_diagonal(levels, blocks, bt, 1.0, 0.0)
+    assert min_gap == min(cross, default=float("inf"))
+    if cross:
+        with pytest.raises(sp.SmallDenominatorError) as err:
+            average_diagonal(levels, blocks, bt, 1.0, min_gap)
+        assert err.value.gap == min_gap
+
+
+@settings(max_examples=80)
+@given(case=_engine_levels())
+def test_block_diagonalization_matches_per_block_eigh(case):
+    levels, deg_tol, seed = case
+    rng = np.random.default_rng(seed)
+    blocks = degeneracy_blocks(levels, deg_tol)
+    n = len(levels)
+    same = blocks[:, None] == blocks[None, :]
+    h0 = np.diag(levels) + np.where(same, random_hermitian(rng, n, scale=0.01), 0.0)
+    lam, new_blocks, q = _diagonalize_blocks(h0, blocks, deg_tol)
+    # reference: one eigh per block of two or more, columns by dominant index
+    want_lam = h0.diagonal().real.copy()
+    want_q = np.eye(n, dtype=np.complex128)
+    for b in np.unique(blocks):
+        members = np.flatnonzero(blocks == b)
+        if len(members) > 1:
+            vals, vecs = np.linalg.eigh(h0[np.ix_(members, members)])
+            perm = np.argsort(np.argmax(np.abs(vecs), axis=0), kind="stable")
+            want_lam[members] = vals[perm]
+            want_q[np.ix_(members, members)] = vecs[:, perm]
+    np.testing.assert_array_equal(lam, want_lam)
+    np.testing.assert_array_equal(np.eye(n) if q is None else q, want_q)
+    assert new_blocks.tolist() == _blocks_by_walk(lam.tolist(), deg_tol)

@@ -132,6 +132,20 @@ def test_builtin_selector_checks_fields(field, value):
         sp.model_from_dict(doc)
 
 
+def test_terms_file_cannot_take_a_builtin_name():
+    # the CLI's dim_drift rebuilds a builtin-named model at a larger size,
+    # which for a terms file measured drift against an unrelated model
+    doc = {
+        "name": "quartic_oscillator",
+        "dimension": 2,
+        "terms": [{"order": 0, "matrix": [[1.0, 0.0], [0.0, 3.0]]}],
+    }
+    with pytest.raises(sp.ModelFormatError, match="'name' 'quartic_oscillator' is reserved"):
+        sp.model_from_dict(doc)
+    doc["name"] = "my_oscillator"
+    assert sp.model_from_dict(doc).name == "my_oscillator"
+
+
 def test_load_rejects_missing_order_zero(tmp_path):
     path = _write_model(
         tmp_path,

@@ -278,6 +278,17 @@ def test_series_validation():
         sp.conjugate_series(OperatorSeries((a, a)), OperatorSeries((a,)))
 
 
+@pytest.mark.parametrize("route", [sp.conjugate_series, sp.conjugate_series_table])
+def test_conjugation_rejects_mismatched_hbar(route):
+    # the two routes used to take hbar from different operands, so with
+    # hbar 1 against 2 they disagreed instead of failing
+    rng = np.random.default_rng(29)
+    h = _series(rng, 3, 3, hbar=2.0)
+    gen = _series(rng, 3, 3, hbar=1.0, scale=0.5)
+    with pytest.raises(ValueError, match=r"hbar 1\.0\) does not match .*hbar 2\.0\)"):
+        route(gen, h)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_series_rejects_non_finite_entries(bad):
     # a NaN Hermiticity defect compares False, so the defect check alone
