@@ -10,7 +10,10 @@ so that (i/hbar)[Bbar, A] = 0 and (i/hbar)[S, A] = Bbar - B hold at
 working precision by construction.  For degenerate A the full intra-block
 part is retained, which still commutes with A.  `average_diagonal` applies
 these formulas in A's eigenbasis, to one matrix or to a stack of them with
-one set of denominators; `average` rotates B in and the results out.
+one set of denominators, and returns the primitive as the engine's
+anti-Hermitian generator -iS, with entries -hbar B_jk / (E_j - E_k): real
+for a real B, so a real model stays in real arithmetic.  `average` rotates
+B in and the results out, and returns the Hermitian S.
 
 Cross-block gaps below the guard abort with a diagnostic instead of
 amplifying noise through the denominators.
@@ -90,21 +93,21 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
     if gap_guard is None:
         gap_guard = default_gap_guard(spectral)
     v = spectral.eigenvectors
-    bbar_t, s_t, _ = average_diagonal(
+    bbar_t, a_t, _ = average_diagonal(
         spectral.eigenvalues, spectral.blocks, v.conj().T @ b @ v, hbar, gap_guard
     )
     b_bar = hermitian_part(v @ bbar_t @ v.conj().T)
-    s_of_b = hermitian_part(v @ s_t @ v.conj().T)
+    s_of_b = hermitian_part(v @ (1j * a_t) @ v.conj().T)  # S = iA
     return AveragingResult(b_bar, s_of_b)
 
 
 def average_diagonal(lam, blocks, bt, hbar, gap_guard):
-    """(Bbar, S, min_gap) for A = diag(lam) with block labels `blocks`.
+    """(Bbar, -iS, min_gap) for A = diag(lam) with block labels `blocks`.
 
     bt holds B in A's eigenbasis, one matrix (d, d) or a stack (k, d, d)
-    averaged slot by slot; Bbar and S have its shape.  Masking and the
-    antisymmetric real denominators keep Hermiticity exact: for bt Hermitian
-    to the bit, so are Bbar and S.
+    averaged slot by slot; Bbar and -iS have its shape and dtype.  Masking
+    and the antisymmetric real denominators keep the symmetry exact: for bt
+    Hermitian to the bit, Bbar is Hermitian and -iS anti-Hermitian to the bit.
     gap_guard is a resolved float, checked once at every block boundary;
     min_gap is the smallest of those gaps (inf for a single block)."""
     j, k, gaps = _boundary_gaps(lam, blocks)
@@ -124,5 +127,5 @@ def average_diagonal(lam, blocks, bt, hbar, gap_guard):
     bbar_t = np.where(same, bt, 0.0)
     denom = lam[:, None] - lam[None, :]
     denom = np.where(same, 1.0, denom)  # intra-block entries are masked out anyway
-    s_t = np.where(same, 0.0, (hbar / 1j) * bt / denom)
-    return bbar_t, s_t, min_gap
+    a_t = np.where(same, 0.0, -hbar * bt / denom)
+    return bbar_t, a_t, min_gap

@@ -43,21 +43,29 @@ def match_labels(v_prev: np.ndarray, v_new: np.ndarray) -> np.ndarray:
     are both free.  For unitary v_prev, v_new every row and column of the
     weights sums to 1, so when each row's largest weight exceeds 1/2 those
     maxima form the unique optimal assignment and come first in the order.
+
+    The walk is run in rounds: each round takes every pair that comes first
+    in that order within both its free row and its free column.  The walk
+    takes each such pair too: a pair before it in its row or its column lies
+    in a column or row that an earlier round gave to another pair, so the
+    walk skips it.  A round takes at least the first free pair, and the
+    rounds end with the walk's assignment.
     """
     weight = np.abs(v_prev.conj().T @ v_new) ** 2
-    n_cols = weight.shape[1]
-    perm = [-1] * weight.shape[0]
-    col_free = [True] * n_cols
-    left = len(perm)
-    for flat in np.argsort(-weight, axis=None, kind="stable").tolist():
-        i, j = divmod(flat, n_cols)
-        if perm[i] < 0 and col_free[j]:
-            perm[i] = j
-            col_free[j] = False
-            left -= 1
-            if left == 0:
-                break
-    return np.array(perm, dtype=np.int64)
+    perm = np.full(weight.shape[0], -1, dtype=np.int64)
+    rows = np.arange(weight.shape[0])
+    cols = np.arange(weight.shape[1])
+    while rows.size and cols.size:
+        free = weight[np.ix_(rows, cols)]
+        # argmax takes the first of equal weights: the lowest column of a
+        # row, the lowest row of a column, as row-major order does
+        best_col = np.argmax(free, axis=1)
+        best_row = np.argmax(free, axis=0)
+        mutual = best_row[best_col] == np.arange(rows.size)
+        perm[rows[mutual]] = cols[best_col[mutual]]
+        rows = rows[~mutual]
+        cols = np.delete(cols, best_col[mutual])
+    return perm
 
 
 def _exact_levels(series, base, eps, deg_tol):

@@ -2,20 +2,24 @@
 
 Stage n takes a series whose orders 1..2^(n-1)-1 already vanish, averages
 the slots p in [2^(n-1), 2^n-1] against the current integrable part H_0,
-uses the averaging primitives as generator slots W_p, and conjugates the
+uses the averaging primitives as generator slots, and conjugates the
 whole series.  The averaged terms are folded into H_0 with their numeric
 eps^p/p! weights, the eliminated slots are asserted against their known
 values and zeroed, and everything from order 2^n up is kept transformed.
 The engine therefore works at a fixed evaluation point eps; its H_0 is an
 expansion in functions of eps, not a plain power series.
 
+A generator slot is stored as the anti-Hermitian A_p = -iW_p (see
+`series`), so the engine runs in the dtype of the model: real arithmetic
+throughout for a real model, complex128 for a complex one.
+
 `init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
 diagonal up to degeneracy blocks, which alone are diagonalized after each
-fold.  Both rotations are symmetrized, so every slot and generator the
-engine builds is Hermitian to the bit, as the conjugation kernel needs.  A
-level's label is its index in this never re-sorted basis (inside a block,
-the index it overlaps most); its eigenvector of H(eps) is that column of
-V0 * prod_n U_n(eps) Q_n.
+fold.  Both rotations are symmetrized, so every slot the engine builds is
+Hermitian and every generator anti-Hermitian to the bit, as the conjugation
+kernel needs.  A level's label is its index in this never re-sorted basis
+(inside a block, the index it overlaps most); its eigenvector of H(eps) is
+that column of V0 * prod_n U_n(eps) Q_n.
 """
 
 import math
@@ -38,9 +42,9 @@ from .linalg import (
 from .models import ModelSpec
 from .series import (
     OperatorSeries,
-    conjugate_series,
+    conjugate_by,
+    flow_coefficients,
     shared_zero,
-    u_coefficients,
     weighted_sum,
     zero_padded,
 )
@@ -56,7 +60,7 @@ class StageInfo:
     slot_residual: float  # max |K_p - predicted|_max over eliminated slots
     series_scale: float  # max coefficient norm of the series entering the stage
     min_gap: float  # smallest denominator gap in this stage's averaging basis
-    generator_norms: tuple  # max_norm of the generator slots W_1..W_{P+1}
+    generator_norms: tuple  # max_norm of the generator slots (|A_p| = |W_p|)
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,7 @@ def _diagonalize_blocks(h0, blocks, deg_tol):
     by_block = np.argsort(blocks, kind="stable")  # index order inside a block
     sizes = np.flatnonzero(np.bincount(size_of))  # the sizes present, ascending
     sizes = sizes[sizes > 1]
-    q = np.eye(len(lam), dtype=np.complex128) if sizes.size else None
+    q = np.eye(len(lam), dtype=h0.dtype) if sizes.size else None
     for size in sizes:
         idx = by_block[size_of[by_block] == size].reshape(-1, size)
         rows, cols = idx[:, :, None], idx[:, None, :]
@@ -162,13 +166,13 @@ def step(state: KolmogorovState) -> KolmogorovState:
     dim = series.dim
 
     # one homological equation for the window lo..hi, one set of denominators
-    zero = shared_zero(dim)
-    w_slots = [zero] * (P + 1)
+    zero = shared_zero(dim, series.dtype)
+    a_slots = [zero] * (P + 1)
     averaged = ()
     min_gap = float("inf")
     if lo <= hi:
         try:
-            averaged, w_window, min_gap = average_diagonal(
+            averaged, a_window, min_gap = average_diagonal(
                 state.levels,
                 state.blocks,
                 np.stack(series.coeffs[lo : hi + 1]),
@@ -179,11 +183,11 @@ def step(state: KolmogorovState) -> KolmogorovState:
             raise SmallDenominatorError(
                 f"stage {n}: {exc}", indices=exc.indices, gap=exc.gap
             ) from exc
-        w_slots[lo - 1 : hi] = w_window
+        a_slots[lo - 1 : hi] = a_window
 
     try:
-        gen = OperatorSeries._computed(w_slots, hbar)
-        k = conjugate_series(gen, series)
+        gen = OperatorSeries._computed(a_slots, hbar)
+        k = conjugate_by(gen, series)
     except ValueError as exc:  # an overflow shows as a non-finite slot
         raise ValueError(f"stage {n}: {exc}") from exc
 
@@ -205,11 +209,11 @@ def step(state: KolmogorovState) -> KolmogorovState:
             f"by {residual:.3e} (scale {scale:.3e})"
         )
 
-    basis = state.basis @ weighted_sum(u_coefficients(gen), state.eps)
+    basis = state.basis @ weighted_sum(flow_coefficients(gen), state.eps)
     levels, blocks = state.levels, state.blocks
     if lo <= hi:
         levels, blocks, q = _diagonalize_blocks(new_coeffs[0], blocks, state.deg_tol)
-        new_coeffs[0] = np.diag(levels).astype(np.complex128)
+        new_coeffs[0] = np.diag(levels).astype(series.dtype)
         if q is not None:
             new_coeffs[hi + 1 :] = [
                 hermitian_part(q.conj().T @ c @ q) for c in new_coeffs[hi + 1 :]

@@ -1,10 +1,12 @@
-"""Dense complex Hermitian matrix algebra and the eigendecomposition front end.
+"""Dense Hermitian matrix algebra and the eigendecomposition front end.
 
-Matrices are plain complex128 numpy arrays; every operator in the package
-is represented this way, including generators (stored as their Hermitian
-part, with the i/hbar factor living inside the adjoint action).  `eigh`
-wraps LAPACK's Hermitian solver (numpy.linalg.eigh) and adds the
-package's deterministic ordering, degeneracy blocks and column phases.
+Matrices are plain numpy arrays in one of two dtypes: float64 for real
+operators, complex128 otherwise.  A helper keeps the dtype of its input
+(`as_array`), so a real model runs in real arithmetic throughout; only
+model ingestion decides the dtype, storing real matrices for a model whose
+terms all have an exactly zero imaginary part.  `eigh` wraps LAPACK's
+symmetric/Hermitian solver (numpy.linalg.eigh) and adds the package's
+deterministic ordering, degeneracy blocks and column phases.
 """
 
 import math
@@ -15,9 +17,15 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 
 
+def as_array(a) -> np.ndarray:
+    """a as a complex128 array if its dtype is complex, else as float64."""
+    a = np.asarray(a)
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+
+
 def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex128 matrix; raises on bad shape."""
-    a = np.asarray(a, dtype=np.complex128)
+    """Coerce to a square matrix (see `as_array`); raises on bad shape."""
+    a = as_array(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"operator must be a square matrix, got shape {a.shape}")
     return a
@@ -36,7 +44,7 @@ def max_norm(a) -> float:
 
 def hermitian_part(a) -> np.ndarray:
     """(a + a^H)/2 over the last two axes, so a stack of matrices works."""
-    a = np.asarray(a, dtype=np.complex128)
+    a = as_array(a)
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
@@ -82,7 +90,7 @@ def require_tolerance(value, what):
 
 
 def require_hermitian(a, tol=HERMITICITY_TOL, what="matrix"):
-    """a as a square complex128 matrix, checked to have finite entries and a
+    """a as a square matrix (`as_operator`), checked to have finite entries and a
     Hermiticity defect within tol * max(1, |a|_max).  The one validator of
     caller-supplied operators; its ValueError names `what` and the entry
     (j, k) at fault: the first non-finite one, or the most asymmetric one."""
@@ -101,8 +109,8 @@ def require_hermitian(a, tol=HERMITICITY_TOL, what="matrix"):
 def commutator_ad(w, a, hbar=1.0) -> np.ndarray:
     """Adjoint action (i/hbar)(WA - AW); Hermitian for Hermitian W, A."""
     hbar = require_positive(hbar, "hbar")
-    w = np.asarray(w, dtype=np.complex128)
-    a = np.asarray(a, dtype=np.complex128)
+    w = as_array(w)
+    a = as_array(a)
     _require_same_shape(w, a)
     return (1j / hbar) * (w @ a - a @ w)
 
@@ -119,6 +127,23 @@ class SpectralData:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     blocks: np.ndarray
+
+    def __post_init__(self):
+        blocks, n = self.blocks, len(self.eigenvalues)
+        if not (
+            isinstance(blocks, np.ndarray)
+            and blocks.dtype.kind in "iu"
+            and blocks.shape == (n,)
+        ):
+            got = (
+                f"{blocks.dtype} array of shape {blocks.shape}"
+                if isinstance(blocks, np.ndarray)
+                else type(blocks).__name__
+            )
+            raise ValueError(
+                f"blocks must be a 1-D integer array of length {n}, one label "
+                f"per eigenvalue, got {got}"
+            )
 
     @property
     def dim(self) -> int:
@@ -145,8 +170,9 @@ def degeneracy_blocks(lam, deg_tol=None) -> np.ndarray:
 
 
 def fix_column_phases(v) -> np.ndarray:
-    """Rotate each column so its largest-modulus entry is real positive."""
-    v = np.array(v, dtype=np.complex128, copy=True)
+    """Rotate each column so its largest-modulus entry is real positive (for
+    a real v, flip its sign)."""
+    v = np.array(as_array(v), copy=True)
     piv = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None, :], axis=0)[0]
     # np.hypot rounds as abs() of one complex scalar (np.abs of an array can
     # differ in the last bit), and each column is scaled as one vector times
@@ -164,7 +190,8 @@ def eigh(a, deg_tol=None) -> SpectralData:
 
     Parameters
     ----------
-    a : square array, finite and Hermitian within HERMITICITY_TOL
+    a : square array, finite and Hermitian within HERMITICITY_TOL; a real
+        one is solved in real arithmetic and gives real eigenvectors
     deg_tol : float or None
         Gap below which adjacent eigenvalues join one degeneracy block,
         finite and nonnegative.  None means `default_deg_tol`, 1e-9 times

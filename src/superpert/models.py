@@ -4,6 +4,11 @@ ingestion of user-supplied finite-dimensional models.
 The oscillator convention is H_0 = -d^2/dx^2 + x^2 (eigenvalues 1, 3, 5, ...)
 with x = (a + a^dagger)/sqrt(2), a_{n-1,n} = sqrt(n), and the quartic term
 x^4 as the order-1 perturbation.
+
+A model's terms share one dtype, decided here at ingestion: float64 when
+every term's imaginary part is exactly zero, complex128 otherwise.  The
+engine follows that dtype, so a real model such as the oscillator runs in
+real arithmetic.
 """
 
 import json
@@ -12,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import hermitian_part, require_hermitian, require_positive
+from .linalg import as_array, hermitian_part, require_hermitian, require_positive
 from .series import OperatorSeries, zero_padded
 
 
@@ -23,7 +28,7 @@ class ModelFormatError(ValueError):
 @dataclass(frozen=True)
 class ModelSpec:
     dim: int
-    h_coeffs: tuple  # ((order, matrix), ...), order 0 present, orders distinct
+    h_coeffs: tuple  # ((order, matrix), ...), order 0 first, orders distinct, one dtype
     hbar: float = 1.0
     name: str = "custom"
     provenance: str = "memory"
@@ -40,7 +45,7 @@ class ModelSpec:
         for p, mat in self.h_coeffs:
             if p == order:
                 return mat
-        return np.zeros((self.dim, self.dim), dtype=np.complex128)
+        return np.zeros((self.dim, self.dim), dtype=self.h_coeffs[0][1].dtype)
 
     def series(self, order: int) -> OperatorSeries:
         return zero_padded(dict(self.h_coeffs), self.dim, order, self.hbar)
@@ -61,7 +66,8 @@ def _model_error(context):
 
 def _validate_terms(dim, terms, hbar, name, provenance, context):
     """ModelSpec from (order, matrix) pairs; a bad matrix is named by its
-    index in `terms` and its order."""
+    index in `terms` and its order.  The matrices are stored as float64 when
+    every imaginary part is exactly zero, else as complex128."""
     if dim < 1:
         raise ModelFormatError(f"{context}: dimension must be positive, got {dim}")
     with _model_error(context):
@@ -75,7 +81,7 @@ def _validate_terms(dim, terms, hbar, name, provenance, context):
     for i, (p, mat) in enumerate(terms):
         if p < 0:
             raise ModelFormatError(f"{context}: negative term order {p}")
-        mat = np.asarray(mat, dtype=np.complex128)
+        mat = as_array(mat)
         if mat.shape != (dim, dim):
             raise ModelFormatError(
                 f"{context}: term of order {p} has shape {mat.shape}, "
@@ -84,6 +90,10 @@ def _validate_terms(dim, terms, hbar, name, provenance, context):
         with _model_error(context):
             mat = require_hermitian(mat, what=f"terms[{i}]: term of order {p}")
         clean.append((int(p), hermitian_part(mat)))
+    if any(np.iscomplexobj(m) and m.imag.any() for _, m in clean):
+        clean = [(p, m.astype(np.complex128, copy=False)) for p, m in clean]
+    else:
+        clean = [(p, np.ascontiguousarray(m.real)) for p, m in clean]
     return ModelSpec(
         dim=int(dim),
         h_coeffs=tuple(sorted(clean, key=lambda t: t[0])),

@@ -106,9 +106,9 @@ def rs_corrections(h0: SpectralData, v, max_order=4, levels=0, gap_guard=None):
             )
         resolvent = np.zeros(n)
         resolvent[others] = 1.0 / (lam[others] - lam[j])
-        psi = [np.zeros(n, dtype=np.complex128)]
+        psi = [np.zeros(n, dtype=vt.dtype)]
         psi[0][j] = 1.0
-        e = np.zeros(max_order + 1, dtype=np.complex128)
+        e = np.zeros(max_order + 1, dtype=vt.dtype)
         for l in range(1, max_order + 1):
             e[l] = vt[j, :] @ psi[l - 1]
             if l < max_order:

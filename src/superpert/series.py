@@ -1,8 +1,10 @@
 """Graded operator series and the conjugation recursions.
 
-A series sum_p eps^p/p! A_p is stored as the coefficient list [A_0..A_P];
+A series sum_p eps^p/p! X_p is stored as the coefficient list [X_0..X_P];
 the factorial weights are part of the grading, not of the stored matrices.
-A transform is given by its generator, an OperatorSeries whose slot l holds
+A transform is given by its generator series, whose slot l holds the
+generator of order l + 1.  The public functions (`conjugate_series`,
+`conjugate_series_table`, `u_coefficients`, `t_apply`) take the Hermitian
 W_{l+1}: the transform is generated by -W(eps) and acts on operators
 through the expansion maps
 
@@ -13,20 +15,26 @@ Cauchy product K_p = sum_j C(p, j) T_{p-j}(H_j); an equivalent recursion
 (K_p = sum_{j=1}^{p} C(p-1, j-1)(ad W_j(K_{p-j}) + T_{p-j}(H_j))) is kept
 as an independent cross-check.
 
-The images T_p are computed by one kernel, `_next_image`.  For Hermitian W
-and A, [W, A] = Y - Y^H with Y = W A, so each image accumulates
-Y = sum_l C(p, l) W_{l+1} T_{p-l}(a), one matrix product per live term, and
-is anti-Hermitized once: T_{p+1}(a) = (i/hbar)(Y - Y^H).  That halves the
-matrix products of the two-product commutator, and the image is Hermitian
-to the bit.  The kernel needs Hermitian operands to the bit, so every matrix
-that is Hermitian only up to rounding is symmetrized where it enters a
-series: the public `OperatorSeries` constructor symmetrizes its
-coefficients, and the stage engine its basis rotations.  `t_apply` takes any
-square operand and runs the kernel on its Hermitian and anti-Hermitian
-parts.  The cross-check route keeps the two-product `commutator_ad` for its
-own terms.
+Internally a generator is stored as the anti-Hermitian A = -iW, which is
+real antisymmetric when the model is real, so one kernel runs in the dtype
+of its operands: float64 for a real model, complex128 otherwise.  The
+public functions convert W exactly at entry (`_anti_hermitian`); the stage
+engine builds the A slots itself and calls `conjugate_by` and
+`flow_coefficients` directly.  With ad W = -(1/hbar)[A, .], and
+[A, T] = Y + Y^H with Y = A T for anti-Hermitian A and Hermitian T, the
+kernel `_next_image` accumulates Y = sum_l C(p, l) A_{l+1} T_{p-l}(x), one
+matrix product per live term, and takes T_{p+1}(x) = -(1/hbar)(Y + Y^H)
+once.  That halves the matrix products of the two-product commutator, and
+the image is Hermitian to the bit.  The kernel needs Hermitian operands and
+anti-Hermitian generators to the bit, so every matrix that is Hermitian
+only up to rounding is symmetrized where it enters a series: the public
+`OperatorSeries` constructor symmetrizes its coefficients, and the stage
+engine its basis rotations.  `t_apply` takes any square operand and runs the
+kernel on its Hermitian and anti-Hermitian parts.  The cross-check route
+keeps the two-product `commutator_ad` of W for its own terms.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,9 +58,15 @@ def binomial(p: int, l: int) -> float:
     return _BINOM[p][l]
 
 
-def shared_zero(dim: int) -> np.ndarray:
-    """Read-only zero matrix, safe to put in several slots at once."""
-    zero = np.zeros((dim, dim), dtype=np.complex128)
+def _common_dtype(mats):
+    """complex128 if any of the matrices is complex, else float64."""
+    return np.complex128 if any(np.iscomplexobj(c) for c in mats) else np.float64
+
+
+def shared_zero(dim: int, dtype) -> np.ndarray:
+    """Read-only zero matrix of the given dtype, safe to put in several
+    slots at once."""
+    zero = np.zeros((dim, dim), dtype=dtype)
     zero.flags.writeable = False
     return zero
 
@@ -63,9 +77,10 @@ class OperatorSeries:
 
     The constructor validates caller-supplied coefficients (`require_hermitian`)
     and hbar, and stores each coefficient's Hermitian part, so that every slot
-    is Hermitian to the bit; the engine builds the series it computes from
-    such operands through `_computed`, which skips those steps.  norms[p] is
-    max_norm(coeffs[p]); entries are finite, so a slot is an exact zero
+    is Hermitian to the bit, all in one dtype: float64 when every coefficient
+    is real, complex128 otherwise.  The engine builds the series it computes
+    from such operands through `_computed`, which skips those steps.  norms[p]
+    is max_norm(coeffs[p]); entries are finite, so a slot is an exact zero
     matrix exactly when its norm is 0 (see `live`).
     """
 
@@ -87,7 +102,8 @@ class OperatorSeries:
                     f"coefficient {p} has dimension {c.shape[0]}, "
                     f"expected {mats[0].shape[0]}"
                 )
-        self._set(mats, hbar)
+        dtype = _common_dtype(mats)
+        self._set(tuple(c.astype(dtype, copy=False) for c in mats), hbar)
 
     def _set(self, mats, hbar):
         """Store the fields; a non-finite slot raises ValueError naming it,
@@ -103,9 +119,10 @@ class OperatorSeries:
 
     @classmethod
     def _computed(cls, mats, hbar):
-        """Series of square complex128 matrices, Hermitian to the bit, computed
-        from validated operands, with a validated hbar: only the order cap,
-        the norms and the non-finite check are done."""
+        """Series of square matrices of one dtype, computed from validated
+        operands, with a validated hbar: Hermitian to the bit, or, for a
+        generator, anti-Hermitian to the bit.  Only the order cap, the norms
+        and the non-finite check are done."""
         series = object.__new__(cls)
         series._set(tuple(mats), hbar)
         return series
@@ -123,6 +140,19 @@ class OperatorSeries:
     def dim(self) -> int:
         return self.coeffs[0].shape[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.coeffs[0].dtype
+
+
+def _anti_hermitian(gen: OperatorSeries) -> OperatorSeries:
+    """The generator series A = -iW of gen's Hermitian slots W, exact; real
+    when every slot's imaginary part is exactly 0, complex128 otherwise."""
+    a = [-1j * w for w in gen.coeffs]
+    if not any(c.imag.any() for c in a):
+        a = [np.ascontiguousarray(c.real) for c in a]
+    return OperatorSeries._computed(a, gen.hbar)
+
 
 def _add(acc, term):
     """acc + term, where acc None is an empty sum; may reuse acc's memory."""
@@ -132,15 +162,15 @@ def _add(acc, term):
     return acc
 
 
-def _next_image(w, live, images, hbar):
-    """T_{p+1}(a) from images = [T_0(a), ..., T_p(a)], None if no term lands.
+def _next_image(a, live, images, hbar):
+    """T_{p+1}(x) from images = [T_0(x), ..., T_p(x)], None if no term lands.
 
-    Y = sum_l C(p, l) W_{l+1} T_{p-l}(a) over live generator slots and
-    images, one matrix product each; then (i/hbar)[W, T] = (i/hbar)(Y - Y^H)
-    for the whole sum, which is exact only for operands Hermitian to the bit.
-    Each sum starts from its first term, so the nonzero terms add up in the
-    same order as in the full recursion and skipped orders are structural
-    zeros."""
+    Y = sum_l C(p, l) A_{l+1} T_{p-l}(x) over live generator slots and
+    images, one matrix product each; then -(1/hbar)[A, T] = -(1/hbar)(Y + Y^H)
+    for the whole sum, which is exact only for A anti-Hermitian and T
+    Hermitian to the bit.  Each sum starts from its first term, so the
+    nonzero terms add up in the same order as in the full recursion and
+    skipped orders are structural zeros."""
     p = len(images) - 1
     y = None
     for l in live:
@@ -148,20 +178,21 @@ def _next_image(w, live, images, hbar):
             break
         src = images[p - l]
         if src is not None:
-            y = _add(y, binomial(p, l) * (w[l] @ src))
+            y = _add(y, binomial(p, l) * (a[l] @ src))
     if y is None:
         return None
-    y -= y.conj().T
-    y *= 1j / hbar
+    y += y.conj().T
+    y *= -1.0 / hbar
     return y
 
 
-def _t_images(gen: OperatorSeries, a: np.ndarray, up_to: int):
-    """[T_0(a), ..., T_up_to(a)], None for an image no term lands in."""
-    w, live, hbar = gen.coeffs, gen.live, gen.hbar
-    images = [a]
+def _t_images(agen: OperatorSeries, x: np.ndarray, up_to: int):
+    """[T_0(x), ..., T_up_to(x)] for the anti-Hermitian generator series agen,
+    None for an image no term lands in."""
+    a, live, hbar = agen.coeffs, agen.live, agen.hbar
+    images = [x]
     for _ in range(up_to):
-        images.append(_next_image(w, live, images, hbar))
+        images.append(_next_image(a, live, images, hbar))
     return images
 
 
@@ -171,17 +202,18 @@ def t_apply(gen: OperatorSeries, p: int, a) -> np.ndarray:
     split as h + i k with h, k Hermitian: T_p(a) = T_p(h) + i T_p(k)."""
     if not 0 <= p <= gen.order:
         raise ValueError(f"order index {p} outside 0..{gen.order}")
-    a = as_operator(np.array(a, dtype=np.complex128))
+    a = np.array(as_operator(a))
     if a.shape[0] != gen.dim:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {gen.dim}")
     if p == 0:
         return a
-    image = np.zeros_like(a)
+    agen = _anti_hermitian(gen)
+    image = None
     for part, phase in ((hermitian_part(a), 1.0), (hermitian_part(-1j * a), 1j)):
-        t = _t_images(gen, part, p)[p] if part.any() else None
+        t = _t_images(agen, part, p)[p] if part.any() else None
         if t is not None:
-            image += phase * t
-    return image
+            image = phase * t if image is None else image + phase * t
+    return np.zeros_like(a) if image is None else image
 
 
 def _check_match(gen: OperatorSeries, h: OperatorSeries):
@@ -192,25 +224,33 @@ def _check_match(gen: OperatorSeries, h: OperatorSeries):
         )
 
 
-def _all_images(gen: OperatorSeries, h: OperatorSeries):
-    """images[j][i] = T_i(H_j) for i + j <= order; None for structural zeros."""
+def _all_images(agen: OperatorSeries, h: OperatorSeries, dtype):
+    """images[j][i] = T_i(H_j) for i + j <= order, in dtype; None for
+    structural zeros."""
     P = h.order
     live = set(h.live)
     return [
-        _t_images(gen, h.coeffs[j], P - j) if j in live else [None] * (P + 1 - j)
+        _t_images(agen, h.coeffs[j].astype(dtype, copy=False), P - j)
+        if j in live
+        else [None] * (P + 1 - j)
         for j in range(P + 1)
     ]
 
 
-def _filled(slots, dim, hbar) -> OperatorSeries:
-    zero = shared_zero(dim)
-    return OperatorSeries._computed([zero if c is None else c for c in slots], hbar)
+def _filled(slots, h: OperatorSeries, dtype) -> OperatorSeries:
+    """Series of h's order, dim and hbar from slots of one dtype, None for a
+    zero slot."""
+    zero = shared_zero(h.dim, dtype)
+    return OperatorSeries._computed([zero if c is None else c for c in slots], h.hbar)
 
 
-def conjugate_series(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
-    """Series transformed by gen, Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j)."""
-    _check_match(gen, h)
-    images = _all_images(gen, h)
+def conjugate_by(agen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
+    """Series h transformed by the anti-Hermitian generator series agen, as the
+    Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j); the stage engine's route.
+    The result has the dtype agen and h promote to."""
+    _check_match(agen, h)
+    dtype = np.result_type(agen.dtype, h.dtype)
+    images = _all_images(agen, h, dtype)
     out = []
     for p in range(h.order + 1):
         kp = None
@@ -219,26 +259,54 @@ def conjugate_series(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
             if term is not None:
                 kp = _add(kp, binomial(p, j) * term)
         out.append(kp)
-    return _filled(out, h.dim, h.hbar)
+    return _filled(out, h, dtype)
+
+
+def conjugate_series(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
+    """Series transformed by gen, Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j)."""
+    return conjugate_by(_anti_hermitian(gen), h)
 
 
 def conjugate_series_table(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
     """Same transform through the stagewise recursion; cross-check route."""
     _check_match(gen, h)
     w, w_live, hbar = gen.coeffs, set(gen.live), h.hbar
-    images = _all_images(gen, h)
+    agen = _anti_hermitian(gen)
+    dtype = np.result_type(agen.dtype, h.dtype)
+    images = _all_images(agen, h, dtype)
     out = [None if images[0][0] is None else images[0][0].copy()]
     for p in range(1, h.order + 1):
-        kp = None
+        terms = []
         for j in range(1, p + 1):
             cof = binomial(p - 1, j - 1)
             if j - 1 in w_live and out[p - j] is not None:
-                kp = _add(kp, cof * commutator_ad(w[j - 1], out[p - j], hbar))
-            term = images[j][p - j]
-            if term is not None:
-                kp = _add(kp, cof * term)
-        out.append(kp)
-    return _filled(out, h.dim, h.hbar)
+                terms.append(cof * commutator_ad(w[j - 1], out[p - j], hbar))
+            if images[j][p - j] is not None:
+                terms.append(cof * images[j][p - j])
+        # summed out of place: ad W_j is complex where the images are real
+        out.append(functools.reduce(np.add, terms) if terms else None)
+    dtype = np.result_type(dtype, *{c.dtype for c in out if c is not None})
+    out = [None if c is None else c.astype(dtype, copy=False) for c in out]
+    return _filled(out, h, dtype)
+
+
+def flow_coefficients(agen: OperatorSeries):
+    """Coefficients of the flow of the anti-Hermitian generator series agen:
+    Phi(eps) ~ sum_p eps^p/p! U_p, the solution of U' = (1/hbar) U A(eps) with
+    U_0 = I, in agen's dtype.  Structurally zero coefficients share one
+    read-only zero matrix."""
+    a, live, hbar = agen.coeffs, agen.live, agen.hbar
+    u = [np.eye(agen.dim, dtype=agen.dtype)]
+    for p in range(agen.order):
+        nxt = None
+        for l in live:
+            if l > p:
+                break
+            if u[p - l] is not None:
+                nxt = _add(nxt, binomial(p, l) * (u[p - l] @ a[l]))
+        u.append(None if nxt is None else (1.0 / hbar) * nxt)
+    zero = shared_zero(agen.dim, agen.dtype)
+    return [zero if c is None else c for c in u]
 
 
 def u_coefficients(gen: OperatorSeries):
@@ -248,23 +316,12 @@ def u_coefficients(gen: OperatorSeries):
     U(eps)^{-1} A U(eps) reproduces the conjugated series to O(eps^{P+1}).
     Structurally zero coefficients share one read-only zero matrix.
     """
-    w, live, hbar = gen.coeffs, gen.live, gen.hbar
-    u = [np.eye(gen.dim, dtype=np.complex128)]
-    for p in range(gen.order):
-        nxt = None
-        for l in live:
-            if l > p:
-                break
-            if u[p - l] is not None:
-                nxt = _add(nxt, binomial(p, l) * (u[p - l] @ w[l]))
-        u.append(None if nxt is None else (-1j / hbar) * nxt)
-    zero = shared_zero(gen.dim)
-    return [zero if c is None else c for c in u]
+    return flow_coefficients(_anti_hermitian(gen))
 
 
 def weighted_sum(mats, eps: float) -> np.ndarray:
-    """sum_p eps^p/p! mats[p]."""
-    out = np.array(mats[0], dtype=np.complex128, copy=True)
+    """sum_p eps^p/p! mats[p], in float64 unless a matrix is complex."""
+    out = np.array(mats[0], dtype=_common_dtype(mats), copy=True)
     for p in range(1, len(mats)):
         c = mats[p]
         if c.any():
@@ -279,12 +336,14 @@ def eval_series(s: OperatorSeries, eps: float) -> np.ndarray:
 
 def zero_padded(coeffs_by_order, dim: int, order: int, hbar: float) -> OperatorSeries:
     """Series of the given order from a sparse {order: matrix} mapping of
-    validated Hermitian matrices, e.g. a model's terms; they are copied."""
-    slots = [shared_zero(dim)] * (order + 1)
+    validated Hermitian matrices, e.g. a model's terms; they are copied, in
+    float64 unless one of them is complex."""
+    dtype = _common_dtype(coeffs_by_order.values())
+    slots = [shared_zero(dim, dtype)] * (order + 1)
     for p, mat in coeffs_by_order.items():
         if p > order:
             raise ValueError(
                 f"term of order {p} does not fit truncation order {order}"
             )
-        slots[p] = np.array(mat, dtype=np.complex128)
+        slots[p] = np.array(mat, dtype=dtype)
     return OperatorSeries._computed(slots, hbar)

@@ -495,6 +495,99 @@ def test_match_labels_breaks_an_exact_tie_deterministically():
     assert np.array_equal(cli.match_labels(v_prev, v_new), first)
 
 
+def _greedy_walk(v_prev, v_new):
+    # reference: the greedy maximal-overlap walk, one pair at a time over all
+    # weights in descending order, ties in row-major order
+    weight = np.abs(v_prev.conj().T @ v_new) ** 2
+    n_cols = weight.shape[1]
+    perm = [-1] * weight.shape[0]
+    col_free = [True] * n_cols
+    for flat in np.argsort(-weight, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n_cols)
+        if perm[i] < 0 and col_free[j]:
+            perm[i] = j
+            col_free[j] = False
+    return np.array(perm, dtype=np.int64)
+
+
+def _block_unitary(rng, n, random_blocks):
+    # direct sum of 1x1 signs and scaled 2x2 and 4x4 Hadamard blocks, whose
+    # |entries|^2 tie exactly, or, where random_blocks, of random unitary
+    # blocks; rows and columns permuted
+    u = np.zeros((n, n), dtype=complex)
+    at = 0
+    while at < n:
+        size = int(rng.choice([s for s in (1, 2, 4) if at + s <= n]))
+        if random_blocks and rng.random() < 0.5:
+            block = _random_unitary(rng, size)
+        else:
+            block = np.ones((1, 1))
+            while block.shape[0] < size:
+                block = np.block([[block, block], [block, -block]])
+            block = block / np.sqrt(size)
+        u[at : at + size, at : at + size] = block
+        at += size
+    return u[rng.permutation(n)][:, rng.permutation(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "tied", "tied_and_random"]),
+)
+def test_match_labels_rounds_equal_the_greedy_walk(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        v_prev, v_new = _random_unitary(rng, n), _random_unitary(rng, n)
+    else:
+        # the identity times a matrix is exact, so the ties reach the weights
+        v_prev = np.eye(n)
+        v_new = _block_unitary(rng, n, random_blocks=kind == "tied_and_random")
+    assert np.array_equal(cli.match_labels(v_prev, v_new), _greedy_walk(v_prev, v_new))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_match_labels_staircase(n):
+    # weights rising along the path r0-c0-r1-c1-...: only the last pair of
+    # the free path is first in its row and column, one pair per round
+    weight = np.zeros((n, n))
+    for k in range(n):
+        weight[k, k] = 2.0 * k + 2.0
+        if k + 1 < n:
+            weight[k + 1, k] = 2.0 * k + 3.0
+    v_new = np.sqrt(weight / weight.max())
+    v_prev = np.eye(n)
+    want = _greedy_walk(v_prev, v_new)
+    assert np.array_equal(cli.match_labels(v_prev, v_new), want)
+    assert want.tolist() == list(range(n))
+
+
+def test_compare_quartic_makes_only_real_dense_eigh(capsys, monkeypatch):
+    # the quartic oscillator is real: every dense eigendecomposition of a
+    # compare run, engine and exact baseline alike, runs in real arithmetic
+    seen = []
+    numpy_eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        seen.append((np.asarray(a).dtype, np.ndim(a)))
+        return numpy_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    code, out, _ = _run(
+        [
+            "--method", "compare", "--builtin", "quartic_oscillator", "--dim", "40",
+            "--eps", "0.05,0.1", "--order", "4", "--stages", "3",
+            "--levels", "0,1", "--format", "json",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert {c["winner"] for c in json.loads(out)["comparisons"]} == {"su"}
+    assert len(seen) > 0
+    assert set(seen) == {(np.dtype(np.float64), 2)}
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--eps", "0.1,nan"), ("--deg-tol", "nan"), ("--gap-guard", "nan"),

@@ -246,6 +246,15 @@ def _random_unitary(rng, n):
     return np.linalg.qr(z)[0]
 
 
+def _random_orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def _random_symmetric(rng, n, scale=1.0):
+    m = rng.standard_normal((n, n))
+    return scale * (m + m.T) / 2.0
+
+
 def test_rotated_doubly_degenerate_unperturbed_part():
     rng = np.random.default_rng(52)
     levels = np.repeat([1.0, 2.5, 3.7, 5.2], 2)
@@ -284,43 +293,51 @@ def test_rotated_fully_degenerate_pair_stays_one_block():
     )
 
 
-@settings(max_examples=30)
+@settings(max_examples=60)
 @given(
     n=st.integers(3, 8),
     order=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
     degenerate=st.booleans(),
+    real=st.booleans(),
 )
-def test_engine_series_are_hermitian_to_the_bit(n, order, seed, degenerate):
+def test_engine_series_are_hermitian_to_the_bit(n, order, seed, degenerate, real):
     # the one-product conjugation kernel is exact only on operands Hermitian
-    # to the bit: every slot the engine builds and every generator must be
+    # to the bit and generators anti-Hermitian to the bit: every slot the
+    # engine builds must be the one and every generator the other, in real
+    # arithmetic as in complex
     rng = np.random.default_rng(seed)
     levels = np.cumsum(1.0 + rng.uniform(0.0, 1.0, size=n))
     if degenerate:
         levels = np.repeat(levels[: (n + 1) // 2], 2)[:n]
-    v = random_hermitian(rng, n, scale=0.3)
+    if real:
+        v = _random_symmetric(rng, n, scale=0.3)
+        q = _random_orthogonal(rng, n)
+    else:
+        v = random_hermitian(rng, n, scale=0.3)
+        q = _random_unitary(rng, n)
     v[0, -1] += 1e-12  # an asymmetry inside HERMITICITY_TOL
     base = sp.make_model(n, [(0, np.diag(levels)), (1, v)])
-    model = _rotated(base, _random_unitary(rng, n))
+    model = _rotated(base, q)
     seen = []
-    real = kolmogorov.conjugate_series
+    real_conjugate = kolmogorov.conjugate_by
 
     def recording(gen, h):
         seen.extend(gen.coeffs)
-        return real(gen, h)
+        return real_conjugate(gen, h)
 
     def defects(mats):
         return {sp.hermiticity_defect(c) for c in mats}
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kolmogorov, "conjugate_series", recording)
+        mp.setattr(kolmogorov, "conjugate_by", recording)
         state = sp.init(model, 0.05, order)
         assert defects(state.series.coeffs) == {0.0}
         for _ in range(default_n_stages(order)):
             state = sp.step(state)
             assert defects(state.series.coeffs) == {0.0}
     assert len(seen) == default_n_stages(order) * (order + 1)
-    assert defects(seen) == {0.0}
+    assert {sp.max_norm(c + c.conj().T) for c in seen} == {0.0}
 
 
 def test_degenerate_block_labels_follow_overlap():
@@ -396,3 +413,80 @@ def test_import_loads_no_scipy(module):
         "assert not loaded, loaded"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _as_complex(model):
+    # the same model held in complex128: ModelSpec built directly keeps the
+    # dtype, where the validating constructors would store it as float64
+    return dataclasses.replace(
+        model,
+        h_coeffs=tuple((p, m.astype(np.complex128)) for p, m in model.h_coeffs),
+    )
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(2, 10),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    rotate=st.booleans(),
+    second_order=st.booleans(),
+)
+def test_real_path_matches_the_complex_path(n, order, seed, rotate, second_order):
+    rng = np.random.default_rng(seed)
+    levels = np.cumsum(1.0 + rng.uniform(0.0, 1.0, size=n))
+    terms = [(0, np.diag(levels)), (1, _random_symmetric(rng, n, scale=0.3))]
+    if second_order:
+        terms.append((2, _random_symmetric(rng, n, scale=0.3)))
+        order = max(order, 2)
+    model = sp.make_model(n, terms)
+    if rotate:
+        model = _rotated(model, _random_orthogonal(rng, n))
+    assert {m.dtype for _, m in model.h_coeffs} == {np.dtype(np.float64)}
+    forced = _as_complex(model)
+    real = sp.run(model, 0.05, order)
+    cplx = sp.run(forced, 0.05, order)
+    assert real.eigenvectors.dtype == np.float64
+    assert cplx.eigenvectors.dtype == np.complex128
+    for e_real, e_cplx in zip(real.energies, cplx.energies):
+        np.testing.assert_allclose(e_real, e_cplx, rtol=1e-12, atol=0)
+    overlap = np.abs(np.sum(real.eigenvectors.conj() * cplx.eigenvectors, axis=0))
+    assert overlap.min() >= 1.0 - 1e-12
+
+
+def _stage_dtypes(model, order, monkeypatch):
+    """(dtypes of every series slot, basis and generator slot, the generator
+    slots) over a full run of init and steps."""
+    gens = []
+    conjugate_by = kolmogorov.conjugate_by
+
+    def recording(gen, h):
+        gens.extend(gen.coeffs)
+        return conjugate_by(gen, h)
+
+    monkeypatch.setattr(kolmogorov, "conjugate_by", recording)
+    state = sp.init(model, 0.05, order)
+    dtypes = {c.dtype for c in state.series.coeffs} | {state.basis.dtype}
+    for _ in range(default_n_stages(order)):
+        state = sp.step(state)
+        dtypes |= {c.dtype for c in state.series.coeffs} | {state.basis.dtype}
+    return dtypes | {a.dtype for a in gens}, gens
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_engine_runs_in_the_dtype_of_the_model(real, monkeypatch):
+    if real:
+        model, dtype = sp.build_quartic_oscillator(12), np.dtype(np.float64)
+    else:
+        rng = np.random.default_rng(55)
+        model = random_diagonal_model(rng, 6, gap=1.0, v_scale=0.4)
+        dtype = np.dtype(np.complex128)
+    assert {m.dtype for _, m in model.h_coeffs} == {dtype}
+    assert model.coefficient(3).dtype == dtype  # an absent order
+    dtypes, gens = _stage_dtypes(model, 8, monkeypatch)
+    assert dtypes == {dtype}
+    # A = -iW for the Hermitian generator W: anti-Hermitian to the bit, which
+    # for a real model is A + A^T == 0
+    assert {sp.max_norm(a + a.conj().T) for a in gens} == {0.0}
+    assert any(a.any() for a in gens)
+    assert sp.run(model, 0.05, 8).eigenvectors.dtype == dtype

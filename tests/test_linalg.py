@@ -295,3 +295,20 @@ def test_block_diagonalization_matches_per_block_eigh(case):
     np.testing.assert_array_equal(lam, want_lam)
     np.testing.assert_array_equal(np.eye(n) if q is None else q, want_q)
     assert new_blocks.tolist() == _blocks_by_walk(lam.tolist(), deg_tol)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        ((0, 1), (2,)),  # the former tuple-of-index-tuples format
+        np.array([0.0, 0.0, 1.0]),
+        np.array([[0, 0, 1]]),
+        np.array([0, 1]),
+        [0, 0, 1],
+    ],
+    ids=["tuple_of_tuples", "float_labels", "two_dimensional", "too_short", "list"],
+)
+def test_spectral_data_rejects_bad_blocks(blocks):
+    with pytest.raises(ValueError, match="blocks"):
+        sp.SpectralData(np.array([1.0, 1.0, 2.0]), np.eye(3), blocks)
+

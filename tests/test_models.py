@@ -271,3 +271,28 @@ def test_json_model_round_trip(data):
     assert [p for p, _ in model.h_coeffs] == sorted(orders)
     for p, m in expected.items():
         assert np.array_equal(model.coefficient(p), m)
+
+
+def test_model_dtype_is_decided_by_the_imaginary_parts():
+    # [re, im] entries whose imaginary parts are all exactly zero give a real
+    # model; one nonzero imaginary part keeps every term complex
+    def doc(im):
+        return {
+            "dimension": 2,
+            "terms": [
+                {"order": 0, "matrix": [[0.0, 0.0], [0.0, 1.0]]},
+                {"order": 1, "matrix": [[0.0, [0.5, im]], [[0.5, -im], 0.0]]},
+            ],
+        }
+
+    assert {m.dtype for _, m in sp.model_from_dict(doc(0.0)).h_coeffs} == {
+        np.dtype(np.float64)
+    }
+    assert {m.dtype for _, m in sp.model_from_dict(doc(-0.0)).h_coeffs} == {
+        np.dtype(np.float64)
+    }
+    assert {m.dtype for _, m in sp.model_from_dict(doc(0.25)).h_coeffs} == {
+        np.dtype(np.complex128)
+    }
+    mixed = sp.make_model(2, [(0, np.diag([0.0, 1.0])), (1, [[0, 0.5j], [-0.5j, 0]])])
+    assert {m.dtype for _, m in mixed.h_coeffs} == {np.dtype(np.complex128)}

@@ -110,7 +110,9 @@ def test_t_apply_of_a_hermitian_operand_is_hermitian_to_the_bit():
     for p in range(1, 4):
         image = sp.t_apply(ts, p, a)
         assert sp.hermiticity_defect(image) == 0.0
-        np.testing.assert_array_equal(image, series._t_images(ts, a, p)[p])
+        np.testing.assert_array_equal(
+            image, series._t_images(series._anti_hermitian(ts), a, p)[p]
+        )
 
 
 def test_t_expansion_against_matrix_exponential():
@@ -327,22 +329,24 @@ def test_series_norms_and_live_orders():
     assert s.hbar == 0.5
 
 
-def _full_images(w, a, up_to, hbar):
+def _full_images(a, x, up_to, hbar):
     # the expansion maps with every term summed, zero or not: Y = sum of the
-    # products W T, anti-Hermitized once per image
-    images = [np.array(a, dtype=complex)]
+    # products A T for the anti-Hermitian generator slots A = -iW,
+    # anti-Hermitized once per image
+    images = [np.array(x, dtype=complex)]
     for p in range(up_to):
         y = np.zeros_like(images[0])
         for l in range(p + 1):
-            y += binomial(p, l) * (w[l] @ images[p - l])
-        images.append((1j / hbar) * (y - y.conj().T))
+            y += binomial(p, l) * (a[l] @ images[p - l])
+        images.append((-1.0 / hbar) * (y + y.conj().T))
     return images
 
 
 def _full_conjugations(ts, h):
     """(Cauchy route, table route, flow coefficients) without skipping."""
     P, w, hbar = h.order, ts.coeffs, h.hbar
-    images = [_full_images(w, h.coeffs[j], P - j, hbar) for j in range(P + 1)]
+    a = series._anti_hermitian(ts).coeffs
+    images = [_full_images(a, h.coeffs[j], P - j, hbar) for j in range(P + 1)]
     cauchy, table, u = [], [np.array(h.coeffs[0])], [np.eye(h.dim, dtype=complex)]
     for p in range(P + 1):
         kp = np.zeros_like(h.coeffs[0])
@@ -359,8 +363,8 @@ def _full_conjugations(ts, h):
     for p in range(P):
         nxt = np.zeros_like(u[0])
         for l in range(p + 1):
-            nxt += binomial(p, l) * (u[p - l] @ w[l])
-        u.append((-1j / hbar) * nxt)
+            nxt += binomial(p, l) * (u[p - l] @ a[l])
+        u.append((1.0 / hbar) * nxt)
     return cauchy, table, u
 
 
@@ -393,3 +397,30 @@ def test_binomials_exact_small_orders():
     assert binomial(6, 3) == 20.0
     assert binomial(0, 0) == 1.0
     assert binomial(62, 31) == float(math.comb(62, 31))
+
+
+def test_public_routes_run_real_for_an_imaginary_generator():
+    # W = iK with K real antisymmetric gives the real generator A = -iW = K:
+    # a real series is then conjugated and flowed in real arithmetic, and
+    # agrees with the complex cross-check route
+    rng = np.random.default_rng(35)
+    n, P = 5, 4
+
+    def real_symmetric():
+        m = rng.standard_normal((n, n))
+        return (m + m.T) / 2.0
+
+    def imaginary_hermitian():
+        m = rng.standard_normal((n, n))
+        return 0.3j * (m - m.T) / 2.0
+
+    h = OperatorSeries(tuple(real_symmetric() for _ in range(P + 1)), 0.8)
+    gen = OperatorSeries(tuple(imaginary_hermitian() for _ in range(P + 1)), 0.8)
+    k = sp.conjugate_series(gen, h)
+    assert {c.dtype for c in k.coeffs} == {np.dtype(np.float64)}
+    assert {u.dtype for u in sp.u_coefficients(gen)} == {np.dtype(np.float64)}
+    assert sp.t_apply(gen, 2, h.coeffs[1]).dtype == np.float64
+    table = sp.conjugate_series_table(gen, h)
+    for c1, c2 in zip(k.coeffs, table.coeffs):
+        scale = max(1.0, sp.max_norm(c1), sp.max_norm(c2))
+        assert sp.max_norm(c1 - c2) <= 1e-11 * scale
