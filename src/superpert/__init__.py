@@ -7,7 +7,7 @@ corrections through order 4 and dense exact diagonalization are included
 as baselines, plus a batch CLI producing deterministic CSV/JSON reports.
 """
 
-from .averaging import AveragingResult, SmallDenominatorError, average, min_cross_block_gap
+from .averaging import AveragingResult, SmallDenominatorError, average
 from .kolmogorov import (
     ConsistencyError,
     KolmogorovState,
@@ -41,9 +41,7 @@ from .series import (
     MAX_ORDER,
     OperatorSeries,
     conjugate_series,
-    conjugate_series_table,
     eval_series,
-    t_apply,
     u_coefficients,
     weighted_sum,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "build_quartic_oscillator",
     "commutator_ad",
     "conjugate_series",
-    "conjugate_series_table",
     "default_n_stages",
     "eigh",
     "eval_series",
@@ -78,13 +75,11 @@ __all__ = [
     "load_model",
     "make_model",
     "max_norm",
-    "min_cross_block_gap",
     "model_from_dict",
     "require_hermitian",
     "rs_corrections",
     "run",
     "step",
-    "t_apply",
     "u_coefficients",
     "weighted_sum",
     "__version__",

@@ -61,12 +61,6 @@ def _boundary_gaps(lam, blocks):
     return j, k, lam[k] - lam[j]
 
 
-def min_cross_block_gap(spectral: SpectralData) -> float:
-    """Smallest |E_j - E_k| over pairs in different blocks (inf if one block)."""
-    gaps = _boundary_gaps(spectral.eigenvalues, spectral.blocks)[2]
-    return float(np.min(gaps, initial=np.inf))
-
-
 def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingResult:
     """Split B into its A-commuting average and the generator primitive.
 

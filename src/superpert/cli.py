@@ -13,10 +13,9 @@ import warnings
 
 import numpy as np
 
-from .averaging import SmallDenominatorError
-from .kolmogorov import ConsistencyError, default_n_stages, run
+from .kolmogorov import default_n_stages, run
 from .linalg import eigh, require_finite, require_tolerance
-from .models import BUILTIN_MODELS, ModelFormatError, load_model
+from .models import BUILTIN_MODELS, load_model
 from .rayleigh_schrodinger import rs_corrections
 from .series import eval_series
 
@@ -105,8 +104,10 @@ def compute_report(args: argparse.Namespace) -> dict:
     deg_tol = require_tolerance(args.deg_tol, "--deg-tol")
     gap_guard = require_tolerance(args.gap_guard, "--gap-guard")
     n_stages = args.stages if args.stages is not None else default_n_stages(args.order)
-
     want_su = args.method in ("su", "compare")
+    if want_su and n_stages < 1:
+        raise ValueError(f"--stages must be at least 1, got {n_stages}")
+
     want_rs = args.method in ("rs", "compare")
     want_exact_rows = args.method in ("exact", "compare")
     rs_max = min(args.order, 4)
@@ -377,13 +378,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return cmd_run(args)
-    except (
-        ModelFormatError,
-        SmallDenominatorError,
-        ConsistencyError,
-        ValueError,
-        RuntimeError,
-    ) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -268,6 +268,7 @@ def run(
     SuResult; energies[n][j] is the stage-n eigenvalue attached to
     unperturbed label j, energies[0] the unperturbed spectrum.
     """
+    state = init(model, eps, order, deg_tol=deg_tol, gap_guard=gap_guard)
     if n_stages is None:
         n_stages = default_n_stages(order)
     if n_stages < 1:
@@ -279,7 +280,6 @@ def run(
             stacklevel=2,
         )
 
-    state = init(model, eps, order, deg_tol=deg_tol, gap_guard=gap_guard)
     energies = [state.levels]
     for _ in range(n_stages):
         state = step(state)

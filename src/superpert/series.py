@@ -4,16 +4,13 @@ A series sum_p eps^p/p! X_p is stored as the coefficient list [X_0..X_P];
 the factorial weights are part of the grading, not of the stored matrices.
 A transform is given by its generator series, whose slot l holds the
 generator of order l + 1.  The public functions (`conjugate_series`,
-`conjugate_series_table`, `u_coefficients`, `t_apply`) take the Hermitian
-W_{l+1}: the transform is generated by -W(eps) and acts on operators
-through the expansion maps
+`u_coefficients`) take the Hermitian W_{l+1}: the transform is generated by
+-W(eps) and acts on operators through the expansion maps
 
     T_0 = id,   T_{p+1} = sum_{l=0}^{p} C(p, l) ad W_{l+1} o T_{p-l}
 
 where ad W = (i/hbar)[W, .].  Conjugating a Hamiltonian series is the
-Cauchy product K_p = sum_j C(p, j) T_{p-j}(H_j); an equivalent recursion
-(K_p = sum_{j=1}^{p} C(p-1, j-1)(ad W_j(K_{p-j}) + T_{p-j}(H_j))) is kept
-as an independent cross-check.
+Cauchy product K_p = sum_j C(p, j) T_{p-j}(H_j).
 
 Internally a generator is stored as the anti-Hermitian A = -iW, which is
 real antisymmetric when the model is real, so one kernel runs in the dtype
@@ -29,25 +26,15 @@ the image is Hermitian to the bit.  The kernel needs Hermitian operands and
 anti-Hermitian generators to the bit, so every matrix that is Hermitian
 only up to rounding is symmetrized where it enters a series: the public
 `OperatorSeries` constructor symmetrizes its coefficients, and the stage
-engine its basis rotations.  `t_apply` takes any square operand and runs the
-kernel on its Hermitian and anti-Hermitian parts.  The cross-check route
-keeps the two-product `commutator_ad` of W for its own terms.
+engine its basis rotations.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    as_operator,
-    commutator_ad,
-    finite_norm,
-    hermitian_part,
-    require_hermitian,
-    require_positive,
-)
+from .linalg import finite_norm, hermitian_part, require_hermitian, require_positive
 
 MAX_ORDER = 62  # binomials stay exact in int64 up to this order
 
@@ -196,26 +183,6 @@ def _t_images(agen: OperatorSeries, x: np.ndarray, up_to: int):
     return images
 
 
-def t_apply(gen: OperatorSeries, p: int, a) -> np.ndarray:
-    """Image T_p(a) of one square operator under the transform generated by
-    gen.  T_p is linear and the kernel takes Hermitian operands, so a is
-    split as h + i k with h, k Hermitian: T_p(a) = T_p(h) + i T_p(k)."""
-    if not 0 <= p <= gen.order:
-        raise ValueError(f"order index {p} outside 0..{gen.order}")
-    a = np.array(as_operator(a))
-    if a.shape[0] != gen.dim:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {gen.dim}")
-    if p == 0:
-        return a
-    agen = _anti_hermitian(gen)
-    image = None
-    for part, phase in ((hermitian_part(a), 1.0), (hermitian_part(-1j * a), 1j)):
-        t = _t_images(agen, part, p)[p] if part.any() else None
-        if t is not None:
-            image = phase * t if image is None else image + phase * t
-    return np.zeros_like(a) if image is None else image
-
-
 def _check_match(gen: OperatorSeries, h: OperatorSeries):
     if (gen.order, gen.dim, gen.hbar) != (h.order, h.dim, h.hbar):
         raise ValueError(
@@ -265,29 +232,6 @@ def conjugate_by(agen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
 def conjugate_series(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
     """Series transformed by gen, Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j)."""
     return conjugate_by(_anti_hermitian(gen), h)
-
-
-def conjugate_series_table(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
-    """Same transform through the stagewise recursion; cross-check route."""
-    _check_match(gen, h)
-    w, w_live, hbar = gen.coeffs, set(gen.live), h.hbar
-    agen = _anti_hermitian(gen)
-    dtype = np.result_type(agen.dtype, h.dtype)
-    images = _all_images(agen, h, dtype)
-    out = [None if images[0][0] is None else images[0][0].copy()]
-    for p in range(1, h.order + 1):
-        terms = []
-        for j in range(1, p + 1):
-            cof = binomial(p - 1, j - 1)
-            if j - 1 in w_live and out[p - j] is not None:
-                terms.append(cof * commutator_ad(w[j - 1], out[p - j], hbar))
-            if images[j][p - j] is not None:
-                terms.append(cof * images[j][p - j])
-        # summed out of place: ad W_j is complex where the images are real
-        out.append(functools.reduce(np.add, terms) if terms else None)
-    dtype = np.result_type(dtype, *{c.dtype for c in out if c is not None})
-    out = [None if c is None else c.astype(dtype, copy=False) for c in out]
-    return _filled(out, h, dtype)
 
 
 def flow_coefficients(agen: OperatorSeries):

@@ -1,0 +1,68 @@
+"""Reference implementations that the tests check the package against.
+
+They share no code with the package's conjugation kernel: every image of
+the transform generated by -W(eps) is built from the Hermitian generator
+slots W with the two-product commutator ad W = (i/hbar)[W, .],
+
+    T_0 = id,   T_{p+1} = sum_{l=0}^{p} C(p, l) ad W_{l+1} o T_{p-l},
+
+summing every term, zero or not, in complex arithmetic and for any square
+operand.  The smallest cross-block gap is a minimum over all level pairs.
+"""
+
+import math
+
+import numpy as np
+
+import superpert as sp
+
+
+def t_images(gen, a, up_to):
+    """[T_0(a), ..., T_up_to(a)] under the transform generated by gen."""
+    w, hbar = gen.coeffs, gen.hbar
+    images = [np.array(a, dtype=complex)]
+    for p in range(up_to):
+        nxt = np.zeros_like(images[0])
+        for l in range(p + 1):
+            nxt += math.comb(p, l) * sp.commutator_ad(w[l], images[p - l], hbar)
+        images.append(nxt)
+    return images
+
+
+def t_apply(gen, p, a):
+    """Image T_p(a) of one square operator a under the transform generated
+    by gen."""
+    if not 0 <= p <= gen.order:
+        raise ValueError(f"order index {p} outside 0..{gen.order}")
+    return t_images(gen, a, p)[p]
+
+
+def conjugate_series_table(gen, h):
+    """h transformed by gen through the stagewise recursion
+
+        K_0 = H_0,  K_p = sum_{j=1}^{p} C(p-1, j-1) (ad W_j(K_{p-j}) + T_{p-j}(H_j)),
+
+    the cross-check of the package's Cauchy route."""
+    if (gen.order, gen.dim, gen.hbar) != (h.order, h.dim, h.hbar):
+        raise ValueError(
+            f"generator (order {gen.order}, dim {gen.dim}, hbar {gen.hbar}) "
+            f"does not match series (order {h.order}, dim {h.dim}, hbar {h.hbar})"
+        )
+    w, hbar, order = gen.coeffs, h.hbar, h.order
+    images = [None] + [t_images(gen, h.coeffs[j], order - j) for j in range(1, order + 1)]
+    out = [np.array(h.coeffs[0], dtype=complex)]
+    for p in range(1, order + 1):
+        kp = np.zeros_like(out[0])
+        for j in range(1, p + 1):
+            ad = sp.commutator_ad(w[j - 1], out[p - j], hbar)
+            kp += math.comb(p - 1, j - 1) * (ad + images[j][p - j])
+        out.append(kp)
+    return sp.OperatorSeries(tuple(out), hbar)
+
+
+def min_cross_block_gap(spectral):
+    """Smallest |E_j - E_k| over level pairs in different degeneracy blocks
+    (inf for one block)."""
+    lam, blocks = spectral.eigenvalues, spectral.blocks
+    gaps = np.abs(lam[:, None] - lam[None, :])
+    return float(np.min(gaps[blocks[:, None] != blocks[None, :]], initial=np.inf))

@@ -592,9 +592,9 @@ def test_compare_quartic_makes_only_real_dense_eigh(capsys, monkeypatch):
     "flag, value",
     [("--eps", "0.1,nan"), ("--deg-tol", "nan"), ("--gap-guard", "nan"),
      ("--gap-guard", "-1e-6"), ("--eps", "0.1,0.1"), ("--levels", "0,0"),
-     ("--eps", "1e300")],
+     ("--eps", "1e300"), ("--stages", "0"), ("--stages", "-1")],
     ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative", "eps_repeated",
-         "levels_repeated", "eps_overflow"],
+         "levels_repeated", "eps_overflow", "stages", "stages_negative"],
 )
 def test_bad_numeric_flag_is_named(capsys, flag, value):
     args = [

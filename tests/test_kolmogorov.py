@@ -13,6 +13,7 @@ import superpert as sp
 from superpert import kolmogorov
 from superpert.kolmogorov import default_n_stages
 
+import reference
 from conftest import random_diagonal_model, random_hermitian
 
 
@@ -220,7 +221,7 @@ def test_one_averaging_call_per_stage(monkeypatch):
         entering = sp.SpectralData(state.levels, np.eye(12), state.blocks)
         state = sp.step(state)
         if state.stage < 4:
-            assert state.history[-1].min_gap == sp.min_cross_block_gap(entering)
+            assert state.history[-1].min_gap == reference.min_cross_block_gap(entering)
     # windows 1, 2..3 and 4..7; the fourth stage has no slot left
     assert calls == [1, 2, 4]
     assert state.history[-1].min_gap == float("inf")
@@ -390,8 +391,8 @@ def test_run_is_unitarily_invariant():
 @pytest.mark.parametrize(
     "param, bad",
     [("eps", float("nan")), ("deg_tol", float("nan")), ("gap_guard", float("inf")),
-     ("gap_guard", -1e-6)],
-    ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative"],
+     ("gap_guard", -1e-6), ("order", 0), ("order", -1)],
+    ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative", "order", "order_negative"],
 )
 def test_run_rejects_bad_parameter(param, bad):
     model = sp.build_quartic_oscillator(8)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import superpert as sp
-from superpert import series
+from superpert import linalg, series
 from superpert.series import OperatorSeries, binomial, zero_padded
 
+import reference
 from conftest import random_hermitian
 
 
@@ -60,59 +62,35 @@ def test_eval_matches_horner():
         assert sp.max_norm(direct - ref) <= 1e-13 * max(1.0, sp.max_norm(ref))
 
 
+def _kernel_images(gen, a, up_to):
+    """[T_0(a), ..., T_up_to(a)] from the package's one-product kernel."""
+    return series._t_images(series._anti_hermitian(gen), a, up_to)
+
+
 def test_t_apply_order_zero_and_one():
     rng = np.random.default_rng(22)
     w1 = random_hermitian(rng, 4)
     a = random_hermitian(rng, 4)
     ts = _transform_only_w1(w1, 3, hbar=0.5)
-    np.testing.assert_array_equal(sp.t_apply(ts, 0, a), a)
-    np.testing.assert_allclose(
-        sp.t_apply(ts, 1, a), sp.commutator_ad(w1, a, 0.5), atol=1e-15
-    )
+    images = _kernel_images(ts, a, 1)
+    np.testing.assert_array_equal(images[0], a)
+    np.testing.assert_allclose(images[1], sp.commutator_ad(w1, a, 0.5), atol=1e-15)
+    np.testing.assert_array_equal(reference.t_apply(ts, 0, a), a)
     with pytest.raises(ValueError, match="order index"):
-        sp.t_apply(ts, 4, a)
+        reference.t_apply(ts, 4, a)
     with pytest.raises(ValueError, match="order index"):
-        sp.t_apply(ts, -1, a)
-
-
-def _two_product_images(w, a, up_to, hbar):
-    # T_{p+1}(a) = sum_l C(p, l) (i/hbar)[W_{l+1}, T_{p-l}(a)], for any a
-    images = [np.array(a, dtype=complex)]
-    for p in range(up_to):
-        nxt = np.zeros_like(images[0])
-        for l in range(p + 1):
-            nxt += binomial(p, l) * sp.commutator_ad(w[l], images[p - l], hbar)
-        images.append(nxt)
-    return images
-
-
-def test_t_apply_takes_a_non_hermitian_operand():
-    # a ladder-type |0><2| and a random complex matrix: the transform is
-    # linear, so it is defined for any operator, not only Hermitian ones
-    rng = np.random.default_rng(31)
-    ts = _series(rng, 4, 3, hbar=0.7, scale=0.5, zero_slots=(1,))
-    rank_one = np.zeros((4, 4), dtype=complex)
-    rank_one[0, 2] = 1.0
-    for a in (rank_one, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))):
-        ref = _two_product_images(ts.coeffs, a, 3, 0.7)
-        np.testing.assert_array_equal(sp.t_apply(ts, 0, a), a)
-        for p in range(1, 4):
-            got = sp.t_apply(ts, p, a)
-            np.testing.assert_allclose(got, ref[p], rtol=0, atol=1e-13 * sp.max_norm(ref[p]))
-        assert sp.hermiticity_defect(sp.t_apply(ts, 1, a)) > 1e-3
-    np.testing.assert_array_equal(sp.t_apply(ts, 2, np.zeros((4, 4))), np.zeros((4, 4)))
+        reference.t_apply(ts, -1, a)
 
 
 def test_t_apply_of_a_hermitian_operand_is_hermitian_to_the_bit():
     rng = np.random.default_rng(32)
     ts = _series(rng, 4, 3, hbar=0.7)
     a = random_hermitian(rng, 4)
+    images = _kernel_images(ts, a, 3)
     for p in range(1, 4):
-        image = sp.t_apply(ts, p, a)
-        assert sp.hermiticity_defect(image) == 0.0
-        np.testing.assert_array_equal(
-            image, series._t_images(series._anti_hermitian(ts), a, p)[p]
-        )
+        assert sp.hermiticity_defect(images[p]) == 0.0
+        ref = reference.t_apply(ts, p, a)
+        np.testing.assert_allclose(images[p], ref, rtol=0, atol=1e-13 * sp.max_norm(ref))
 
 
 def test_t_expansion_against_matrix_exponential():
@@ -124,7 +102,7 @@ def test_t_expansion_against_matrix_exponential():
     a = random_hermitian(rng, 4)
     P = 4
     ts = _transform_only_w1(w1, P, hbar=hbar)
-    images = [sp.t_apply(ts, p, a) for p in range(P + 1)]
+    images = _kernel_images(ts, a, P)
 
     def err(eps):
         approx = sum(eps**p / math.factorial(p) * images[p] for p in range(P + 1))
@@ -164,7 +142,7 @@ def test_conjugation_routes_agree():
         h = _series(rng, 4, P, hbar=0.9)
         gen = _series(rng, 4, P, hbar=0.9, scale=0.8)
         k1 = sp.conjugate_series(gen, h)
-        k2 = sp.conjugate_series_table(gen, h)
+        k2 = reference.conjugate_series_table(gen, h)
         for p in range(P + 1):
             scale = max(1.0, sp.max_norm(k1.coeffs[p]), sp.max_norm(k2.coeffs[p]))
             assert sp.max_norm(k1.coeffs[p] - k2.coeffs[p]) <= 1e-11 * scale
@@ -184,7 +162,7 @@ def test_conjugation_routes_agree_on_random_series(n, order, seed, hbar, zero_w,
     h = _series(rng, n, order, hbar=hbar, zero_slots=zero_h)
     gen = _series(rng, n, order, hbar=hbar, scale=0.5, zero_slots=zero_w)
     k1 = sp.conjugate_series(gen, h)
-    k2 = sp.conjugate_series_table(gen, h)
+    k2 = reference.conjugate_series_table(gen, h)
     for c1, c2 in zip(k1.coeffs, k2.coeffs):
         scale = max(1.0, sp.max_norm(c1), sp.max_norm(c2))
         assert sp.max_norm(c1 - c2) <= 1e-11 * scale
@@ -200,21 +178,38 @@ def test_conjugation_preserves_hermiticity():
 
 
 def test_commutator_ad_is_left_to_the_cross_check_route(monkeypatch):
-    # the engine's conjugations run on the one-product kernel; the table
-    # route keeps the two-product commutator for its own terms
+    # the engine's conjugations run on the one-product kernel; only the
+    # reference route uses the two-product commutator
     calls = []
-    real = series.commutator_ad
+    real = linalg.commutator_ad
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(series, "commutator_ad", counted)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "superpert" and hasattr(module, "commutator_ad"):
+            monkeypatch.setattr(module, "commutator_ad", counted)
     sp.run(sp.build_quartic_oscillator(10), 0.1, 8)
     assert calls == []
     rng = np.random.default_rng(34)
-    sp.conjugate_series_table(_series(rng, 4, 3, scale=0.5), _series(rng, 4, 3))
+    reference.conjugate_series_table(_series(rng, 4, 3, scale=0.5), _series(rng, 4, 3))
     assert len(calls) > 0
+
+
+def test_reference_route_shares_no_kernel(monkeypatch):
+    # the cross-check is independent only while it builds its own images
+    def unavailable(*args):
+        raise AssertionError("the package's conjugation kernel was called")
+
+    for name in ("_next_image", "_t_images", "_all_images", "_anti_hermitian", "conjugate_by"):
+        monkeypatch.setattr(series, name, unavailable)
+    rng = np.random.default_rng(36)
+    gen, h = _series(rng, 4, 3, scale=0.5), _series(rng, 4, 3)
+    with pytest.raises(AssertionError, match="kernel was called"):
+        sp.conjugate_series(gen, h)
+    reference.conjugate_series_table(gen, h)
+    reference.t_apply(gen, 3, h.coeffs[1])
 
 
 def test_u_coefficients_trivial_and_powers():
@@ -280,7 +275,7 @@ def test_series_validation():
         sp.conjugate_series(OperatorSeries((a, a)), OperatorSeries((a,)))
 
 
-@pytest.mark.parametrize("route", [sp.conjugate_series, sp.conjugate_series_table])
+@pytest.mark.parametrize("route", [sp.conjugate_series, reference.conjugate_series_table])
 def test_conjugation_rejects_mismatched_hbar(route):
     # the two routes used to take hbar from different operands, so with
     # hbar 1 against 2 they disagreed instead of failing
@@ -343,29 +338,22 @@ def _full_images(a, x, up_to, hbar):
 
 
 def _full_conjugations(ts, h):
-    """(Cauchy route, table route, flow coefficients) without skipping."""
-    P, w, hbar = h.order, ts.coeffs, h.hbar
+    """(Cauchy route, flow coefficients) without skipping."""
+    P, hbar = h.order, h.hbar
     a = series._anti_hermitian(ts).coeffs
     images = [_full_images(a, h.coeffs[j], P - j, hbar) for j in range(P + 1)]
-    cauchy, table, u = [], [np.array(h.coeffs[0])], [np.eye(h.dim, dtype=complex)]
+    cauchy, u = [], [np.eye(h.dim, dtype=complex)]
     for p in range(P + 1):
         kp = np.zeros_like(h.coeffs[0])
         for j in range(p + 1):
             kp += binomial(p, j) * images[j][p - j]
         cauchy.append(kp)
-    for p in range(1, P + 1):
-        kp = np.zeros_like(h.coeffs[0])
-        for j in range(1, p + 1):
-            cof = binomial(p - 1, j - 1)
-            kp += cof * sp.commutator_ad(w[j - 1], table[p - j], hbar)
-            kp += cof * images[j][p - j]
-        table.append(kp)
     for p in range(P):
         nxt = np.zeros_like(u[0])
         for l in range(p + 1):
             nxt += binomial(p, l) * (u[p - l] @ a[l])
         u.append((1.0 / hbar) * nxt)
-    return cauchy, table, u
+    return cauchy, u
 
 
 @settings(max_examples=40)
@@ -382,10 +370,9 @@ def test_zero_slot_skipping_is_exact(n, order, seed, zero_w, zero_h):
     rng = np.random.default_rng(seed)
     h = _series(rng, n, order, hbar=0.7, zero_slots=zero_h)
     ts = _series(rng, n, order, hbar=0.7, scale=0.5, zero_slots=zero_w)
-    cauchy, table, u = _full_conjugations(ts, h)
+    cauchy, u = _full_conjugations(ts, h)
     for got, want in (
         (sp.conjugate_series(ts, h).coeffs, cauchy),
-        (sp.conjugate_series_table(ts, h).coeffs, table),
         (sp.u_coefficients(ts), u),
     ):
         assert len(got) == len(want)
@@ -402,7 +389,7 @@ def test_binomials_exact_small_orders():
 def test_public_routes_run_real_for_an_imaginary_generator():
     # W = iK with K real antisymmetric gives the real generator A = -iW = K:
     # a real series is then conjugated and flowed in real arithmetic, and
-    # agrees with the complex cross-check route
+    # agrees with the complex reference route
     rng = np.random.default_rng(35)
     n, P = 5, 4
 
@@ -419,8 +406,8 @@ def test_public_routes_run_real_for_an_imaginary_generator():
     k = sp.conjugate_series(gen, h)
     assert {c.dtype for c in k.coeffs} == {np.dtype(np.float64)}
     assert {u.dtype for u in sp.u_coefficients(gen)} == {np.dtype(np.float64)}
-    assert sp.t_apply(gen, 2, h.coeffs[1]).dtype == np.float64
-    table = sp.conjugate_series_table(gen, h)
+    assert _kernel_images(gen, h.coeffs[1], 2)[2].dtype == np.float64
+    table = reference.conjugate_series_table(gen, h)
     for c1, c2 in zip(k.coeffs, table.coeffs):
         scale = max(1.0, sp.max_norm(c1), sp.max_norm(c2))
         assert sp.max_norm(c1 - c2) <= 1e-11 * scale
