@@ -2,14 +2,16 @@
 
 Methods: exact diagonalization, the order-4 power-series baseline (rs),
 the staged superconvergent engine (su), or all three side by side
-(compare).  Reports are deterministic; floats are serialized with 17
-significant digits so repeated runs are byte-identical and CSV/JSON carry
-identical numbers.
+(compare).  Reports are deterministic: the standard library's json writes
+the JSON report, and both formats write a float as Python's shortest repr
+that round-trips, so repeated runs are byte-identical and CSV and JSON carry
+the same text for each number.  `--stages` runs in 1..ceil(log2(P + 1)),
+the stages that still have orders to eliminate at truncation order P.
 """
 
 import argparse
+import json
 import sys
-import warnings
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from .kolmogorov import default_n_stages, run
 from .linalg import eigh, require_finite, require_tolerance
 from .models import BUILTIN_MODELS, load_model
 from .rayleigh_schrodinger import rs_corrections
-from .series import eval_series
+from .series import MAX_ORDER, eval_series
 
 _METHODS = ("su", "rs", "exact", "compare")
 
@@ -103,10 +105,17 @@ def compute_report(args: argparse.Namespace) -> dict:
     _require_distinct(eps_list, "--eps")
     deg_tol = require_tolerance(args.deg_tol, "--deg-tol")
     gap_guard = require_tolerance(args.gap_guard, "--gap-guard")
-    n_stages = args.stages if args.stages is not None else default_n_stages(args.order)
     want_su = args.method in ("su", "compare")
-    if want_su and n_stages < 1:
-        raise ValueError(f"--stages must be at least 1, got {n_stages}")
+    n_stages = None
+    if want_su:
+        if args.order > MAX_ORDER:
+            raise ValueError(f"--order must be at most {MAX_ORDER}, got {args.order}")
+        last = default_n_stages(args.order)
+        n_stages = last if args.stages is None else args.stages
+        if not 1 <= n_stages <= last:
+            raise ValueError(
+                f"--stages must be in 1..{last} at --order {args.order}, got {n_stages}"
+            )
 
     want_rs = args.method in ("rs", "compare")
     want_exact_rows = args.method in ("exact", "compare")
@@ -152,20 +161,14 @@ def compute_report(args: argparse.Namespace) -> dict:
             exact, overlap = _exact_levels(series, base, eps, deg_tol)
             result = None
             if want_su:
-                # the engine's warnings go to the report, once each
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    result = run(
-                        model,
-                        eps,
-                        args.order,
-                        n_stages=n_stages,
-                        deg_tol=deg_tol,
-                        gap_guard=gap_guard,
-                    )
-                for note in caught:
-                    if str(note.message) not in warnings_list:
-                        warnings_list.append(str(note.message))
+                result = run(
+                    model,
+                    eps,
+                    args.order,
+                    n_stages=n_stages,
+                    deg_tol=deg_tol,
+                    gap_guard=gap_guard,
+                )
                 residuals = [info.slot_residual for info in result.history]
                 stage_residuals.append({"eps": eps, "residuals": residuals})
                 gap = result.min_gap
@@ -237,7 +240,7 @@ def compute_report(args: argparse.Namespace) -> dict:
             "eps": list(eps_list),
             "levels": list(levels),
             "order": args.order,
-            "stages": n_stages if want_su else None,
+            "stages": n_stages,
         },
         "rows": rows,
         "comparisons": comparisons,
@@ -250,70 +253,17 @@ def compute_report(args: argparse.Namespace) -> dict:
     }
 
 
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 CSV_HEADER = "eps,level,method,stage_or_order,energy,abs_error_vs_exact"
-
-
-def render_csv(report: dict) -> str:
-    lines = [CSV_HEADER]
-    for r in report["rows"]:
-        lines.append(
-            ",".join(
-                (
-                    format_float(r["eps"]),
-                    str(r["level"]),
-                    r["method"],
-                    r["stage_or_order"],
-                    format_float(r["energy"]),
-                    format_float(r["abs_error_vs_exact"]),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _json_scalar(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        if v != v or v in (float("inf"), float("-inf")):
-            return "null"
-        return format_float(v)
-    if isinstance(v, str):
-        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"cannot serialize {type(v)!r}")
-
-
-def render_json(obj, indent=0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {render_json(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _json_scalar(obj)
 
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "csv":
-        return render_csv(report)
+        keys = CSV_HEADER.split(",")
+        lines = [CSV_HEADER]
+        lines += [",".join(str(row[k]) for k in keys) for row in report["rows"]]
+        return "\n".join(lines) + "\n"
     if fmt == "json":
-        return render_json(report) + "\n"
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
     raise ValueError(f"unknown output format {fmt!r}")
 
 
@@ -358,7 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--order", type=int, default=4, help="truncation order P")
     parser.add_argument(
-        "--stages", type=int, default=None, help="stage count (default covers P)"
+        "--stages",
+        type=int,
+        default=None,
+        help="stage count in 1..ceil(log2(P+1)) (default the last)",
     )
     parser.add_argument(
         "--levels",

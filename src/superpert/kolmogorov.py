@@ -23,7 +23,6 @@ that column of V0 * prod_n U_n(eps) Q_n.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,7 @@ from .linalg import (
 )
 from .models import ModelSpec
 from .series import (
+    MAX_ORDER,
     OperatorSeries,
     conjugate_by,
     flow_coefficients,
@@ -107,8 +107,8 @@ class SuResult:
 
 def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None):
     """Stage-0 state: the model's series in its H_0 eigenbasis, zero-padded."""
-    if order < 1:
-        raise ValueError(f"truncation order must be at least 1, got {order}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"truncation order must be in 1..{MAX_ORDER}, got {order}")
     eps = require_finite(eps, "eps")
     deg_tol = require_tolerance(deg_tol, "deg_tol")
     gap_guard = require_tolerance(gap_guard, "gap_guard")
@@ -159,6 +159,10 @@ def step(state: KolmogorovState) -> KolmogorovState:
     """Advance one stage; returns a new state, the input is untouched."""
     n = state.stage + 1
     P = state.order
+    if n > default_n_stages(P):
+        raise ValueError(
+            f"stage {n}: no orders are left to eliminate at truncation order {P}"
+        )
     lo = 2 ** (n - 1)
     hi = min(2**n - 1, P)
     series = state.series
@@ -167,23 +171,20 @@ def step(state: KolmogorovState) -> KolmogorovState:
 
     # one homological equation for the window lo..hi, one set of denominators
     zero = shared_zero(dim, series.dtype)
+    try:
+        averaged, a_window, min_gap = average_diagonal(
+            state.levels,
+            state.blocks,
+            np.stack(series.coeffs[lo : hi + 1]),
+            hbar,
+            state.gap_guard,
+        )
+    except SmallDenominatorError as exc:
+        raise SmallDenominatorError(
+            f"stage {n}: {exc}", indices=exc.indices, gap=exc.gap
+        ) from exc
     a_slots = [zero] * (P + 1)
-    averaged = ()
-    min_gap = float("inf")
-    if lo <= hi:
-        try:
-            averaged, a_window, min_gap = average_diagonal(
-                state.levels,
-                state.blocks,
-                np.stack(series.coeffs[lo : hi + 1]),
-                hbar,
-                state.gap_guard,
-            )
-        except SmallDenominatorError as exc:
-            raise SmallDenominatorError(
-                f"stage {n}: {exc}", indices=exc.indices, gap=exc.gap
-            ) from exc
-        a_slots[lo - 1 : hi] = a_window
+    a_slots[lo - 1 : hi] = a_window
 
     try:
         gen = OperatorSeries._computed(a_slots, hbar)
@@ -198,10 +199,10 @@ def step(state: KolmogorovState) -> KolmogorovState:
     if not np.isfinite(new_coeffs[0]).all():
         raise ValueError(f"stage {n}: H_0 has a non-finite entry")
     # slots below the window are predicted zero, the window its averages
-    residual = max(k.norms[1 : min(lo, hi + 1)], default=0.0)
-    if lo <= hi:
-        window = np.stack(k.coeffs[lo : hi + 1])
-        residual = max(residual, max_norm(window - averaged))
+    residual = max(
+        max(k.norms[1:lo], default=0.0),
+        max_norm(np.stack(k.coeffs[lo : hi + 1]) - averaged),
+    )
     new_coeffs += [zero] * hi + list(k.coeffs[hi + 1 :])
     if residual > 1e-8 * max(scale, 1e-300):
         raise ConsistencyError(
@@ -210,15 +211,13 @@ def step(state: KolmogorovState) -> KolmogorovState:
         )
 
     basis = state.basis @ weighted_sum(flow_coefficients(gen), state.eps)
-    levels, blocks = state.levels, state.blocks
-    if lo <= hi:
-        levels, blocks, q = _diagonalize_blocks(new_coeffs[0], blocks, state.deg_tol)
-        new_coeffs[0] = np.diag(levels).astype(series.dtype)
-        if q is not None:
-            new_coeffs[hi + 1 :] = [
-                hermitian_part(q.conj().T @ c @ q) for c in new_coeffs[hi + 1 :]
-            ]
-            basis = basis @ q
+    levels, blocks, q = _diagonalize_blocks(new_coeffs[0], state.blocks, state.deg_tol)
+    new_coeffs[0] = np.diag(levels).astype(series.dtype)
+    if q is not None:
+        new_coeffs[hi + 1 :] = [
+            hermitian_part(q.conj().T @ c @ q) for c in new_coeffs[hi + 1 :]
+        ]
+        basis = basis @ q
     info = StageInfo(
         stage=n,
         slot_residual=residual,
@@ -259,7 +258,8 @@ def run(
     model : ModelSpec
     eps : evaluation point of the perturbation parameter
     order : truncation order P of the graded series (>= 1)
-    n_stages : number of elimination stages; default ceil(log2(P+1))
+    n_stages : number of elimination stages, 1..ceil(log2(P+1)); default
+        the last, after which no order is left to eliminate
     deg_tol, gap_guard : degeneracy tolerances; None = 1e-9 times the
         largest |H_0 level| and 1e-6 times the range of the H_0 levels
 
@@ -269,15 +269,12 @@ def run(
     unperturbed label j, energies[0] the unperturbed spectrum.
     """
     state = init(model, eps, order, deg_tol=deg_tol, gap_guard=gap_guard)
+    last = default_n_stages(order)
     if n_stages is None:
-        n_stages = default_n_stages(order)
-    if n_stages < 1:
-        raise ValueError(f"n_stages must be at least 1, got {n_stages}")
-    if 2 ** (n_stages - 1) > order:
-        warnings.warn(
-            f"stages beyond {default_n_stages(order)} are no-ops at truncation "
-            f"order {order}",
-            stacklevel=2,
+        n_stages = last
+    if not 1 <= n_stages <= last:
+        raise ValueError(
+            f"n_stages must be in 1..{last} at truncation order {order}, got {n_stages}"
         )
 
     energies = [state.levels]

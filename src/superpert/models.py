@@ -204,7 +204,9 @@ def model_from_dict(data, provenance="memory") -> ModelSpec:
         if "dimension" not in data:
             raise ModelFormatError(f"{provenance}: builtin selector needs 'dimension'")
         dim, hbar = _dimension_and_hbar(data, provenance)
-        return replace(builder(dim, hbar=hbar), provenance=provenance)
+        with _model_error(provenance):
+            model = builder(dim, hbar=hbar)
+        return replace(model, provenance=provenance)
     for field in ("dimension", "terms"):
         if field not in data:
             raise ModelFormatError(f"{provenance}: missing required field {field!r}")

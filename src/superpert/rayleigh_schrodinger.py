@@ -11,6 +11,7 @@ with R the reduced resolvent of level j,
     E_l = <j| V psi_{l-1}>,   psi_0 = |j>.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +47,21 @@ class RsCorrections:
         return self.coeffs[self._row(level)].copy()
 
     def energy(self, eps: float, level: int, order=None) -> float:
-        """Cumulative energy E0 + sum_{l<=order} c_l eps^l."""
+        """Cumulative energy E0 + sum_{l<=order} c_l eps^l, summed in python
+        floats; OverflowError when it is not finite."""
         if order is None:
             order = self.max_order
         if not 0 <= order <= self.max_order:
             raise ValueError(f"order must be in 0..{self.max_order}, got {order}")
         i = self._row(level)
+        eps = float(eps)
         e = float(self.e0[i])
         for l in range(1, order + 1):
-            e += self.coeffs[i, l - 1] * eps**l
+            e += float(self.coeffs[i, l - 1]) * eps**l
+        if not math.isfinite(e):
+            raise OverflowError(
+                f"the order-{order} energy of level {level} at eps {eps:g} is {e}"
+            )
         return e
 
 

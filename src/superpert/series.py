@@ -36,7 +36,9 @@ import numpy as np
 
 from .linalg import finite_norm, hermitian_part, require_hermitian, require_positive
 
-MAX_ORDER = 62  # binomials stay exact in int64 up to this order
+# Cap on the order of a series.  _BINOM holds float64 binomials, exact
+# through order 56; C(57, 25) is the first that rounds.
+MAX_ORDER = 62
 
 _BINOM = [[float(math.comb(p, l)) for l in range(p + 1)] for p in range(MAX_ORDER + 1)]
 

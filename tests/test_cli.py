@@ -17,10 +17,27 @@ import superpert as sp
 from superpert import cli
 
 
+def _strict_json(text):
+    """json.loads that also rejects NaN and Infinity, which JSON lacks."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def _run(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
+    if code == 0:
+        parsed = cli.build_parser().parse_args(args)
+        if parsed.format == "json" and parsed.out is None:
+            _strict_json(captured.out)
     return code, captured.out, captured.err
+
+
+def _report(args):
+    return cli.compute_report(cli.build_parser().parse_args(args))
 
 
 def test_exact_quartic_at_zero(capsys):
@@ -116,7 +133,7 @@ def test_csv_and_json_carry_identical_numbers(capsys, tmp_path):
         base + ["--format", "json", "--out", str(out_path)], capsys
     )
     assert code == 0 and stdout == ""
-    report = json.loads(out_path.read_text())
+    report = _strict_json(out_path.read_text())
     json_rows = {
         (r["eps"], r["level"], r["method"], r["stage_or_order"]): (
             r["energy"],
@@ -216,23 +233,58 @@ def test_negative_eps_flagged_but_allowed(capsys):
     assert "eps < 0" in err
 
 
-def test_engine_warning_goes_to_the_report_once(capsys):
-    # run() warns that stages past default_n_stages(4) = 3 do nothing; the
-    # report records it once for both eps and nothing else reaches stderr
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = _run(
-            [
-                "--method", "su", "--builtin", "quartic_oscillator", "--dim", "12",
-                "--eps", "0.01,0.02", "--order", "4", "--stages", "5",
-                "--format", "json",
-            ],
-            capsys,
-        )
-    assert code == 0
-    notes = json.loads(out)["diagnostics"]["warnings"]
-    assert notes == ["stages beyond 3 are no-ops at truncation order 4"]
-    assert err == f"warning: {notes[0]}\n"
+def test_stages_past_the_last_window_are_rejected(capsys):
+    # default_n_stages(4) = 3: a fourth stage would have no order to eliminate
+    code, out, err = _run(
+        [
+            "--method", "su", "--builtin", "quartic_oscillator", "--dim", "12",
+            "--eps", "0.01,0.02", "--order", "4", "--stages", "5",
+            "--format", "json",
+        ],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --stages must be in 1..3 at --order 4, got 5\n"
+
+
+@pytest.mark.parametrize("method", ["compare", "su", "exact"])
+def test_json_report_parses_back_to_the_report(method):
+    report = _report(
+        [
+            "--method", method, "--builtin", "quartic_oscillator", "--dim", "30",
+            "--eps", "0.05,0.1", "--levels", "0,1",
+        ]
+    )
+    if method == "exact":
+        assert report["diagnostics"]["dim_drift"]
+    else:
+        assert report["diagnostics"]["stage_residuals"]
+    assert _strict_json(cli.render_report(report, "json")) == report
+
+
+def test_model_name_with_control_characters_gives_strict_json(capsys, tmp_path):
+    # the name and a non-ASCII path are written as JSON escapes and read back
+    name = 'tab\there, line\nbreak, "quoted" and back\\slash'
+    path = tmp_path / "modèle-ß.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": name,
+                "dimension": 2,
+                "terms": [
+                    {"order": 0, "matrix": [[0.0, 0.0], [0.0, 2.0]]},
+                    {"order": 1, "matrix": [[0.0, 1.0], [1.0, 0.0]]},
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    args = ["--method", "exact", "--model", str(path), "--eps", "0.1", "--format", "json"]
+    code, out, _ = _run(args, capsys)
+    assert code == 0 and out.isascii()
+    config = _strict_json(out)["config"]
+    assert config == _report(args)["config"]
+    assert (config["model"], config["provenance"]) == (name, str(path))
 
 
 def test_ambiguous_exact_label_is_flagged(capsys):
@@ -592,9 +644,11 @@ def test_compare_quartic_makes_only_real_dense_eigh(capsys, monkeypatch):
     "flag, value",
     [("--eps", "0.1,nan"), ("--deg-tol", "nan"), ("--gap-guard", "nan"),
      ("--gap-guard", "-1e-6"), ("--eps", "0.1,0.1"), ("--levels", "0,0"),
-     ("--eps", "1e300"), ("--stages", "0"), ("--stages", "-1")],
+     ("--eps", "1e300"), ("--stages", "0"), ("--stages", "-1"),
+     ("--stages", "4"), ("--order", str(sp.MAX_ORDER + 1))],
     ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative", "eps_repeated",
-         "levels_repeated", "eps_overflow", "stages", "stages_negative"],
+         "levels_repeated", "eps_overflow", "stages", "stages_negative",
+         "stages_past_last", "order_past_cap"],
 )
 def test_bad_numeric_flag_is_named(capsys, flag, value):
     args = [
@@ -615,6 +669,22 @@ def test_overflowing_eps_is_named_for_rs_alone(capsys):
     )
     assert code == 1 and out == ""
     assert err.startswith("error: --eps 1e+200") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_overflowing_rs_energy_is_named_as_eps(capsys, fmt):
+    # eps**4 = 1e308 is still a float, but c_4 eps**4 is not; any warning
+    # on the way would raise here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(
+            ["--method", "rs", "--builtin", "quartic_oscillator", "--dim", "12",
+             "--eps", "1e77", "--format", fmt],
+            capsys,
+        )
+    assert code == 1 and out == ""
+    assert err.startswith("error: --eps 1e+77") and "OverflowError" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_builtin_model_file_with_null_hbar_is_an_error(capsys, tmp_path):

@@ -101,12 +101,21 @@ def test_order_doubling_zeroes_slots():
         assert info.slot_residual <= 1e-10 * info.series_scale
 
 
-def test_step_beyond_truncation_is_noop():
+def test_step_beyond_truncation_raises():
     model = sp.build_quartic_oscillator(8)
     s1 = sp.step(sp.init(model, 0.1, 1))
-    s2 = sp.step(s1)
-    np.testing.assert_array_equal(s1.series.coeffs[0], s2.series.coeffs[0])
-    assert s2.history[-1].min_gap == float("inf")
+    with pytest.raises(ValueError, match=r"^stage 2: .* at truncation order 1$"):
+        sp.step(s1)
+
+
+def test_order_past_the_cap_is_rejected_before_any_eigh(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran before the order check")
+
+    monkeypatch.setattr(kolmogorov, "eigh", no_eigh)
+    model = sp.build_quartic_oscillator(8)
+    with pytest.raises(ValueError, match=rf"truncation order .*{sp.MAX_ORDER}, got"):
+        sp.init(model, 0.1, sp.MAX_ORDER + 1)
 
 
 def test_zero_eps_is_trivial():
@@ -183,7 +192,7 @@ def test_run_on_random_dense_models():
     )
 
 
-def test_default_stage_counts_and_warning():
+def test_default_stage_counts_and_bound():
     assert default_n_stages(1) == 1
     assert default_n_stages(2) == 2
     assert default_n_stages(3) == 2
@@ -191,10 +200,9 @@ def test_default_stage_counts_and_warning():
     assert default_n_stages(7) == 3
     assert default_n_stages(8) == 4
     model = sp.build_quartic_oscillator(8)
-    with pytest.warns(UserWarning, match="no-ops"):
-        sp.run(model, 0.05, 2, n_stages=4)
-    with pytest.raises(ValueError, match="n_stages"):
-        sp.run(model, 0.05, 2, n_stages=0)
+    for n_stages in (0, 3, 10**100):
+        with pytest.raises(ValueError, match=r"n_stages must be in 1\.\.2 .* order 2"):
+            sp.run(model, 0.05, 2, n_stages=n_stages)
 
 
 def test_consistency_error_message_names_stage():
@@ -217,14 +225,15 @@ def test_one_averaging_call_per_stage(monkeypatch):
 
     monkeypatch.setattr(kolmogorov, "average_diagonal", counting)
     state = sp.init(sp.build_quartic_oscillator(12), 0.05, 7)
-    for _ in range(4):
+    for _ in range(3):
         entering = sp.SpectralData(state.levels, np.eye(12), state.blocks)
         state = sp.step(state)
-        if state.stage < 4:
-            assert state.history[-1].min_gap == reference.min_cross_block_gap(entering)
-    # windows 1, 2..3 and 4..7; the fourth stage has no slot left
+        assert state.history[-1].min_gap == reference.min_cross_block_gap(entering)
+    # windows 1, 2..3 and 4..7; no slot is left for a fourth stage
     assert calls == [1, 2, 4]
-    assert state.history[-1].min_gap == float("inf")
+    with pytest.raises(ValueError, match="^stage 4: "):
+        sp.step(state)
+    assert calls == [1, 2, 4]
 
 
 def test_small_denominator_names_the_stage():

@@ -132,6 +132,20 @@ def test_builtin_selector_checks_fields(field, value):
         sp.model_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("dimension", 4, "needs dim >= 8, got 4"),
+     ("hbar", -1.0, "hbar must be positive and finite, got -1.0"),
+     ("hbar", float("inf"), "hbar must be positive and finite, got inf")],
+    ids=["dimension_small", "hbar_negative", "hbar_inf"],
+)
+def test_builtin_selector_errors_name_the_file(field, value, message):
+    doc = {"builtin": "quartic_oscillator", "dimension": 12, field: value}
+    with pytest.raises(sp.ModelFormatError, match=r"^m\.json: ") as err:
+        sp.model_from_dict(doc, "m.json")
+    assert str(err.value).endswith(message)
+
+
 def test_terms_file_cannot_take_a_builtin_name():
     # the CLI's dim_drift rebuilds a builtin-named model at a larger size,
     # which for a terms file measured drift against an unrelated model
