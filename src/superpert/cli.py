@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .kolmogorov import default_n_stages, run
-from .linalg import eigh, require_finite, require_tolerance
+from .linalg import eigh, require_finite, require_positive, require_tolerance
 from .models import BUILTIN_MODELS, load_model
 from .rayleigh_schrodinger import rs_corrections
 from .series import MAX_ORDER, eval_series
@@ -30,9 +30,12 @@ def _model_from_args(args):
     elif args.dim is None:
         raise ValueError("--builtin requires --dim")
     else:
-        model = BUILTIN_MODELS[args.builtin](args.dim)
+        try:
+            model = BUILTIN_MODELS[args.builtin](args.dim)
+        except ValueError as exc:  # a builtin model takes only its dimension
+            raise ValueError(f"--dim: {exc}") from exc
     if args.hbar is not None:
-        model = model.with_hbar(args.hbar)
+        model = model.with_hbar(require_positive(args.hbar, "--hbar"))
     return model
 
 

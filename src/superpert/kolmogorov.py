@@ -43,9 +43,8 @@ from .series import (
     MAX_ORDER,
     OperatorSeries,
     conjugate_by,
-    flow_coefficients,
+    flow_at,
     shared_zero,
-    weighted_sum,
     zero_padded,
 )
 
@@ -155,6 +154,10 @@ def _diagonalize_blocks(h0, blocks, deg_tol):
     return lam, degeneracy_blocks(lam, deg_tol), q
 
 
+# Every array a stage returns is checked to be finite (generator and series
+# slots, H_0, basis), so an overflow in it is a ValueError naming the stage,
+# not a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def step(state: KolmogorovState) -> KolmogorovState:
     """Advance one stage; returns a new state, the input is untouched."""
     n = state.stage + 1
@@ -210,7 +213,9 @@ def step(state: KolmogorovState) -> KolmogorovState:
             f"by {residual:.3e} (scale {scale:.3e})"
         )
 
-    basis = state.basis @ weighted_sum(flow_coefficients(gen), state.eps)
+    basis = state.basis @ flow_at(gen, state.eps)
+    if not np.isfinite(basis).all():
+        raise ValueError(f"stage {n}: the basis has a non-finite entry")
     levels, blocks, q = _diagonalize_blocks(new_coeffs[0], state.blocks, state.deg_tol)
     new_coeffs[0] = np.diag(levels).astype(series.dtype)
     if q is not None:

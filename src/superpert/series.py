@@ -27,9 +27,19 @@ anti-Hermitian generators to the bit, so every matrix that is Hermitian
 only up to rounding is symmetrized where it enters a series: the public
 `OperatorSeries` constructor symmetrizes its coefficients, and the stage
 engine its basis rotations.
+
+Both recursions are streamed.  T_{p+1}(x) reads T_{p-l}(x) only for live
+generator slots l, so `_t_images` keeps the last max(live) + 1 images, not
+the whole chain; `conjugate_by` adds each chain T_0..T_{P-j}(H_j) into the
+K slots as it is produced, for j ascending, so each K_p sums its terms in
+the Cauchy product's order.  The flow coefficients follow the same rule,
+and `flow_at` sums them at eps as they come.  A transform of an order-P
+series therefore holds O(P) matrices at once, the P + 1 slots of K and one
+window of images, not the P^2/2 images of the whole Cauchy product.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,8 +161,16 @@ def _add(acc, term):
     return acc
 
 
-def _next_image(a, live, images, hbar):
-    """T_{p+1}(x) from images = [T_0(x), ..., T_p(x)], None if no term lands.
+def _window(live):
+    """An empty window for a recursion whose term X_{p+1} reads X_{p-l} for
+    the live generator slots l: the last max(live) + 1 terms, of which the
+    oldest is the farthest back a later term reads."""
+    return deque(maxlen=max(live, default=0) + 1)
+
+
+def _next_image(a, live, window, p, hbar):
+    """T_{p+1}(x) from the window [..., T_{p-1}(x), T_p(x)] of `_t_images`,
+    None if no term lands.
 
     Y = sum_l C(p, l) A_{l+1} T_{p-l}(x) over live generator slots and
     images, one matrix product each; then -(1/hbar)[A, T] = -(1/hbar)(Y + Y^H)
@@ -160,12 +178,11 @@ def _next_image(a, live, images, hbar):
     Hermitian to the bit.  Each sum starts from its first term, so the
     nonzero terms add up in the same order as in the full recursion and
     skipped orders are structural zeros."""
-    p = len(images) - 1
     y = None
     for l in live:
         if l > p:
             break
-        src = images[p - l]
+        src = window[-1 - l]
         if src is not None:
             y = _add(y, binomial(p, l) * (a[l] @ src))
     if y is None:
@@ -176,13 +193,17 @@ def _next_image(a, live, images, hbar):
 
 
 def _t_images(agen: OperatorSeries, x: np.ndarray, up_to: int):
-    """[T_0(x), ..., T_up_to(x)] for the anti-Hermitian generator series agen,
-    None for an image no term lands in."""
+    """Yield T_0(x), ..., T_up_to(x) for the anti-Hermitian generator series
+    agen, None for an image no term lands in; only the images a later one
+    still reads are kept."""
     a, live, hbar = agen.coeffs, agen.live, agen.hbar
-    images = [x]
-    for _ in range(up_to):
-        images.append(_next_image(a, live, images, hbar))
-    return images
+    window = _window(live)
+    window.append(x)
+    yield x
+    for p in range(up_to):
+        t = _next_image(a, live, window, p, hbar)
+        window.append(t)
+        yield t
 
 
 def _check_match(gen: OperatorSeries, h: OperatorSeries):
@@ -191,19 +212,6 @@ def _check_match(gen: OperatorSeries, h: OperatorSeries):
             f"generator (order {gen.order}, dim {gen.dim}, hbar {gen.hbar}) "
             f"does not match series (order {h.order}, dim {h.dim}, hbar {h.hbar})"
         )
-
-
-def _all_images(agen: OperatorSeries, h: OperatorSeries, dtype):
-    """images[j][i] = T_i(H_j) for i + j <= order, in dtype; None for
-    structural zeros."""
-    P = h.order
-    live = set(h.live)
-    return [
-        _t_images(agen, h.coeffs[j].astype(dtype, copy=False), P - j)
-        if j in live
-        else [None] * (P + 1 - j)
-        for j in range(P + 1)
-    ]
 
 
 def _filled(slots, h: OperatorSeries, dtype) -> OperatorSeries:
@@ -216,18 +224,16 @@ def _filled(slots, h: OperatorSeries, dtype) -> OperatorSeries:
 def conjugate_by(agen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
     """Series h transformed by the anti-Hermitian generator series agen, as the
     Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j); the stage engine's route.
-    The result has the dtype agen and h promote to."""
+    The chain of each live H_j is added into the K slots as it is produced,
+    for j ascending.  The result has the dtype agen and h promote to."""
     _check_match(agen, h)
     dtype = np.result_type(agen.dtype, h.dtype)
-    images = _all_images(agen, h, dtype)
-    out = []
-    for p in range(h.order + 1):
-        kp = None
-        for j in range(p + 1):
-            term = images[j][p - j]
+    out = [None] * (h.order + 1)
+    for j in h.live:
+        x = h.coeffs[j].astype(dtype, copy=False)
+        for p, term in enumerate(_t_images(agen, x, h.order - j), start=j):
             if term is not None:
-                kp = _add(kp, binomial(p, j) * term)
-        out.append(kp)
+                out[p] = _add(out[p], binomial(p, j) * term)
     return _filled(out, h, dtype)
 
 
@@ -237,22 +243,39 @@ def conjugate_series(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
 
 
 def flow_coefficients(agen: OperatorSeries):
-    """Coefficients of the flow of the anti-Hermitian generator series agen:
-    Phi(eps) ~ sum_p eps^p/p! U_p, the solution of U' = (1/hbar) U A(eps) with
-    U_0 = I, in agen's dtype.  Structurally zero coefficients share one
-    read-only zero matrix."""
+    """Yield the coefficients U_0 = I, U_1, ..., U_P of the flow of the
+    anti-Hermitian generator series agen: Phi(eps) ~ sum_p eps^p/p! U_p, the
+    solution of U' = (1/hbar) U A(eps), in agen's dtype; None for a
+    structurally zero coefficient.  Only the coefficients a later one still
+    reads are kept."""
     a, live, hbar = agen.coeffs, agen.live, agen.hbar
-    u = [np.eye(agen.dim, dtype=agen.dtype)]
+    window = _window(live)
+    u = np.eye(agen.dim, dtype=agen.dtype)
+    window.append(u)
+    yield u
     for p in range(agen.order):
         nxt = None
         for l in live:
             if l > p:
                 break
-            if u[p - l] is not None:
-                nxt = _add(nxt, binomial(p, l) * (u[p - l] @ a[l]))
-        u.append(None if nxt is None else (1.0 / hbar) * nxt)
-    zero = shared_zero(agen.dim, agen.dtype)
-    return [zero if c is None else c for c in u]
+            if l == p:  # U_0 A_p is A_p; the scalar product is a new array
+                nxt = _add(nxt, binomial(p, l) * a[l])
+            elif window[-1 - l] is not None:
+                nxt = _add(nxt, binomial(p, l) * (window[-1 - l] @ a[l]))
+        u = None if nxt is None else (1.0 / hbar) * nxt
+        window.append(u)
+        yield u
+
+
+def flow_at(agen: OperatorSeries, eps: float) -> np.ndarray:
+    """The flow of agen at eps, sum_p eps^p/p! U_p, summed as the
+    coefficients come, in `weighted_sum`'s order and skipping zero ones."""
+    coeffs = flow_coefficients(agen)
+    out = next(coeffs).copy()
+    for p, u in enumerate(coeffs, start=1):
+        if u is not None and u.any():
+            out += (eps**p / math.factorial(p)) * u
+    return out
 
 
 def u_coefficients(gen: OperatorSeries):
@@ -262,7 +285,9 @@ def u_coefficients(gen: OperatorSeries):
     U(eps)^{-1} A U(eps) reproduces the conjugated series to O(eps^{P+1}).
     Structurally zero coefficients share one read-only zero matrix.
     """
-    return flow_coefficients(_anti_hermitian(gen))
+    agen = _anti_hermitian(gen)
+    zero = shared_zero(agen.dim, agen.dtype)
+    return [zero if u is None else u for u in flow_coefficients(agen)]
 
 
 def weighted_sum(mats, eps: float) -> np.ndarray:

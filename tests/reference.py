@@ -7,7 +7,8 @@ slots W with the two-product commutator ad W = (i/hbar)[W, .],
     T_0 = id,   T_{p+1} = sum_{l=0}^{p} C(p, l) ad W_{l+1} o T_{p-l},
 
 summing every term, zero or not, in complex arithmetic and for any square
-operand.  The smallest cross-block gap is a minimum over all level pairs.
+operand; the flow coefficients are kept whole and summed the same way.  The
+smallest cross-block gap is a minimum over all level pairs.
 """
 
 import math
@@ -35,6 +36,18 @@ def t_apply(gen, p, a):
     if not 0 <= p <= gen.order:
         raise ValueError(f"order index {p} outside 0..{gen.order}")
     return t_images(gen, a, p)[p]
+
+
+def u_coefficients(gen):
+    """Flow coefficients U_0 = I, U_{p+1} = sum_l C(p, l) U_{p-l} (-i/hbar) W_{l+1}."""
+    w, hbar = gen.coeffs, gen.hbar
+    u = [np.eye(gen.dim, dtype=complex)]
+    for p in range(gen.order):
+        nxt = np.zeros_like(u[0])
+        for l in range(p + 1):
+            nxt += math.comb(p, l) * (u[p - l] @ ((-1j / hbar) * w[l]))
+        u.append(nxt)
+    return u
 
 
 def conjugate_series_table(gen, h):

@@ -645,10 +645,12 @@ def test_compare_quartic_makes_only_real_dense_eigh(capsys, monkeypatch):
     [("--eps", "0.1,nan"), ("--deg-tol", "nan"), ("--gap-guard", "nan"),
      ("--gap-guard", "-1e-6"), ("--eps", "0.1,0.1"), ("--levels", "0,0"),
      ("--eps", "1e300"), ("--stages", "0"), ("--stages", "-1"),
-     ("--stages", "4"), ("--order", str(sp.MAX_ORDER + 1))],
+     ("--stages", "4"), ("--order", str(sp.MAX_ORDER + 1)), ("--dim", "4"),
+     ("--hbar", "-1")],
     ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative", "eps_repeated",
          "levels_repeated", "eps_overflow", "stages", "stages_negative",
-         "stages_past_last", "order_past_cap"],
+         "stages_past_last", "order_past_cap", "dim_below_builtin_minimum",
+         "hbar_negative"],
 )
 def test_bad_numeric_flag_is_named(capsys, flag, value):
     args = [
@@ -658,6 +660,20 @@ def test_bad_numeric_flag_is_named(capsys, flag, value):
     code, out, err = _run(args + [f"{flag}={value}"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and flag in err
+
+
+def test_engine_overflow_is_one_error_line(capsys):
+    # hbar 1e300 overflows the conjugation kernel at stage 3; any numpy
+    # warning on the way would raise here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(
+            ["--method", "su", "--builtin", "quartic_oscillator", "--dim", "12",
+             "--eps", "0.1", "--hbar", "1e300"],
+            capsys,
+        )
+    assert code == 1 and out == ""
+    assert err.startswith("error: stage 3: ") and err.count("\n") == 1
 
 
 def test_overflowing_eps_is_named_for_rs_alone(capsys):

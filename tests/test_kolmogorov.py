@@ -2,6 +2,8 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +380,36 @@ def test_overflowing_series_is_rejected():
     model = sp.make_model(4, [(0, h0), (1, 1e150 * random_hermitian(rng, 4))])
     with pytest.raises(ValueError, match="stage 1: .*non-finite"), np.errstate(all="ignore"):
         sp.run(model, 1.0, 4)
+
+
+def test_overflowing_flow_is_named_by_its_stage():
+    # eps**8 is still a float but the stage-1 flow at eps is not; the series
+    # slots stay finite, so only the basis check sees it
+    model = sp.build_quartic_oscillator(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="stage 1: the basis has a non-finite entry"):
+            sp.run(model, 1e38, 8, n_stages=1)
+
+
+def test_run_working_set_is_linear_in_order():
+    # a stage holds each series' P + 1 slots and a window of images, not the
+    # P^2/2 images of the whole Cauchy product; the bound lies between the
+    # two, which trace about 3.3 and 16.9 (P + 1) matrices here
+    rng = np.random.default_rng(57)
+    d, P = 16, 32
+    h0 = np.diag(np.arange(1.0, d + 1)).astype(complex)
+    model = sp.make_model(
+        d, [(0, h0), (1, random_hermitian(rng, d, 0.05)), (2, random_hermitian(rng, d, 0.05))]
+    )
+    assert model.h_coeffs[1][1].dtype == np.complex128
+    tracemalloc.start()
+    try:
+        sp.run(model, 0.05, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * (P + 1) * d * d * 16
 
 
 def test_run_is_unitarily_invariant():

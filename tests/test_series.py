@@ -64,7 +64,7 @@ def test_eval_matches_horner():
 
 def _kernel_images(gen, a, up_to):
     """[T_0(a), ..., T_up_to(a)] from the package's one-product kernel."""
-    return series._t_images(series._anti_hermitian(gen), a, up_to)
+    return list(series._t_images(series._anti_hermitian(gen), a, up_to))
 
 
 def test_t_apply_order_zero_and_one():
@@ -202,7 +202,7 @@ def test_reference_route_shares_no_kernel(monkeypatch):
     def unavailable(*args):
         raise AssertionError("the package's conjugation kernel was called")
 
-    for name in ("_next_image", "_t_images", "_all_images", "_anti_hermitian", "conjugate_by"):
+    for name in ("_next_image", "_t_images", "_anti_hermitian", "conjugate_by"):
         monkeypatch.setattr(series, name, unavailable)
     rng = np.random.default_rng(36)
     gen, h = _series(rng, 4, 3, scale=0.5), _series(rng, 4, 3)
@@ -210,6 +210,26 @@ def test_reference_route_shares_no_kernel(monkeypatch):
         sp.conjugate_series(gen, h)
     reference.conjugate_series_table(gen, h)
     reference.t_apply(gen, 3, h.coeffs[1])
+
+
+def test_streamed_routes_with_sparse_live_generator_slots():
+    # live slots {2, 5}: an image reads 6 images back, more than the 4 slots
+    # the live range spans, so a window sized from that span misreads
+    rng = np.random.default_rng(37)
+    P, hbar = 8, 0.7
+    gen = _series(rng, 4, P, hbar=hbar, scale=0.3, zero_slots=(0, 1, 3, 4, 6, 7, 8))
+    h = _series(rng, 4, P, hbar=hbar, zero_slots=(1, 4))
+    assert gen.live == [2, 5] and h.live == [0, 2, 3, 5, 6, 7, 8]
+    images = _kernel_images(gen, h.coeffs[0], P)
+    for p, ref in enumerate(reference.t_images(gen, h.coeffs[0], P)):
+        got = np.zeros((4, 4)) if images[p] is None else images[p]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, sp.max_norm(ref)))
+    k = sp.conjugate_series(gen, h)
+    table = reference.conjugate_series_table(gen, h)
+    for c1, c2 in zip(k.coeffs, table.coeffs):
+        assert sp.max_norm(c1 - c2) <= 1e-12 * max(1.0, sp.max_norm(c2))
+    for u, ref in zip(sp.u_coefficients(gen), reference.u_coefficients(gen), strict=True):
+        assert sp.max_norm(u - ref) <= 1e-12 * max(1.0, sp.max_norm(ref))
 
 
 def test_u_coefficients_trivial_and_powers():
