@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .kolmogorov import default_n_stages, run
+from .kolmogorov import default_n_stages, run, unperturbed
 from .linalg import eigh, require_finite, require_positive, require_tolerance
 from .models import BUILTIN_MODELS, load_model
 from .rayleigh_schrodinger import rs_corrections
@@ -138,7 +138,8 @@ def compute_report(args: argparse.Namespace) -> dict:
             f"(model {model.name!r} has higher-order terms)"
         )
 
-    base = eigh(model.coefficient(0), deg_tol=deg_tol)
+    # the engine's own H_0 eigendecomposition, which its runs below reuse
+    base = unperturbed(model, deg_tol, gap_guard)
     series = model.series(model.max_order)
     rs = None
     if want_rs:

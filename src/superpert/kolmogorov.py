@@ -15,7 +15,9 @@ throughout for a real model, complex128 for a complex one.
 
 `init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
 diagonal up to degeneracy blocks, which alone are diagonalized after each
-fold.  Both rotations are symmetrized, so every slot the engine builds is
+fold.  The eigendecomposition, the rotated terms and stage 1's averaging do
+not depend on eps or the order, so they are memoized on the model (`_start`):
+a later `run` on it starts stage 1 at the conjugation.  Both rotations are symmetrized, so every slot the engine builds is
 Hermitian and every generator anti-Hermitian to the bit, as the conjugation
 kernel needs.  A level's label is its index in this never re-sorted basis
 (inside a block, the index it overlaps most); its eigenvector of H(eps) is
@@ -29,12 +31,15 @@ import numpy as np
 
 from .averaging import SmallDenominatorError, average_diagonal, default_gap_guard
 from .linalg import (
+    SpectralData,
     default_deg_tol,
     degeneracy_blocks,
     eigh,
+    finite_norm,
     fix_column_phases,
     hermitian_part,
     max_norm,
+    read_only,
     require_finite,
     require_tolerance,
 )
@@ -104,30 +109,75 @@ class SuResult:
         return max((info.slot_residual for info in self.history), default=0.0)
 
 
+class _Start:
+    """The eps-free start of every run on one model at one (deg_tol,
+    gap_guard), all read-only: the H_0 spectral data and the resolved
+    tolerances; the perturbation terms in the H_0 eigenbasis, {p: V^H H_p V}
+    for p >= 1, from the first `init`; and stage 1's averaging of slot 1
+    (`_average`), from the first `run`.  diag(levels) and the zero padding
+    depend on the order and are built per call."""
+
+    def __init__(self, spectral: SpectralData, deg_tol: float, gap_guard: float):
+        self.spectral = spectral
+        self.deg_tol = deg_tol
+        self.gap_guard = gap_guard
+        self.terms = None
+        self.stage1 = None
+
+
+def _start(model: ModelSpec, deg_tol, gap_guard) -> _Start:
+    """model's `_Start` for these tolerances, memoized on the model: one
+    entry, replaced when the tolerances change.  A call that raises stores
+    nothing, so it raises again on every call."""
+    deg_tol = require_tolerance(deg_tol, "deg_tol")
+    gap_guard = require_tolerance(gap_guard, "gap_guard")
+    key = (deg_tol, gap_guard)
+    start = model._memo.get(key)
+    if start is None:
+        spectral = eigh(model.coefficient(0), deg_tol=deg_tol)
+        for a in (spectral.eigenvalues, spectral.eigenvectors, spectral.blocks):
+            read_only(a)
+        start = _Start(
+            spectral,
+            default_deg_tol(spectral.eigenvalues) if deg_tol is None else deg_tol,
+            default_gap_guard(spectral) if gap_guard is None else gap_guard,
+        )
+        model._memo.clear()
+        model._memo[key] = start
+    return start
+
+
+def unperturbed(model: ModelSpec, deg_tol=None, gap_guard=None) -> SpectralData:
+    """The H_0 spectral data that `init` and `run` start from at these
+    tolerances, shared with them through the model's memo."""
+    return _start(model, deg_tol, gap_guard).spectral
+
+
 def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None):
-    """Stage-0 state: the model's series in its H_0 eigenbasis, zero-padded."""
+    """Stage-0 state: the model's series in its H_0 eigenbasis, zero-padded.
+    The eigenbasis and the rotated terms are the model's memo (see `run`)."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"truncation order must be in 1..{MAX_ORDER}, got {order}")
     eps = require_finite(eps, "eps")
-    deg_tol = require_tolerance(deg_tol, "deg_tol")
-    gap_guard = require_tolerance(gap_guard, "gap_guard")
-    spectral = eigh(model.coefficient(0), deg_tol=deg_tol)
-    if deg_tol is None:
-        deg_tol = default_deg_tol(spectral.eigenvalues)
-    if gap_guard is None:
-        gap_guard = default_gap_guard(spectral)
-    v = spectral.eigenvectors
-    terms = {p: hermitian_part(v.conj().T @ mat @ v) for p, mat in model.h_coeffs}
-    terms[0] = np.diag(spectral.eigenvalues)
+    start = _start(model, deg_tol, gap_guard)
+    spectral = start.spectral
+    if start.terms is None:
+        v = spectral.eigenvectors
+        start.terms = {
+            p: read_only(hermitian_part(v.conj().T @ mat @ v))
+            for p, mat in model.h_coeffs
+            if p
+        }
+    terms = {0: np.diag(spectral.eigenvalues), **start.terms}
     return KolmogorovState(
         stage=0,
         eps=eps,
         series=zero_padded(terms, model.dim, order, model.hbar),
         levels=spectral.eigenvalues,
         blocks=spectral.blocks,
-        basis=v,
-        deg_tol=deg_tol,
-        gap_guard=gap_guard,
+        basis=spectral.eigenvectors,
+        deg_tol=start.deg_tol,
+        gap_guard=start.gap_guard,
         history=(),
     )
 
@@ -154,6 +204,98 @@ def _diagonalize_blocks(h0, blocks, deg_tol):
     return lam, degeneracy_blocks(lam, deg_tol), q
 
 
+def _average(state: KolmogorovState, n, lo, hi):
+    """Stage n's homological equation for the window lo..hi, with one set of
+    denominators: (averaged slots, generator slots A_lo..A_hi, their norms,
+    smallest denominator gap).  A non-finite generator slot raises naming it."""
+    series = state.series
+    try:
+        averaged, a_window, min_gap = average_diagonal(
+            state.levels,
+            state.blocks,
+            np.stack(series.coeffs[lo : hi + 1]),
+            series.hbar,
+            state.gap_guard,
+        )
+    except SmallDenominatorError as exc:
+        raise SmallDenominatorError(
+            f"stage {n}: {exc}", indices=exc.indices, gap=exc.gap
+        ) from exc
+    a_norms = [
+        finite_norm(a, f"stage {n}: generator slot A_{p}")
+        for p, a in enumerate(a_window, start=lo)
+    ]
+    return averaged, a_window, a_norms, min_gap
+
+
+def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
+    """Stage n from its averaging (see `_average`): conjugate, fold, check
+    the eliminated slots and rediagonalize H_0's blocks."""
+    averaged, a_window, a_norms, min_gap = averaging
+    P = state.order
+    series = state.series
+    hbar = series.hbar
+    zero = shared_zero(series.dim, series.dtype)
+    a_slots = [zero] * (P + 1)
+    a_slots[lo - 1 : hi] = a_window
+    gen_norms = [0.0] * (lo - 1) + list(a_norms) + [0.0] * (P + 1 - hi)
+    gen = OperatorSeries._computed(a_slots, hbar, gen_norms)
+    try:
+        k = conjugate_by(gen, series)
+    except ValueError as exc:  # an overflow shows as a non-finite slot
+        raise ValueError(f"stage {n}: {exc}") from exc
+
+    scale = max(series.norms)
+    h0 = k.coeffs[0].copy()
+    for p, avg in enumerate(averaged, start=lo):
+        h0 += (state.eps**p / math.factorial(p)) * avg
+    if not np.isfinite(h0).all():
+        raise ValueError(f"stage {n}: H_0 has a non-finite entry")
+    # slots below the window are predicted zero, the window its averages
+    residual = max(
+        max(k.norms[1:lo], default=0.0),
+        max(max_norm(k.coeffs[p] - avg) for p, avg in enumerate(averaged, start=lo)),
+    )
+    if residual > 1e-8 * max(scale, 1e-300):
+        raise ConsistencyError(
+            f"stage {n}: eliminated slots deviate from their averaged values "
+            f"by {residual:.3e} (scale {scale:.3e})"
+        )
+
+    basis = state.basis @ flow_at(gen, state.eps)
+    if not np.isfinite(basis).all():
+        raise ValueError(f"stage {n}: the basis has a non-finite entry")
+    levels, blocks, q = _diagonalize_blocks(h0, state.blocks, state.deg_tol)
+    rest = k.coeffs[hi + 1 :]
+    rest_norms = k.norms[hi + 1 :]
+    if q is not None:
+        rest = [hermitian_part(q.conj().T @ c @ q) for c in rest]
+        rest_norms = [None] * len(rest)
+        basis = basis @ q
+    info = StageInfo(
+        stage=n,
+        slot_residual=residual,
+        series_scale=scale,
+        min_gap=min_gap,
+        generator_norms=gen.norms,
+    )
+    return KolmogorovState(
+        stage=n,
+        eps=state.eps,
+        series=OperatorSeries._computed(
+            [np.diag(levels).astype(series.dtype)] + [zero] * hi + list(rest),
+            hbar,
+            [None] + [0.0] * hi + list(rest_norms),
+        ),
+        levels=levels,
+        blocks=blocks,
+        basis=basis,
+        deg_tol=state.deg_tol,
+        gap_guard=state.gap_guard,
+        history=state.history + (info,),
+    )
+
+
 # Every array a stage returns is checked to be finite (generator and series
 # slots, H_0, basis), so an overflow in it is a ValueError naming the stage,
 # not a numpy warning.
@@ -166,81 +308,19 @@ def step(state: KolmogorovState) -> KolmogorovState:
         raise ValueError(
             f"stage {n}: no orders are left to eliminate at truncation order {P}"
         )
-    lo = 2 ** (n - 1)
-    hi = min(2**n - 1, P)
-    series = state.series
-    hbar = series.hbar
-    dim = series.dim
+    lo, hi = 2 ** (n - 1), min(2**n - 1, P)
+    return _advance(state, n, lo, hi, _average(state, n, lo, hi))
 
-    # one homological equation for the window lo..hi, one set of denominators
-    zero = shared_zero(dim, series.dtype)
-    try:
-        averaged, a_window, min_gap = average_diagonal(
-            state.levels,
-            state.blocks,
-            np.stack(series.coeffs[lo : hi + 1]),
-            hbar,
-            state.gap_guard,
-        )
-    except SmallDenominatorError as exc:
-        raise SmallDenominatorError(
-            f"stage {n}: {exc}", indices=exc.indices, gap=exc.gap
-        ) from exc
-    a_slots = [zero] * (P + 1)
-    a_slots[lo - 1 : hi] = a_window
 
-    try:
-        gen = OperatorSeries._computed(a_slots, hbar)
-        k = conjugate_by(gen, series)
-    except ValueError as exc:  # an overflow shows as a non-finite slot
-        raise ValueError(f"stage {n}: {exc}") from exc
-
-    scale = max(series.norms)
-    new_coeffs = [k.coeffs[0].copy()]
-    for p, avg in zip(range(lo, hi + 1), averaged):
-        new_coeffs[0] += (state.eps**p / math.factorial(p)) * avg
-    if not np.isfinite(new_coeffs[0]).all():
-        raise ValueError(f"stage {n}: H_0 has a non-finite entry")
-    # slots below the window are predicted zero, the window its averages
-    residual = max(
-        max(k.norms[1:lo], default=0.0),
-        max_norm(np.stack(k.coeffs[lo : hi + 1]) - averaged),
-    )
-    new_coeffs += [zero] * hi + list(k.coeffs[hi + 1 :])
-    if residual > 1e-8 * max(scale, 1e-300):
-        raise ConsistencyError(
-            f"stage {n}: eliminated slots deviate from their averaged values "
-            f"by {residual:.3e} (scale {scale:.3e})"
-        )
-
-    basis = state.basis @ flow_at(gen, state.eps)
-    if not np.isfinite(basis).all():
-        raise ValueError(f"stage {n}: the basis has a non-finite entry")
-    levels, blocks, q = _diagonalize_blocks(new_coeffs[0], state.blocks, state.deg_tol)
-    new_coeffs[0] = np.diag(levels).astype(series.dtype)
-    if q is not None:
-        new_coeffs[hi + 1 :] = [
-            hermitian_part(q.conj().T @ c @ q) for c in new_coeffs[hi + 1 :]
-        ]
-        basis = basis @ q
-    info = StageInfo(
-        stage=n,
-        slot_residual=residual,
-        series_scale=scale,
-        min_gap=min_gap,
-        generator_norms=gen.norms,
-    )
-    return KolmogorovState(
-        stage=n,
-        eps=state.eps,
-        series=OperatorSeries._computed(new_coeffs, hbar),
-        levels=levels,
-        blocks=blocks,
-        basis=basis,
-        deg_tol=state.deg_tol,
-        gap_guard=state.gap_guard,
-        history=state.history + (info,),
-    )
+@np.errstate(over="ignore", invalid="ignore")
+def _first_step(state: KolmogorovState, start: _Start) -> KolmogorovState:
+    """step(state) for a stage-0 state that `init` made from start, with
+    stage 1's averaging, which does not depend on eps or the order, taken
+    from start once it has been computed."""
+    if start.stage1 is None:
+        averaged, a_window, a_norms, min_gap = _average(state, 1, 1, 1)
+        start.stage1 = (read_only(averaged), read_only(a_window), a_norms, min_gap)
+    return _advance(state, 1, 1, 1, start.stage1)
 
 
 def default_n_stages(order: int) -> int:
@@ -257,6 +337,11 @@ def run(
     gap_guard=None,
 ) -> SuResult:
     """Full iteration: per-stage eigenvalues and reconstructed eigenvectors.
+
+    The work that depends on neither eps nor the order (the H_0
+    eigendecomposition, the rotated terms and stage 1's averaging) is done
+    on the first call for a model and these tolerances, and kept on the
+    model; later calls give results bit-identical to a cold call.
 
     Parameters
     ----------
@@ -282,8 +367,10 @@ def run(
             f"n_stages must be in 1..{last} at truncation order {order}, got {n_stages}"
         )
 
-    energies = [state.levels]
-    for _ in range(n_stages):
+    energies = [state.levels.copy()]  # not the memo's own array
+    state = _first_step(state, _start(model, deg_tol, gap_guard))
+    energies.append(state.levels)
+    for _ in range(n_stages - 1):
         state = step(state)
         energies.append(state.levels)
 

@@ -36,16 +36,24 @@ def _require_same_shape(a, b):
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only: for an array that is shared once it is made."""
+    a.flags.writeable = False
+    return a
+
+
 def max_norm(a) -> float:
     """Entrywise max modulus, max_jk |a_jk|."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def hermitian_part(a) -> np.ndarray:
     """(a + a^H)/2 over the last two axes, so a stack of matrices works."""
     a = as_array(a)
-    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+    out = a + a.conj().swapaxes(-1, -2)
+    out /= 2.0
+    return out
 
 
 def hermiticity_defect(a) -> float:

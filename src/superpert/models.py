@@ -8,16 +8,23 @@ x^4 as the order-1 perturbation.
 A model's terms share one dtype, decided here at ingestion: float64 when
 every term's imaginary part is exactly zero, complex128 otherwise.  The
 engine follows that dtype, so a real model such as the oscillator runs in
-real arithmetic.
+real arithmetic.  The terms are read-only: the engine memoizes on the model
+what it derives from them alone (see `kolmogorov.run`).
 """
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import as_array, hermitian_part, require_hermitian, require_positive
+from .linalg import (
+    as_array,
+    hermitian_part,
+    read_only,
+    require_hermitian,
+    require_positive,
+)
 from .series import OperatorSeries, zero_padded
 
 
@@ -32,6 +39,14 @@ class ModelSpec:
     hbar: float = 1.0
     name: str = "custom"
     provenance: str = "memory"
+    # the engine's one memo entry for this model (see kolmogorov.run); a new
+    # model, e.g. from with_hbar, starts with an empty one
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the memo stays valid only while the terms do
+        for _, mat in self.h_coeffs:
+            read_only(mat)
 
     @property
     def max_order(self) -> int:

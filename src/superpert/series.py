@@ -44,7 +44,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import finite_norm, hermitian_part, require_hermitian, require_positive
+from .linalg import (
+    finite_norm,
+    hermitian_part,
+    read_only,
+    require_hermitian,
+    require_positive,
+)
 
 # Cap on the order of a series.  _BINOM holds float64 binomials, exact
 # through order 56; C(57, 25) is the first that rounds.
@@ -65,9 +71,7 @@ def _common_dtype(mats):
 def shared_zero(dim: int, dtype) -> np.ndarray:
     """Read-only zero matrix of the given dtype, safe to put in several
     slots at once."""
-    zero = np.zeros((dim, dim), dtype=dtype)
-    zero.flags.writeable = False
-    return zero
+    return read_only(np.zeros((dim, dim), dtype=dtype))
 
 
 @dataclass(frozen=True)
@@ -104,26 +108,34 @@ class OperatorSeries:
         dtype = _common_dtype(mats)
         self._set(tuple(c.astype(dtype, copy=False) for c in mats), hbar)
 
-    def _set(self, mats, hbar):
+    def _set(self, mats, hbar, norms=None):
         """Store the fields; a non-finite slot raises ValueError naming it,
-        which is how an overflow inside the engine surfaces."""
+        which is how an overflow inside the engine surfaces.  Each distinct
+        array is scanned once, so a zero shared by many slots costs one scan;
+        norms[p], where given and not None, is slot p's norm, already taken."""
         if len(mats) - 1 > MAX_ORDER:
             raise ValueError(
                 f"series order {len(mats) - 1} exceeds the cap {MAX_ORDER}"
             )
-        norms = tuple(finite_norm(c, f"coefficient {p}") for p, c in enumerate(mats))
+        norms = [None] * len(mats) if norms is None else list(norms)
+        scanned = {}
+        for p, c in enumerate(mats):
+            if norms[p] is None:
+                if id(c) not in scanned:
+                    scanned[id(c)] = finite_norm(c, f"coefficient {p}")
+                norms[p] = scanned[id(c)]
         object.__setattr__(self, "coeffs", mats)
         object.__setattr__(self, "hbar", hbar)
-        object.__setattr__(self, "norms", norms)
+        object.__setattr__(self, "norms", tuple(norms))
 
     @classmethod
-    def _computed(cls, mats, hbar):
+    def _computed(cls, mats, hbar, norms=None):
         """Series of square matrices of one dtype, computed from validated
         operands, with a validated hbar: Hermitian to the bit, or, for a
         generator, anti-Hermitian to the bit.  Only the order cap, the norms
-        and the non-finite check are done."""
+        and the non-finite check are done; `norms` as in `_set`."""
         series = object.__new__(cls)
-        series._set(tuple(mats), hbar)
+        series._set(tuple(mats), hbar, norms)
         return series
 
     @property
@@ -161,6 +173,13 @@ def _add(acc, term):
     return acc
 
 
+def _scaled(c, prod):
+    """c * prod for a fresh product, in place; C(p, 0) = C(p, p) = 1 is skipped."""
+    if c != 1.0:
+        prod *= c
+    return prod
+
+
 def _window(live):
     """An empty window for a recursion whose term X_{p+1} reads X_{p-l} for
     the live generator slots l: the last max(live) + 1 terms, of which the
@@ -177,14 +196,15 @@ def _next_image(a, live, window, p, hbar):
     for the whole sum, which is exact only for A anti-Hermitian and T
     Hermitian to the bit.  Each sum starts from its first term, so the
     nonzero terms add up in the same order as in the full recursion and
-    skipped orders are structural zeros."""
+    skipped orders are structural zeros.  Every product is fresh, so it is
+    scaled and summed in place; no array of the window is written."""
     y = None
     for l in live:
         if l > p:
             break
         src = window[-1 - l]
         if src is not None:
-            y = _add(y, binomial(p, l) * (a[l] @ src))
+            y = _add(y, _scaled(binomial(p, l), a[l] @ src))
     if y is None:
         return None
     y += y.conj().T
@@ -225,15 +245,28 @@ def conjugate_by(agen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
     """Series h transformed by the anti-Hermitian generator series agen, as the
     Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j); the stage engine's route.
     The chain of each live H_j is added into the K slots as it is produced,
-    for j ascending.  The result has the dtype agen and h promote to."""
+    for j ascending.  The result has the dtype agen and h promote to.
+
+    Terms are added into the K slots in place.  A slot first reached by an
+    image of H_0's chain (binomial 1) starts from that image itself: the
+    chain only reads it, and later chains write into it once the chain is
+    done.  T_0 is h's own H_j, so a slot that would start from it starts
+    from a copy."""
     _check_match(agen, h)
     dtype = np.result_type(agen.dtype, h.dtype)
     out = [None] * (h.order + 1)
     for j in h.live:
         x = h.coeffs[j].astype(dtype, copy=False)
         for p, term in enumerate(_t_images(agen, x, h.order - j), start=j):
-            if term is not None:
-                out[p] = _add(out[p], binomial(p, j) * term)
+            if term is None:
+                continue
+            c = binomial(p, j)
+            if out[p] is not None:
+                out[p] += term if c == 1.0 else c * term
+            elif c == 1.0 and p > j:
+                out[p] = term
+            else:
+                out[p] = c * term
     return _filled(out, h, dtype)
 
 
@@ -247,7 +280,8 @@ def flow_coefficients(agen: OperatorSeries):
     anti-Hermitian generator series agen: Phi(eps) ~ sum_p eps^p/p! U_p, the
     solution of U' = (1/hbar) U A(eps), in agen's dtype; None for a
     structurally zero coefficient.  Only the coefficients a later one still
-    reads are kept."""
+    reads are kept.  Each sum is built in its own memory, so no generator
+    slot or kept coefficient is written."""
     a, live, hbar = agen.coeffs, agen.live, agen.hbar
     window = _window(live)
     u = np.eye(agen.dim, dtype=agen.dtype)
@@ -258,13 +292,14 @@ def flow_coefficients(agen: OperatorSeries):
         for l in live:
             if l > p:
                 break
-            if l == p:  # U_0 A_p is A_p; the scalar product is a new array
-                nxt = _add(nxt, binomial(p, l) * a[l])
+            if l == p:  # U_0 A_p is A_p, and C(p, p) = 1
+                nxt = a[l].copy() if nxt is None else _add(nxt, a[l])
             elif window[-1 - l] is not None:
-                nxt = _add(nxt, binomial(p, l) * (window[-1 - l] @ a[l]))
-        u = None if nxt is None else (1.0 / hbar) * nxt
-        window.append(u)
-        yield u
+                nxt = _add(nxt, _scaled(binomial(p, l), window[-1 - l] @ a[l]))
+        if nxt is not None:
+            nxt *= 1.0 / hbar
+        window.append(nxt)
+        yield nxt
 
 
 def flow_at(agen: OperatorSeries, eps: float) -> np.ndarray:
@@ -278,16 +313,27 @@ def flow_at(agen: OperatorSeries, eps: float) -> np.ndarray:
     return out
 
 
+# The flow of a finite generator can overflow where its series stays finite;
+# each coefficient is checked here instead, with numpy's warnings off.
+@np.errstate(over="ignore", invalid="ignore")
 def u_coefficients(gen: OperatorSeries):
     """Coefficients of the flow generated by gen: Phi(eps) ~ sum_p eps^p/p! U_p.
 
     The flow solves U' = -(i/hbar) U W(eps) with U_0 = I, so that
     U(eps)^{-1} A U(eps) reproduces the conjugated series to O(eps^{P+1}).
-    Structurally zero coefficients share one read-only zero matrix.
+    Structurally zero coefficients share one read-only zero matrix.  A
+    coefficient with a NaN or Inf entry raises ValueError naming it.
     """
     agen = _anti_hermitian(gen)
     zero = shared_zero(agen.dim, agen.dtype)
-    return [zero if u is None else u for u in flow_coefficients(agen)]
+    out = []
+    for p, u in enumerate(flow_coefficients(agen)):
+        if u is None:
+            u = zero
+        else:
+            finite_norm(u, f"flow coefficient U_{p}")
+        out.append(u)
+    return out
 
 
 def weighted_sum(mats, eps: float) -> np.ndarray:
@@ -307,8 +353,9 @@ def eval_series(s: OperatorSeries, eps: float) -> np.ndarray:
 
 def zero_padded(coeffs_by_order, dim: int, order: int, hbar: float) -> OperatorSeries:
     """Series of the given order from a sparse {order: matrix} mapping of
-    validated Hermitian matrices, e.g. a model's terms; they are copied, in
-    float64 unless one of them is complex."""
+    validated Hermitian matrices, e.g. a model's read-only terms; in float64
+    unless one of them is complex.  A matrix already in that dtype fills its
+    slot as it is, so the caller must not write into it later."""
     dtype = _common_dtype(coeffs_by_order.values())
     slots = [shared_zero(dim, dtype)] * (order + 1)
     for p, mat in coeffs_by_order.items():
@@ -316,5 +363,5 @@ def zero_padded(coeffs_by_order, dim: int, order: int, hbar: float) -> OperatorS
             raise ValueError(
                 f"term of order {p} does not fit truncation order {order}"
             )
-        slots[p] = np.array(mat, dtype=dtype)
+        slots[p] = mat.astype(dtype, copy=False)
     return OperatorSeries._computed(slots, hbar)

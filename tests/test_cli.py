@@ -676,6 +676,21 @@ def test_engine_overflow_is_one_error_line(capsys):
     assert err.startswith("error: stage 3: ") and err.count("\n") == 1
 
 
+def test_overflowing_generator_is_named_as_the_generator(capsys):
+    # hbar 1e308 overflows the stage-1 generator -hbar B/(E_j - E_k) itself,
+    # before any Hamiltonian slot is built from it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(
+            ["--method", "su", "--builtin", "quartic_oscillator", "--dim", "12",
+             "--eps", "0.1", "--hbar", "1e308", "--order", "8"],
+            capsys,
+        )
+    assert code == 1 and out == ""
+    assert err.startswith("error: stage 1: generator slot A_1 has a non-finite entry")
+    assert err.count("\n") == 1
+
+
 def test_overflowing_eps_is_named_for_rs_alone(capsys):
     # eps**k of the order-4 series overflows a float
     code, out, err = _run(

@@ -305,6 +305,23 @@ def test_rotated_fully_degenerate_pair_stays_one_block():
     )
 
 
+def _random_rotated_model(rng, n, degenerate, real):
+    """A random model with H_0 = Q diag(levels) Q^H, the levels paired up when
+    degenerate, and a dense order-1 term, real symmetric or complex."""
+    levels = np.cumsum(1.0 + rng.uniform(0.0, 1.0, size=n))
+    if degenerate:
+        levels = np.repeat(levels[: (n + 1) // 2], 2)[:n]
+    if real:
+        v = _random_symmetric(rng, n, scale=0.3)
+        q = _random_orthogonal(rng, n)
+    else:
+        v = random_hermitian(rng, n, scale=0.3)
+        q = _random_unitary(rng, n)
+    v[0, -1] += 1e-12  # an asymmetry inside HERMITICITY_TOL
+    base = sp.make_model(n, [(0, np.diag(levels)), (1, v)])
+    return _rotated(base, q)
+
+
 @settings(max_examples=60)
 @given(
     n=st.integers(3, 8),
@@ -318,19 +335,7 @@ def test_engine_series_are_hermitian_to_the_bit(n, order, seed, degenerate, real
     # to the bit and generators anti-Hermitian to the bit: every slot the
     # engine builds must be the one and every generator the other, in real
     # arithmetic as in complex
-    rng = np.random.default_rng(seed)
-    levels = np.cumsum(1.0 + rng.uniform(0.0, 1.0, size=n))
-    if degenerate:
-        levels = np.repeat(levels[: (n + 1) // 2], 2)[:n]
-    if real:
-        v = _random_symmetric(rng, n, scale=0.3)
-        q = _random_orthogonal(rng, n)
-    else:
-        v = random_hermitian(rng, n, scale=0.3)
-        q = _random_unitary(rng, n)
-    v[0, -1] += 1e-12  # an asymmetry inside HERMITICITY_TOL
-    base = sp.make_model(n, [(0, np.diag(levels)), (1, v)])
-    model = _rotated(base, q)
+    model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
     seen = []
     real_conjugate = kolmogorov.conjugate_by
 
@@ -350,6 +355,186 @@ def test_engine_series_are_hermitian_to_the_bit(n, order, seed, degenerate, real
             assert defects(state.series.coeffs) == {0.0}
     assert len(seen) == default_n_stages(order) * (order + 1)
     assert {sp.max_norm(c + c.conj().T) for c in seen} == {0.0}
+
+
+def _state_arrays(state):
+    return [*state.series.coeffs, state.levels, state.blocks, state.basis]
+
+
+def _check_shared_zeros(mats):
+    # an array that fills several slots is a shared zero, and stays one
+    by_id = {}
+    for c in mats:
+        by_id.setdefault(id(c), []).append(c)
+    for group in by_id.values():
+        if len(group) > 1:
+            assert not group[0].any() and not group[0].flags.writeable
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(2, 8),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    real=st.booleans(),
+    hbar=st.sampled_from([1.0, 0.7]),
+)
+def test_run_and_step_leave_their_inputs_unchanged(n, order, seed, degenerate, real, hbar):
+    # the stage kernels scale and sum in place: nothing they were given may
+    # change (the model's terms, a state's slots, levels, blocks and basis,
+    # a stage's generator slots), on the call that fills the model's memo
+    # and on one that hits it
+    model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
+    model = model.with_hbar(hbar)
+    terms = [m.tobytes() for _, m in model.h_coeffs]
+    assert not any(m.flags.writeable for _, m in model.h_coeffs)
+    gens = []
+    real_conjugate = kolmogorov.conjugate_by
+
+    def recording(gen, h):
+        gens.append((gen.coeffs, [a.tobytes() for a in gen.coeffs]))
+        return real_conjugate(gen, h)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kolmogorov, "conjugate_by", recording)
+        for _ in range(2):
+            state = sp.init(model, 0.05, order)
+            for _ in range(default_n_stages(order)):
+                arrays = _state_arrays(state)
+                before = [a.tobytes() for a in arrays]
+                _check_shared_zeros(state.series.coeffs)
+                state = sp.step(state)
+                assert [a.tobytes() for a in arrays] == before
+                _check_shared_zeros(arrays[:-3])
+            _check_shared_zeros(state.series.coeffs)
+            sp.run(model, 0.05, order)
+            assert [m.tobytes() for _, m in model.h_coeffs] == terms
+    assert len(gens) == 4 * default_n_stages(order)
+    for coeffs, before in gens:
+        assert [a.tobytes() for a in coeffs] == before
+        _check_shared_zeros(coeffs)
+
+
+def _counting(monkeypatch, name):
+    """Count the engine's calls of kolmogorov.<name>."""
+    calls = []
+    real = getattr(kolmogorov, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kolmogorov, name, counted)
+    return calls
+
+
+def _fresh(model):
+    # the same terms in a new model, whose memo is empty
+    return dataclasses.replace(model)
+
+
+def _same_result(a, b):
+    assert len(a.energies) == len(b.energies)
+    assert all(np.array_equal(x, y) for x, y in zip(a.energies, b.energies))
+    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    assert a.eigenvectors.dtype == b.eigenvectors.dtype
+    assert a.history == b.history
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("eps_list", [(0.02, 0.07), (0.07, 0.02)], ids=["up", "down"])
+def test_memo_hit_matches_a_cold_run(real, eps_list, monkeypatch):
+    rng = np.random.default_rng(58)
+    model = _random_rotated_model(rng, 8, degenerate=True, real=real)
+    eighs = _counting(monkeypatch, "eigh")
+    averages = _counting(monkeypatch, "average_diagonal")
+    for hit, eps in enumerate(eps_list):
+        before = len(eighs), len(averages)
+        warm = sp.run(model, eps, 8)
+        # a hit makes no eigh of H_0 and averages stages 2..4 only
+        assert (len(eighs), len(averages)) == (before[0] + 1 - hit, before[1] + 4 - hit)
+        _same_result(warm, sp.run(_fresh(model), eps, 8))
+
+
+def test_changed_tolerances_or_hbar_miss_the_memo(monkeypatch):
+    model = sp.build_quartic_oscillator(12)
+    eighs = _counting(monkeypatch, "eigh")
+    calls = [
+        (model, {}),
+        (model, {"deg_tol": 1e-7}),
+        (model, {"deg_tol": 1e-7, "gap_guard": 1e-9}),
+        (model, {}),
+        (model.with_hbar(0.5), {}),
+    ]
+    for m, kwargs in calls:
+        before = len(eighs)
+        got = sp.run(m, 0.05, 4, **kwargs)
+        assert len(eighs) == before + 1
+        sp.run(m, 0.05, 4, **kwargs)
+        assert len(eighs) == before + 1
+        _same_result(got, sp.run(_fresh(m), 0.05, 4, **kwargs))
+
+
+def test_stage_one_small_denominator_raises_on_every_call(monkeypatch):
+    h0 = np.diag([0.0, 1e-8, 1.0])
+    model = sp.make_model(3, [(0, h0), (1, np.ones((3, 3)))])
+    averages = _counting(monkeypatch, "average_diagonal")
+    for i in (1, 2, 3):
+        with pytest.raises(sp.SmallDenominatorError, match=r"^stage 1: small denominator"):
+            sp.run(model, 0.1, 3)
+        assert len(averages) == i
+    # a guard that passes is a new memo entry, and the error is not kept
+    sp.run(model, 0.1, 3, gap_guard=1e-9)
+    with pytest.raises(sp.SmallDenominatorError, match=r"^stage 1: "):
+        sp.run(model, 0.1, 3)
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["plain", "degenerate"])
+def test_series_norms_match_their_slots_after_every_step(degenerate):
+    model = _random_rotated_model(np.random.default_rng(59), 7, degenerate, real=False)
+    state = sp.init(model, 0.05, 8)
+    assert state.series.norms == tuple(sp.max_norm(c) for c in state.series.coeffs)
+    for _ in range(default_n_stages(8)):
+        state = sp.step(state)
+        assert state.series.norms == tuple(sp.max_norm(c) for c in state.series.coeffs)
+
+
+def test_run_identical_across_blas_thread_counts():
+    # the library path, cold and on a memo hit: LAPACK and the GEMMs may
+    # block their reductions differently per thread count
+    code = (
+        "import hashlib, numpy as np, superpert as sp\n"
+        "rng = np.random.default_rng(60)\n"
+        "n = 48\n"
+        "def herm(s):\n"
+        "    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))\n"
+        "    return s * (m + m.conj().T) / 2\n"
+        "q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]\n"
+        "h0 = (q * np.cumsum(1.0 + rng.uniform(size=n))) @ q.conj().T\n"
+        "model = sp.make_model(n, [(0, h0), (1, herm(0.05)), (2, herm(0.05))])\n"
+        "digest = hashlib.sha256()\n"
+        "for eps in (0.02, 0.05, 0.02):\n"
+        "    res = sp.run(model, eps, 8)\n"
+        "    for e in res.energies:\n"
+        "        digest.update(e.tobytes())\n"
+        "    digest.update(res.eigenvectors.tobytes())\n"
+        "print(digest.hexdigest())\n"
+    )
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_degenerate_block_labels_follow_overlap():

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,8 @@ def test_conjugate_identity_when_generator_vanishes():
     k = sp.conjugate_series(zero_gen, h)
     for p in range(5):
         np.testing.assert_array_equal(k.coeffs[p], h.coeffs[p])
+        # each K_p = T_0(H_p) is a copy, not h's own slot
+        assert not np.shares_memory(k.coeffs[p], h.coeffs[p])
 
 
 def test_conjugate_unrolled_single_generator():
@@ -246,6 +249,18 @@ def test_u_coefficients_trivial_and_powers():
     for p in range(4):
         ref = np.linalg.matrix_power((-1j / hbar) * w1, p)
         np.testing.assert_allclose(u[p], ref, atol=1e-13 * max(1.0, sp.max_norm(ref)))
+
+
+def test_overflowing_flow_coefficient_is_named():
+    # U_2 = -W_1^2 overflows although W_1 is finite; any numpy warning on
+    # the way would raise here
+    w1 = np.array([[0.0, 1e200], [1e200, 0.0]])
+    zero = np.zeros((2, 2))
+    gen = OperatorSeries((w1, zero, zero))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^flow coefficient U_2 has a non-finite entry"):
+            sp.u_coefficients(gen)
 
 
 def test_truncated_flow_unitarity_defect_scaling():
