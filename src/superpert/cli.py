@@ -278,15 +278,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"--out {args.out}: {exc.strerror or exc}") from exc
     for note in report["diagnostics"]["warnings"]:
         print(f"warning: {note}", file=sys.stderr)
     return 0
 
 
-def _csv_floats(text: str):
-    return [float(x) for x in text.split(",")]
+def _csv_list(kind, text: str):
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of {kind.__name__}s, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--eps",
         required=True,
-        type=_csv_floats,
+        type=lambda text: _csv_list(float, text),
         help="comma-separated list of parameter values",
     )
     parser.add_argument("--order", type=int, default=4, help="truncation order P")
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--levels",
-        type=lambda s: [int(x) for x in s.split(",")],
+        type=lambda text: _csv_list(int, text),
         default=[0],
         help="comma-separated level labels (default 0)",
     )

@@ -15,13 +15,15 @@ throughout for a real model, complex128 for a complex one.
 
 `init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
 diagonal up to degeneracy blocks, which alone are diagonalized after each
-fold.  The eigendecomposition, the rotated terms and stage 1's averaging do
-not depend on eps or the order, so they are memoized on the model (`_start`):
-a later `run` on it starts stage 1 at the conjugation.  Both rotations are symmetrized, so every slot the engine builds is
-Hermitian and every generator anti-Hermitian to the bit, as the conjugation
-kernel needs.  A level's label is its index in this never re-sorted basis
-(inside a block, the index it overlaps most); its eigenvector of H(eps) is
-that column of V0 * prod_n U_n(eps) Q_n.
+fold, so it is kept only as its levels (slot 0 of the series is zero).  The
+eigendecomposition, the rotated terms and stage 1's averaging do not depend
+on eps or the order, so they are memoized on the model (`_start`): a later
+`run` starts stage 1 at the conjugation.  Both rotations are symmetrized,
+so every slot the engine builds is Hermitian and every generator
+anti-Hermitian to the bit, as the conjugation kernel needs.  A level's
+label is its index in this never re-sorted basis (inside a block, the index
+it overlaps most); its eigenvector of H(eps) is that column of
+V0 * prod_n U_n(eps) Q_n.
 """
 
 import math
@@ -71,8 +73,8 @@ class StageInfo:
 class KolmogorovState:
     stage: int
     eps: float
-    series: OperatorSeries  # in the running basis: coeffs[0] == diag(levels)
-    levels: np.ndarray  # diagonal of coeffs[0]; a level's label is its index
+    series: OperatorSeries  # perturbation slots in the running basis; slot 0 is zero
+    levels: np.ndarray  # H_0 = diag(levels); a level's label is its index
     blocks: np.ndarray  # blocks[j], the degeneracy block of level j
     basis: np.ndarray  # running basis in original coordinates: V0 prod U_n(eps) Q_n
     deg_tol: float  # resolved once from the H_0 levels when not given
@@ -114,8 +116,7 @@ class _Start:
     gap_guard), all read-only: the H_0 spectral data and the resolved
     tolerances; the perturbation terms in the H_0 eigenbasis, {p: V^H H_p V}
     for p >= 1, from the first `init`; and stage 1's averaging of slot 1
-    (`_average`), from the first `run`.  diag(levels) and the zero padding
-    depend on the order and are built per call."""
+    (`_average`), from the first `run`."""
 
     def __init__(self, spectral: SpectralData, deg_tol: float, gap_guard: float):
         self.spectral = spectral
@@ -168,11 +169,10 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
             for p, mat in model.h_coeffs
             if p
         }
-    terms = {0: np.diag(spectral.eigenvalues), **start.terms}
     return KolmogorovState(
         stage=0,
         eps=eps,
-        series=zero_padded(terms, model.dim, order, model.hbar),
+        series=zero_padded(start.terms, model.dim, order, model.hbar),
         levels=spectral.eigenvalues,
         blocks=spectral.blocks,
         basis=spectral.eigenvectors,
@@ -241,19 +241,19 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     gen_norms = [0.0] * (lo - 1) + list(a_norms) + [0.0] * (P + 1 - hi)
     gen = OperatorSeries._computed(a_slots, hbar, gen_norms)
     try:
-        k = conjugate_by(gen, series)
+        k = conjugate_by(gen, series, state.levels)
     except ValueError as exc:  # an overflow shows as a non-finite slot
         raise ValueError(f"stage {n}: {exc}") from exc
 
-    scale = max(series.norms)
-    h0 = k.coeffs[0].copy()
+    scale = max(max_norm(state.levels), *series.norms)
+    h0 = np.diag(state.levels).astype(series.dtype, copy=False)  # K_0 = H_0
     for p, avg in enumerate(averaged, start=lo):
         h0 += (state.eps**p / math.factorial(p)) * avg
     if not np.isfinite(h0).all():
         raise ValueError(f"stage {n}: H_0 has a non-finite entry")
     # slots below the window are predicted zero, the window its averages
     residual = max(
-        max(k.norms[1:lo], default=0.0),
+        max(k.norms[:lo]),
         max(max_norm(k.coeffs[p] - avg) for p, avg in enumerate(averaged, start=lo)),
     )
     if residual > 1e-8 * max(scale, 1e-300):
@@ -283,9 +283,7 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
         stage=n,
         eps=state.eps,
         series=OperatorSeries._computed(
-            [np.diag(levels).astype(series.dtype)] + [zero] * hi + list(rest),
-            hbar,
-            [None] + [0.0] * hi + list(rest_norms),
+            [zero] * (hi + 1) + list(rest), hbar, [0.0] * (hi + 1) + list(rest_norms)
         ),
         levels=levels,
         blocks=blocks,

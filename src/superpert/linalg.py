@@ -80,10 +80,12 @@ def require_finite(value, what) -> float:
 
 
 def require_positive(value, what) -> float:
-    """float(value); raises ValueError naming `what` unless finite and > 0."""
+    """hbar as a float; ValueError naming `what` unless it and 1/it are finite, > 0."""
     value = float(value)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{what} must be positive and finite, got {value}")
+    if not math.isfinite(1.0 / value):
+        raise ValueError(f"{what} must have a finite reciprocal, got {value}")
     return value
 
 

@@ -32,7 +32,9 @@ Both recursions are streamed.  T_{p+1}(x) reads T_{p-l}(x) only for live
 generator slots l, so `_t_images` keeps the last max(live) + 1 images, not
 the whole chain; `conjugate_by` adds each chain T_0..T_{P-j}(H_j) into the
 K slots as it is produced, for j ascending, so each K_p sums its terms in
-the Cauchy product's order.  The flow coefficients follow the same rule,
+the Cauchy product's order.  The stage engine gives H_0 as its levels, a
+1-D T_0, whose images take A * levels for A diag(levels), bit for bit, at
+half the work.  The flow coefficients follow the same rule,
 and `flow_at` sums them at eps as they come.  A transform of an order-P
 series therefore holds O(P) matrices at once, the P + 1 slots of K and one
 window of images, not the P^2/2 images of the whole Cauchy product.
@@ -203,8 +205,9 @@ def _next_image(a, live, window, p, hbar):
         if l > p:
             break
         src = window[-1 - l]
-        if src is not None:
-            y = _add(y, _scaled(binomial(p, l), a[l] @ src))
+        if src is not None:  # a 1-D T_0 is diagonal: A diag(x) is A * x
+            prod = a[l] * src if src.ndim == 1 else a[l] @ src
+            y = _add(y, _scaled(binomial(p, l), prod))
     if y is None:
         return None
     y += y.conj().T
@@ -234,18 +237,13 @@ def _check_match(gen: OperatorSeries, h: OperatorSeries):
         )
 
 
-def _filled(slots, h: OperatorSeries, dtype) -> OperatorSeries:
-    """Series of h's order, dim and hbar from slots of one dtype, None for a
-    zero slot."""
-    zero = shared_zero(h.dim, dtype)
-    return OperatorSeries._computed([zero if c is None else c for c in slots], h.hbar)
-
-
-def conjugate_by(agen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
+def conjugate_by(agen: OperatorSeries, h: OperatorSeries, levels=None):
     """Series h transformed by the anti-Hermitian generator series agen, as the
     Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j); the stage engine's route.
     The chain of each live H_j is added into the K slots as it is produced,
-    for j ascending.  The result has the dtype agen and h promote to.
+    for j ascending.  The engine gives H_0 = diag(levels) as `levels`, with
+    h's slot 0 zero: its chain runs first, and K_0 = H_0 is left out (zero).
+    The result has the dtype agen and h promote to.
 
     Terms are added into the K slots in place.  A slot first reached by an
     image of H_0's chain (binomial 1) starts from that image itself: the
@@ -255,10 +253,11 @@ def conjugate_by(agen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
     _check_match(agen, h)
     dtype = np.result_type(agen.dtype, h.dtype)
     out = [None] * (h.order + 1)
-    for j in h.live:
-        x = h.coeffs[j].astype(dtype, copy=False)
+    chains = [] if levels is None else [(0, levels)]
+    for j, x in chains + [(j, h.coeffs[j]) for j in h.live]:
+        x = x.astype(dtype, copy=False)
         for p, term in enumerate(_t_images(agen, x, h.order - j), start=j):
-            if term is None:
+            if term is None or term.ndim == 1:
                 continue
             c = binomial(p, j)
             if out[p] is not None:
@@ -267,7 +266,8 @@ def conjugate_by(agen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
                 out[p] = term
             else:
                 out[p] = c * term
-    return _filled(out, h, dtype)
+    zero = shared_zero(h.dim, dtype)
+    return OperatorSeries._computed([zero if c is None else c for c in out], h.hbar)
 
 
 def conjugate_series(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:

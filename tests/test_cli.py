@@ -646,11 +646,11 @@ def test_compare_quartic_makes_only_real_dense_eigh(capsys, monkeypatch):
      ("--gap-guard", "-1e-6"), ("--eps", "0.1,0.1"), ("--levels", "0,0"),
      ("--eps", "1e300"), ("--stages", "0"), ("--stages", "-1"),
      ("--stages", "4"), ("--order", str(sp.MAX_ORDER + 1)), ("--dim", "4"),
-     ("--hbar", "-1")],
+     ("--hbar", "-1"), ("--hbar", "1e-310")],
     ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative", "eps_repeated",
          "levels_repeated", "eps_overflow", "stages", "stages_negative",
          "stages_past_last", "order_past_cap", "dim_below_builtin_minimum",
-         "hbar_negative"],
+         "hbar_negative", "hbar_reciprocal_overflows"],
 )
 def test_bad_numeric_flag_is_named(capsys, flag, value):
     args = [
@@ -660,6 +660,35 @@ def test_bad_numeric_flag_is_named(capsys, flag, value):
     code, out, err = _run(args + [f"{flag}={value}"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--eps", "0.1,x"), ("--levels", "0,x"), ("--eps", "0.1,,0.2")],
+    ids=["eps", "levels", "eps_empty_item"],
+)
+def test_malformed_list_flag_names_the_expected_list(capsys, flag, value):
+    args = [
+        "--method", "su", "--builtin", "quartic_oscillator", "--dim", "12",
+        "--eps", "0.1", f"{flag}={value}",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a comma-separated list of " in err
+    assert repr(value) in err
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_path_is_one_error_line(capsys, tmp_path, target):
+    out_path = tmp_path / "missing" / "x.csv" if target == "missing_dir" else tmp_path
+    code, out, err = _run(
+        ["--method", "su", "--builtin", "quartic_oscillator", "--dim", "12",
+         "--eps", "0.1", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: --out {out_path}: ") and err.count("\n") == 1
 
 
 def test_engine_overflow_is_one_error_line(capsys):

@@ -136,8 +136,9 @@ def test_builtin_selector_checks_fields(field, value):
     "field, value, message",
     [("dimension", 4, "needs dim >= 8, got 4"),
      ("hbar", -1.0, "hbar must be positive and finite, got -1.0"),
-     ("hbar", float("inf"), "hbar must be positive and finite, got inf")],
-    ids=["dimension_small", "hbar_negative", "hbar_inf"],
+     ("hbar", float("inf"), "hbar must be positive and finite, got inf"),
+     ("hbar", 1e-310, "hbar must have a finite reciprocal, got 1e-310")],
+    ids=["dimension_small", "hbar_negative", "hbar_inf", "hbar_reciprocal_overflows"],
 )
 def test_builtin_selector_errors_name_the_file(field, value, message):
     doc = {"builtin": "quartic_oscillator", "dimension": 12, field: value}

@@ -334,9 +334,15 @@ def test_series_rejects_non_finite_entries(bad):
         OperatorSeries((a, a, b))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
-def test_series_rejects_bad_hbar(bad):
-    with pytest.raises(ValueError, match="hbar must be"):
+@pytest.mark.parametrize(
+    "bad, message",
+    [(np.nan, "hbar must be"), (np.inf, "hbar must be"), (0.0, "hbar must be"),
+     (1e-310, "^hbar must have a finite reciprocal, got 1e-310$")],
+    ids=["nan", "inf", "zero", "reciprocal_overflows"],
+)
+def test_series_rejects_bad_hbar(bad, message):
+    # at 1e-310, 1/hbar is inf, and conjugation used to give NaN slots
+    with pytest.raises(ValueError, match=message):
         OperatorSeries((np.eye(2, dtype=complex),), hbar=bad)
 
 
@@ -413,6 +419,46 @@ def test_zero_slot_skipping_is_exact(n, order, seed, zero_w, zero_h):
         assert len(got) == len(want)
         for g, r in zip(got, want):
             np.testing.assert_array_equal(g, r)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 6),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+    zero_w=st.sets(st.integers(0, 8)),
+    zero_h=st.sets(st.integers(1, 8)),
+)
+def test_levels_chain_matches_the_dense_diagonal_chain(n, order, seed, real, zero_w, zero_h):
+    # the stage engine hands H_0 to conjugate_by as its levels; A * levels is
+    # A @ diag(levels) to the bit, so every K_p, p >= 1, equals the one the
+    # dense diagonal slot gives, and K_0 is left zero
+    rng = np.random.default_rng(seed)
+    zero = np.zeros((n, n))
+
+    def hermitian(sign):
+        # real: a symmetric H_p, and W = iK for antisymmetric K, which gives
+        # the real generator A = -iW = K
+        if not real:
+            return random_hermitian(rng, n)
+        m = rng.standard_normal((n, n))
+        return (m + m.T) / 2.0 if sign > 0 else 0.5j * (m - m.T)
+
+    levels = rng.uniform(-3.0, 3.0, n)
+    w = [zero if l in zero_w else 0.5 * hermitian(-1) for l in range(order + 1)]
+    agen = series._anti_hermitian(OperatorSeries(tuple(w), 0.7))
+    slots = [zero if p in zero_h else hermitian(1) for p in range(1, order + 1)]
+    h = OperatorSeries((zero, *slots), 0.7)
+    dense = OperatorSeries((np.diag(levels),) + h.coeffs[1:], 0.7)
+    got = series.conjugate_by(agen, h, levels)
+    want = series.conjugate_by(agen, dense)
+    assert got.dtype == want.dtype
+    assert got.dtype == np.float64 or not real
+    assert got.norms[0] == 0.0 and not got.coeffs[0].flags.writeable
+    np.testing.assert_array_equal(want.coeffs[0], np.diag(levels))
+    for p in range(1, order + 1):
+        np.testing.assert_array_equal(got.coeffs[p], want.coeffs[p])
 
 
 def test_binomials_exact_small_orders():
