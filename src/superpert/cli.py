@@ -10,7 +10,9 @@ the stages that still have orders to eliminate at truncation order P.
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -271,8 +273,28 @@ def render_report(report: dict, fmt: str) -> str:
     raise ValueError(f"unknown output format {fmt!r}")
 
 
+def _check_out(path: str) -> None:
+    """Raise the error that writing `path` would raise, where it can be told
+    before any computation: a directory, or a folder that is missing or not
+    writable.  The file itself is not created."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(folder, os.W_OK | os.X_OK) or (
+        os.path.exists(path) and not os.access(path, os.W_OK)
+    ):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"--out {path}: {os.strerror(code)}")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """Compute, render, and write one report; returns the exit code."""
+    if args.out is not None:
+        _check_out(args.out)
     report = compute_report(args)
     text = render_report(report, args.format)
     if args.out is None:

@@ -11,7 +11,10 @@ expansion in functions of eps, not a plain power series.
 
 A generator slot is stored as the anti-Hermitian A_p = -iW_p (see
 `series`), so the engine runs in the dtype of the model: real arithmetic
-throughout for a real model, complex128 for a complex one.
+throughout for a real model, complex128 for a complex one.  Since eps is a
+number, each stage stops its conjugation chains and its flow sum once the
+Lie-series majorant of the rest is below rounding at eps (`chain_stops`,
+`flow_at`), and records the majorant of what it dropped.
 
 `init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
 diagonal up to degeneracy blocks, which alone are diagonalized after each
@@ -49,6 +52,7 @@ from .models import ModelSpec
 from .series import (
     MAX_ORDER,
     OperatorSeries,
+    chain_stops,
     conjugate_by,
     flow_at,
     shared_zero,
@@ -67,6 +71,9 @@ class StageInfo:
     series_scale: float  # max coefficient norm of the series entering the stage
     min_gap: float  # smallest denominator gap in this stage's averaging basis
     generator_norms: tuple  # max_norm of the generator slots (|A_p| = |W_p|)
+    # spectral-norm majorant at eps of the dropped images, plus ||H_0||_2
+    # times that of the dropped flow tail; 0.0 when nothing with weight went
+    truncation_bound: float
 
 
 @dataclass(frozen=True)
@@ -240,12 +247,14 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     a_slots[lo - 1 : hi] = a_window
     gen_norms = [0.0] * (lo - 1) + list(a_norms) + [0.0] * (P + 1 - hi)
     gen = OperatorSeries._computed(a_slots, hbar, gen_norms)
+    h0_norm = max_norm(state.levels)  # ||H_0||_2
+    stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
     try:
-        k = conjugate_by(gen, series, state.levels)
+        k = conjugate_by(gen, series, state.levels, stops)
     except ValueError as exc:  # an overflow shows as a non-finite slot
         raise ValueError(f"stage {n}: {exc}") from exc
 
-    scale = max(max_norm(state.levels), *series.norms)
+    scale = max(h0_norm, *series.norms)
     h0 = np.diag(state.levels).astype(series.dtype, copy=False)  # K_0 = H_0
     for p, avg in enumerate(averaged, start=lo):
         h0 += (state.eps**p / math.factorial(p)) * avg
@@ -262,7 +271,8 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
             f"by {residual:.3e} (scale {scale:.3e})"
         )
 
-    basis = state.basis @ flow_at(gen, state.eps)
+    flow, flow_dropped = flow_at(gen, state.eps)
+    basis = state.basis @ flow
     if not np.isfinite(basis).all():
         raise ValueError(f"stage {n}: the basis has a non-finite entry")
     levels, blocks, q = _diagonalize_blocks(h0, state.blocks, state.deg_tol)
@@ -278,6 +288,7 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
         series_scale=scale,
         min_gap=min_gap,
         generator_norms=gen.norms,
+        truncation_bound=dropped + h0_norm * flow_dropped,
     )
     return KolmogorovState(
         stage=n,

@@ -38,8 +38,15 @@ half the work.  The flow coefficients follow the same rule,
 and `flow_at` sums them at eps as they come.  A transform of an order-P
 series therefore holds O(P) matrices at once, the P + 1 slots of K and one
 window of images, not the P^2/2 images of the whole Cauchy product.
+
+At its numeric eps the engine also stops each chain, and the flow, early:
+`lie_majorant` bounds every term not yet computed (Deprit 1969, Celest.
+Mech. 1:12), and `chain_stops` and `flow_at` drop the tails that weigh
+less than unit roundoff at eps.  The public functions are formal series in
+eps and keep every term.
 """
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -59,6 +66,9 @@ from .linalg import (
 MAX_ORDER = 62
 
 _BINOM = [[float(math.comb(p, l)) for l in range(p + 1)] for p in range(MAX_ORDER + 1)]
+
+# Unit roundoff of float64, the engine's budget for a dropped tail.
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def binomial(p: int, l: int) -> float:
@@ -237,12 +247,14 @@ def _check_match(gen: OperatorSeries, h: OperatorSeries):
         )
 
 
-def conjugate_by(agen: OperatorSeries, h: OperatorSeries, levels=None):
+def conjugate_by(agen: OperatorSeries, h: OperatorSeries, levels=None, stops=None):
     """Series h transformed by the anti-Hermitian generator series agen, as the
     Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j); the stage engine's route.
     The chain of each live H_j is added into the K slots as it is produced,
     for j ascending.  The engine gives H_0 = diag(levels) as `levels`, with
     h's slot 0 zero: its chain runs first, and K_0 = H_0 is left out (zero).
+    With `stops` (see `chain_stops`), chain j computes only T_0..T_{stops[j]-1}
+    and is skipped for a stop of 0; without, every chain runs to order P.
     The result has the dtype agen and h promote to.
 
     Terms are added into the K slots in place.  A slot first reached by an
@@ -255,8 +267,11 @@ def conjugate_by(agen: OperatorSeries, h: OperatorSeries, levels=None):
     out = [None] * (h.order + 1)
     chains = [] if levels is None else [(0, levels)]
     for j, x in chains + [(j, h.coeffs[j]) for j in h.live]:
+        stop = h.order - j + 1 if stops is None else stops[j]
+        if not stop:
+            continue
         x = x.astype(dtype, copy=False)
-        for p, term in enumerate(_t_images(agen, x, h.order - j), start=j):
+        for p, term in enumerate(_t_images(agen, x, stop - 1), start=j):
             if term is None or term.ndim == 1:
                 continue
             c = binomial(p, j)
@@ -302,15 +317,87 @@ def flow_coefficients(agen: OperatorSeries):
         yield nxt
 
 
-def flow_at(agen: OperatorSeries, eps: float) -> np.ndarray:
-    """The flow of agen at eps, sum_p eps^p/p! U_p, summed as the
-    coefficients come, in `weighted_sum`'s order and skipping zero ones."""
-    coeffs = flow_coefficients(agen)
+def flow_at(agen: OperatorSeries, eps: float):
+    """(flow, dropped): the flow of agen at eps, sum_p eps^p/p! U_p, summed
+    as the coefficients come, in `weighted_sum`'s order and skipping zero
+    ones.  The longest tail past U_0 = I whose majorant at eps is below u is
+    not computed; `dropped` is that majorant, 0.0 for none."""
+    stop, dropped = _cut(lie_majorant(agen, eps, 1.0), 1.0, 1, UNIT_ROUNDOFF)
+    coeffs = itertools.islice(flow_coefficients(agen), stop)
     out = next(coeffs).copy()
     for p, u in enumerate(coeffs, start=1):
         if u is not None and u.any():
             out += (eps**p / math.factorial(p)) * u
-    return out
+    return out, dropped
+
+
+def lie_majorant(agen: OperatorSeries, eps: float, factor: float) -> list:
+    """Weighted Lie-series majorant of a chain with a unit leaf: w[k] >=
+    |eps|^k/k! ||X_k||_2, k = 0..P, for ||X_0||_2 <= 1 and
+    X_{k+1} = sum_l C(k, l) c(A_{l+1}, X_{k-l}), where
+    ||c(A, X)||_2 <= (factor/hbar) ||A||_2 ||X||_2: factor 2 for the images
+    (c = -(1/hbar)[A, .]), 1 for the flow coefficients (c = (1/hbar) X A).
+    A slot is bounded by d norms[l] >= ||A_{l+1}||_F, so no matrix is read,
+    and the weights are folded into the recursion,
+
+        w[k+1] = factor/(hbar (k+1)) sum_l d norms[l] |eps|^{l+1}/l! w[k-l],
+
+    so no factorial is formed; an overflow gives inf, which cuts nothing."""
+    x = abs(eps)
+    slots, power = [], x  # power = |eps|^{l+1}/l!
+    for l, norm in enumerate(agen.norms[:-1]):
+        if norm:
+            slots.append((l, agen.dim * norm * power))
+        power = power * x / (l + 1)
+    rate = factor / agen.hbar
+    w = [1.0]
+    for k in range(agen.order):
+        total = 0.0
+        for l, g in slots:
+            if l > k:
+                break
+            if w[k - l]:
+                total += g * w[k - l]
+        w.append(rate / (k + 1) * total)
+    return w
+
+
+def _cut(weights, scale, first, budget):
+    """(stop, dropped): the longest tail weights[stop:], stop >= first, with
+    `dropped`, scale times its sum, below budget; the sum is taken from the
+    end, and a zero weight (a structurally zero term) adds 0 even to an
+    infinite scale.  stop is len(weights) and dropped 0.0 when no such tail
+    exists."""
+    stop, dropped = len(weights), 0.0
+    while stop > first:
+        weight = weights[stop - 1]
+        total = dropped + scale * weight if weight else dropped
+        if not total < budget:
+            break
+        stop, dropped = stop - 1, total
+    return stop, dropped
+
+
+def chain_stops(agen: OperatorSeries, h: OperatorSeries, h0_norm: float, eps, keep):
+    """(stops, dropped) for `conjugate_by` of h, with H_0 given as levels of
+    spectral norm h0_norm.  Term k of chain j weighs
+    |eps|^{j+k}/(j! k!) ||T_k(H_j)||_2 <= leaf_j w[k] at eps, with
+    leaf_j = |eps|^j/j! d norms[j] (h0_norm for j = 0).  Each chain keeps
+    its images up to order `keep` and drops its longest tail below
+    u h0_norm / (number of chains), so `dropped`, the majorant of all that
+    is dropped, stays below u h0_norm.  A chain past `keep` may go whole."""
+    leaves, power = {0: h0_norm}, 1.0  # leaves[j] >= |eps|^j/j! ||H_j||_2
+    for j in range(1, h.order + 1):
+        power = power * abs(eps) / j
+        if h.norms[j]:
+            leaves[j] = power * h.dim * h.norms[j]
+    budget = UNIT_ROUNDOFF * h0_norm / len(leaves)
+    w = lie_majorant(agen, eps, 2.0)
+    stops, dropped = [0] * (h.order + 1), 0.0
+    for j, leaf in leaves.items():
+        stops[j], tail = _cut(w[: h.order - j + 1], leaf, max(keep - j + 1, 0), budget)
+        dropped += tail
+    return stops, dropped
 
 
 # The flow of a finite generator can overflow where its series stays finite;

@@ -758,3 +758,18 @@ def test_builtin_model_file_with_null_hbar_is_an_error(capsys, tmp_path):
     )
     assert code == 1 and out == ""
     assert err.startswith("error:") and "'hbar'" in err
+
+
+def test_bad_out_path_fails_before_the_report_is_computed(capsys, monkeypatch):
+    def never(args):
+        raise AssertionError("compute_report ran before --out was checked")
+
+    monkeypatch.setattr(cli, "compute_report", never)
+    code, out, err = _run(
+        ["--method", "compare", "--builtin", "quartic_oscillator", "--dim", "150",
+         "--eps", "0.02,0.05", "--out", "/nonexistent/x.json"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --out /nonexistent/x.json: No such file or directory\n"
+    assert not os.path.exists("/nonexistent")

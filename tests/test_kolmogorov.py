@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -6,13 +7,14 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superpert as sp
-from superpert import kolmogorov
+from superpert import kolmogorov, series
 from superpert.kolmogorov import default_n_stages
 
 import reference
@@ -359,9 +361,9 @@ def test_engine_series_are_hermitian_to_the_bit(n, order, seed, degenerate, real
     seen = []
     real_conjugate = kolmogorov.conjugate_by
 
-    def recording(gen, h, levels):
+    def recording(gen, h, *args, **kwargs):
         seen.extend(gen.coeffs)
-        return real_conjugate(gen, h, levels)
+        return real_conjugate(gen, h, *args, **kwargs)
 
     def defects(mats):
         return {sp.hermiticity_defect(c) for c in mats}
@@ -414,9 +416,9 @@ def test_run_and_step_leave_their_inputs_unchanged(n, order, seed, degenerate, r
     gens = []
     real_conjugate = kolmogorov.conjugate_by
 
-    def recording(gen, h, levels):
+    def recording(gen, h, *args, **kwargs):
         gens.append((gen.coeffs, [a.tobytes() for a in gen.coeffs]))
-        return real_conjugate(gen, h, levels)
+        return real_conjugate(gen, h, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kolmogorov, "conjugate_by", recording)
@@ -611,7 +613,9 @@ def test_overflowing_flow_is_named_by_its_stage():
 def test_run_working_set_is_linear_in_order():
     # a stage holds each series' P + 1 slots and a window of images, not the
     # P^2/2 images of the whole Cauchy product; the bound lies between the
-    # two, which trace about 3.3 and 16.9 (P + 1) matrices here
+    # two, which trace about 3.1 and 16.9 (P + 1) matrices here.  At eps 20
+    # every chain's majorant stays above rounding, so the cut drops no term
+    # that carries weight and each recursion runs as long as without it
     rng = np.random.default_rng(57)
     d, P = 16, 32
     h0 = np.diag(np.arange(1.0, d + 1)).astype(complex)
@@ -621,10 +625,11 @@ def test_run_working_set_is_linear_in_order():
     assert model.h_coeffs[1][1].dtype == np.complex128
     tracemalloc.start()
     try:
-        sp.run(model, 0.05, P)
+        res = sp.run(model, 20.0, P)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert [info.truncation_bound for info in res.history] == [0.0] * len(res.history)
     assert peak <= 5 * (P + 1) * d * d * 16
 
 
@@ -718,9 +723,9 @@ def _stage_dtypes(model, order, monkeypatch):
     gens = []
     conjugate_by = kolmogorov.conjugate_by
 
-    def recording(gen, h, levels):
+    def recording(gen, h, *args, **kwargs):
         gens.extend(gen.coeffs)
-        return conjugate_by(gen, h, levels)
+        return conjugate_by(gen, h, *args, **kwargs)
 
     monkeypatch.setattr(kolmogorov, "conjugate_by", recording)
     state = sp.init(model, 0.05, order)
@@ -748,3 +753,125 @@ def test_engine_runs_in_the_dtype_of_the_model(real, monkeypatch):
     assert {sp.max_norm(a + a.conj().T) for a in gens} == {0.0}
     assert any(a.any() for a in gens)
     assert sp.run(model, 0.05, 8).eigenvectors.dtype == dtype
+
+
+def _stage_operands(model, eps, order):
+    """(generator, series, levels) of every stage of run(model, eps, order)."""
+    stages = []
+    real_conjugate = kolmogorov.conjugate_by
+
+    def recording(gen, h, levels, *args, **kwargs):
+        stages.append((gen, h, levels))
+        return real_conjugate(gen, h, levels, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kolmogorov, "conjugate_by", recording)
+        sp.run(model, eps, order)
+    return stages
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(2, 7),
+    order=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    real=st.booleans(),
+    hbar=st.sampled_from([1.0, 0.7]),
+    eps=st.sampled_from([0.02, 0.05]),
+)
+def test_lie_majorant_bounds_every_image_and_flow_coefficient(
+    n, order, seed, degenerate, real, hbar, eps
+):
+    # the cut rests on |eps|^k/k! ||X_k||_2 <= ||X_0||_2 w[k]: check it on the
+    # spectral norm of every image of every chain, H_0's included, and of
+    # every flow coefficient of every stage, each taken to order P
+    model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
+    model = model.with_hbar(hbar)
+    for gen, h, levels in _stage_operands(model, eps, order):
+        images = series.lie_majorant(gen, eps, 2.0)
+        for x in [levels] + [h.coeffs[j] for j in h.live]:
+            leaf = sp.max_norm(x) if x.ndim == 1 else np.linalg.norm(x, 2)
+            assert leaf <= n * sp.max_norm(x)  # the leaf bound the cut takes
+            for k, t in enumerate(series._t_images(gen, x, order)):
+                if t is not None and t.ndim == 2:
+                    weighted = eps**k / math.factorial(k) * np.linalg.norm(t, 2)
+                    assert weighted <= (1 + 1e-12) * leaf * images[k]
+        flow = series.lie_majorant(gen, eps, 1.0)
+        for p, u in enumerate(series.flow_coefficients(gen)):
+            if u is not None:
+                weighted = eps**p / math.factorial(p) * np.linalg.norm(u, 2)
+                assert weighted <= (1 + 1e-12) * flow[p]
+
+
+def _keep_every_term(weights, scale, first, budget):
+    return len(weights), 0.0
+
+
+def _run_uncut(model, eps, order):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_cut", _keep_every_term)
+        whole = sp.run(model, eps, order)
+    assert [info.truncation_bound for info in whole.history] == [0.0] * len(whole.history)
+    return whole
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(2, 8),
+    order=st.integers(4, 16),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    real=st.booleans(),
+    hbar=st.sampled_from([1.0, 0.7]),
+    eps=st.sampled_from([0.02, 0.05]),
+)
+def test_cut_moves_results_by_at_most_its_bound(n, order, seed, degenerate, real, hbar, eps):
+    # what the cut drops weighs at most sum(truncation_bound) in spectral
+    # norm: by Weyl the energies move by no more, and by Davis-Kahan an
+    # eigenvector by no more than that over its gap; the two runs round
+    # differently, which 4 ulps of ||H_0|| cover
+    model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
+    model = model.with_hbar(hbar)
+    cut = sp.run(model, eps, order)
+    whole = _run_uncut(model, eps, order)
+    bound = sum(info.truncation_bound for info in cut.history)
+    slack = 4 * 2.0**-53 * sp.max_norm(whole.energies[0])
+    for got, want in zip(cut.energies, whole.energies):
+        assert np.max(np.abs(got - want)) <= bound + slack
+    final = whole.energies[-1]
+    gaps = np.abs(final[:, None] - final[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    moved = np.linalg.norm(cut.eigenvectors - whole.eigenvectors, axis=0)
+    assert np.all(moved <= (bound + slack) / gaps.min(axis=1))
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.05])
+def test_cut_keeps_the_forward_error_against_high_precision(eps):
+    # a dense real dim-6 model at order 16, where the order-P remainder is far
+    # below rounding: against eigsy at 40 digits, the cut may add at most its
+    # bound to the error of the run that keeps every term
+    rng = np.random.default_rng(61)
+    n = 6
+    q = _random_orthogonal(rng, n)
+    levels = np.cumsum(1.0 + rng.uniform(0.0, 1.0, n))
+    terms = [
+        (0, (q * levels) @ q.T),
+        (1, _random_symmetric(rng, n, scale=0.5)),
+        (2, _random_symmetric(rng, n, scale=0.5)),
+    ]
+    model = sp.make_model(n, terms)
+    cut = sp.run(model, eps, 16)
+    whole = _run_uncut(model, eps, 16)
+    bound = sum(info.truncation_bound for info in cut.history)
+    assert bound > 0.0
+    with mpmath.workdps(40):
+        x = mpmath.mpf(eps)
+        weights = [1, x, x * x / 2]
+        h = mpmath.matrix(n, n)
+        for p, m in model.h_coeffs:
+            h += weights[p] * mpmath.matrix(m.tolist())
+        exact = np.array(sorted(mpmath.eigsy(h, eigvals_only=True)), dtype=object)
+    err_cut = np.abs(np.sort(cut.energies[-1]) - exact).astype(float)
+    err_whole = np.abs(np.sort(whole.energies[-1]) - exact).astype(float)
+    assert np.all(err_cut <= err_whole + bound)

@@ -492,3 +492,43 @@ def test_public_routes_run_real_for_an_imaginary_generator():
     for c1, c2 in zip(k.coeffs, table.coeffs):
         scale = max(1.0, sp.max_norm(c1), sp.max_norm(c2))
         assert sp.max_norm(c1 - c2) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0])
+@pytest.mark.parametrize("eps", [0.05, -0.3, 0.0])
+def test_lie_majorant_is_the_weighted_binomial_recursion(factor, eps):
+    # w[k] = |eps|^k/k! M_k for M_0 = 1 and
+    # M_{k+1} = (factor/hbar) sum_l C(k, l) d |A_{l+1}|_max M_{k-l}
+    rng = np.random.default_rng(38)
+    n, P, hbar = 4, 10, 0.7
+    agen = series._anti_hermitian(_series(rng, n, P, hbar=hbar, zero_slots=(0, 3, 4)))
+    g = [n * norm for norm in agen.norms]
+    m = [1.0]
+    for k in range(P):
+        m.append(factor / hbar * sum(math.comb(k, l) * g[l] * m[k - l] for l in range(k + 1)))
+    want = [abs(eps) ** k / math.factorial(k) * m[k] for k in range(P + 1)]
+    np.testing.assert_allclose(series.lie_majorant(agen, eps, factor), want, rtol=1e-13, atol=0)
+
+
+def test_cut_drops_the_longest_tail_below_its_budget():
+    weights = [1.0, 1e-3, 1e-20, 3e-21, 0.0]
+    assert series._cut(weights, 10.0, 1, 1e-18) == (2, 10.0 * 3e-21 + 10.0 * 1e-20)
+    assert series._cut(weights, 10.0, 3, 1e-18) == (3, 10.0 * 3e-21)
+    assert series._cut(weights, 10.0, 1, 0.0) == (5, 0.0)
+    assert series._cut(weights, 0.0, 0, 1e-18) == (0, 0.0)
+    # a zero weight is a structural zero, dropped for free at any scale
+    assert series._cut(weights, math.inf, 0, 1e-18) == (4, 0.0)
+
+
+def test_chain_stops_keep_every_weighted_term_at_a_huge_eps():
+    # the majorant and the leaves overflow to inf there, and an infinite
+    # tail is never cut; only chain 5 loses a term, its structurally zero
+    # T_1, which no generator slot reaches (slot 0 is zero)
+    rng = np.random.default_rng(39)
+    P = 6
+    agen = series._anti_hermitian(_series(rng, 3, P, zero_slots=(0, 4, 5, 6)))
+    h = _series(rng, 3, P, zero_slots=(0, 1))
+    stops, dropped = series.chain_stops(agen, h, 2.0, 1e300, 1)
+    assert dropped == 0.0
+    assert stops == [P + 1, 0, 5, 4, 3, 1, 1]
+    assert series.lie_majorant(agen, 1e300, 1.0)[2:] == [math.inf] * (P - 1)
