@@ -29,6 +29,7 @@ it overlaps most); its eigenvector of H(eps) is that column of
 V0 * prod_n U_n(eps) Q_n.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ from .linalg import (
     degeneracy_blocks,
     eigh,
     finite_norm,
+    finite_norms,
     fix_column_phases,
     hermitian_part,
     max_norm,
@@ -53,7 +55,7 @@ from .series import (
     MAX_ORDER,
     OperatorSeries,
     chain_stops,
-    conjugate_by,
+    conjugate_slots,
     flow_at,
     shared_zero,
     zero_padded,
@@ -213,8 +215,9 @@ def _diagonalize_blocks(h0, blocks, deg_tol):
 
 def _average(state: KolmogorovState, n, lo, hi):
     """Stage n's homological equation for the window lo..hi, with one set of
-    denominators: (averaged slots, generator slots A_lo..A_hi, their norms,
-    smallest denominator gap).  A non-finite generator slot raises naming it."""
+    denominators: (averaged slots, generator slots A_lo..A_hi, their
+    (norm, bound) scans, smallest denominator gap).  A non-finite generator
+    slot raises naming it."""
     series = state.series
     try:
         averaged, a_window, min_gap = average_diagonal(
@@ -228,42 +231,52 @@ def _average(state: KolmogorovState, n, lo, hi):
         raise SmallDenominatorError(
             f"stage {n}: {exc}", indices=exc.indices, gap=exc.gap
         ) from exc
-    a_norms = [
-        finite_norm(a, f"stage {n}: generator slot A_{p}")
+    a_scans = [
+        finite_norms(a, f"stage {n}: generator slot A_{p}")
         for p, a in enumerate(a_window, start=lo)
     ]
-    return averaged, a_window, a_norms, min_gap
+    return averaged, a_window, a_scans, min_gap
 
 
 def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
-    """Stage n from its averaging (see `_average`): conjugate, fold, check
-    the eliminated slots and rediagonalize H_0's blocks."""
-    averaged, a_window, a_norms, min_gap = averaging
+    """Stage n from its averaging (see `_average`): fold the averaged slots
+    into H_0 and rediagonalize its blocks, conjugate, check the eliminated
+    slots, apply the flow to the basis, and rotate the basis and the
+    surviving slots by the blocks' unitary q.  The fold needs only the
+    averaged slots, so q is known before the conjugation, and each surviving
+    slot is scanned once, after q."""
+    averaged, a_window, a_scans, min_gap = averaging
     P = state.order
     series = state.series
     hbar = series.hbar
     zero = shared_zero(series.dim, series.dtype)
+    zero_scan = (0.0, 0.0)  # (norm, bound) of a zero slot
     a_slots = [zero] * (P + 1)
     a_slots[lo - 1 : hi] = a_window
-    gen_norms = [0.0] * (lo - 1) + list(a_norms) + [0.0] * (P + 1 - hi)
-    gen = OperatorSeries._computed(a_slots, hbar, gen_norms)
-    h0_norm = max_norm(state.levels)  # ||H_0||_2
-    stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
-    try:
-        k = conjugate_by(gen, series, state.levels, stops)
-    except ValueError as exc:  # an overflow shows as a non-finite slot
-        raise ValueError(f"stage {n}: {exc}") from exc
+    gen_scans = [zero_scan] * (lo - 1) + list(a_scans) + [zero_scan] * (P + 1 - hi)
+    gen = OperatorSeries._computed(a_slots, hbar, gen_scans)
 
-    scale = max(h0_norm, *series.norms)
     h0 = np.diag(state.levels).astype(series.dtype, copy=False)  # K_0 = H_0
     for p, avg in enumerate(averaged, start=lo):
         h0 += (state.eps**p / math.factorial(p)) * avg
     if not np.isfinite(h0).all():
         raise ValueError(f"stage {n}: H_0 has a non-finite entry")
-    # slots below the window are predicted zero, the window its averages
+    levels, blocks, q = _diagonalize_blocks(h0, state.blocks, state.deg_tol)
+
+    h0_norm = max_norm(state.levels)  # ||H_0||_2
+    stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
+    k = conjugate_slots(gen, series, state.levels, stops)
+    scale = max(h0_norm, *series.norms)
+    # slots below the window are predicted zero, the window its averages;
+    # each deviation is scanned as it is made, and an overflow shows as a
+    # non-finite slot
+    below = ((p, c) for p, c in enumerate(k[:lo]) if c is not None)
+    window = (
+        (p, avg if k[p] is None else k[p] - avg) for p, avg in enumerate(averaged, start=lo)
+    )
     residual = max(
-        max(k.norms[:lo]),
-        max(max_norm(k.coeffs[p] - avg) for p, avg in enumerate(averaged, start=lo)),
+        finite_norm(c, f"stage {n}: coefficient {p}")
+        for p, c in itertools.chain(below, window)
     )
     if residual > 1e-8 * max(scale, 1e-300):
         raise ConsistencyError(
@@ -275,13 +288,18 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     basis = state.basis @ flow
     if not np.isfinite(basis).all():
         raise ValueError(f"stage {n}: the basis has a non-finite entry")
-    levels, blocks, q = _diagonalize_blocks(h0, state.blocks, state.deg_tol)
-    rest = k.coeffs[hi + 1 :]
-    rest_norms = k.norms[hi + 1 :]
+    rest = k[hi + 1 :]
     if q is not None:
-        rest = [hermitian_part(q.conj().T @ c @ q) for c in rest]
-        rest_norms = [None] * len(rest)
+        rest = [c if c is None else hermitian_part(q.conj().T @ c @ q) for c in rest]
         basis = basis @ q
+    try:
+        survivors = OperatorSeries._computed(
+            [zero] * (hi + 1) + [zero if c is None else c for c in rest],
+            hbar,
+            [zero_scan] * (hi + 1) + [zero_scan if c is None else None for c in rest],
+        )
+    except ValueError as exc:
+        raise ValueError(f"stage {n}: {exc}") from exc
     info = StageInfo(
         stage=n,
         slot_residual=residual,
@@ -293,9 +311,7 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     return KolmogorovState(
         stage=n,
         eps=state.eps,
-        series=OperatorSeries._computed(
-            [zero] * (hi + 1) + list(rest), hbar, [0.0] * (hi + 1) + list(rest_norms)
-        ),
+        series=survivors,
         levels=levels,
         blocks=blocks,
         basis=basis,
@@ -327,9 +343,22 @@ def _first_step(state: KolmogorovState, start: _Start) -> KolmogorovState:
     stage 1's averaging, which does not depend on eps or the order, taken
     from start once it has been computed."""
     if start.stage1 is None:
-        averaged, a_window, a_norms, min_gap = _average(state, 1, 1, 1)
-        start.stage1 = (read_only(averaged), read_only(a_window), a_norms, min_gap)
+        averaged, a_window, a_scans, min_gap = _average(state, 1, 1, 1)
+        start.stage1 = (read_only(averaged), read_only(a_window), a_scans, min_gap)
     return _advance(state, 1, 1, 1, start.stage1)
+
+
+# A basis whose entries are finite can still have columns whose squared
+# norm overflows; that is checked here, with numpy's warnings off.
+@np.errstate(over="ignore", invalid="ignore")
+def _unit_columns(basis):
+    """basis with each column divided by its 2-norm; a norm that is not
+    finite raises ValueError naming the final basis and the column."""
+    norms = np.linalg.norm(basis, axis=0, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(f"the final basis: column {bad[0]} has a non-finite norm")
+    return basis / norms
 
 
 def default_n_stages(order: int) -> int:
@@ -383,8 +412,7 @@ def run(
         state = step(state)
         energies.append(state.levels)
 
-    vecs = state.basis / np.linalg.norm(state.basis, axis=0, keepdims=True)
-    vecs = fix_column_phases(vecs)
+    vecs = fix_column_phases(_unit_columns(state.basis))
 
     return SuResult(
         eps=float(eps),

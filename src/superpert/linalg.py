@@ -61,14 +61,40 @@ def hermiticity_defect(a) -> float:
     return max_norm(a - a.conj().T)
 
 
-def finite_norm(a, what) -> float:
-    """max_norm(a); raises ValueError naming `what` and the first NaN or Inf
-    entry (j, k) unless that norm is finite."""
-    norm = max_norm(a)
+def _require_finite_norm(a, norm, what) -> float:
+    """norm, the max_norm of a; raises ValueError naming `what` and the first
+    NaN or Inf entry (j, k) unless it is finite."""
     if not math.isfinite(norm):
         bad = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
         raise ValueError(f"{what} has a non-finite entry {bad} = {a[bad]}")
     return norm
+
+
+def finite_norm(a, what) -> float:
+    """max_norm(a); raises ValueError naming `what` and the first NaN or Inf
+    entry (j, k) unless that norm is finite."""
+    return _require_finite_norm(a, max_norm(a), what)
+
+
+# Column sums of moduli cannot overflow while d times the largest modulus
+# stays below this.
+_SUM_SAFE = np.finfo(np.float64).max / 2
+
+
+def finite_norms(a, what) -> tuple:
+    """(max_norm(a), its induced 1-norm max_k sum_j |a_jk|) for a square a,
+    from one np.abs pass; raises as `finite_norm`.  For a Hermitian or
+    anti-Hermitian a the 1-norm bounds the spectral norm,
+    ||a||_2 <= sqrt(||a||_1 ||a||_inf) = ||a||_1 <= d ||a||_max; the rounded
+    column sum is held to that last cap, and it is 0.0 exactly for a zero a.
+    Where the column sums could overflow, the cap is taken instead (inf
+    once d ||a||_max overflows), with no numpy warning."""
+    mod = np.abs(a)
+    norm = _require_finite_norm(a, float(mod.max()), what)
+    cap = a.shape[0] * norm
+    if not cap < _SUM_SAFE:
+        return norm, cap
+    return norm, min(float(mod.sum(axis=0).max()), cap)
 
 
 def require_finite(value, what) -> float:

@@ -16,7 +16,7 @@ Internally a generator is stored as the anti-Hermitian A = -iW, which is
 real antisymmetric when the model is real, so one kernel runs in the dtype
 of its operands: float64 for a real model, complex128 otherwise.  The
 public functions convert W exactly at entry (`_anti_hermitian`); the stage
-engine builds the A slots itself and calls `conjugate_by` and
+engine builds the A slots itself and calls `conjugate_slots` and
 `flow_coefficients` directly.  With ad W = -(1/hbar)[A, .], and
 [A, T] = Y + Y^H with Y = A T for anti-Hermitian A and Hermitian T, the
 kernel `_next_image` accumulates Y = sum_l C(p, l) A_{l+1} T_{p-l}(x), one
@@ -30,7 +30,7 @@ engine its basis rotations.
 
 Both recursions are streamed.  T_{p+1}(x) reads T_{p-l}(x) only for live
 generator slots l, so `_t_images` keeps the last max(live) + 1 images, not
-the whole chain; `conjugate_by` adds each chain T_0..T_{P-j}(H_j) into the
+the whole chain; `conjugate_slots` adds each chain T_0..T_{P-j}(H_j) into the
 K slots as it is produced, for j ascending, so each K_p sums its terms in
 the Cauchy product's order.  The stage engine gives H_0 as its levels, a
 1-D T_0, whose images take A * levels for A diag(levels), bit for bit, at
@@ -41,8 +41,10 @@ window of images, not the P^2/2 images of the whole Cauchy product.
 
 At its numeric eps the engine also stops each chain, and the flow, early:
 `lie_majorant` bounds every term not yet computed (Deprit 1969, Celest.
-Mech. 1:12), and `chain_stops` and `flow_at` drop the tails that weigh
-less than unit roundoff at eps.  The public functions are formal series in
+Mech. 1:12) from the induced 1-norm each series keeps of its slots, which
+bounds the spectral norm of a Hermitian or anti-Hermitian matrix, and
+`chain_stops` and `flow_at` drop the tails that weigh less than unit
+roundoff at eps.  The public functions are formal series in
 eps and keep every term.
 """
 
@@ -55,6 +57,7 @@ import numpy as np
 
 from .linalg import (
     finite_norm,
+    finite_norms,
     hermitian_part,
     read_only,
     require_hermitian,
@@ -96,12 +99,16 @@ class OperatorSeries:
     is real, complex128 otherwise.  The engine builds the series it computes
     from such operands through `_computed`, which skips those steps.  norms[p]
     is max_norm(coeffs[p]); entries are finite, so a slot is an exact zero
-    matrix exactly when its norm is 0 (see `live`).
+    matrix exactly when its norm is 0 (see `live`).  bounds[p] is the
+    induced 1-norm of coeffs[p] (`finite_norms`), taken in the same pass: a
+    bound on its spectral norm, since every slot is Hermitian or, for a
+    generator, anti-Hermitian, which `lie_majorant` and `chain_stops` read.
     """
 
     coeffs: tuple
     hbar: float = 1.0
     norms: tuple = field(init=False, compare=False, repr=False)
+    bounds: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.coeffs:
@@ -120,34 +127,36 @@ class OperatorSeries:
         dtype = _common_dtype(mats)
         self._set(tuple(c.astype(dtype, copy=False) for c in mats), hbar)
 
-    def _set(self, mats, hbar, norms=None):
+    def _set(self, mats, hbar, scans=None):
         """Store the fields; a non-finite slot raises ValueError naming it,
         which is how an overflow inside the engine surfaces.  Each distinct
         array is scanned once, so a zero shared by many slots costs one scan;
-        norms[p], where given and not None, is slot p's norm, already taken."""
+        scans[p], where given and not None, is slot p's (norm, bound),
+        already taken."""
         if len(mats) - 1 > MAX_ORDER:
             raise ValueError(
                 f"series order {len(mats) - 1} exceeds the cap {MAX_ORDER}"
             )
-        norms = [None] * len(mats) if norms is None else list(norms)
+        scans = [None] * len(mats) if scans is None else list(scans)
         scanned = {}
         for p, c in enumerate(mats):
-            if norms[p] is None:
+            if scans[p] is None:
                 if id(c) not in scanned:
-                    scanned[id(c)] = finite_norm(c, f"coefficient {p}")
-                norms[p] = scanned[id(c)]
+                    scanned[id(c)] = finite_norms(c, f"coefficient {p}")
+                scans[p] = scanned[id(c)]
         object.__setattr__(self, "coeffs", mats)
         object.__setattr__(self, "hbar", hbar)
-        object.__setattr__(self, "norms", tuple(norms))
+        object.__setattr__(self, "norms", tuple(norm for norm, _ in scans))
+        object.__setattr__(self, "bounds", tuple(bound for _, bound in scans))
 
     @classmethod
-    def _computed(cls, mats, hbar, norms=None):
+    def _computed(cls, mats, hbar, scans=None):
         """Series of square matrices of one dtype, computed from validated
         operands, with a validated hbar: Hermitian to the bit, or, for a
         generator, anti-Hermitian to the bit.  Only the order cap, the norms
-        and the non-finite check are done; `norms` as in `_set`."""
+        and the non-finite check are done; `scans` as in `_set`."""
         series = object.__new__(cls)
-        series._set(tuple(mats), hbar, norms)
+        series._set(tuple(mats), hbar, scans)
         return series
 
     @property
@@ -247,15 +256,17 @@ def _check_match(gen: OperatorSeries, h: OperatorSeries):
         )
 
 
-def conjugate_by(agen: OperatorSeries, h: OperatorSeries, levels=None, stops=None):
-    """Series h transformed by the anti-Hermitian generator series agen, as the
-    Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j); the stage engine's route.
-    The chain of each live H_j is added into the K slots as it is produced,
-    for j ascending.  The engine gives H_0 = diag(levels) as `levels`, with
-    h's slot 0 zero: its chain runs first, and K_0 = H_0 is left out (zero).
-    With `stops` (see `chain_stops`), chain j computes only T_0..T_{stops[j]-1}
-    and is skipped for a stop of 0; without, every chain runs to order P.
-    The result has the dtype agen and h promote to.
+def conjugate_slots(agen: OperatorSeries, h: OperatorSeries, levels=None, stops=None):
+    """The slots K_0..K_P of h transformed by the anti-Hermitian generator
+    series agen, the Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j), as a
+    list with None for a slot no term lands in; the stage engine's route,
+    which scans each slot where it next uses it.  The chain of each live H_j
+    is added into the K slots as it is produced, for j ascending.  The
+    engine gives H_0 = diag(levels) as `levels`, with h's slot 0 zero: its
+    chain runs first, and K_0 = H_0 is left out (None).  With `stops` (see
+    `chain_stops`), chain j computes only T_0..T_{stops[j]-1} and is skipped
+    for a stop of 0; without, every chain runs to order P.  The slots have
+    the dtype agen and h promote to; their entries are not checked.
 
     Terms are added into the K slots in place.  A slot first reached by an
     image of H_0's chain (binomial 1) starts from that image itself: the
@@ -281,6 +292,14 @@ def conjugate_by(agen: OperatorSeries, h: OperatorSeries, levels=None, stops=Non
                 out[p] = term
             else:
                 out[p] = c * term
+    return out
+
+
+def conjugate_by(agen: OperatorSeries, h: OperatorSeries, levels=None, stops=None):
+    """`conjugate_slots` as a series, a zero slot for None; a non-finite slot
+    raises ValueError naming it."""
+    out = conjugate_slots(agen, h, levels, stops)
+    dtype = np.result_type(agen.dtype, h.dtype)
     zero = shared_zero(h.dim, dtype)
     return OperatorSeries._computed([zero if c is None else c for c in out], h.hbar)
 
@@ -337,17 +356,17 @@ def lie_majorant(agen: OperatorSeries, eps: float, factor: float) -> list:
     X_{k+1} = sum_l C(k, l) c(A_{l+1}, X_{k-l}), where
     ||c(A, X)||_2 <= (factor/hbar) ||A||_2 ||X||_2: factor 2 for the images
     (c = -(1/hbar)[A, .]), 1 for the flow coefficients (c = (1/hbar) X A).
-    A slot is bounded by d norms[l] >= ||A_{l+1}||_F, so no matrix is read,
-    and the weights are folded into the recursion,
+    A slot is bounded by its stored induced 1-norm, bounds[l] >= ||A_{l+1}||_2,
+    so no matrix is read, and the weights are folded into the recursion,
 
-        w[k+1] = factor/(hbar (k+1)) sum_l d norms[l] |eps|^{l+1}/l! w[k-l],
+        w[k+1] = factor/(hbar (k+1)) sum_l bounds[l] |eps|^{l+1}/l! w[k-l],
 
     so no factorial is formed; an overflow gives inf, which cuts nothing."""
     x = abs(eps)
     slots, power = [], x  # power = |eps|^{l+1}/l!
-    for l, norm in enumerate(agen.norms[:-1]):
-        if norm:
-            slots.append((l, agen.dim * norm * power))
+    for l, bound in enumerate(agen.bounds[:-1]):
+        if bound:
+            slots.append((l, bound * power))
         power = power * x / (l + 1)
     rate = factor / agen.hbar
     w = [1.0]
@@ -379,18 +398,19 @@ def _cut(weights, scale, first, budget):
 
 
 def chain_stops(agen: OperatorSeries, h: OperatorSeries, h0_norm: float, eps, keep):
-    """(stops, dropped) for `conjugate_by` of h, with H_0 given as levels of
+    """(stops, dropped) for `conjugate_slots` of h, with H_0 given as levels of
     spectral norm h0_norm.  Term k of chain j weighs
     |eps|^{j+k}/(j! k!) ||T_k(H_j)||_2 <= leaf_j w[k] at eps, with
-    leaf_j = |eps|^j/j! d norms[j] (h0_norm for j = 0).  Each chain keeps
+    leaf_j = |eps|^j/j! bounds[j] (h0_norm for j = 0), bounds[j] the stored
+    induced 1-norm of H_j.  Each chain keeps
     its images up to order `keep` and drops its longest tail below
     u h0_norm / (number of chains), so `dropped`, the majorant of all that
     is dropped, stays below u h0_norm.  A chain past `keep` may go whole."""
     leaves, power = {0: h0_norm}, 1.0  # leaves[j] >= |eps|^j/j! ||H_j||_2
     for j in range(1, h.order + 1):
         power = power * abs(eps) / j
-        if h.norms[j]:
-            leaves[j] = power * h.dim * h.norms[j]
+        if h.bounds[j]:
+            leaves[j] = power * h.bounds[j]
     budget = UNIT_ROUNDOFF * h0_norm / len(leaves)
     w = lie_majorant(agen, eps, 2.0)
     stops, dropped = [0] * (h.order + 1), 0.0

@@ -359,7 +359,7 @@ def test_engine_series_are_hermitian_to_the_bit(n, order, seed, degenerate, real
     # arithmetic as in complex
     model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
     seen = []
-    real_conjugate = kolmogorov.conjugate_by
+    real_conjugate = kolmogorov.conjugate_slots
 
     def recording(gen, h, *args, **kwargs):
         seen.extend(gen.coeffs)
@@ -369,7 +369,7 @@ def test_engine_series_are_hermitian_to_the_bit(n, order, seed, degenerate, real
         return {sp.hermiticity_defect(c) for c in mats}
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kolmogorov, "conjugate_by", recording)
+        mp.setattr(kolmogorov, "conjugate_slots", recording)
         state = sp.init(model, 0.05, order)
         assert defects(state.series.coeffs) == {0.0}
         _check_h0_slot(state)
@@ -414,14 +414,14 @@ def test_run_and_step_leave_their_inputs_unchanged(n, order, seed, degenerate, r
     terms = [m.tobytes() for _, m in model.h_coeffs]
     assert not any(m.flags.writeable for _, m in model.h_coeffs)
     gens = []
-    real_conjugate = kolmogorov.conjugate_by
+    real_conjugate = kolmogorov.conjugate_slots
 
     def recording(gen, h, *args, **kwargs):
         gens.append((gen.coeffs, [a.tobytes() for a in gen.coeffs]))
         return real_conjugate(gen, h, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kolmogorov, "conjugate_by", recording)
+        mp.setattr(kolmogorov, "conjugate_slots", recording)
         for _ in range(2):
             state = sp.init(model, 0.05, order)
             for _ in range(default_n_stages(order)):
@@ -600,6 +600,37 @@ def test_overflowing_series_is_rejected():
         sp.run(model, 1.0, 4)
 
 
+def test_overflow_in_a_rotated_surviving_slot_names_its_stage():
+    # stage 1 conjugates to finite slots, but rotating the huge order-2 slot
+    # by the block unitary of the doubly degenerate H_0 overflows: only the
+    # scan after the rotation can see it
+    rng = np.random.default_rng(62)
+    h0 = np.diag([1.0, 1.0, 2.5, 2.5])
+    terms = [(0, h0), (1, random_hermitian(rng, 4, 0.3)), (2, 8e307 * np.ones((4, 4)))]
+    model = sp.make_model(4, terms)
+    conjugated, rotations = [], []
+    real_conjugate, real_blocks = kolmogorov.conjugate_slots, kolmogorov._diagonalize_blocks
+
+    def conjugate(*args):
+        out = real_conjugate(*args)
+        conjugated.append([c for c in out if c is not None])
+        return out
+
+    def blocks(*args):
+        out = real_blocks(*args)
+        rotations.append(out[2] is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(kolmogorov, "conjugate_slots", conjugate)
+        mp.setattr(kolmogorov, "_diagonalize_blocks", blocks)
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="stage 1: .*non-finite"):
+            sp.run(model, 1.0, 4)
+    assert rotations == [True]
+    assert all(np.isfinite(c).all() for c in conjugated[0])
+
+
 def test_overflowing_flow_is_named_by_its_stage():
     # eps**8 is still a float but the stage-1 flow at eps is not; the series
     # slots stay finite, so only the basis check sees it
@@ -610,19 +641,26 @@ def test_overflowing_flow_is_named_by_its_stage():
             sp.run(model, 1e38, 8, n_stages=1)
 
 
+def _dim16_model():
+    """A complex dim-16 model with a diagonal H_0 and dense orders 1 and 2."""
+    rng = np.random.default_rng(57)
+    d = 16
+    h0 = np.diag(np.arange(1.0, d + 1)).astype(complex)
+    model = sp.make_model(
+        d, [(0, h0), (1, random_hermitian(rng, d, 0.05)), (2, random_hermitian(rng, d, 0.05))]
+    )
+    assert model.h_coeffs[1][1].dtype == np.complex128
+    return model
+
+
 def test_run_working_set_is_linear_in_order():
     # a stage holds each series' P + 1 slots and a window of images, not the
     # P^2/2 images of the whole Cauchy product; the bound lies between the
     # two, which trace about 3.1 and 16.9 (P + 1) matrices here.  At eps 20
     # every chain's majorant stays above rounding, so the cut drops no term
     # that carries weight and each recursion runs as long as without it
-    rng = np.random.default_rng(57)
     d, P = 16, 32
-    h0 = np.diag(np.arange(1.0, d + 1)).astype(complex)
-    model = sp.make_model(
-        d, [(0, h0), (1, random_hermitian(rng, d, 0.05)), (2, random_hermitian(rng, d, 0.05))]
-    )
-    assert model.h_coeffs[1][1].dtype == np.complex128
+    model = _dim16_model()
     tracemalloc.start()
     try:
         res = sp.run(model, 20.0, P)
@@ -631,6 +669,15 @@ def test_run_working_set_is_linear_in_order():
         tracemalloc.stop()
     assert [info.truncation_bound for info in res.history] == [0.0] * len(res.history)
     assert peak <= 5 * (P + 1) * d * d * 16
+
+
+def test_overflowing_final_basis_is_an_error_not_a_warning():
+    # at eps 100 every stage's basis stays finite, but the squared norms of
+    # its columns overflow when the final basis is normalized
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the final basis: column 0 has a non-finite norm"):
+            sp.run(_dim16_model(), 100.0, 32)
 
 
 def test_run_is_unitarily_invariant():
@@ -721,13 +768,13 @@ def _stage_dtypes(model, order, monkeypatch):
     """(dtypes of every series slot, basis and generator slot, the generator
     slots) over a full run of init and steps."""
     gens = []
-    conjugate_by = kolmogorov.conjugate_by
+    conjugate_slots = kolmogorov.conjugate_slots
 
     def recording(gen, h, *args, **kwargs):
         gens.extend(gen.coeffs)
-        return conjugate_by(gen, h, *args, **kwargs)
+        return conjugate_slots(gen, h, *args, **kwargs)
 
-    monkeypatch.setattr(kolmogorov, "conjugate_by", recording)
+    monkeypatch.setattr(kolmogorov, "conjugate_slots", recording)
     state = sp.init(model, 0.05, order)
     dtypes = {c.dtype for c in state.series.coeffs} | {state.basis.dtype}
     for _ in range(default_n_stages(order)):
@@ -758,14 +805,14 @@ def test_engine_runs_in_the_dtype_of_the_model(real, monkeypatch):
 def _stage_operands(model, eps, order):
     """(generator, series, levels) of every stage of run(model, eps, order)."""
     stages = []
-    real_conjugate = kolmogorov.conjugate_by
+    real_conjugate = kolmogorov.conjugate_slots
 
     def recording(gen, h, levels, *args, **kwargs):
         stages.append((gen, h, levels))
         return real_conjugate(gen, h, levels, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kolmogorov, "conjugate_by", recording)
+        mp.setattr(kolmogorov, "conjugate_slots", recording)
         sp.run(model, eps, order)
     return stages
 
@@ -790,9 +837,10 @@ def test_lie_majorant_bounds_every_image_and_flow_coefficient(
     model = model.with_hbar(hbar)
     for gen, h, levels in _stage_operands(model, eps, order):
         images = series.lie_majorant(gen, eps, 2.0)
-        for x in [levels] + [h.coeffs[j] for j in h.live]:
+        leaves = [(levels, sp.max_norm(levels))] + [(h.coeffs[j], h.bounds[j]) for j in h.live]
+        for x, bound in leaves:
             leaf = sp.max_norm(x) if x.ndim == 1 else np.linalg.norm(x, 2)
-            assert leaf <= n * sp.max_norm(x)  # the leaf bound the cut takes
+            assert leaf <= bound  # the leaf bound the cut takes
             for k, t in enumerate(series._t_images(gen, x, order)):
                 if t is not None and t.ndim == 2:
                     weighted = eps**k / math.factorial(k) * np.linalg.norm(t, 2)
@@ -802,6 +850,61 @@ def test_lie_majorant_bounds_every_image_and_flow_coefficient(
             if u is not None:
                 weighted = eps**p / math.factorial(p) * np.linalg.norm(u, 2)
                 assert weighted <= (1 + 1e-12) * flow[p]
+
+
+def _check_bounds(s):
+    # bounds[p] is the induced 1-norm of slot p: at least its spectral norm
+    # (up to the rounding of the SVD), at most d times its max-norm, and 0.0
+    # exactly for a zero slot
+    assert len(s.bounds) == len(s.coeffs)
+    for x, norm, bound in zip(s.coeffs, s.norms, s.bounds):
+        assert norm == sp.max_norm(x)
+        assert np.linalg.norm(x, 2) <= (1 + 1e-12) * bound
+        assert bound <= s.dim * norm
+        np.testing.assert_allclose(bound, np.linalg.norm(x, 1), rtol=1e-13, atol=0)
+        assert (bound == 0.0) == (not x.any())
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(2, 8),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    real=st.booleans(),
+)
+def test_stored_bounds_bound_the_spectral_norm(n, order, seed, degenerate, real):
+    # real and complex Hermitian slots (a public series and every state's
+    # series), the anti-Hermitian generator slots of every stage, and the
+    # slots a stage's block unitary q rotates, which a degenerate H_0 gives
+    rng = np.random.default_rng(seed)
+    model = _random_rotated_model(rng, n, degenerate, real)
+    hermitian = _random_symmetric if real else random_hermitian
+    zero = np.zeros((n, n))
+    _check_bounds(sp.OperatorSeries((hermitian(rng, n), zero, hermitian(rng, n, 1e-3)), 0.7))
+    gens, rotations = [], []
+    real_conjugate, real_blocks = kolmogorov.conjugate_slots, kolmogorov._diagonalize_blocks
+
+    def conjugate(gen, *args):
+        gens.append(gen)
+        return real_conjugate(gen, *args)
+
+    def blocks(*args):
+        out = real_blocks(*args)
+        rotations.append(out[2] is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kolmogorov, "conjugate_slots", conjugate)
+        mp.setattr(kolmogorov, "_diagonalize_blocks", blocks)
+        state = sp.init(model, 0.05, order)
+        _check_bounds(state.series)
+        for _ in range(default_n_stages(order)):
+            state = sp.step(state)
+            _check_bounds(state.series)
+    for gen in gens:
+        _check_bounds(gen)
+    assert rotations[0] == degenerate
 
 
 def _keep_every_term(weights, scale, first, budget):
@@ -848,9 +951,9 @@ def test_cut_moves_results_by_at_most_its_bound(n, order, seed, degenerate, real
 
 @pytest.mark.parametrize("eps", [0.02, 0.05])
 def test_cut_keeps_the_forward_error_against_high_precision(eps):
-    # a dense real dim-6 model at order 16, where the order-P remainder is far
-    # below rounding: against eigsy at 40 digits, the cut may add at most its
-    # bound to the error of the run that keeps every term
+    # a dense real dim-6 model at orders 16 and 32, where the order-P
+    # remainder is far below rounding: against eigsy at 40 digits, the cut
+    # may add at most its bound to the error of the run that keeps every term
     rng = np.random.default_rng(61)
     n = 6
     q = _random_orthogonal(rng, n)
@@ -861,10 +964,6 @@ def test_cut_keeps_the_forward_error_against_high_precision(eps):
         (2, _random_symmetric(rng, n, scale=0.5)),
     ]
     model = sp.make_model(n, terms)
-    cut = sp.run(model, eps, 16)
-    whole = _run_uncut(model, eps, 16)
-    bound = sum(info.truncation_bound for info in cut.history)
-    assert bound > 0.0
     with mpmath.workdps(40):
         x = mpmath.mpf(eps)
         weights = [1, x, x * x / 2]
@@ -872,6 +971,51 @@ def test_cut_keeps_the_forward_error_against_high_precision(eps):
         for p, m in model.h_coeffs:
             h += weights[p] * mpmath.matrix(m.tolist())
         exact = np.array(sorted(mpmath.eigsy(h, eigvals_only=True)), dtype=object)
-    err_cut = np.abs(np.sort(cut.energies[-1]) - exact).astype(float)
-    err_whole = np.abs(np.sort(whole.energies[-1]) - exact).astype(float)
-    assert np.all(err_cut <= err_whole + bound)
+    for order in (16, 32):
+        cut = sp.run(model, eps, order)
+        whole = _run_uncut(model, eps, order)
+        bound = sum(info.truncation_bound for info in cut.history)
+        assert bound > 0.0
+        err_cut = np.abs(np.sort(cut.energies[-1]) - exact).astype(float)
+        err_whole = np.abs(np.sort(whole.energies[-1]) - exact).astype(float)
+        assert np.all(err_cut <= err_whole + bound)
+
+
+# Ceilings on the work of the cut, per run of the model below: (calls of
+# series._next_image, dense products in them), as measured when the
+# majorant took each slot's induced 1-norm; with d times the max-norm they
+# were (115, 62) and (164, 117).  A looser majorant cuts later and fails
+# this before any timing shows it.
+CUT_WORK_CEILINGS = {0.02: (94, 42), 0.05: (126, 71)}
+
+
+@pytest.mark.parametrize("eps", sorted(CUT_WORK_CEILINGS))
+def test_cut_work_stays_within_its_measured_counts(eps, monkeypatch):
+    rng = np.random.default_rng(64)
+    d, P = 16, 16
+    levels = np.cumsum(1.0 + rng.uniform(0.0, 1.0, d))
+    q = _random_unitary(rng, d)
+    terms = [(0, (q * levels) @ q.conj().T)]
+    terms += [(p, random_hermitian(rng, d, 0.5 / math.sqrt(d))) for p in (1, 2)]
+    model = sp.make_model(d, terms)
+    counts = [0, 0]
+    real_next_image = series._next_image
+
+    def counting(a, live, window, p, hbar):
+        # the kernel's products: one per live slot l <= p whose image
+        # T_{p-l} is a matrix (a 1-D T_0 is a broadcast, not a product)
+        counts[0] += 1
+        counts[1] += sum(
+            1
+            for l in live
+            if l <= p and window[-1 - l] is not None and window[-1 - l].ndim == 2
+        )
+        return real_next_image(a, live, window, p, hbar)
+
+    sp.run(model, eps, P)  # fill the model's memo
+    monkeypatch.setattr(series, "_next_image", counting)
+    res = sp.run(model, eps, P)
+    assert len(res.history) == 5
+    calls, products = CUT_WORK_CEILINGS[eps]
+    assert counts[0] <= calls
+    assert counts[1] <= products

@@ -431,7 +431,7 @@ def test_zero_slot_skipping_is_exact(n, order, seed, zero_w, zero_h):
     zero_h=st.sets(st.integers(1, 8)),
 )
 def test_levels_chain_matches_the_dense_diagonal_chain(n, order, seed, real, zero_w, zero_h):
-    # the stage engine hands H_0 to conjugate_by as its levels; A * levels is
+    # the stage engine hands H_0 to the conjugation as its levels; A * levels is
     # A @ diag(levels) to the bit, so every K_p, p >= 1, equals the one the
     # dense diagonal slot gives, and K_0 is left zero
     rng = np.random.default_rng(seed)
@@ -498,11 +498,12 @@ def test_public_routes_run_real_for_an_imaginary_generator():
 @pytest.mark.parametrize("eps", [0.05, -0.3, 0.0])
 def test_lie_majorant_is_the_weighted_binomial_recursion(factor, eps):
     # w[k] = |eps|^k/k! M_k for M_0 = 1 and
-    # M_{k+1} = (factor/hbar) sum_l C(k, l) d |A_{l+1}|_max M_{k-l}
+    # M_{k+1} = (factor/hbar) sum_l C(k, l) ||A_{l+1}||_1 M_{k-l}, with the
+    # induced 1-norm (largest column sum of moduli) of each generator slot
     rng = np.random.default_rng(38)
     n, P, hbar = 4, 10, 0.7
     agen = series._anti_hermitian(_series(rng, n, P, hbar=hbar, zero_slots=(0, 3, 4)))
-    g = [n * norm for norm in agen.norms]
+    g = [np.linalg.norm(a, 1) for a in agen.coeffs]
     m = [1.0]
     for k in range(P):
         m.append(factor / hbar * sum(math.comb(k, l) * g[l] * m[k - l] for l in range(k + 1)))
