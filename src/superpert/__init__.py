@@ -40,6 +40,7 @@ from .rayleigh_schrodinger import RsCorrections, rs_corrections
 from .series import (
     MAX_ORDER,
     OperatorSeries,
+    WeightOverflowError,
     conjugate_series,
     eval_series,
     u_coefficients,
@@ -62,6 +63,7 @@ __all__ = [
     "SpectralData",
     "StageInfo",
     "SuResult",
+    "WeightOverflowError",
     "average",
     "build_quartic_oscillator",
     "commutator_ad",

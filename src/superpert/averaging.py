@@ -95,15 +95,10 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
     return AveragingResult(b_bar, s_of_b)
 
 
-def average_diagonal(lam, blocks, bt, hbar, gap_guard):
-    """(Bbar, -iS, min_gap) for A = diag(lam) with block labels `blocks`.
-
-    bt holds B in A's eigenbasis, one matrix (d, d) or a stack (k, d, d)
-    averaged slot by slot; Bbar and -iS have its shape and dtype.  Masking
-    and the antisymmetric real denominators keep the symmetry exact: for bt
-    Hermitian to the bit, Bbar is Hermitian and -iS anti-Hermitian to the bit.
-    gap_guard is a resolved float, checked once at every block boundary;
-    min_gap is the smallest of those gaps (inf for a single block)."""
+def guarded_min_gap(lam, blocks, gap_guard):
+    """The smallest denominator gap of A = diag(lam) with block labels
+    `blocks` (inf for a single block); raises SmallDenominatorError at the
+    first block boundary whose gap is at most gap_guard, a resolved float."""
     j, k, gaps = _boundary_gaps(lam, blocks)
     low = np.flatnonzero(gaps <= gap_guard)
     if low.size:
@@ -115,11 +110,32 @@ def average_diagonal(lam, blocks, bt, hbar, gap_guard):
             indices=(j, k),
             gap=gap,
         )
-    min_gap = float(np.min(gaps, initial=np.inf))
+    return float(np.min(gaps, initial=np.inf))
+
+
+def average_diagonal(lam, blocks, bt, hbar, gap_guard):
+    """(Bbar, -iS, min_gap) for A = diag(lam) with block labels `blocks`.
+
+    bt holds B in A's eigenbasis, one matrix (d, d) or a stack (k, d, d)
+    averaged slot by slot; Bbar and -iS have its shape and dtype.  Masking
+    and the antisymmetric real denominators keep the symmetry exact: for bt
+    Hermitian to the bit, Bbar is Hermitian and -iS anti-Hermitian to the bit.
+    gap_guard and min_gap are as in `guarded_min_gap`.  A complex -hbar B is
+    divided by the real denominators as numpy's complex-by-real division
+    does it, each part times the one reciprocal, which is cheaper and equal
+    to the bit; a real one by real division, which the reciprocal is not."""
+    min_gap = guarded_min_gap(lam, blocks, gap_guard)
     same = blocks[:, None] == blocks[None, :]
 
     bbar_t = np.where(same, bt, 0.0)
     denom = lam[:, None] - lam[None, :]
     denom = np.where(same, 1.0, denom)  # intra-block entries are masked out anyway
-    a_t = np.where(same, 0.0, -hbar * bt / denom)
+    a_t = -hbar * bt
+    if np.iscomplexobj(a_t):
+        inv = 1.0 / denom
+        a_t.real *= inv
+        a_t.imag *= inv
+    else:
+        a_t /= denom
+    a_t[..., same] = 0.0
     return bbar_t, a_t, min_gap

@@ -21,7 +21,7 @@ from .kolmogorov import default_n_stages, run, unperturbed
 from .linalg import eigh, require_finite, require_positive, require_tolerance
 from .models import BUILTIN_MODELS, load_model
 from .rayleigh_schrodinger import rs_corrections
-from .series import MAX_ORDER, eval_series
+from .series import MAX_ORDER, WeightOverflowError, eval_series
 
 _METHODS = ("su", "rs", "exact", "compare")
 
@@ -230,7 +230,7 @@ def compute_report(args: argparse.Namespace) -> dict:
                     {"eps": eps, "level": j, "drift": abs(float(exact[j]) - float(grown[j]))}
                     for j in levels
                 ]
-        except ArithmeticError as exc:  # e.g. eps**p overflowing a float
+        except (ArithmeticError, WeightOverflowError) as exc:  # e.g. eps**p overflowing
             raise ValueError(
                 f"--eps {eps:g}: the computation failed with "
                 f"{type(exc).__name__}: {exc}"

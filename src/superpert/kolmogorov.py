@@ -14,7 +14,12 @@ A generator slot is stored as the anti-Hermitian A_p = -iW_p (see
 throughout for a real model, complex128 for a complex one.  Since eps is a
 number, each stage stops its conjugation chains and its flow sum once the
 Lie-series majorant of the rest is below rounding at eps (`chain_stops`,
-`flow_at`), and records the majorant of what it dropped.
+`flow_at`), and records the majorant of what it dropped.  The slots past
+the cut are exact zeros, and a stage works only on its live slots: it
+averages, scans and folds the live slots of its window alone, and a stage
+whose generator has no live slot is the identity, with no conjugation, no
+flow and no basis product (`_advance`).  Results are bit-identical to
+running every stage in full.
 
 `init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
 diagonal up to degeneracy blocks, which alone are diagonalized after each
@@ -29,13 +34,16 @@ it overlaps most); its eigenvector of H(eps) is that column of
 V0 * prod_n U_n(eps) Q_n.
 """
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import SmallDenominatorError, average_diagonal, default_gap_guard
+from .averaging import (
+    SmallDenominatorError,
+    average_diagonal,
+    default_gap_guard,
+    guarded_min_gap,
+)
 from .linalg import (
     SpectralData,
     default_deg_tol,
@@ -54,10 +62,12 @@ from .models import ModelSpec
 from .series import (
     MAX_ORDER,
     OperatorSeries,
+    WeightOverflowError,
     chain_stops,
     conjugate_slots,
     flow_at,
-    shared_zero,
+    identity_kept,
+    weight,
     zero_padded,
 )
 
@@ -82,7 +92,9 @@ class StageInfo:
 class KolmogorovState:
     stage: int
     eps: float
-    series: OperatorSeries  # perturbation slots in the running basis; slot 0 is zero
+    # perturbation slots in the running basis; slot 0 is a read-only zero,
+    # which a stage reuses for every zero slot it makes
+    series: OperatorSeries
     levels: np.ndarray  # H_0 = diag(levels); a level's label is its index
     blocks: np.ndarray  # blocks[j], the degeneracy block of level j
     basis: np.ndarray  # running basis in original coordinates: V0 prod U_n(eps) Q_n
@@ -197,11 +209,14 @@ def _diagonalize_blocks(h0, blocks, deg_tol):
     h0's eigenvectors (None if h0 is diagonal).  One stacked eigh per block
     size; as in `eigh`, each eigenvector keeps its dominant component's index."""
     lam = h0.diagonal().real.copy()
-    size_of = np.bincount(blocks)[blocks]  # the size of each level's block
+    counts = np.bincount(blocks)
+    if counts.max() == 1:  # every block is one level: h0 is diagonal
+        return lam, degeneracy_blocks(lam, deg_tol), None
+    size_of = counts[blocks]  # the size of each level's block
     by_block = np.argsort(blocks, kind="stable")  # index order inside a block
     sizes = np.flatnonzero(np.bincount(size_of))  # the sizes present, ascending
     sizes = sizes[sizes > 1]
-    q = np.eye(len(lam), dtype=h0.dtype) if sizes.size else None
+    q = np.eye(len(lam), dtype=h0.dtype)
     for size in sizes:
         idx = by_block[size_of[by_block] == size].reshape(-1, size)
         rows, cols = idx[:, :, None], idx[:, None, :]
@@ -216,25 +231,34 @@ def _diagonalize_blocks(h0, blocks, deg_tol):
 def _average(state: KolmogorovState, n, lo, hi):
     """Stage n's homological equation for the window lo..hi, with one set of
     denominators: (averaged slots, generator slots A_lo..A_hi, their
-    (norm, bound) scans, smallest denominator gap).  A non-finite generator
+    (norm, bound) scans, smallest denominator gap).  Only the live slots of
+    the window are stacked and averaged; a zero slot averages to the shared
+    zero, with generator slot zero and scan (0.0, 0.0).  The gap guard is
+    checked, and min_gap taken, whatever is live.  A non-finite generator
     slot raises naming it."""
     series = state.series
+    width = hi - lo + 1
+    live = [p for p in range(lo, hi + 1) if series.norms[p]]
+    zero = series.coeffs[0]  # the state's shared zero
+    averaged, a_window, a_scans = [zero] * width, [zero] * width, [(0.0, 0.0)] * width
     try:
-        averaged, a_window, min_gap = average_diagonal(
-            state.levels,
-            state.blocks,
-            np.stack(series.coeffs[lo : hi + 1]),
-            series.hbar,
-            state.gap_guard,
-        )
+        if live:
+            avg, a, min_gap = average_diagonal(
+                state.levels,
+                state.blocks,
+                np.stack([series.coeffs[p] for p in live]),
+                series.hbar,
+                state.gap_guard,
+            )
+        else:
+            min_gap = guarded_min_gap(state.levels, state.blocks, state.gap_guard)
     except SmallDenominatorError as exc:
         raise SmallDenominatorError(
             f"stage {n}: {exc}", indices=exc.indices, gap=exc.gap
         ) from exc
-    a_scans = [
-        finite_norms(a, f"stage {n}: generator slot A_{p}")
-        for p, a in enumerate(a_window, start=lo)
-    ]
+    for i, p in enumerate(live):
+        averaged[p - lo], a_window[p - lo] = avg[i], a[i]
+        a_scans[p - lo] = finite_norms(a[i], f"stage {n}: generator slot A_{p}")
     return averaged, a_window, a_scans, min_gap
 
 
@@ -244,39 +268,62 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     slots, apply the flow to the basis, and rotate the basis and the
     surviving slots by the blocks' unitary q.  The fold needs only the
     averaged slots, so q is known before the conjugation, and each surviving
-    slot is scanned once, after q."""
+    slot is scanned once, after q.
+
+    Only live slots cost work: the fold adds the averaged slots of the live
+    window slots, and the slot check skips a window slot that is zero on
+    both sides.  A generator with no live slot is the identity: the stage
+    takes K as the series' own slots, less the chains past the window that
+    `chain_stops` would drop whole, and makes no conjugation, no flow and no
+    basis product.  The fold and the rotation by q run as for any stage."""
     averaged, a_window, a_scans, min_gap = averaging
     P = state.order
     series = state.series
     hbar = series.hbar
-    zero = shared_zero(series.dim, series.dtype)
+    zero = series.coeffs[0]  # the state's shared zero
     zero_scan = (0.0, 0.0)  # (norm, bound) of a zero slot
     a_slots = [zero] * (P + 1)
     a_slots[lo - 1 : hi] = a_window
     gen_scans = [zero_scan] * (lo - 1) + list(a_scans) + [zero_scan] * (P + 1 - hi)
     gen = OperatorSeries._computed(a_slots, hbar, gen_scans)
+    live = [p for p in range(lo, hi + 1) if series.norms[p]]
 
     h0 = np.diag(state.levels).astype(series.dtype, copy=False)  # K_0 = H_0
-    for p, avg in enumerate(averaged, start=lo):
-        h0 += (state.eps**p / math.factorial(p)) * avg
+    try:
+        for p in live:
+            h0 += weight(state.eps, p) * averaged[p - lo]
+    except WeightOverflowError as exc:
+        raise WeightOverflowError(f"stage {n}: {exc}") from exc
     if not np.isfinite(h0).all():
         raise ValueError(f"stage {n}: H_0 has a non-finite entry")
     levels, blocks, q = _diagonalize_blocks(h0, state.blocks, state.deg_tol)
 
     h0_norm = max_norm(state.levels)  # ||H_0||_2
-    stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
-    k = conjugate_slots(gen, series, state.levels, stops)
+    if gen.live:
+        stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
+        k = conjugate_slots(gen, series, state.levels, stops)
+    else:
+        kept, dropped = identity_kept(series, h0_norm, state.eps, hi)
+        k = [None] * (P + 1)
+        for p in kept:
+            k[p] = series.coeffs[p]
     scale = max(h0_norm, *series.norms)
-    # slots below the window are predicted zero, the window its averages;
+
+    def deviations():
+        # slots below the window are predicted zero, the window its averages,
+        # zero for a zero slot, which is skipped where K_p is zero too
+        yield from ((p, c) for p, c in enumerate(k[:lo]) if c is not None)
+        for p, avg in enumerate(averaged, start=lo):
+            if p in live:
+                yield p, avg if k[p] is None else k[p] - avg
+            elif k[p] is not None:
+                yield p, k[p]
+
     # each deviation is scanned as it is made, and an overflow shows as a
     # non-finite slot
-    below = ((p, c) for p, c in enumerate(k[:lo]) if c is not None)
-    window = (
-        (p, avg if k[p] is None else k[p] - avg) for p, avg in enumerate(averaged, start=lo)
-    )
     residual = max(
-        finite_norm(c, f"stage {n}: coefficient {p}")
-        for p, c in itertools.chain(below, window)
+        (finite_norm(c, f"stage {n}: coefficient {p}") for p, c in deviations()),
+        default=0.0,
     )
     if residual > 1e-8 * max(scale, 1e-300):
         raise ConsistencyError(
@@ -284,10 +331,15 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
             f"by {residual:.3e} (scale {scale:.3e})"
         )
 
-    flow, flow_dropped = flow_at(gen, state.eps)
-    basis = state.basis @ flow
-    if not np.isfinite(basis).all():
-        raise ValueError(f"stage {n}: the basis has a non-finite entry")
+    basis, flow_dropped = state.basis, 0.0
+    if gen.live:
+        try:
+            flow, flow_dropped = flow_at(gen, state.eps)
+        except WeightOverflowError as exc:
+            raise WeightOverflowError(f"stage {n}: {exc}") from exc
+        basis = basis @ flow
+        if not np.isfinite(basis).all():
+            raise ValueError(f"stage {n}: the basis has a non-finite entry")
     rest = k[hi + 1 :]
     if q is not None:
         rest = [c if c is None else hermitian_part(q.conj().T @ c @ q) for c in rest]
@@ -344,7 +396,12 @@ def _first_step(state: KolmogorovState, start: _Start) -> KolmogorovState:
     from start once it has been computed."""
     if start.stage1 is None:
         averaged, a_window, a_scans, min_gap = _average(state, 1, 1, 1)
-        start.stage1 = (read_only(averaged), read_only(a_window), a_scans, min_gap)
+        start.stage1 = (
+            tuple(map(read_only, averaged)),
+            tuple(map(read_only, a_window)),
+            a_scans,
+            min_gap,
+        )
     return _advance(state, 1, 1, 1, start.stage1)
 
 

@@ -62,11 +62,18 @@ def hermiticity_defect(a) -> float:
 
 
 def _require_finite_norm(a, norm, what) -> float:
-    """norm, the max_norm of a; raises ValueError naming `what` and the first
-    NaN or Inf entry (j, k) unless it is finite."""
+    """norm, the max_norm of a; raises ValueError naming `what` unless it is
+    finite: at the first NaN or Inf entry (j, k), or, where every entry is
+    finite, at the first complex one whose modulus overflows."""
     if not math.isfinite(norm):
-        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
-        raise ValueError(f"{what} has a non-finite entry {bad} = {a[bad]}")
+        bad = np.argwhere(~np.isfinite(a))
+        if bad.size:
+            j = tuple(int(i) for i in bad[0])
+            raise ValueError(f"{what} has a non-finite entry {j} = {a[j]}")
+        with np.errstate(over="ignore"):
+            bad = np.argwhere(~np.isfinite(np.abs(a)))
+        j = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{what} has an entry {j} = {a[j]} whose modulus overflows")
     return norm
 
 
@@ -131,7 +138,8 @@ def require_hermitian(a, tol=HERMITICITY_TOL, what="matrix"):
     caller-supplied operators; its ValueError names `what` and the entry
     (j, k) at fault: the first non-finite one, or the most asymmetric one."""
     a = as_operator(a)
-    bound = tol * max(1.0, finite_norm(a, what))
+    with np.errstate(over="ignore"):  # a modulus that overflows raises here
+        bound = tol * max(1.0, finite_norm(a, what))
     if hermiticity_defect(a) > bound:
         d = np.abs(a - a.conj().T)
         j, k = np.unravel_index(int(np.argmax(d)), d.shape)

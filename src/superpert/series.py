@@ -340,13 +340,14 @@ def flow_at(agen: OperatorSeries, eps: float):
     """(flow, dropped): the flow of agen at eps, sum_p eps^p/p! U_p, summed
     as the coefficients come, in `weighted_sum`'s order and skipping zero
     ones.  The longest tail past U_0 = I whose majorant at eps is below u is
-    not computed; `dropped` is that majorant, 0.0 for none."""
+    not computed; `dropped` is that majorant, 0.0 for none.  A weight that
+    overflows raises as in `weight`."""
     stop, dropped = _cut(lie_majorant(agen, eps, 1.0), 1.0, 1, UNIT_ROUNDOFF)
     coeffs = itertools.islice(flow_coefficients(agen), stop)
     out = next(coeffs).copy()
     for p, u in enumerate(coeffs, start=1):
         if u is not None and u.any():
-            out += (eps**p / math.factorial(p)) * u
+            out += weight(eps, p) * u
     return out, dropped
 
 
@@ -397,27 +398,49 @@ def _cut(weights, scale, first, budget):
     return stop, dropped
 
 
-def chain_stops(agen: OperatorSeries, h: OperatorSeries, h0_norm: float, eps, keep):
-    """(stops, dropped) for `conjugate_slots` of h, with H_0 given as levels of
-    spectral norm h0_norm.  Term k of chain j weighs
-    |eps|^{j+k}/(j! k!) ||T_k(H_j)||_2 <= leaf_j w[k] at eps, with
-    leaf_j = |eps|^j/j! bounds[j] (h0_norm for j = 0), bounds[j] the stored
-    induced 1-norm of H_j.  Each chain keeps
-    its images up to order `keep` and drops its longest tail below
-    u h0_norm / (number of chains), so `dropped`, the majorant of all that
-    is dropped, stays below u h0_norm.  A chain past `keep` may go whole."""
-    leaves, power = {0: h0_norm}, 1.0  # leaves[j] >= |eps|^j/j! ||H_j||_2
+def _leaves(h: OperatorSeries, h0_norm: float, eps):
+    """(leaves, budget): leaves[j] >= |eps|^j/j! ||H_j||_2 for H_0 (h0_norm,
+    j = 0) and each live slot H_j of h, from its stored induced 1-norm, and
+    each chain's share u h0_norm / (number of chains) of the dropped weight."""
+    leaves, power = {0: h0_norm}, 1.0
     for j in range(1, h.order + 1):
         power = power * abs(eps) / j
         if h.bounds[j]:
             leaves[j] = power * h.bounds[j]
-    budget = UNIT_ROUNDOFF * h0_norm / len(leaves)
+    return leaves, UNIT_ROUNDOFF * h0_norm / len(leaves)
+
+
+def chain_stops(agen: OperatorSeries, h: OperatorSeries, h0_norm: float, eps, keep):
+    """(stops, dropped) for `conjugate_slots` of h, with H_0 given as levels of
+    spectral norm h0_norm.  Term k of chain j weighs
+    |eps|^{j+k}/(j! k!) ||T_k(H_j)||_2 <= leaf_j w[k] at eps (see `_leaves`).
+    Each chain keeps its images up to order `keep` and drops its longest
+    tail below u h0_norm / (number of chains), so `dropped`, the majorant of
+    all that is dropped, stays below u h0_norm.  A chain past `keep` may go
+    whole."""
+    leaves, budget = _leaves(h, h0_norm, eps)
     w = lie_majorant(agen, eps, 2.0)
     stops, dropped = [0] * (h.order + 1), 0.0
     for j, leaf in leaves.items():
         stops[j], tail = _cut(w[: h.order - j + 1], leaf, max(keep - j + 1, 0), budget)
         dropped += tail
     return stops, dropped
+
+
+def identity_kept(h: OperatorSeries, h0_norm: float, eps, keep):
+    """(kept, dropped): `chain_stops` for a generator with no live slot,
+    whose majorant is 1, 0, 0, ...: each chain is its leaf T_0 = H_j alone,
+    which a chain past `keep` drops when the leaf is below its budget.
+    kept lists the live orders j >= 1 whose chain stays, ascending, and
+    dropped is the sum of the dropped leaves, as `chain_stops` gives it."""
+    leaves, budget = _leaves(h, h0_norm, eps)
+    kept, dropped = [], 0.0
+    for j, leaf in leaves.items():
+        if j > keep and leaf < budget:
+            dropped += leaf
+        elif j:
+            kept.append(j)
+    return kept, dropped
 
 
 # The flow of a finite generator can overflow where its series stays finite;
@@ -443,13 +466,29 @@ def u_coefficients(gen: OperatorSeries):
     return out
 
 
+class WeightOverflowError(ValueError):
+    """The weight eps^p/p! of an order overflows a float at eps."""
+
+
+def weight(eps, p: int) -> float:
+    """eps^p/p!, the weight of order p at eps; WeightOverflowError naming eps
+    where the float eps^p overflows."""
+    try:
+        return eps**p / math.factorial(p)
+    except OverflowError:
+        raise WeightOverflowError(
+            f"eps^{p}/{p}! overflows a float at eps {eps:g}"
+        ) from None
+
+
 def weighted_sum(mats, eps: float) -> np.ndarray:
-    """sum_p eps^p/p! mats[p], in float64 unless a matrix is complex."""
+    """sum_p eps^p/p! mats[p], in float64 unless a matrix is complex; skips
+    a zero matrix, whose weight is then not formed (see `weight`)."""
     out = np.array(mats[0], dtype=_common_dtype(mats), copy=True)
     for p in range(1, len(mats)):
         c = mats[p]
         if c.any():
-            out += (eps**p / math.factorial(p)) * c
+            out += weight(eps, p) * c
     return out
 
 

@@ -215,3 +215,38 @@ def test_hermitian_part_of_a_stack():
     got = sp.hermitian_part(stack)
     for m, h in zip(stack, got):
         np.testing.assert_array_equal(h, sp.hermitian_part(m))
+
+
+@settings(max_examples=80)
+@given(
+    n=st.integers(2, 9),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    real=st.booleans(),
+    hbar=st.sampled_from([1.0, 0.7, 3e-5]),
+    exponent=st.integers(-300, 300),
+)
+def test_generator_is_the_masked_quotient_to_the_bit(
+    n, k, seed, degenerate, real, hbar, exponent
+):
+    # a complex -hbar B is divided by the real denominators as each part
+    # times one reciprocal: that must equal numpy's own quotient bit for bit,
+    # at every magnitude, as the real quotient does
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(-5.0, 5.0, n))
+    if degenerate:
+        lam[1] = lam[0]
+    blocks = sp.linalg.degeneracy_blocks(lam, 0.0)
+    stack = np.stack([random_hermitian(rng, n, 10.0**exponent) for _ in range(k)])
+    if real:
+        stack = stack.real.copy()
+    stack[rng.random(stack.shape) < 0.2] = 0.0
+    stack = sp.hermitian_part(stack)
+    same = blocks[:, None] == blocks[None, :]
+    denom = np.where(same, 1.0, lam[:, None] - lam[None, :])
+    with np.errstate(all="ignore"):
+        want = np.where(same, 0.0, -hbar * stack / denom)
+        _, got, _ = average_diagonal(lam, blocks, stack, hbar, 0.0)
+    assert got.dtype == want.dtype == stack.dtype
+    np.testing.assert_array_equal(got, want)

@@ -731,6 +731,21 @@ def test_overflowing_eps_is_named_for_rs_alone(capsys):
     assert err.startswith("error: --eps 1e+200") and "Traceback" not in err
 
 
+def test_overflowing_eps_weight_is_named_as_eps_and_stage(capsys):
+    # eps**2 overflows a float in the stage-1 flow at eps 1e200; any numpy
+    # warning on the way would raise here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(
+            ["--method", "su", "--builtin", "quartic_oscillator", "--dim", "12",
+             "--eps", "1e200", "--order", "4"],
+            capsys,
+        )
+    assert code == 1 and out == ""
+    assert err.startswith("error: --eps 1e+200: ") and err.count("\n") == 1
+    assert "stage 1: eps^2/2! overflows a float at eps 1e+200" in err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_overflowing_rs_energy_is_named_as_eps(capsys, fmt):
     # eps**4 = 1e308 is still a float, but c_4 eps**4 is not; any warning

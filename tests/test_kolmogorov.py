@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superpert as sp
-from superpert import kolmogorov, series
+from superpert import kolmogorov, linalg, series
 from superpert.kolmogorov import default_n_stages
 
 import reference
@@ -377,8 +377,16 @@ def test_engine_series_are_hermitian_to_the_bit(n, order, seed, degenerate, real
             state = sp.step(state)
             assert defects(state.series.coeffs) == {0.0}
             _check_h0_slot(state)
-    assert len(seen) == default_n_stages(order) * (order + 1)
+    # a stage whose generator has no live slot is the identity and conjugates
+    # nothing
+    assert len(seen) == _live_generators(state.history) * (order + 1)
     assert {sp.max_norm(c + c.conj().T) for c in seen} == {0.0}
+
+
+def _live_generators(history):
+    """The number of stages whose generator has a live slot: the stages that
+    call conjugate_slots and flow_at."""
+    return sum(any(info.generator_norms) for info in history)
 
 
 def _state_arrays(state):
@@ -413,7 +421,7 @@ def test_run_and_step_leave_their_inputs_unchanged(n, order, seed, degenerate, r
     model = model.with_hbar(hbar)
     terms = [m.tobytes() for _, m in model.h_coeffs]
     assert not any(m.flags.writeable for _, m in model.h_coeffs)
-    gens = []
+    gens, conjugating = [], 0
     real_conjugate = kolmogorov.conjugate_slots
 
     def recording(gen, h, *args, **kwargs):
@@ -432,9 +440,11 @@ def test_run_and_step_leave_their_inputs_unchanged(n, order, seed, degenerate, r
                 assert [a.tobytes() for a in arrays] == before
                 _check_shared_zeros(arrays[:-3])
             _check_shared_zeros(state.series.coeffs)
-            sp.run(model, 0.05, order)
+            res = sp.run(model, 0.05, order)
             assert [m.tobytes() for _, m in model.h_coeffs] == terms
-    assert len(gens) == 4 * default_n_stages(order)
+            # one call per stage whose generator has a live slot
+            conjugating += _live_generators(state.history) + _live_generators(res.history)
+    assert len(gens) == conjugating
     for coeffs, before in gens:
         assert [a.tobytes() for a in coeffs] == before
         _check_shared_zeros(coeffs)
@@ -639,6 +649,26 @@ def test_overflowing_flow_is_named_by_its_stage():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="stage 1: the basis has a non-finite entry"):
             sp.run(model, 1e38, 8, n_stages=1)
+
+
+def test_overflowing_weight_names_its_stage():
+    # the float eps**2 overflows at eps 1e200: in the stage-1 flow of the
+    # oscillator, and in the stage-2 fold of a model whose diagonal H_1 makes
+    # stage 1 the identity, so that no flow reaches order 2 before the fold
+    off = np.array([[0.0, 1.0, 0.2], [1.0, 0.0, 0.5], [0.2, 0.5, 0.0]])
+    folded = sp.make_model(
+        3, [(0, np.diag([0.0, 1.0, 2.5])), (1, np.diag([0.3, -0.2, 0.1])), (2, off)]
+    )
+    cases = [(sp.build_quartic_oscillator(8), 1), (folded, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, n in cases:
+            with pytest.raises(
+                sp.WeightOverflowError,
+                match=rf"^stage {n}: eps\^2/2! overflows a float at eps 1e\+200$",
+            ):
+                sp.run(model, 1e200, 4)
+    assert sp.run(folded, 0.1, 4).history[0].generator_norms == (0.0,) * 5
 
 
 def _dim16_model():
@@ -989,15 +1019,22 @@ def test_cut_keeps_the_forward_error_against_high_precision(eps):
 CUT_WORK_CEILINGS = {0.02: (94, 42), 0.05: (126, 71)}
 
 
-@pytest.mark.parametrize("eps", sorted(CUT_WORK_CEILINGS))
-def test_cut_work_stays_within_its_measured_counts(eps, monkeypatch):
+def _cut_work_model():
+    """A seeded complex dim-16 model with a dense rotated H_0 and dense
+    orders 1 and 2, which the work gates run at order 16."""
     rng = np.random.default_rng(64)
-    d, P = 16, 16
+    d = 16
     levels = np.cumsum(1.0 + rng.uniform(0.0, 1.0, d))
     q = _random_unitary(rng, d)
     terms = [(0, (q * levels) @ q.conj().T)]
     terms += [(p, random_hermitian(rng, d, 0.5 / math.sqrt(d))) for p in (1, 2)]
-    model = sp.make_model(d, terms)
+    return sp.make_model(d, terms)
+
+
+@pytest.mark.parametrize("eps", sorted(CUT_WORK_CEILINGS))
+def test_cut_work_stays_within_its_measured_counts(eps, monkeypatch):
+    model = _cut_work_model()
+    P = 16
     counts = [0, 0]
     real_next_image = series._next_image
 
@@ -1019,3 +1056,198 @@ def test_cut_work_stays_within_its_measured_counts(eps, monkeypatch):
     calls, products = CUT_WORK_CEILINGS[eps]
     assert counts[0] <= calls
     assert counts[1] <= products
+
+
+def _window_state(rng, n, stage, order, degenerate, real, window, tiny, eps=0.05, hbar=1.0):
+    """A state entering `stage` at truncation order `order`, with H_0 =
+    diag(levels), paired when degenerate, and a random basis.  Slots below
+    the window are zero; window slot p is given by window[p - lo]: "zero",
+    "dense", or "blocks" (inside the degeneracy blocks only, so it averages
+    to itself with a zero generator slot); later slots are dense, and with
+    `tiny` the first of them is so small that its chain is dropped whole."""
+    levels = np.cumsum(1.0 + rng.uniform(0.0, 1.0, n))
+    if degenerate:
+        levels = np.repeat(levels[: (n + 1) // 2], 2)[:n]
+    levels = rng.permutation(levels)
+    blocks = linalg.degeneracy_blocks(levels)
+    same = blocks[:, None] == blocks[None, :]
+    hermitian = _random_symmetric if real else random_hermitian
+    dtype = np.float64 if real else np.complex128
+    zero = series.shared_zero(n, dtype)
+    lo, hi = 2 ** (stage - 1), min(2**stage - 1, order)
+    slots = [zero] * lo
+    for kind in window:
+        x = hermitian(rng, n, 0.3)
+        slots.append({"zero": zero, "dense": x, "blocks": np.where(same, x, 0.0)}[kind])
+    for p in range(hi + 1, order + 1):
+        slots.append(hermitian(rng, n, 1e-30 if tiny and p == hi + 1 else 0.3))
+    basis = _random_orthogonal(rng, n) if real else _random_unitary(rng, n)
+    return kolmogorov.KolmogorovState(
+        stage=stage - 1,
+        eps=eps,
+        series=sp.OperatorSeries._computed(slots, hbar),
+        levels=levels,
+        blocks=blocks,
+        basis=basis,
+        deg_tol=linalg.default_deg_tol(levels),
+        gap_guard=1e-6 * float(np.ptp(levels)),
+        history=(),
+    )
+
+
+@st.composite
+def _stage_window(draw, kinds):
+    stage = draw(st.integers(1, 3))
+    lo, hi = 2 ** (stage - 1), 2**stage - 1
+    order = draw(st.integers(lo, hi + 3))
+    width = min(hi, order) - lo + 1
+    window = draw(st.lists(st.sampled_from(kinds), min_size=width, max_size=width))
+    return stage, order, window
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(2, 8),
+    case=_stage_window(["zero", "dense", "blocks"]),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    real=st.booleans(),
+    hbar=st.sampled_from([1.0, 0.7]),
+    guard=st.sampled_from([None, 10.0]),
+)
+def test_average_of_live_slots_matches_the_full_window(
+    n, case, seed, degenerate, real, hbar, guard
+):
+    # only the live slots of a window are averaged: slot by slot, the result
+    # equals average_diagonal on the whole window's stack, with the same
+    # scans and min_gap, and the gap guard raises as it does on the stack
+    stage, order, window = case
+    state = _window_state(
+        np.random.default_rng(seed), n, stage, order, degenerate, real, window, False,
+        hbar=hbar,
+    )
+    if guard is not None:
+        state = dataclasses.replace(state, gap_guard=guard)
+    lo, hi = 2 ** (stage - 1), min(2**stage - 1, order)
+    s = state.series
+    stack = np.stack(s.coeffs[lo : hi + 1])
+    try:
+        want_avg, want_a, want_gap = kolmogorov.average_diagonal(
+            state.levels, state.blocks, stack, hbar, state.gap_guard
+        )
+    except sp.SmallDenominatorError as want:
+        with pytest.raises(sp.SmallDenominatorError, match=f"^stage {stage}: ") as got:
+            kolmogorov._average(state, stage, lo, hi)
+        assert (got.value.indices, got.value.gap) == (want.indices, want.gap)
+        return
+    averaged, a_window, a_scans, min_gap = kolmogorov._average(state, stage, lo, hi)
+    assert min_gap == want_gap
+    assert len(averaged) == len(a_window) == len(a_scans) == hi - lo + 1
+    for i, p in enumerate(range(lo, hi + 1)):
+        assert averaged[i].dtype == a_window[i].dtype == s.dtype
+        np.testing.assert_array_equal(averaged[i], want_avg[i])
+        np.testing.assert_array_equal(a_window[i], want_a[i])
+        assert a_scans[i] == linalg.finite_norms(want_a[i], "A")
+        if not s.norms[p]:  # a zero slot is the shared zero, never computed
+            assert not averaged[i].flags.writeable and not a_window[i].flags.writeable
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(2, 8),
+    case=_stage_window(["zero", "blocks"]),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    real=st.booleans(),
+    tiny=st.booleans(),
+    eps=st.sampled_from([0.02, 0.05, -0.3]),
+)
+def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, tiny, eps):
+    # a generator with no live slot is the identity: the stage makes no
+    # conjugation and no flow, yet gives what conjugate_slots and flow_at give
+    # on the zero generator, chains dropped whole past the window included,
+    # with the fold and the rotation by the block unitary as for any stage
+    stage, order, window = case
+    state = _window_state(
+        np.random.default_rng(seed), n, stage, order, degenerate, real, window, tiny, eps
+    )
+    lo, hi = 2 ** (stage - 1), min(2**stage - 1, order)
+    s, levels = state.series, state.levels
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("conjugate_slots", "flow_at"):
+            mp.setattr(kolmogorov, name, lambda *args, name=name: calls.append(name))
+        got = sp.step(state)
+    assert calls == []
+
+    # the full route, as a stage with a live generator takes it
+    avg, a, _ = kolmogorov.average_diagonal(
+        levels, state.blocks, np.stack(s.coeffs[lo : hi + 1]), s.hbar, state.gap_guard
+    )
+    assert not a.any()
+    h0 = np.diag(levels).astype(s.dtype)
+    for p, x in enumerate(avg, start=lo):
+        h0 += eps**p / math.factorial(p) * x
+    want_levels, want_blocks, q = kolmogorov._diagonalize_blocks(h0, state.blocks, state.deg_tol)
+    gen = sp.OperatorSeries._computed([series.shared_zero(n, s.dtype)] * (order + 1), s.hbar)
+    h0_norm = sp.max_norm(levels)
+    stops, dropped = series.chain_stops(gen, s, h0_norm, eps, hi)
+    k = series.conjugate_slots(gen, s, levels, stops)
+    flow, flow_dropped = series.flow_at(gen, eps)
+    basis = state.basis @ flow
+    rest = k[hi + 1 :]
+    if q is not None:
+        rest = [c if c is None else sp.hermitian_part(q.conj().T @ c @ q) for c in rest]
+        basis = basis @ q
+
+    np.testing.assert_array_equal(got.levels, want_levels)
+    np.testing.assert_array_equal(got.blocks, want_blocks)
+    np.testing.assert_array_equal(got.basis, basis)
+    assert got.basis.dtype == basis.dtype
+    assert not any(c.any() for c in got.series.coeffs[: hi + 1])
+    for c, want in zip(got.series.coeffs[hi + 1 :], rest):
+        np.testing.assert_array_equal(c, 0.0 if want is None else want)
+    info = got.history[-1]
+    assert info.generator_norms == (0.0,) * (order + 1)
+    assert info.truncation_bound == dropped + h0_norm * flow_dropped
+    if tiny and hi < order:  # the tiny slot's chain goes whole
+        assert dropped > 0.0 and not got.series.norms[hi + 1]
+
+
+# Ceilings on the slots each run of the model below hands to
+# average_diagonal, stage by stage from init, as measured when a stage first
+# averaged only its live slots; stacking every window slot hands it 16.
+LIVE_SLOT_CEILINGS = {0.02: 8, 0.05: 10}
+
+
+@pytest.mark.parametrize("eps", sorted(LIVE_SLOT_CEILINGS))
+def test_stages_work_only_on_their_live_slots(eps, monkeypatch):
+    model = _cut_work_model()
+    calls = {"slots": 0, "conjugate_slots": 0, "flow_at": 0}
+    real_average = kolmogorov.average_diagonal
+
+    def averaging(lam, blocks, bt, *args):
+        calls["slots"] += bt.shape[0]
+        return real_average(lam, blocks, bt, *args)
+
+    monkeypatch.setattr(kolmogorov, "average_diagonal", averaging)
+    for name in ("conjugate_slots", "flow_at"):
+        real = getattr(kolmogorov, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(kolmogorov, name, counted)
+    state = sp.init(model, eps, 16)
+    zero_windows = 0
+    for n in range(1, 6):
+        lo, hi = 2 ** (n - 1), min(2**n - 1, 16)
+        live = any(state.series.norms[lo : hi + 1])
+        before = dict(calls)
+        state = sp.step(state)
+        made = calls["conjugate_slots"] - before["conjugate_slots"]
+        assert made == calls["flow_at"] - before["flow_at"] == int(live)
+        zero_windows += not live
+    assert zero_windows >= 1  # stage 5's window is below rounding at both eps
+    assert calls["slots"] <= LIVE_SLOT_CEILINGS[eps]

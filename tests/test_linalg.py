@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,21 @@ def test_require_hermitian_rejects_non_finite():
     a[0, 0] = np.inf
     with pytest.raises(ValueError, match=r"perturbation .*\(0, 0\)"):
         sp.require_hermitian(a, what="perturbation")
+
+
+@pytest.mark.parametrize("entry", ["make_model", "OperatorSeries"])
+def test_entry_whose_modulus_overflows_is_named(entry):
+    # both parts are finite, but |1.5e308 + 1.5e308j| is not: a ValueError
+    # naming the field and the entry, with no numpy warning on the way
+    v = np.array([[1, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if entry == "make_model":
+            with pytest.raises(sp.ModelFormatError, match=r"terms\[1\]: .*\(0, 1\) = .* modulus overflows"):
+                sp.make_model(2, [(0, np.eye(2)), (1, v)])
+        else:
+            with pytest.raises(ValueError, match=r"^coefficient 1 has an entry \(0, 1\) = .* modulus overflows"):
+                sp.OperatorSeries((np.eye(2), v))
 
 
 def test_degeneracy_blocks_chain():

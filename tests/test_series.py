@@ -263,6 +263,20 @@ def test_overflowing_flow_coefficient_is_named():
             sp.u_coefficients(gen)
 
 
+def test_overflowing_weight_names_eps():
+    # the float eps**2 overflows at eps 1e200: a ValueError naming eps, where
+    # a zero slot's weight is never formed
+    one, zero = np.eye(2), np.zeros((2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(sp.weighted_sum([one, one, zero], 1e200), 1e200 * one + one)
+        with pytest.raises(
+            sp.WeightOverflowError, match=r"^eps\^2/2! overflows a float at eps 1e\+200$"
+        ) as err:
+            sp.weighted_sum([one, one, one], 1e200)
+    assert isinstance(err.value, ValueError)
+
+
 def test_truncated_flow_unitarity_defect_scaling():
     rng = np.random.default_rng(29)
     P = 4
