@@ -26,6 +26,7 @@ import numpy as np
 from .linalg import (
     SpectralData,
     hermitian_part,
+    one_level_blocks,
     require_hermitian,
     require_positive,
     require_tolerance,
@@ -120,16 +121,23 @@ def average_diagonal(lam, blocks, bt, hbar, gap_guard):
     averaged slot by slot; Bbar and -iS have its shape and dtype.  Masking
     and the antisymmetric real denominators keep the symmetry exact: for bt
     Hermitian to the bit, Bbar is Hermitian and -iS anti-Hermitian to the bit.
-    gap_guard and min_gap are as in `guarded_min_gap`.  A complex -hbar B is
-    divided by the real denominators as numpy's complex-by-real division
-    does it, each part times the one reciprocal, which is cheaper and equal
-    to the bit; a real one by real division, which the reciprocal is not."""
+    gap_guard and min_gap are as in `guarded_min_gap`.  Where every block is
+    one level, the blocks are the diagonal, which is indexed, not masked.
+    A complex -hbar B is divided by the real denominators as numpy's
+    complex-by-real division does it, each part times the one reciprocal,
+    which is cheaper and equal to the bit; a real one by real division,
+    which the reciprocal is not."""
     min_gap = guarded_min_gap(lam, blocks, gap_guard)
-    same = blocks[:, None] == blocks[None, :]
-
-    bbar_t = np.where(same, bt, 0.0)
+    if one_level_blocks(blocks):
+        inside = np.diag_indices(len(lam))
+        bbar_t = np.zeros_like(bt)
+        bbar_t[(..., *inside)] = bt[(..., *inside)]
+    else:
+        same = blocks[:, None] == blocks[None, :]
+        inside = (same,)
+        bbar_t = np.where(same, bt, 0.0)
     denom = lam[:, None] - lam[None, :]
-    denom = np.where(same, 1.0, denom)  # intra-block entries are masked out anyway
+    denom[inside] = 1.0  # intra-block entries are masked out anyway
     a_t = -hbar * bt
     if np.iscomplexobj(a_t):
         inv = 1.0 / denom
@@ -137,5 +145,5 @@ def average_diagonal(lam, blocks, bt, hbar, gap_guard):
         a_t.imag *= inv
     else:
         a_t /= denom
-    a_t[..., same] = 0.0
+    a_t[(..., *inside)] = 0.0
     return bbar_t, a_t, min_gap

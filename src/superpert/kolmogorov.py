@@ -14,8 +14,9 @@ A generator slot is stored as the anti-Hermitian A_p = -iW_p (see
 throughout for a real model, complex128 for a complex one.  Since eps is a
 number, each stage stops its conjugation chains and its flow sum once the
 Lie-series majorant of the rest is below rounding at eps (`chain_stops`,
-`flow_at`), and records the majorant of what it dropped.  The slots past
-the cut are exact zeros, and a stage works only on its live slots: it
+`flow_at`), and records the majorant of what it dropped; H_0's chain is
+bounded by the averaging residuals its generator solves for.  The slots
+past the cut are exact zeros, and a stage works only on its live slots: it
 averages, scans and folds the live slots of its window alone, and a stage
 whose generator has no live slot is the identity, with no conjugation, no
 flow and no basis product (`_advance`).  Results are bit-identical to
@@ -23,7 +24,9 @@ running every stage in full.
 
 `init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
 diagonal up to degeneracy blocks, which alone are diagonalized after each
-fold, so it is kept only as its levels (slot 0 of the series is zero).  The
+fold, so it is kept only as its levels (slot 0 of the series is zero).
+Where every block is one level the averaged slots are diagonal too, and
+their diagonals are added to the levels with no dense H_0 (`_fold`).  The
 eigendecomposition, the rotated terms and stage 1's averaging do not depend
 on eps or the order, so they are memoized on the model (`_start`): a later
 `run` starts stage 1 at the conjugation.  Both rotations are symmetrized,
@@ -54,6 +57,7 @@ from .linalg import (
     fix_column_phases,
     hermitian_part,
     max_norm,
+    one_level_blocks,
     read_only,
     require_finite,
     require_tolerance,
@@ -228,6 +232,32 @@ def _diagonalize_blocks(h0, blocks, deg_tol):
     return lam, degeneracy_blocks(lam, deg_tol), q
 
 
+def _fold(state: KolmogorovState, n, lo, live, averaged):
+    """(levels, blocks, q) of H_0 plus the averaged live window slots at
+    their weights at eps, as `_diagonalize_blocks` gives them.  Where every
+    block is one level, H_0 and the averaged slots are diagonal: their
+    diagonals are added to the levels, with no dense H_0 and no q, and with
+    no live slot the levels and blocks stay as they are."""
+    single = one_level_blocks(state.blocks)
+    if single and not live:
+        return state.levels.copy(), state.blocks, None
+    if single:
+        h0 = state.levels.copy()
+    else:
+        h0 = np.diag(state.levels).astype(state.series.dtype, copy=False)
+    try:
+        for p in live:
+            avg = averaged[p - lo]
+            h0 += weight(state.eps, p) * (avg.diagonal().real if single else avg)
+    except WeightOverflowError as exc:
+        raise WeightOverflowError(f"stage {n}: {exc}") from exc
+    if not np.isfinite(h0).all():
+        raise ValueError(f"stage {n}: H_0 has a non-finite entry")
+    if single:
+        return h0, degeneracy_blocks(h0, state.deg_tol), None
+    return _diagonalize_blocks(h0, state.blocks, state.deg_tol)
+
+
 def _average(state: KolmogorovState, n, lo, hi):
     """Stage n's homological equation for the window lo..hi, with one set of
     denominators: (averaged slots, generator slots A_lo..A_hi, their
@@ -271,11 +301,13 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     slot is scanned once, after q.
 
     Only live slots cost work: the fold adds the averaged slots of the live
-    window slots, and the slot check skips a window slot that is zero on
-    both sides.  A generator with no live slot is the identity: the stage
-    takes K as the series' own slots, less the chains past the window that
-    `chain_stops` would drop whole, and makes no conjugation, no flow and no
-    basis product.  The fold and the rotation by q run as for any stage."""
+    window slots (`_fold`), and the slot check skips a window slot that is
+    zero on both sides.  A generator with no live slot is the identity: the
+    stage takes K as the series' own slots, less the chains past the window
+    that `chain_stops` would drop whole, with their stored scans where q
+    does not rotate them, and makes no conjugation, no flow and no basis
+    product.  The fold and the rotation by q run as for any stage; with
+    one-level blocks and no live slot the fold keeps the levels."""
     averaged, a_window, a_scans, min_gap = averaging
     P = state.order
     series = state.series
@@ -288,15 +320,7 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     gen = OperatorSeries._computed(a_slots, hbar, gen_scans)
     live = [p for p in range(lo, hi + 1) if series.norms[p]]
 
-    h0 = np.diag(state.levels).astype(series.dtype, copy=False)  # K_0 = H_0
-    try:
-        for p in live:
-            h0 += weight(state.eps, p) * averaged[p - lo]
-    except WeightOverflowError as exc:
-        raise WeightOverflowError(f"stage {n}: {exc}") from exc
-    if not np.isfinite(h0).all():
-        raise ValueError(f"stage {n}: H_0 has a non-finite entry")
-    levels, blocks, q = _diagonalize_blocks(h0, state.blocks, state.deg_tol)
+    levels, blocks, q = _fold(state, n, lo, live, averaged)
 
     h0_norm = max_norm(state.levels)  # ||H_0||_2
     if gen.live:
@@ -344,11 +368,18 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     if q is not None:
         rest = [c if c is None else hermitian_part(q.conj().T @ c @ q) for c in rest]
         basis = basis @ q
+    # a new slot is scanned; an identity stage's unrotated slots are the
+    # series' own, whose scans it keeps
+    fresh = gen.live or q is not None
+    scans = [
+        zero_scan if c is None else None if fresh else (series.norms[p], series.bounds[p])
+        for p, c in enumerate(rest, start=hi + 1)
+    ]
     try:
         survivors = OperatorSeries._computed(
             [zero] * (hi + 1) + [zero if c is None else c for c in rest],
             hbar,
-            [zero_scan] * (hi + 1) + [zero_scan if c is None else None for c in rest],
+            [zero_scan] * (hi + 1) + scans,
         )
     except ValueError as exc:
         raise ValueError(f"stage {n}: {exc}") from exc

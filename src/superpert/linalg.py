@@ -213,6 +213,11 @@ def degeneracy_blocks(lam, deg_tol=None) -> np.ndarray:
     return block
 
 
+def one_level_blocks(blocks) -> bool:
+    """Whether every degeneracy block of the labels `blocks` holds one level."""
+    return np.bincount(blocks).max() == 1
+
+
 def fix_column_phases(v) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real positive (for
     a real v, flip its sign)."""

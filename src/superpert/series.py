@@ -44,8 +44,11 @@ At its numeric eps the engine also stops each chain, and the flow, early:
 Mech. 1:12) from the induced 1-norm each series keeps of its slots, which
 bounds the spectral norm of a Hermitian or anti-Hermitian matrix, and
 `chain_stops` and `flow_at` drop the tails that weigh less than unit
-roundoff at eps.  The public functions are formal series in
-eps and keep every term.
+roundoff at eps.  H_0's chain is bounded more tightly (`h0_majorant`): the
+engine's generator solves the homological equation, so each term
+ad A_m (H_0) of that chain is the averaging residual -(H_m - Hbar_m), whose
+1-norm is at most the bound the series keeps of H_m, not 2 ||A_m|| ||H_0||.
+The public functions are formal series in eps and keep every term.
 """
 
 import itertools
@@ -315,7 +318,9 @@ def flow_coefficients(agen: OperatorSeries):
     solution of U' = (1/hbar) U A(eps), in agen's dtype; None for a
     structurally zero coefficient.  Only the coefficients a later one still
     reads are kept.  Each sum is built in its own memory, so no generator
-    slot or kept coefficient is written."""
+    slot or kept coefficient is written, and is scaled by 1/hbar unless hbar
+    is 1.  U_0 is a fresh I that no later coefficient reads (U_0 A_p is
+    taken as A_p), so the caller may write into it."""
     a, live, hbar = agen.coeffs, agen.live, agen.hbar
     window = _window(live)
     u = np.eye(agen.dim, dtype=agen.dtype)
@@ -330,7 +335,7 @@ def flow_coefficients(agen: OperatorSeries):
                 nxt = a[l].copy() if nxt is None else _add(nxt, a[l])
             elif window[-1 - l] is not None:
                 nxt = _add(nxt, _scaled(binomial(p, l), window[-1 - l] @ a[l]))
-        if nxt is not None:
+        if nxt is not None and hbar != 1.0:
             nxt *= 1.0 / hbar
         window.append(nxt)
         yield nxt
@@ -344,7 +349,7 @@ def flow_at(agen: OperatorSeries, eps: float):
     overflows raises as in `weight`."""
     stop, dropped = _cut(lie_majorant(agen, eps, 1.0), 1.0, 1, UNIT_ROUNDOFF)
     coeffs = itertools.islice(flow_coefficients(agen), stop)
-    out = next(coeffs).copy()
+    out = next(coeffs)  # a fresh I, which no later coefficient reads
     for p, u in enumerate(coeffs, start=1):
         if u is not None and u.any():
             out += weight(eps, p) * u
@@ -363,6 +368,28 @@ def lie_majorant(agen: OperatorSeries, eps: float, factor: float) -> list:
         w[k+1] = factor/(hbar (k+1)) sum_l bounds[l] |eps|^{l+1}/l! w[k-l],
 
     so no factorial is formed; an overflow gives inf, which cuts nothing."""
+    return _majorant(agen, eps, factor, [1.0])
+
+
+def h0_majorant(agen: OperatorSeries, leaves: dict, eps: float) -> list:
+    """Weighted majorant of H_0's chain, w[k] >= |eps|^k/k! ||T_k(H_0)||_2,
+    for a generator that solves the homological equation of the stage's
+    series h against H_0, with `leaves` as `_leaves` gives them.  Each term
+    C(k, k) ad A_{k+1} (H_0) of the image recursion is then an averaging
+    residual, -(H_{k+1} - Hbar_{k+1}): H_{k+1} off the degeneracy blocks,
+    whose induced 1-norm is at most h's bounds[k+1].  So the `lie_majorant`
+    recursion from w[0] = ||H_0||_2 takes that term as
+    |eps|^{k+1}/(k+1)! bounds[k+1] = leaves[k+1] for a live generator slot
+    k, 0 for a zero one, in place of (2/hbar) ||A_{k+1}|| ||H_0||."""
+    residual = [
+        leaves.get(l + 1, 0.0) if bound else 0.0 for l, bound in enumerate(agen.bounds[:-1])
+    ]
+    return _majorant(agen, eps, 2.0, [leaves[0]], residual)
+
+
+def _majorant(agen, eps, factor, w, residual=None):
+    """w extended from w[0] to w[0..P] by the recursion of `lie_majorant`;
+    with `residual`, its term l = k is residual[k] instead."""
     x = abs(eps)
     slots, power = [], x  # power = |eps|^{l+1}/l!
     for l, bound in enumerate(agen.bounds[:-1]):
@@ -370,15 +397,17 @@ def lie_majorant(agen: OperatorSeries, eps: float, factor: float) -> list:
             slots.append((l, bound * power))
         power = power * x / (l + 1)
     rate = factor / agen.hbar
-    w = [1.0]
     for k in range(agen.order):
         total = 0.0
         for l, g in slots:
-            if l > k:
+            if l > k or (l == k and residual is not None):
                 break
             if w[k - l]:
                 total += g * w[k - l]
-        w.append(rate / (k + 1) * total)
+        nxt = rate / (k + 1) * total
+        if residual is not None:
+            nxt += residual[k]
+        w.append(nxt)
     return w
 
 
@@ -412,18 +441,22 @@ def _leaves(h: OperatorSeries, h0_norm: float, eps):
 
 def chain_stops(agen: OperatorSeries, h: OperatorSeries, h0_norm: float, eps, keep):
     """(stops, dropped) for `conjugate_slots` of h, with H_0 given as levels of
-    spectral norm h0_norm.  Term k of chain j weighs
-    |eps|^{j+k}/(j! k!) ||T_k(H_j)||_2 <= leaf_j w[k] at eps (see `_leaves`).
-    Each chain keeps its images up to order `keep` and drops its longest
-    tail below u h0_norm / (number of chains), so `dropped`, the majorant of
-    all that is dropped, stays below u h0_norm.  A chain past `keep` may go
-    whole."""
+    spectral norm h0_norm, for a generator agen that solves the homological
+    equation of h against H_0.  Term k of chain j >= 1 weighs
+    |eps|^{j+k}/(j! k!) ||T_k(H_j)||_2 <= leaf_j w[k] at eps (see `_leaves`);
+    H_0's chain has its own table, `h0_majorant`, which bounds each of its
+    generator-slot terms by the averaging residual it equals.  Each chain
+    keeps its images up to order `keep` and drops its longest tail below
+    u h0_norm / (number of chains), so `dropped`, the majorant of all that
+    is dropped, stays below u h0_norm.  A chain past `keep` may go whole."""
     leaves, budget = _leaves(h, h0_norm, eps)
     w = lie_majorant(agen, eps, 2.0)
-    stops, dropped = [0] * (h.order + 1), 0.0
+    stops = [0] * (h.order + 1)
+    stops[0], dropped = _cut(h0_majorant(agen, leaves, eps), 1.0, keep + 1, budget)
     for j, leaf in leaves.items():
-        stops[j], tail = _cut(w[: h.order - j + 1], leaf, max(keep - j + 1, 0), budget)
-        dropped += tail
+        if j:
+            stops[j], tail = _cut(w[: h.order - j + 1], leaf, max(keep - j + 1, 0), budget)
+            dropped += tail
     return stops, dropped
 
 

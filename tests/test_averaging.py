@@ -232,7 +232,9 @@ def test_generator_is_the_masked_quotient_to_the_bit(
 ):
     # a complex -hbar B is divided by the real denominators as each part
     # times one reciprocal: that must equal numpy's own quotient bit for bit,
-    # at every magnitude, as the real quotient does
+    # at every magnitude, as the real quotient does; and the average is the
+    # masked stack to the bit, where one-level blocks index the diagonal
+    # and a degenerate pair masks its block
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.uniform(-5.0, 5.0, n))
     if degenerate:
@@ -247,6 +249,9 @@ def test_generator_is_the_masked_quotient_to_the_bit(
     denom = np.where(same, 1.0, lam[:, None] - lam[None, :])
     with np.errstate(all="ignore"):
         want = np.where(same, 0.0, -hbar * stack / denom)
-        _, got, _ = average_diagonal(lam, blocks, stack, hbar, 0.0)
+        avg, got, _ = average_diagonal(lam, blocks, stack, hbar, 0.0)
     assert got.dtype == want.dtype == stack.dtype
     np.testing.assert_array_equal(got, want)
+    want_avg = np.where(same, stack, 0.0)
+    assert avg.dtype == want_avg.dtype
+    np.testing.assert_array_equal(avg, want_avg)

@@ -133,27 +133,36 @@ def test_zero_eps_is_trivial():
 
 def test_integrable_part_stays_diagonal_for_diagonal_models(monkeypatch):
     # nondegenerate diagonal unperturbed part: every stage's averaged terms
-    # are diagonal in the original basis, so the folded H_0 must be too
-    folded = []
-    real = kolmogorov._diagonalize_blocks
+    # are diagonal in the original basis, so the folded H_0 must be too; the
+    # stage adds their diagonals to the levels, with no dense H_0 and no
+    # block diagonalization, and must give the dense fold's diagonal
+    folds = []
+    real = kolmogorov._fold
 
-    def recording(h0, blocks, deg_tol):
-        folded.append(h0.copy())
-        return real(h0, blocks, deg_tol)
+    def recording(state, n, lo, live, averaged):
+        folds.append((lo, live, averaged))
+        return real(state, n, lo, live, averaged)
 
-    monkeypatch.setattr(kolmogorov, "_diagonalize_blocks", recording)
+    def dense(*args):
+        raise AssertionError("a nondegenerate stage diagonalized its blocks")
+
+    monkeypatch.setattr(kolmogorov, "_fold", recording)
+    monkeypatch.setattr(kolmogorov, "_diagonalize_blocks", dense)
     model = sp.build_quartic_oscillator(14)
     state = sp.init(model, 0.06, 4)
     for n in range(3):
         entering = state.levels
         state = sp.step(state)
-        h0 = folded[n]
+        lo, live, averaged = folds[n]
+        h0 = np.diag(entering)
+        for p in live:
+            h0 += series.weight(0.06, p) * averaged[p - lo]
         off = h0 - np.diag(np.diag(h0))
         assert sp.max_norm(off) <= 1e-10 * sp.max_norm(h0)
         # the fold moved the levels, and they are the folded H_0's diagonal
         assert sp.max_norm(np.diag(h0) - entering) > 0.0
         np.testing.assert_array_equal(state.levels, np.diag(h0))
-    assert len(folded) == 3
+    assert len(folds) == 3
 
 
 def test_unitary_equivalence_scaling():
@@ -862,12 +871,17 @@ def test_lie_majorant_bounds_every_image_and_flow_coefficient(
 ):
     # the cut rests on |eps|^k/k! ||X_k||_2 <= ||X_0||_2 w[k]: check it on the
     # spectral norm of every image of every chain, H_0's included, and of
-    # every flow coefficient of every stage, each taken to order P
+    # every flow coefficient of every stage, each taken to order P; H_0's
+    # images also against the table of its own chain, h0_majorant, which
+    # the stage's generator makes from the averaging residuals
     model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
     model = model.with_hbar(hbar)
     for gen, h, levels in _stage_operands(model, eps, order):
         images = series.lie_majorant(gen, eps, 2.0)
-        leaves = [(levels, sp.max_norm(levels))] + [(h.coeffs[j], h.bounds[j]) for j in h.live]
+        h0_norm = sp.max_norm(levels)
+        h0_images = series.h0_majorant(gen, series._leaves(h, h0_norm, eps)[0], eps)
+        assert h0_images[0] == h0_norm
+        leaves = [(levels, h0_norm)] + [(h.coeffs[j], h.bounds[j]) for j in h.live]
         for x, bound in leaves:
             leaf = sp.max_norm(x) if x.ndim == 1 else np.linalg.norm(x, 2)
             assert leaf <= bound  # the leaf bound the cut takes
@@ -875,6 +889,8 @@ def test_lie_majorant_bounds_every_image_and_flow_coefficient(
                 if t is not None and t.ndim == 2:
                     weighted = eps**k / math.factorial(k) * np.linalg.norm(t, 2)
                     assert weighted <= (1 + 1e-12) * leaf * images[k]
+                    if x is levels:
+                        assert weighted <= (1 + 1e-12) * h0_images[k]
         flow = series.lie_majorant(gen, eps, 1.0)
         for p, u in enumerate(series.flow_coefficients(gen)):
             if u is not None:
@@ -913,7 +929,7 @@ def test_stored_bounds_bound_the_spectral_norm(n, order, seed, degenerate, real)
     zero = np.zeros((n, n))
     _check_bounds(sp.OperatorSeries((hermitian(rng, n), zero, hermitian(rng, n, 1e-3)), 0.7))
     gens, rotations = [], []
-    real_conjugate, real_blocks = kolmogorov.conjugate_slots, kolmogorov._diagonalize_blocks
+    real_conjugate, real_blocks = kolmogorov.conjugate_slots, kolmogorov._fold
 
     def conjugate(gen, *args):
         gens.append(gen)
@@ -926,7 +942,7 @@ def test_stored_bounds_bound_the_spectral_norm(n, order, seed, degenerate, real)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kolmogorov, "conjugate_slots", conjugate)
-        mp.setattr(kolmogorov, "_diagonalize_blocks", blocks)
+        mp.setattr(kolmogorov, "_fold", blocks)
         state = sp.init(model, 0.05, order)
         _check_bounds(state.series)
         for _ in range(default_n_stages(order)):
@@ -1012,11 +1028,12 @@ def test_cut_keeps_the_forward_error_against_high_precision(eps):
 
 
 # Ceilings on the work of the cut, per run of the model below: (calls of
-# series._next_image, dense products in them), as measured when the
-# majorant took each slot's induced 1-norm; with d times the max-norm they
-# were (115, 62) and (164, 117).  A looser majorant cuts later and fails
-# this before any timing shows it.
-CUT_WORK_CEILINGS = {0.02: (94, 42), 0.05: (126, 71)}
+# series._next_image, dense products in them), as measured when H_0's chain
+# bounded its generator-slot terms by the averaging residuals; with the
+# generic majorant for that chain they were (78, 42) and (110, 71), and with
+# d times the max-norm for each slot (115, 62) and (164, 117).  A looser
+# majorant cuts later and fails this before any timing shows it.
+CUT_WORK_CEILINGS = {0.02: (54, 40), 0.05: (104, 68)}
 
 
 def _cut_work_model():
@@ -1215,9 +1232,10 @@ def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, 
 
 
 # Ceilings on the slots each run of the model below hands to
-# average_diagonal, stage by stage from init, as measured when a stage first
-# averaged only its live slots; stacking every window slot hands it 16.
-LIVE_SLOT_CEILINGS = {0.02: 8, 0.05: 10}
+# average_diagonal, stage by stage from init, as measured when H_0's chain
+# was cut by the averaging residuals; when a stage first averaged only its
+# live slots they were 8 and 10, and stacking every window slot hands it 16.
+LIVE_SLOT_CEILINGS = {0.02: 7, 0.05: 9}
 
 
 @pytest.mark.parametrize("eps", sorted(LIVE_SLOT_CEILINGS))
