@@ -34,10 +34,13 @@ so every slot the engine builds is Hermitian and every generator
 anti-Hermitian to the bit, as the conjugation kernel needs.  A level's
 label is its index in this never re-sorted basis (inside a block, the index
 it overlaps most); its eigenvector of H(eps) is that column of
-V0 * prod_n U_n(eps) Q_n.
+V0 * prod_n U_n(eps) Q_n.  `step` builds that basis as it goes; `run`,
+whose callers mostly read energies alone, keeps each stage's generator and
+q instead and builds it on the first read of its result's eigenvectors
+(`_Pending`), unless a bound on it comes near overflow.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,6 +73,7 @@ from .series import (
     chain_stops,
     conjugate_slots,
     flow_at,
+    flow_cut,
     identity_kept,
     weight,
     zero_padded,
@@ -101,7 +105,9 @@ class KolmogorovState:
     series: OperatorSeries
     levels: np.ndarray  # H_0 = diag(levels); a level's label is its index
     blocks: np.ndarray  # blocks[j], the degeneracy block of level j
-    basis: np.ndarray  # running basis in original coordinates: V0 prod U_n(eps) Q_n
+    # running basis in original coordinates, V0 prod U_n(eps) Q_n; inside
+    # `run`, the `_Pending` record it is built from
+    basis: np.ndarray
     deg_tol: float  # resolved once from the H_0 levels when not given
     gap_guard: float  # resolved once from the H_0 levels when not given
     history: tuple
@@ -118,14 +124,29 @@ class KolmogorovState:
 @dataclass(frozen=True)
 class SuResult:
     """Per-stage eigenvalues (stage 0 = unperturbed) and reconstructed
-    eigenvectors of the original Hamiltonian, labelled by unperturbed level."""
+    eigenvectors of the original Hamiltonian, labelled by unperturbed level.
+
+    The eigenvectors are built on first read, from the stages `run` kept for
+    them (`_Pending`), which the result then drops; a later read returns the
+    same array."""
 
     eps: float
     order: int
     n_stages: int
     energies: tuple  # energies[n][j] for stage n, label j
-    eigenvectors: np.ndarray  # column j approximates level j of H(eps)
     history: tuple
+    # the eigenvectors, or the `_Pending` basis they are built from
+    _eigenvectors: object = field(repr=False, compare=False)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Column j approximates level j of H(eps).  Reads from two threads
+        at once may each build it, and get equal arrays."""
+        vecs = self._eigenvectors
+        if isinstance(vecs, _Pending):
+            vecs = fix_column_phases(_unit_columns(vecs.build()))
+            object.__setattr__(self, "_eigenvectors", vecs)
+        return vecs
 
     @property
     def min_gap(self) -> float:
@@ -292,13 +313,79 @@ def _average(state: KolmogorovState, n, lo, hi):
     return averaged, a_window, a_scans, min_gap
 
 
+def _apply_stage(basis, n, gen, eps, cut, q):
+    """basis times stage n's flow at eps, to the cut `flow_cut` made of it
+    (None for a generator with no live slot, whose flow is I and is not
+    formed), then times the blocks' unitary q (None for none).  A weight
+    that overflows, or a non-finite entry of basis @ flow, raises naming
+    stage n."""
+    if cut is not None:
+        try:
+            flow, _ = flow_at(gen, eps, cut)
+        except WeightOverflowError as exc:
+            raise WeightOverflowError(f"stage {n}: {exc}") from exc
+        basis = basis @ flow
+        if not np.isfinite(basis).all():
+            raise ValueError(f"stage {n}: the basis has a non-finite entry")
+    if q is not None:
+        basis = basis @ q
+    return basis
+
+
+# A run keeps its basis unbuilt while `_Pending.bound` stays below this,
+# far from overflow, so that building it later cannot fail.
+_PENDING_LIMIT = 2.0**500
+
+
+@dataclass(frozen=True)
+class _Pending:
+    """The basis V0 prod_n Phi_n(eps) Q_n of a run at |eps| <= 1, not yet
+    built: V0 and the (n, generator, flow cut, q) of each stage, as
+    `_apply_stage` takes them, all read-only references to what the stage
+    made.  bound, the product of the flows' `flow_cut` norms, bounds
+    ||basis||_2 and every partial product of it; `add` keeps a stage pending
+    only while bound max(1, hbar) / |weight(eps, stop - 1)|, which also
+    bounds the flow coefficients and products the stage would form (see
+    `flow_cut`), stays below _PENDING_LIMIT."""
+
+    eps: float
+    v0: np.ndarray
+    stages: tuple
+    bound: float
+
+    def add(self, n, gen, cut, q):
+        """This basis with stage n applied as `_apply_stage` applies it:
+        pending while the bound allows, else built at once, as `step`
+        builds it, with the errors it raises."""
+        bound = self.bound
+        if cut is not None:
+            stop, _, norm = cut
+            bound *= norm
+            limit = _PENDING_LIMIT * abs(weight(self.eps, stop - 1))
+            if not bound * max(1.0, gen.hbar) < limit:
+                return _apply_stage(self.build(), n, gen, self.eps, cut, q)
+        for p in gen.live:
+            read_only(gen.coeffs[p])
+        if q is not None:
+            read_only(q)
+        return _Pending(self.eps, self.v0, self.stages + ((n, gen, cut, q),), bound)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def build(self) -> np.ndarray:
+        """The basis, its stages applied in order, as `step` applies them."""
+        basis = self.v0
+        for n, gen, cut, q in self.stages:
+            basis = _apply_stage(basis, n, gen, self.eps, cut, q)
+        return basis
+
+
 def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     """Stage n from its averaging (see `_average`): fold the averaged slots
     into H_0 and rediagonalize its blocks, conjugate, check the eliminated
-    slots, apply the flow to the basis, and rotate the basis and the
-    surviving slots by the blocks' unitary q.  The fold needs only the
-    averaged slots, so q is known before the conjugation, and each surviving
-    slot is scanned once, after q.
+    slots, apply the flow and the blocks' unitary q to the basis, or add
+    them to a `_Pending` one, and rotate the surviving slots by q.  The fold
+    needs only the averaged slots, so q is known before the conjugation,
+    and each surviving slot is scanned once, after q.
 
     Only live slots cost work: the fold adds the averaged slots of the live
     window slots (`_fold`), and the slot check skips a window slot that is
@@ -355,19 +442,14 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
             f"by {residual:.3e} (scale {scale:.3e})"
         )
 
-    basis, flow_dropped = state.basis, 0.0
-    if gen.live:
-        try:
-            flow, flow_dropped = flow_at(gen, state.eps)
-        except WeightOverflowError as exc:
-            raise WeightOverflowError(f"stage {n}: {exc}") from exc
-        basis = basis @ flow
-        if not np.isfinite(basis).all():
-            raise ValueError(f"stage {n}: the basis has a non-finite entry")
+    cut = flow_cut(gen, state.eps) if gen.live else None
+    if isinstance(state.basis, _Pending):
+        basis = state.basis.add(n, gen, cut, q)
+    else:
+        basis = _apply_stage(state.basis, n, gen, state.eps, cut, q)
     rest = k[hi + 1 :]
     if q is not None:
         rest = [c if c is None else hermitian_part(q.conj().T @ c @ q) for c in rest]
-        basis = basis @ q
     # a new slot is scanned; an identity stage's unrotated slots are the
     # series' own, whose scans it keeps
     fresh = gen.live or q is not None
@@ -389,7 +471,7 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
         series_scale=scale,
         min_gap=min_gap,
         generator_norms=gen.norms,
-        truncation_bound=dropped + h0_norm * flow_dropped,
+        truncation_bound=dropped + h0_norm * (cut[1] if cut else 0.0),
     )
     return KolmogorovState(
         stage=n,
@@ -464,6 +546,13 @@ def run(
 ) -> SuResult:
     """Full iteration: per-stage eigenvalues and reconstructed eigenvectors.
 
+    At |eps| <= 1 the eigenvectors are built on first read (see `SuResult`):
+    until then the result holds each stage's live generator slots and block
+    unitary, not its flow and basis.  Where a bound on that basis, or on a
+    flow coefficient, comes near overflow (`_Pending`), and at |eps| > 1,
+    `run` builds the basis as `step` does, so that each error it raises
+    comes from this call, at its stage.
+
     The work that depends on neither eps nor the order (the H_0
     eigendecomposition, the rotated terms and stage 1's averaging) is done
     on the first call for a model and these tolerances, and kept on the
@@ -494,19 +583,23 @@ def run(
         )
 
     energies = [state.levels.copy()]  # not the memo's own array
+    if abs(state.eps) <= 1.0:
+        state = replace(state, basis=_Pending(state.eps, state.basis, (), 1.0))
     state = _first_step(state, _start(model, deg_tol, gap_guard))
     energies.append(state.levels)
     for _ in range(n_stages - 1):
         state = step(state)
         energies.append(state.levels)
 
-    vecs = fix_column_phases(_unit_columns(state.basis))
+    vecs = state.basis
+    if not isinstance(vecs, _Pending):
+        vecs = fix_column_phases(_unit_columns(vecs))
 
     return SuResult(
         eps=float(eps),
         order=order,
         n_stages=n_stages,
         energies=tuple(energies),
-        eigenvectors=vecs,
         history=state.history,
+        _eigenvectors=vecs,
     )

@@ -298,18 +298,14 @@ def conjugate_slots(agen: OperatorSeries, h: OperatorSeries, levels=None, stops=
     return out
 
 
-def conjugate_by(agen: OperatorSeries, h: OperatorSeries, levels=None, stops=None):
-    """`conjugate_slots` as a series, a zero slot for None; a non-finite slot
-    raises ValueError naming it."""
-    out = conjugate_slots(agen, h, levels, stops)
-    dtype = np.result_type(agen.dtype, h.dtype)
-    zero = shared_zero(h.dim, dtype)
-    return OperatorSeries._computed([zero if c is None else c for c in out], h.hbar)
-
-
 def conjugate_series(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
-    """Series transformed by gen, Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j)."""
-    return conjugate_by(_anti_hermitian(gen), h)
+    """Series transformed by gen, Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j),
+    a zero slot where no term lands; a non-finite slot raises ValueError
+    naming it."""
+    agen = _anti_hermitian(gen)
+    out = conjugate_slots(agen, h)
+    zero = shared_zero(h.dim, np.result_type(agen.dtype, h.dtype))
+    return OperatorSeries._computed([zero if c is None else c for c in out], h.hbar)
 
 
 def flow_coefficients(agen: OperatorSeries):
@@ -341,13 +337,26 @@ def flow_coefficients(agen: OperatorSeries):
         yield nxt
 
 
-def flow_at(agen: OperatorSeries, eps: float):
+def flow_cut(agen: OperatorSeries, eps: float):
+    """(stop, dropped, norm): the cut `flow_at` makes of the flow of agen at
+    eps, from w = lie_majorant(agen, eps, 1.0).  The flow sums U_0..U_{stop-1}:
+    the longest tail past U_0 = I whose majorant at eps is below u is left
+    out, and `dropped` is that majorant, 0.0 for none.  norm =
+    sum_{p<stop} w[p] bounds the 2-norm of the flow, and of each partial sum
+    of it; for |eps| <= 1, max(1, hbar) norm / weight(eps, stop - 1) bounds
+    that of each U_p it sums and of each product `flow_coefficients` forms
+    for them, since eps^p/p! falls with p."""
+    w = lie_majorant(agen, eps, 1.0)
+    stop, dropped = _cut(w, 1.0, 1, UNIT_ROUNDOFF)
+    return stop, dropped, sum(w[:stop])
+
+
+def flow_at(agen: OperatorSeries, eps: float, cut=None):
     """(flow, dropped): the flow of agen at eps, sum_p eps^p/p! U_p, summed
     as the coefficients come, in `weighted_sum`'s order and skipping zero
-    ones.  The longest tail past U_0 = I whose majorant at eps is below u is
-    not computed; `dropped` is that majorant, 0.0 for none.  A weight that
-    overflows raises as in `weight`."""
-    stop, dropped = _cut(lie_majorant(agen, eps, 1.0), 1.0, 1, UNIT_ROUNDOFF)
+    ones, to the cut `flow_cut` makes; `cut`, where given, is that cut,
+    already taken.  A weight that overflows raises as in `weight`."""
+    stop, dropped, _ = flow_cut(agen, eps) if cut is None else cut
     coeffs = itertools.islice(flow_coefficients(agen), stop)
     out = next(coeffs)  # a fresh I, which no later coefficient reads
     for p, u in enumerate(coeffs, start=1):

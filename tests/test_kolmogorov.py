@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import mpmath
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superpert as sp
-from superpert import kolmogorov, linalg, series
+from superpert import cli, kolmogorov, linalg, series
 from superpert.kolmogorov import default_n_stages
 
 import reference
@@ -1269,3 +1270,127 @@ def test_stages_work_only_on_their_live_slots(eps, monkeypatch):
         zero_windows += not live
     assert zero_windows >= 1  # stage 5's window is below rounding at both eps
     assert calls["slots"] <= LIVE_SLOT_CEILINGS[eps]
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(2, 8),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    real=st.booleans(),
+    hbar=st.sampled_from([1.0, 0.7]),
+    eps=st.sampled_from([0.05, -0.3]),
+    data=st.data(),
+)
+def test_eigenvectors_built_on_read_match_the_stepped_basis(
+    n, order, seed, degenerate, real, hbar, eps, data
+):
+    # run keeps each stage's generator and block unitary and builds the
+    # basis on the first read of its eigenvectors: the same array, to the
+    # bit, as the basis step builds as it goes; the read drops what it kept
+    n_stages = data.draw(st.integers(1, default_n_stages(order)), label="n_stages")
+    model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
+    model = model.with_hbar(hbar)
+    state = sp.init(model, eps, order)
+    for _ in range(n_stages):
+        state = sp.step(state)
+    want = linalg.fix_column_phases(kolmogorov._unit_columns(state.basis))
+
+    kept = []  # weak references to the block unitaries and generator slots
+    real_blocks, real_conjugate = kolmogorov._diagonalize_blocks, kolmogorov.conjugate_slots
+
+    def blocks(*args):
+        out = real_blocks(*args)
+        if out[2] is not None:
+            kept.append(weakref.ref(out[2]))
+        return out
+
+    def conjugate(gen, *args):
+        # stage 1's generator slot is the model's memo, which outlives a run
+        if gen.coeffs[0] is not kolmogorov._start(model, None, None).stage1[1][0]:
+            kept.extend(weakref.ref(gen.coeffs[p]) for p in gen.live)
+        return real_conjugate(gen, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kolmogorov, "_diagonalize_blocks", blocks)
+        mp.setattr(kolmogorov, "conjugate_slots", conjugate)
+        res = sp.run(model, eps, order, n_stages=n_stages)
+    assert all(ref() is not None for ref in kept)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = res.eigenvectors
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    assert res.eigenvectors is got
+    assert all(ref() is None for ref in kept)
+
+
+def test_only_a_read_of_the_eigenvectors_forms_the_flows(monkeypatch):
+    # the CLI reads energies alone, so it forms no flow; a run at |eps| <= 1
+    # forms one per live stage when its eigenvectors are read, and one at
+    # |eps| > 1 forms them as it runs
+    calls = _counting(monkeypatch, "flow_at")
+    for method in ("compare", "su"):
+        args = [
+            "--method", method, "--builtin", "quartic_oscillator", "--dim", "12",
+            "--eps", "0.05,0.1", "--levels", "0,1",
+        ]
+        cli.compute_report(cli.build_parser().parse_args(args))
+    assert calls == []
+    model = _cut_work_model()
+    res = sp.run(model, 0.05, 16)
+    assert calls == []
+    live = _live_generators(res.history)
+    assert live >= 1
+    res.eigenvectors
+    res.eigenvectors
+    assert len(calls) == live
+    calls.clear()
+    res = sp.run(model, 1.5, 16)
+    assert len(calls) == _live_generators(res.history) >= 1
+    res.eigenvectors
+    assert len(calls) == _live_generators(res.history)
+
+
+@pytest.mark.parametrize(
+    "limit, during_run, on_read",
+    [
+        (1.0, "CFCFCFCF", ""),  # past the bound from stage 1: built as it goes
+        (2.0**20, "CCFFCFCF", ""),  # stage 1 pending, built at stage 2
+        (2.0**500, "CCCC", "FFFF"),  # pending to the end
+    ],
+)
+def test_a_run_past_its_pending_bound_builds_the_basis_at_once(
+    limit, during_run, on_read, monkeypatch
+):
+    # stage 1's generator is small and stage 2's is not, so their bounds
+    # are about 2^12 and 2^29 here: whenever the bound is passed, the
+    # pending stages are applied at once, then each later stage as `step`
+    # applies it, and the eigenvectors do not change
+    rng = np.random.default_rng(65)
+    d = 6
+    levels = np.cumsum(1.0 + rng.uniform(0.0, 1.0, d))
+    terms = [(0, np.diag(levels))]
+    terms += [(p, random_hermitian(rng, d, scale)) for p, scale in ((1, 1e-3), (2, 0.5))]
+    model = sp.make_model(d, terms)
+    state = sp.init(model, 0.3, 8)
+    for _ in range(default_n_stages(8)):
+        state = sp.step(state)
+    want = linalg.fix_column_phases(kolmogorov._unit_columns(state.basis))
+
+    events = []
+    for name, tag in (("conjugate_slots", "C"), ("flow_at", "F")):
+        real = getattr(kolmogorov, name)
+
+        def recorded(*args, real=real, tag=tag):
+            events.append(tag)
+            return real(*args)
+
+        monkeypatch.setattr(kolmogorov, name, recorded)
+    monkeypatch.setattr(kolmogorov, "_PENDING_LIMIT", limit)
+    res = sp.run(model, 0.3, 8)
+    assert "".join(events) == during_run
+    events.clear()
+    np.testing.assert_array_equal(res.eigenvectors, want)
+    assert "".join(events) == on_read
