@@ -6,7 +6,8 @@ the staged superconvergent engine (su), or all three side by side
 the JSON report, and both formats write a float as Python's shortest repr
 that round-trips, so repeated runs are byte-identical and CSV and JSON carry
 the same text for each number.  `--stages` runs in 1..ceil(log2(P + 1)),
-the stages that still have orders to eliminate at truncation order P.
+the stages that still have orders to eliminate at truncation order P, and
+is an error for a method with no stages.
 """
 
 import argparse
@@ -112,6 +113,8 @@ def compute_report(args: argparse.Namespace) -> dict:
     gap_guard = require_tolerance(args.gap_guard, "--gap-guard")
     want_su = args.method in ("su", "compare")
     n_stages = None
+    if not want_su and args.stages is not None:
+        raise ValueError("--stages applies only to --method su and compare")
     if want_su:
         if args.order > MAX_ORDER:
             raise ValueError(f"--order must be at most {MAX_ORDER}, got {args.order}")

@@ -18,26 +18,25 @@ Lie-series majorant of the rest is below rounding at eps (`chain_stops`,
 bounded by the averaging residuals its generator solves for.  The slots
 past the cut are exact zeros, and a stage works only on its live slots: it
 averages, scans and folds the live slots of its window alone, and a stage
-whose generator has no live slot is the identity, with no conjugation, no
-flow and no basis product (`_advance`).  Results are bit-identical to
-running every stage in full.
+whose generator has no live slot forms no flow and no basis product
+(`_advance`).  Results are bit-identical to running every stage in full.
 
 `init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
 diagonal up to degeneracy blocks, which alone are diagonalized after each
 fold, so it is kept only as its levels (slot 0 of the series is zero).
 Where every block is one level the averaged slots are diagonal too, and
 their diagonals are added to the levels with no dense H_0 (`_fold`).  The
-eigendecomposition, the rotated terms and stage 1's averaging do not depend
-on eps or the order, so they are memoized on the model (`_start`): a later
-`run` starts stage 1 at the conjugation.  Both rotations are symmetrized,
-so every slot the engine builds is Hermitian and every generator
-anti-Hermitian to the bit, as the conjugation kernel needs.  A level's
-label is its index in this never re-sorted basis (inside a block, the index
-it overlaps most); its eigenvector of H(eps) is that column of
-V0 * prod_n U_n(eps) Q_n.  `step` builds that basis as it goes; `run`,
-whose callers mostly read energies alone, keeps each stage's generator and
-q instead and builds it on the first read of its result's eigenvectors
-(`_Pending`), unless a bound on it comes near overflow.
+eigendecomposition and the rotated terms do not depend on eps or the order,
+so they are memoized on the model (`_start`).  Every stage of `step` and of
+`run`, stage 1 included, takes one path: `_average`, then `_advance`.  Both
+rotations are symmetrized, so every slot the engine builds is Hermitian and
+every generator anti-Hermitian to the bit, as the conjugation kernel needs.
+A level's label is its index in this never re-sorted basis (inside a
+block, the index it overlaps most); its eigenvector of H(eps) is that
+column of V0 * prod_n U_n(eps) Q_n.  `step` builds that basis as it goes;
+`run`, whose callers mostly read energies alone, keeps each stage's
+generator and q instead and builds it on the first read of its result's
+eigenvectors (`_Pending`), unless a bound on it comes near overflow.
 """
 
 from dataclasses import dataclass, field, replace
@@ -74,7 +73,6 @@ from .series import (
     conjugate_slots,
     flow_at,
     flow_cut,
-    identity_kept,
     weight,
     zero_padded,
 )
@@ -160,16 +158,14 @@ class SuResult:
 class _Start:
     """The eps-free start of every run on one model at one (deg_tol,
     gap_guard), all read-only: the H_0 spectral data and the resolved
-    tolerances; the perturbation terms in the H_0 eigenbasis, {p: V^H H_p V}
-    for p >= 1, from the first `init`; and stage 1's averaging of slot 1
-    (`_average`), from the first `run`."""
+    tolerances, and the perturbation terms in the H_0 eigenbasis,
+    {p: V^H H_p V} for p >= 1, from the first `init`."""
 
     def __init__(self, spectral: SpectralData, deg_tol: float, gap_guard: float):
         self.spectral = spectral
         self.deg_tol = deg_tol
         self.gap_guard = gap_guard
         self.terms = None
-        self.stage1 = None
 
 
 def _start(model: ModelSpec, deg_tol, gap_guard) -> _Start:
@@ -389,12 +385,10 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
 
     Only live slots cost work: the fold adds the averaged slots of the live
     window slots (`_fold`), and the slot check skips a window slot that is
-    zero on both sides.  A generator with no live slot is the identity: the
-    stage takes K as the series' own slots, less the chains past the window
-    that `chain_stops` would drop whole, with their stored scans where q
-    does not rotate them, and makes no conjugation, no flow and no basis
-    product.  The fold and the rotation by q run as for any stage; with
-    one-level blocks and no live slot the fold keeps the levels."""
+    zero on both sides.  A generator with no live slot conjugates as any
+    other, each chain being its leaf alone (`chain_stops`, `_t_images`),
+    but forms no flow and no basis product; with one-level blocks and no
+    live slot the fold keeps the levels."""
     averaged, a_window, a_scans, min_gap = averaging
     P = state.order
     series = state.series
@@ -410,14 +404,8 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     levels, blocks, q = _fold(state, n, lo, live, averaged)
 
     h0_norm = max_norm(state.levels)  # ||H_0||_2
-    if gen.live:
-        stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
-        k = conjugate_slots(gen, series, state.levels, stops)
-    else:
-        kept, dropped = identity_kept(series, h0_norm, state.eps, hi)
-        k = [None] * (P + 1)
-        for p in kept:
-            k[p] = series.coeffs[p]
+    stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
+    k = conjugate_slots(gen, series, state.levels, stops)
     scale = max(h0_norm, *series.norms)
 
     def deviations():
@@ -450,13 +438,7 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     rest = k[hi + 1 :]
     if q is not None:
         rest = [c if c is None else hermitian_part(q.conj().T @ c @ q) for c in rest]
-    # a new slot is scanned; an identity stage's unrotated slots are the
-    # series' own, whose scans it keeps
-    fresh = gen.live or q is not None
-    scans = [
-        zero_scan if c is None else None if fresh else (series.norms[p], series.bounds[p])
-        for p, c in enumerate(rest, start=hi + 1)
-    ]
+    scans = [zero_scan if c is None else None for c in rest]
     try:
         survivors = OperatorSeries._computed(
             [zero] * (hi + 1) + [zero if c is None else c for c in rest],
@@ -502,22 +484,6 @@ def step(state: KolmogorovState) -> KolmogorovState:
     return _advance(state, n, lo, hi, _average(state, n, lo, hi))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _first_step(state: KolmogorovState, start: _Start) -> KolmogorovState:
-    """step(state) for a stage-0 state that `init` made from start, with
-    stage 1's averaging, which does not depend on eps or the order, taken
-    from start once it has been computed."""
-    if start.stage1 is None:
-        averaged, a_window, a_scans, min_gap = _average(state, 1, 1, 1)
-        start.stage1 = (
-            tuple(map(read_only, averaged)),
-            tuple(map(read_only, a_window)),
-            a_scans,
-            min_gap,
-        )
-    return _advance(state, 1, 1, 1, start.stage1)
-
-
 # A basis whose entries are finite can still have columns whose squared
 # norm overflows; that is checked here, with numpy's warnings off.
 @np.errstate(over="ignore", invalid="ignore")
@@ -553,10 +519,11 @@ def run(
     `run` builds the basis as `step` does, so that each error it raises
     comes from this call, at its stage.
 
-    The work that depends on neither eps nor the order (the H_0
-    eigendecomposition, the rotated terms and stage 1's averaging) is done
-    on the first call for a model and these tolerances, and kept on the
-    model; later calls give results bit-identical to a cold call.
+    `run` is `init` followed by `step` n_stages times.  The work that
+    depends on neither eps nor the order (the H_0 eigendecomposition and
+    the rotated terms) is done on the first call for a model and these
+    tolerances, and kept on the model; later calls give results
+    bit-identical to a cold call.
 
     Parameters
     ----------
@@ -585,9 +552,7 @@ def run(
     energies = [state.levels.copy()]  # not the memo's own array
     if abs(state.eps) <= 1.0:
         state = replace(state, basis=_Pending(state.eps, state.basis, (), 1.0))
-    state = _first_step(state, _start(model, deg_tol, gap_guard))
-    energies.append(state.levels)
-    for _ in range(n_stages - 1):
+    for _ in range(n_stages):
         state = step(state)
         energies.append(state.levels)
 

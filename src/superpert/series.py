@@ -240,12 +240,13 @@ def _next_image(a, live, window, p, hbar):
 def _t_images(agen: OperatorSeries, x: np.ndarray, up_to: int):
     """Yield T_0(x), ..., T_up_to(x) for the anti-Hermitian generator series
     agen, None for an image no term lands in; only the images a later one
-    still reads are kept."""
+    still reads are kept.  With no live generator slot every later image is
+    zero, and T_0 alone is yielded."""
     a, live, hbar = agen.coeffs, agen.live, agen.hbar
     window = _window(live)
     window.append(x)
     yield x
-    for p in range(up_to):
+    for p in range(up_to if live else 0):
         t = _next_image(a, live, window, p, hbar)
         window.append(t)
         yield t
@@ -467,22 +468,6 @@ def chain_stops(agen: OperatorSeries, h: OperatorSeries, h0_norm: float, eps, ke
             stops[j], tail = _cut(w[: h.order - j + 1], leaf, max(keep - j + 1, 0), budget)
             dropped += tail
     return stops, dropped
-
-
-def identity_kept(h: OperatorSeries, h0_norm: float, eps, keep):
-    """(kept, dropped): `chain_stops` for a generator with no live slot,
-    whose majorant is 1, 0, 0, ...: each chain is its leaf T_0 = H_j alone,
-    which a chain past `keep` drops when the leaf is below its budget.
-    kept lists the live orders j >= 1 whose chain stays, ascending, and
-    dropped is the sum of the dropped leaves, as `chain_stops` gives it."""
-    leaves, budget = _leaves(h, h0_norm, eps)
-    kept, dropped = [], 0.0
-    for j, leaf in leaves.items():
-        if j > keep and leaf < budget:
-            dropped += leaf
-        elif j:
-            kept.append(j)
-    return kept, dropped
 
 
 # The flow of a finite generator can overflow where its series stays finite;

@@ -247,6 +247,20 @@ def test_stages_past_the_last_window_are_rejected(capsys):
     assert err == "error: --stages must be in 1..3 at --order 4, got 5\n"
 
 
+@pytest.mark.parametrize("method", ["rs", "exact"])
+@pytest.mark.parametrize("stages", ["0", "3", "9"])
+def test_stages_with_a_method_that_has_none_are_rejected(capsys, method, stages):
+    code, out, err = _run(
+        [
+            "--method", method, "--builtin", "quartic_oscillator", "--dim", "12",
+            "--eps", "0.01", "--stages", stages,
+        ],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --stages applies only to --method su and compare\n"
+
+
 @pytest.mark.parametrize("method", ["compare", "su", "exact"])
 def test_json_report_parses_back_to_the_report(method):
     report = _report(

@@ -387,15 +387,14 @@ def test_engine_series_are_hermitian_to_the_bit(n, order, seed, degenerate, real
             state = sp.step(state)
             assert defects(state.series.coeffs) == {0.0}
             _check_h0_slot(state)
-    # a stage whose generator has no live slot is the identity and conjugates
-    # nothing
-    assert len(seen) == _live_generators(state.history) * (order + 1)
+    # every stage conjugates, a generator with no live slot included
+    assert len(seen) == len(state.history) * (order + 1)
     assert {sp.max_norm(c + c.conj().T) for c in seen} == {0.0}
 
 
 def _live_generators(history):
     """The number of stages whose generator has a live slot: the stages that
-    call conjugate_slots and flow_at."""
+    call flow_at."""
     return sum(any(info.generator_norms) for info in history)
 
 
@@ -452,8 +451,8 @@ def test_run_and_step_leave_their_inputs_unchanged(n, order, seed, degenerate, r
             _check_shared_zeros(state.series.coeffs)
             res = sp.run(model, 0.05, order)
             assert [m.tobytes() for _, m in model.h_coeffs] == terms
-            # one call per stage whose generator has a live slot
-            conjugating += _live_generators(state.history) + _live_generators(res.history)
+            # one call per stage
+            conjugating += len(state.history) + len(res.history)
     assert len(gens) == conjugating
     for coeffs, before in gens:
         assert [a.tobytes() for a in coeffs] == before
@@ -496,8 +495,8 @@ def test_memo_hit_matches_a_cold_run(real, eps_list, monkeypatch):
     for hit, eps in enumerate(eps_list):
         before = len(eighs), len(averages)
         warm = sp.run(model, eps, 8)
-        # a hit makes no eigh of H_0 and averages stages 2..4 only
-        assert (len(eighs), len(averages)) == (before[0] + 1 - hit, before[1] + 4 - hit)
+        # a hit makes no eigh of H_0, and every run averages all 4 stages
+        assert (len(eighs), len(averages)) == (before[0] + 1 - hit, before[1] + 4)
         _same_result(warm, sp.run(_fresh(model), eps, 8))
 
 
@@ -1181,10 +1180,10 @@ def test_average_of_live_slots_matches_the_full_window(
     eps=st.sampled_from([0.02, 0.05, -0.3]),
 )
 def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, tiny, eps):
-    # a generator with no live slot is the identity: the stage makes no
-    # conjugation and no flow, yet gives what conjugate_slots and flow_at give
-    # on the zero generator, chains dropped whole past the window included,
-    # with the fold and the rotation by the block unitary as for any stage
+    # a generator with no live slot forms no flow and no image product, yet
+    # gives what conjugate_slots and flow_at give on the zero generator,
+    # chains dropped whole past the window included, with the fold and the
+    # rotation by the block unitary as for any stage
     stage, order, window = case
     state = _window_state(
         np.random.default_rng(seed), n, stage, order, degenerate, real, window, tiny, eps
@@ -1193,8 +1192,8 @@ def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, 
     s, levels = state.series, state.levels
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("conjugate_slots", "flow_at"):
-            mp.setattr(kolmogorov, name, lambda *args, name=name: calls.append(name))
+        mp.setattr(kolmogorov, "flow_at", lambda *args: calls.append("flow_at"))
+        mp.setattr(series, "_next_image", lambda *args: calls.append("_next_image"))
         got = sp.step(state)
     assert calls == []
 
@@ -1265,8 +1264,9 @@ def test_stages_work_only_on_their_live_slots(eps, monkeypatch):
         live = any(state.series.norms[lo : hi + 1])
         before = dict(calls)
         state = sp.step(state)
-        made = calls["conjugate_slots"] - before["conjugate_slots"]
-        assert made == calls["flow_at"] - before["flow_at"] == int(live)
+        # every stage conjugates; only a live generator forms a flow
+        assert calls["conjugate_slots"] - before["conjugate_slots"] == 1
+        assert calls["flow_at"] - before["flow_at"] == int(live)
         zero_windows += not live
     assert zero_windows >= 1  # stage 5's window is below rounding at both eps
     assert calls["slots"] <= LIVE_SLOT_CEILINGS[eps]
@@ -1307,9 +1307,7 @@ def test_eigenvectors_built_on_read_match_the_stepped_basis(
         return out
 
     def conjugate(gen, *args):
-        # stage 1's generator slot is the model's memo, which outlives a run
-        if gen.coeffs[0] is not kolmogorov._start(model, None, None).stage1[1][0]:
-            kept.extend(weakref.ref(gen.coeffs[p]) for p in gen.live)
+        kept.extend(weakref.ref(gen.coeffs[p]) for p in gen.live)
         return real_conjugate(gen, *args)
 
     with pytest.MonkeyPatch.context() as mp:
