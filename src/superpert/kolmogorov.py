@@ -26,9 +26,12 @@ diagonal up to degeneracy blocks, which alone are diagonalized after each
 fold, so it is kept only as its levels (slot 0 of the series is zero).
 Where every block is one level the averaged slots are diagonal too, and
 their diagonals are added to the levels with no dense H_0 (`_fold`).  The
-eigendecomposition and the rotated terms do not depend on eps or the order,
-so they are memoized on the model (`_start`).  Every stage of `step` and of
-`run`, stage 1 included, takes one path: `_average`, then `_advance`.  Both
+eigendecomposition, the rotated terms and stage 1's conjugation images do
+not depend on eps or the order, so they are memoized on the model
+(`_start`); each run cuts stage 1's chains at its own eps and takes the
+cached images up to its cut, and the images are capped at P + 1 matrices.
+Every stage of `step` and of `run`, stage 1 included, takes one path:
+`_average`, then `_advance`, which hands stage 1 the cache.  Both
 rotations are symmetrized, so every slot the engine builds is Hermitian and
 every generator anti-Hermitian to the bit, as the conjugation kernel needs.
 A level's label is its index in this never re-sorted basis (inside a
@@ -62,6 +65,7 @@ from .linalg import (
     one_level_blocks,
     read_only,
     require_finite,
+    require_integer,
     require_tolerance,
 )
 from .models import ModelSpec
@@ -109,6 +113,9 @@ class KolmogorovState:
     deg_tol: float  # resolved once from the H_0 levels when not given
     gap_guard: float  # resolved once from the H_0 levels when not given
     history: tuple
+    # a stage-0 state from `init`: the model's cache of stage 1's images
+    # (`_Start.images`); `replace` drops it, so a changed state makes its own
+    _images: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -158,14 +165,22 @@ class SuResult:
 class _Start:
     """The eps-free start of every run on one model at one (deg_tol,
     gap_guard), all read-only: the H_0 spectral data and the resolved
-    tolerances, and the perturbation terms in the H_0 eigenbasis,
-    {p: V^H H_p V} for p >= 1, from the first `init`."""
+    tolerances, the perturbation terms in the H_0 eigenbasis,
+    {p: V^H H_p V} for p >= 1, from the first `init`, and stage 1's
+    conjugation images, {j: (T_1(H_j), T_2(H_j), ...)} with chain 0 that of
+    H_0's levels.  Stage 1's generator solves the homological equation of
+    H_1 against H_0, so neither it nor its images depend on eps or the
+    order; a run's eps only sets how many of them it sums.  A run at order
+    P adds the images it makes while the cache holds fewer than P + 1
+    (`conjugate_slots`), so the entry holds at most (m + 1 + P + 1) d^2
+    numbers for m terms and the largest P run."""
 
     def __init__(self, spectral: SpectralData, deg_tol: float, gap_guard: float):
         self.spectral = spectral
         self.deg_tol = deg_tol
         self.gap_guard = gap_guard
         self.terms = None
+        self.images = {}
 
 
 def _start(model: ModelSpec, deg_tol, gap_guard) -> _Start:
@@ -198,7 +213,10 @@ def unperturbed(model: ModelSpec, deg_tol=None, gap_guard=None) -> SpectralData:
 
 def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None):
     """Stage-0 state: the model's series in its H_0 eigenbasis, zero-padded.
-    The eigenbasis and the rotated terms are the model's memo (see `run`)."""
+    The eigenbasis, the rotated terms and stage 1's images are the model's
+    memo (see `run`); the state hands the images to the `step` that takes
+    it to stage 1."""
+    order = require_integer(order, "order")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"truncation order must be in 1..{MAX_ORDER}, got {order}")
     eps = require_finite(eps, "eps")
@@ -211,7 +229,7 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
             for p, mat in model.h_coeffs
             if p
         }
-    return KolmogorovState(
+    state = KolmogorovState(
         stage=0,
         eps=eps,
         series=zero_padded(start.terms, model.dim, order, model.hbar),
@@ -222,6 +240,13 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
         gap_guard=start.gap_guard,
         history=(),
     )
+    return _with_images(state, start.images)
+
+
+def _with_images(state: KolmogorovState, images) -> KolmogorovState:
+    """state, freshly made, given the cache of stage 1's images."""
+    object.__setattr__(state, "_images", images)
+    return state
 
 
 def _diagonalize_blocks(h0, blocks, deg_tol):
@@ -388,7 +413,9 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     zero on both sides.  A generator with no live slot conjugates as any
     other, each chain being its leaf alone (`chain_stops`, `_t_images`),
     but forms no flow and no basis product; with one-level blocks and no
-    live slot the fold keeps the levels."""
+    live slot the fold keeps the levels.  A stage-0 state from `init`
+    carries the model's cache of stage 1's images, which the conjugation
+    reads and fills; the state returned carries none."""
     averaged, a_window, a_scans, min_gap = averaging
     P = state.order
     series = state.series
@@ -405,7 +432,7 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
 
     h0_norm = max_norm(state.levels)  # ||H_0||_2
     stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
-    k = conjugate_slots(gen, series, state.levels, stops)
+    k = conjugate_slots(gen, series, state.levels, stops, state._images)
     scale = max(h0_norm, *series.norms)
 
     def deviations():
@@ -520,18 +547,20 @@ def run(
     comes from this call, at its stage.
 
     `run` is `init` followed by `step` n_stages times.  The work that
-    depends on neither eps nor the order (the H_0 eigendecomposition and
-    the rotated terms) is done on the first call for a model and these
-    tolerances, and kept on the model; later calls give results
-    bit-identical to a cold call.
+    depends on neither eps nor the order (the H_0 eigendecomposition, the
+    rotated terms and stage 1's conjugation images, at most P + 1 of them)
+    is done on the first calls for a model and these tolerances, and kept
+    on the model; later calls give results bit-identical to a cold call,
+    whichever calls filled the memo.
 
     Parameters
     ----------
     model : ModelSpec
     eps : evaluation point of the perturbation parameter
-    order : truncation order P of the graded series (>= 1)
-    n_stages : number of elimination stages, 1..ceil(log2(P+1)); default
-        the last, after which no order is left to eliminate
+    order : truncation order P of the graded series, an integer >= 1
+    n_stages : number of elimination stages, an integer in
+        1..ceil(log2(P+1)); default the last, after which no order is left
+        to eliminate
     deg_tol, gap_guard : degeneracy tolerances; None = 1e-9 times the
         largest |H_0 level| and 1e-6 times the range of the H_0 levels
 
@@ -541,9 +570,11 @@ def run(
     unperturbed label j, energies[0] the unperturbed spectrum.
     """
     state = init(model, eps, order, deg_tol=deg_tol, gap_guard=gap_guard)
+    order = state.order
     last = default_n_stages(order)
     if n_stages is None:
         n_stages = last
+    n_stages = require_integer(n_stages, "n_stages")
     if not 1 <= n_stages <= last:
         raise ValueError(
             f"n_stages must be in 1..{last} at truncation order {order}, got {n_stages}"
@@ -551,7 +582,8 @@ def run(
 
     energies = [state.levels.copy()]  # not the memo's own array
     if abs(state.eps) <= 1.0:
-        state = replace(state, basis=_Pending(state.eps, state.basis, (), 1.0))
+        pending = _Pending(state.eps, state.basis, (), 1.0)
+        state = _with_images(replace(state, basis=pending), state._images)
     for _ in range(n_stages):
         state = step(state)
         energies.append(state.levels)

@@ -10,6 +10,7 @@ deterministic ordering, degeneracy blocks and column phases.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +131,17 @@ def require_tolerance(value, what):
     if value < 0:
         raise ValueError(f"{what} must be nonnegative, got {value}")
     return value
+
+
+def require_integer(value, what) -> int:
+    """value as an int through operator.index, so a numpy integer passes;
+    raises ValueError naming `what` for a bool or a non-integer."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def require_hermitian(a, tol=HERMITICITY_TOL, what="matrix"):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -485,6 +486,34 @@ def _same_result(a, b):
     assert a.history == b.history
 
 
+def _images(model):
+    """The cache of stage 1's images in model's one memo entry."""
+    (start,) = model._memo.values()
+    return start.images
+
+
+def _stage_one_chains(monkeypatch):
+    """Record, per call of kolmogorov.conjugate_slots that is given a cache
+    of images, the number of images it held on entry and the (up_to, cached
+    prefix length) of each chain it runs."""
+    calls = []
+    real_conjugate, real_t_images = kolmogorov.conjugate_slots, series._t_images
+
+    def conjugate(gen, h, levels, stops, images):
+        if images is not None:
+            calls.append((series._held(images), []))
+        return real_conjugate(gen, h, levels, stops, images)
+
+    def t_images(agen, x, up_to, prefix=()):
+        if calls:
+            calls[-1][1].append((up_to, len(prefix)))
+        return real_t_images(agen, x, up_to, prefix)
+
+    monkeypatch.setattr(kolmogorov, "conjugate_slots", conjugate)
+    monkeypatch.setattr(series, "_t_images", t_images)
+    return calls
+
+
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 @pytest.mark.parametrize("eps_list", [(0.02, 0.07), (0.07, 0.02)], ids=["up", "down"])
 def test_memo_hit_matches_a_cold_run(real, eps_list, monkeypatch):
@@ -492,12 +521,92 @@ def test_memo_hit_matches_a_cold_run(real, eps_list, monkeypatch):
     model = _random_rotated_model(rng, 8, degenerate=True, real=real)
     eighs = _counting(monkeypatch, "eigh")
     averages = _counting(monkeypatch, "average_diagonal")
+    chains = _stage_one_chains(monkeypatch)
     for hit, eps in enumerate(eps_list):
         before = len(eighs), len(averages)
         warm = sp.run(model, eps, 8)
         # a hit makes no eigh of H_0, and every run averages all 4 stages
         assert (len(eighs), len(averages)) == (before[0] + 1 - hit, before[1] + 4)
         _same_result(warm, sp.run(_fresh(model), eps, 8))
+    # stage 1 of the first run starts from an empty cache, and of the second
+    # from the images the first left, whichever eps came first (the cold runs
+    # on fresh models come between them)
+    (first, _), _, (held, taken), _ = chains
+    assert first == 0 and 0 < held <= 9
+    assert any(cached for _, cached in taken)
+
+
+@pytest.mark.parametrize("eps_list", [(0.01, 0.05, 0.1), (0.1, 0.05, 0.01)], ids=["up", "down"])
+def test_stage_one_images_past_the_cap_are_made_again(eps_list, monkeypatch):
+    # a model the size of the benchmark's degenerate sweep: its chains need
+    # more images than the P + 1 = 9 the cache keeps, so a warm run takes
+    # the cached prefix of a chain and computes the rest, and still gives
+    # what a cold run gives
+    model = _random_rotated_model(np.random.default_rng(67), 40, degenerate=True, real=False)
+    chains = _stage_one_chains(monkeypatch)
+    for eps in eps_list:
+        _same_result(sp.run(model, eps, 8), sp.run(_fresh(model), eps, 8))
+    assert series._held(_images(model)) == 9
+    warm = [c for held, c in chains if held][-1]
+    assert any(0 < cached < up_to for up_to, cached in warm)
+
+
+def test_stage_one_image_cache_is_capped_and_read_only():
+    # the images do not depend on the order, so one cache serves them all;
+    # it keeps at most P + 1 images for the largest P run, each read-only
+    model = _random_rotated_model(np.random.default_rng(68), 8, degenerate=False, real=True)
+    for order, eps in [(4, 0.3), (12, 0.05), (8, 0.3), (12, 0.5), (2, 0.5)]:
+        _same_result(sp.run(model, eps, order), sp.run(_fresh(model), eps, order))
+        assert series._held(_images(model)) <= 13
+    images = [t for chain in _images(model).values() for t in chain]
+    assert series._held(_images(model)) == len(images) > 5
+    for t in images:
+        with pytest.raises(ValueError, match="read-only"):
+            t[0, 0] = 1.0
+
+
+def test_threads_sharing_one_model_match_serial_cold_runs():
+    # two threads fill and read one model's cache of stage 1's images at
+    # once; each image is published as one new tuple per chain, so every
+    # result is the one a cold run gives
+    eps_list = [0.02, 0.05, 0.1, 0.2]
+    base = _random_rotated_model(np.random.default_rng(69), 8, degenerate=True, real=False)
+    want = {eps: sp.run(_fresh(base), eps, 8) for eps in eps_list}
+    for _ in range(3):
+        model = _fresh(base)
+        barrier = threading.Barrier(2)
+        got = [[], []]
+
+        def sweep(i):
+            barrier.wait()
+            for eps in eps_list[:: 1 - 2 * i]:
+                res = sp.run(model, eps, 8)
+                got[i].append((eps, res.energies, res.eigenvectors))
+
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert [len(g) for g in got] == [4, 4]
+        for eps, energies, vecs in got[0] + got[1]:
+            assert all(np.array_equal(x, y) for x, y in zip(energies, want[eps].energies))
+            assert np.array_equal(vecs, want[eps].eigenvectors)
+
+
+def test_stage_one_failure_after_its_conjugation_raises_on_every_call():
+    # the order-1 term is so large that stage 1's images overflow and its
+    # flow is not finite; the images a failing call left in the cache give
+    # the same error on a warm call as on a fresh model
+    rng = np.random.default_rng(66)
+    m = rng.standard_normal((6, 6))
+    model = sp.make_model(6, [(0, np.diag(np.arange(6.0))), (1, 5e149 * (m + m.T))])
+    for target in (model, model, _fresh(model)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^stage 1: the basis has a non-finite entry$"):
+                sp.run(target, 1e-140, 8)
+    assert series._held(_images(model)) == 9
 
 
 def test_changed_tolerances_or_hbar_miss_the_memo(monkeypatch):
@@ -510,6 +619,7 @@ def test_changed_tolerances_or_hbar_miss_the_memo(monkeypatch):
         (model, {}),
         (model.with_hbar(0.5), {}),
     ]
+    chains = _stage_one_chains(monkeypatch)
     for m, kwargs in calls:
         before = len(eighs)
         got = sp.run(m, 0.05, 4, **kwargs)
@@ -517,6 +627,11 @@ def test_changed_tolerances_or_hbar_miss_the_memo(monkeypatch):
         sp.run(m, 0.05, 4, **kwargs)
         assert len(eighs) == before + 1
         _same_result(got, sp.run(_fresh(m), 0.05, 4, **kwargs))
+        # the new entry starts with an empty cache of stage 1's images, and
+        # the run that hits it starts from what the miss left
+        (missed, _), (hit, _), (fresh, _) = chains
+        assert missed == fresh == 0 < hit
+        chains.clear()
 
 
 def test_stage_one_small_denominator_raises_on_every_call(monkeypatch):
@@ -739,16 +854,27 @@ def test_run_is_unitarily_invariant():
 @pytest.mark.parametrize(
     "param, bad",
     [("eps", float("nan")), ("deg_tol", float("nan")), ("gap_guard", float("inf")),
-     ("gap_guard", -1e-6), ("order", 0), ("order", -1)],
-    ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative", "order", "order_negative"],
+     ("gap_guard", -1e-6), ("order", 0), ("order", -1), ("order", 4.0), ("order", True),
+     ("n_stages", True), ("n_stages", 2.0)],
+    ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative", "order", "order_negative",
+         "order_float", "order_bool", "n_stages_bool", "n_stages_float"],
 )
 def test_run_rejects_bad_parameter(param, bad):
     model = sp.build_quartic_oscillator(8)
     kwargs = {"eps": 0.1, "order": 4, param: bad}
     with pytest.raises(ValueError, match=param):
         sp.run(model, **kwargs)
-    with pytest.raises(ValueError, match=param):
-        sp.init(model, **kwargs)
+    if param != "n_stages":  # a parameter of run alone
+        with pytest.raises(ValueError, match=param):
+            sp.init(model, **kwargs)
+
+
+def test_run_takes_numpy_integers():
+    model = sp.build_quartic_oscillator(8)
+    res = sp.run(model, 0.1, np.int64(4), n_stages=np.int32(2))
+    assert (res.order, res.n_stages) == (4, 2)
+    assert type(res.order) is type(res.n_stages) is int
+    _same_result(res, sp.run(model, 0.1, 4, n_stages=2))
 
 
 @pytest.mark.parametrize("module", ["superpert", "superpert.cli"])
@@ -1027,13 +1153,16 @@ def test_cut_keeps_the_forward_error_against_high_precision(eps):
         assert np.all(err_cut <= err_whole + bound)
 
 
-# Ceilings on the work of the cut, per run of the model below: (calls of
-# series._next_image, dense products in them), as measured when H_0's chain
-# bounded its generator-slot terms by the averaging residuals; with the
+# Ceilings on the work of the cut, per cold run of the model below: (calls
+# of series._next_image, dense products in them), as measured when H_0's
+# chain bounded its generator-slot terms by the averaging residuals; with the
 # generic majorant for that chain they were (78, 42) and (110, 71), and with
 # d times the max-norm for each slot (115, 62) and (164, 117).  A looser
 # majorant cuts later and fails this before any timing shows it.
 CUT_WORK_CEILINGS = {0.02: (54, 40), 0.05: (104, 68)}
+# The same on a warm run, which takes stage 1's images from the model's
+# cache, as measured when that cache was added.
+WARM_CUT_WORK_CEILINGS = {0.02: (37, 24), 0.05: (87, 52)}
 
 
 def _cut_work_model():
@@ -1066,13 +1195,14 @@ def test_cut_work_stays_within_its_measured_counts(eps, monkeypatch):
         )
         return real_next_image(a, live, window, p, hbar)
 
-    sp.run(model, eps, P)  # fill the model's memo
     monkeypatch.setattr(series, "_next_image", counting)
-    res = sp.run(model, eps, P)
-    assert len(res.history) == 5
-    calls, products = CUT_WORK_CEILINGS[eps]
-    assert counts[0] <= calls
-    assert counts[1] <= products
+    for ceilings in (CUT_WORK_CEILINGS, WARM_CUT_WORK_CEILINGS):
+        counts[:] = [0, 0]
+        res = sp.run(model, eps, P)  # the first run fills the model's memo
+        assert len(res.history) == 5
+        calls, products = ceilings[eps]
+        assert counts[0] <= calls
+        assert counts[1] <= products
 
 
 def _window_state(rng, n, stage, order, degenerate, real, window, tiny, eps=0.05, hbar=1.0):
