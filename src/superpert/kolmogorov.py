@@ -14,7 +14,7 @@ A generator slot is stored as the anti-Hermitian A_p = -iW_p (see
 throughout for a real model, complex128 for a complex one.  Since eps is a
 number, each stage stops its conjugation chains and its flow sum once the
 Lie-series majorant of the rest is below rounding at eps (`chain_stops`,
-`flow_at`), and records the majorant of what it dropped; H_0's chain is
+`flow_cut`), and records the majorant of what it dropped; H_0's chain is
 bounded by the averaging residuals its generator solves for.  The slots
 past the cut are exact zeros, and a stage works only on its live slots: it
 averages, scans and folds the live slots of its window alone, and a stage
@@ -36,13 +36,15 @@ rotations are symmetrized, so every slot the engine builds is Hermitian and
 every generator anti-Hermitian to the bit, as the conjugation kernel needs.
 A level's label is its index in this never re-sorted basis (inside a
 block, the index it overlaps most); its eigenvector of H(eps) is that
-column of V0 * prod_n U_n(eps) Q_n.  `step` builds that basis as it goes;
-`run`, whose callers mostly read energies alone, keeps each stage's
-generator and q instead and builds it on the first read of its result's
-eigenvectors (`_Pending`), unless a bound on it comes near overflow.
+column of V0 * prod_n U_n(eps) Q_n.  Every state keeps V0 and each
+stage's generator, flow cut and q, and builds that basis on its first read
+(`_Pending`), so a caller that reads energies alone forms no flow and no
+basis product, unless a bound on the basis comes near overflow.
 """
 
-from dataclasses import dataclass, field, replace
+import functools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,15 +109,19 @@ class KolmogorovState:
     series: OperatorSeries
     levels: np.ndarray  # H_0 = diag(levels); a level's label is its index
     blocks: np.ndarray  # blocks[j], the degeneracy block of level j
-    # running basis in original coordinates, V0 prod U_n(eps) Q_n; inside
-    # `run`, the `_Pending` record it is built from
-    basis: np.ndarray
+    _basis: "_Pending" = field(repr=False, compare=False)  # see `basis`
     deg_tol: float  # resolved once from the H_0 levels when not given
     gap_guard: float  # resolved once from the H_0 levels when not given
     history: tuple
     # a stage-0 state from `init`: the model's cache of stage 1's images
-    # (`_Start.images`); `replace` drops it, so a changed state makes its own
+    # (`_Start.images`); a state made otherwise has none and makes its own
     _images: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The running basis in original coordinates, V0 prod U_n(eps) Q_n,
+        built on first read; a later read returns the same array."""
+        return self._basis.build()
 
     @property
     def order(self) -> int:
@@ -131,27 +137,21 @@ class SuResult:
     """Per-stage eigenvalues (stage 0 = unperturbed) and reconstructed
     eigenvectors of the original Hamiltonian, labelled by unperturbed level.
 
-    The eigenvectors are built on first read, from the stages `run` kept for
-    them (`_Pending`), which the result then drops; a later read returns the
-    same array."""
+    The eigenvectors are the final state's basis with unit columns and fixed
+    phases, built on first read (`_Pending`), which drops the stages kept for
+    them; a later read returns the same array."""
 
     eps: float
     order: int
     n_stages: int
     energies: tuple  # energies[n][j] for stage n, label j
     history: tuple
-    # the eigenvectors, or the `_Pending` basis they are built from
-    _eigenvectors: object = field(repr=False, compare=False)
+    _eigenvectors: "_Pending" = field(repr=False, compare=False)
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        """Column j approximates level j of H(eps).  Reads from two threads
-        at once may each build it, and get equal arrays."""
-        vecs = self._eigenvectors
-        if isinstance(vecs, _Pending):
-            vecs = fix_column_phases(_unit_columns(vecs.build()))
-            object.__setattr__(self, "_eigenvectors", vecs)
-        return vecs
+        """Column j approximates level j of H(eps)."""
+        return self._eigenvectors.build()
 
     @property
     def min_gap(self) -> float:
@@ -212,10 +212,10 @@ def unperturbed(model: ModelSpec, deg_tol=None, gap_guard=None) -> SpectralData:
 
 
 def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None):
-    """Stage-0 state: the model's series in its H_0 eigenbasis, zero-padded.
-    The eigenbasis, the rotated terms and stage 1's images are the model's
-    memo (see `run`); the state hands the images to the `step` that takes
-    it to stage 1."""
+    """Stage-0 state: the model's series in its H_0 eigenbasis, zero-padded,
+    with the basis V0.  The eigenbasis, the rotated terms and stage 1's
+    images are the model's memo (see `run`); the state hands the images to
+    the `step` that takes it to stage 1."""
     order = require_integer(order, "order")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"truncation order must be in 1..{MAX_ORDER}, got {order}")
@@ -235,29 +235,22 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
         series=zero_padded(start.terms, model.dim, order, model.hbar),
         levels=spectral.eigenvalues,
         blocks=spectral.blocks,
-        basis=spectral.eigenvectors,
+        _basis=_Pending(eps, spectral.eigenvectors),
         deg_tol=start.deg_tol,
         gap_guard=start.gap_guard,
         history=(),
     )
-    return _with_images(state, start.images)
-
-
-def _with_images(state: KolmogorovState, images) -> KolmogorovState:
-    """state, freshly made, given the cache of stage 1's images."""
-    object.__setattr__(state, "_images", images)
+    object.__setattr__(state, "_images", start.images)
     return state
 
 
 def _diagonalize_blocks(h0, blocks, deg_tol):
     """(levels, blocks, q): the levels of h0, which is diagonal outside
     the block labels `blocks`, their degeneracy blocks, and the unitary of
-    h0's eigenvectors (None if h0 is diagonal).  One stacked eigh per block
-    size; as in `eigh`, each eigenvector keeps its dominant component's index."""
+    h0's eigenvectors.  One stacked eigh per block size; as in `eigh`, each
+    eigenvector keeps its dominant component's index."""
     lam = h0.diagonal().real.copy()
     counts = np.bincount(blocks)
-    if counts.max() == 1:  # every block is one level: h0 is diagonal
-        return lam, degeneracy_blocks(lam, deg_tol), None
     size_of = counts[blocks]  # the size of each level's block
     by_block = np.argsort(blocks, kind="stable")  # index order inside a block
     sizes = np.flatnonzero(np.bincount(size_of))  # the sizes present, ascending
@@ -334,15 +327,15 @@ def _average(state: KolmogorovState, n, lo, hi):
     return averaged, a_window, a_scans, min_gap
 
 
-def _apply_stage(basis, n, gen, eps, cut, q):
-    """basis times stage n's flow at eps, to the cut `flow_cut` made of it
-    (None for a generator with no live slot, whose flow is I and is not
-    formed), then times the blocks' unitary q (None for none).  A weight
+def _apply_stage(basis, n, gen, eps, stop, q):
+    """basis times stage n's flow at eps, summed to `stop` as `flow_cut`
+    gives it (None for a generator with no live slot, whose flow is I and is
+    not formed), then times the blocks' unitary q (None for none).  A weight
     that overflows, or a non-finite entry of basis @ flow, raises naming
     stage n."""
-    if cut is not None:
+    if stop is not None:
         try:
-            flow, _ = flow_at(gen, eps, cut)
+            flow = flow_at(gen, eps, stop)
         except WeightOverflowError as exc:
             raise WeightOverflowError(f"stage {n}: {exc}") from exc
         basis = basis @ flow
@@ -353,60 +346,76 @@ def _apply_stage(basis, n, gen, eps, cut, q):
     return basis
 
 
-# A run keeps its basis unbuilt while `_Pending.bound` stays below this,
-# far from overflow, so that building it later cannot fail.
+# A stage stays pending while `_Pending.bound` stays below this, far from
+# overflow, so that building it later cannot fail.
 _PENDING_LIMIT = 2.0**500
 
 
-@dataclass(frozen=True)
 class _Pending:
-    """The basis V0 prod_n Phi_n(eps) Q_n of a run at |eps| <= 1, not yet
-    built: V0 and the (n, generator, flow cut, q) of each stage, as
-    `_apply_stage` takes them, all read-only references to what the stage
-    made.  bound, the product of the flows' `flow_cut` norms, bounds
-    ||basis||_2 and every partial product of it; `add` keeps a stage pending
-    only while bound max(1, hbar) / |weight(eps, stop - 1)|, which also
-    bounds the flow coefficients and products the stage would form (see
-    `flow_cut`), stays below _PENDING_LIMIT."""
+    """The basis V0 prod_n Phi_n(eps) Q_n, built on first read: an array and
+    the steps still to apply to it, each a stage as `_apply_stage` applies
+    it (with read-only references to what the stage made) or, last, the
+    unit columns with fixed phases.  bound, the product of the flows'
+    `flow_cut` norms, bounds ||basis||_2, each partial product and, times
+    max(1, hbar) / min(1, |weight(eps, stop - 1)|), each flow coefficient
+    and product a stage forms.  Past _PENDING_LIMIT, or where that weight
+    overflows, a stage and every later step is applied at once, with the
+    errors it raises, and bound is inf."""
 
-    eps: float
-    v0: np.ndarray
-    stages: tuple
-    bound: float
+    def __init__(self, eps, basis, steps=(), bound=1.0):
+        self.eps, self.bound = eps, bound
+        self._parts = (basis, steps)  # read and replaced whole, see `build`
 
     def add(self, n, gen, cut, q):
-        """This basis with stage n applied as `_apply_stage` applies it:
-        pending while the bound allows, else built at once, as `step`
-        builds it, with the errors it raises."""
-        bound = self.bound
+        """This basis then stage n, for the cut `flow_cut` made of its flow
+        (None for no live slot: the flow I, which adds no factor)."""
+        bound, stop, limit = self.bound, None, math.inf
         if cut is not None:
             stop, _, norm = cut
             bound *= norm
-            limit = _PENDING_LIMIT * abs(weight(self.eps, stop - 1))
-            if not bound * max(1.0, gen.hbar) < limit:
-                return _apply_stage(self.build(), n, gen, self.eps, cut, q)
+            try:
+                limit = _PENDING_LIMIT * min(1.0, abs(weight(self.eps, stop - 1)))
+            except WeightOverflowError:
+                limit = 0.0
         for p in gen.live:
             read_only(gen.coeffs[p])
         if q is not None:
             read_only(q)
-        return _Pending(self.eps, self.v0, self.stages + ((n, gen, cut, q),), bound)
+        stage = functools.partial(_apply_stage, n=n, gen=gen, eps=self.eps, stop=stop, q=q)
+        return self._then(stage, bound, not bound * max(1.0, gen.hbar) < limit)
+
+    def normalized(self):
+        """This basis with unit columns and fixed phases, applied at once
+        where the stages were, so that an error it raises is the caller's."""
+        now = self.bound == math.inf
+        unit = self._then(_unit_columns, self.bound, now)
+        return unit._then(fix_column_phases, self.bound, now)
+
+    def _then(self, step, bound, now):
+        """This basis then step, with the new bound: applied at once if now."""
+        if now:
+            return _Pending(self.eps, step(self.build()), bound=math.inf)
+        basis, steps = self._parts
+        return _Pending(self.eps, basis, steps + (step,), bound)
 
     @np.errstate(over="ignore", invalid="ignore")
     def build(self) -> np.ndarray:
-        """The basis, its stages applied in order, as `step` applies them."""
-        basis = self.v0
-        for n, gen, cut, q in self.stages:
-            basis = _apply_stage(basis, n, gen, self.eps, cut, q)
+        """The basis, kept in place of the steps, which are released; calls
+        from two threads at once may each build it, and get equal arrays."""
+        basis, steps = self._parts
+        for step in steps:
+            basis = step(basis)
+        self._parts = (basis, ())
         return basis
 
 
 def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     """Stage n from its averaging (see `_average`): fold the averaged slots
     into H_0 and rediagonalize its blocks, conjugate, check the eliminated
-    slots, apply the flow and the blocks' unitary q to the basis, or add
-    them to a `_Pending` one, and rotate the surviving slots by q.  The fold
-    needs only the averaged slots, so q is known before the conjugation,
-    and each surviving slot is scanned once, after q.
+    slots, add the flow and the blocks' unitary q to the basis (`_Pending`),
+    and rotate the surviving slots by q.  The fold needs only the averaged
+    slots, so q is known before the conjugation, and each surviving slot is
+    scanned once, after q.
 
     Only live slots cost work: the fold adds the averaged slots of the live
     window slots (`_fold`), and the slot check skips a window slot that is
@@ -458,10 +467,7 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
         )
 
     cut = flow_cut(gen, state.eps) if gen.live else None
-    if isinstance(state.basis, _Pending):
-        basis = state.basis.add(n, gen, cut, q)
-    else:
-        basis = _apply_stage(state.basis, n, gen, state.eps, cut, q)
+    basis = state._basis.add(n, gen, cut, q)
     rest = k[hi + 1 :]
     if q is not None:
         rest = [c if c is None else hermitian_part(q.conj().T @ c @ q) for c in rest]
@@ -488,7 +494,7 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
         series=survivors,
         levels=levels,
         blocks=blocks,
-        basis=basis,
+        _basis=basis,
         deg_tol=state.deg_tol,
         gap_guard=state.gap_guard,
         history=state.history + (info,),
@@ -539,12 +545,11 @@ def run(
 ) -> SuResult:
     """Full iteration: per-stage eigenvalues and reconstructed eigenvectors.
 
-    At |eps| <= 1 the eigenvectors are built on first read (see `SuResult`):
-    until then the result holds each stage's live generator slots and block
-    unitary, not its flow and basis.  Where a bound on that basis, or on a
-    flow coefficient, comes near overflow (`_Pending`), and at |eps| > 1,
-    `run` builds the basis as `step` does, so that each error it raises
-    comes from this call, at its stage.
+    The eigenvectors are built on first read: until then the result holds
+    each stage's live generator slots and block unitary, not its flow and
+    basis.  Past a bound on them near overflow (`_Pending`), each stage is
+    built at once and `run` normalizes the basis itself, so that each error
+    it raises comes from this call, at its stage.
 
     `run` is `init` followed by `step` n_stages times.  The work that
     depends on neither eps nor the order (the H_0 eigendecomposition, the
@@ -581,16 +586,9 @@ def run(
         )
 
     energies = [state.levels.copy()]  # not the memo's own array
-    if abs(state.eps) <= 1.0:
-        pending = _Pending(state.eps, state.basis, (), 1.0)
-        state = _with_images(replace(state, basis=pending), state._images)
     for _ in range(n_stages):
         state = step(state)
         energies.append(state.levels)
-
-    vecs = state.basis
-    if not isinstance(vecs, _Pending):
-        vecs = fix_column_phases(_unit_columns(vecs))
 
     return SuResult(
         eps=float(eps),
@@ -598,5 +596,5 @@ def run(
         n_stages=n_stages,
         energies=tuple(energies),
         history=state.history,
-        _eigenvectors=vecs,
+        _eigenvectors=state._basis.normalized(),
     )

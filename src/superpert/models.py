@@ -23,6 +23,7 @@ from .linalg import (
     hermitian_part,
     read_only,
     require_hermitian,
+    require_integer,
     require_positive,
 )
 from .series import OperatorSeries, zero_padded
@@ -83,17 +84,18 @@ def _validate_terms(dim, terms, hbar, name, provenance, context):
     """ModelSpec from (order, matrix) pairs; a bad matrix is named by its
     index in `terms` and its order.  The matrices are stored as float64 when
     every imaginary part is exactly zero, else as complex128."""
+    with _model_error(context):
+        dim = require_integer(dim, "dimension")
+        hbar = require_positive(hbar, "hbar")
+        orders = [require_integer(t[0], f"terms[{i}]: order") for i, t in enumerate(terms)]
     if dim < 1:
         raise ModelFormatError(f"{context}: dimension must be positive, got {dim}")
-    with _model_error(context):
-        hbar = require_positive(hbar, "hbar")
-    orders = [p for p, _ in terms]
     if len(set(orders)) != len(orders):
         raise ModelFormatError(f"{context}: duplicate term orders {sorted(orders)}")
     if 0 not in orders:
         raise ModelFormatError(f"{context}: the order-0 (unperturbed) term is required")
     clean = []
-    for i, (p, mat) in enumerate(terms):
+    for i, (p, (_, mat)) in enumerate(zip(orders, terms)):
         if p < 0:
             raise ModelFormatError(f"{context}: negative term order {p}")
         mat = as_array(mat)
@@ -104,13 +106,13 @@ def _validate_terms(dim, terms, hbar, name, provenance, context):
             )
         with _model_error(context):
             mat = require_hermitian(mat, what=f"terms[{i}]: term of order {p}")
-        clean.append((int(p), hermitian_part(mat)))
+        clean.append((p, hermitian_part(mat)))
     if any(np.iscomplexobj(m) and m.imag.any() for _, m in clean):
         clean = [(p, m.astype(np.complex128, copy=False)) for p, m in clean]
     else:
         clean = [(p, np.ascontiguousarray(m.real)) for p, m in clean]
     return ModelSpec(
-        dim=int(dim),
+        dim=dim,
         h_coeffs=tuple(sorted(clean, key=lambda t: t[0])),
         hbar=hbar,
         name=name,

@@ -21,6 +21,7 @@ from .linalg import (
     HERMITICITY_TOL,
     SpectralData,
     require_hermitian,
+    require_integer,
     require_tolerance,
 )
 
@@ -49,8 +50,7 @@ class RsCorrections:
     def energy(self, eps: float, level: int, order=None) -> float:
         """Cumulative energy E0 + sum_{l<=order} c_l eps^l, summed in python
         floats; OverflowError when it is not finite."""
-        if order is None:
-            order = self.max_order
+        order = self.max_order if order is None else require_integer(order, "order")
         if not 0 <= order <= self.max_order:
             raise ValueError(f"order must be in 0..{self.max_order}, got {order}")
         i = self._row(level)
@@ -80,15 +80,15 @@ def rs_corrections(h0: SpectralData, v, max_order=4, levels=0, gap_guard=None):
     ------
     SmallDenominatorError for a level closer than gap_guard to a neighbor.
     """
+    max_order = require_integer(max_order, "max_order")
     if not 1 <= max_order <= MAX_RS_ORDER:
         raise ValueError(f"max_order must be in 1..{MAX_RS_ORDER}, got {max_order}")
     v = require_hermitian(v, what="perturbation")
     if v.shape[0] != h0.dim:
         raise ValueError(f"dimension mismatch: {v.shape[0]} vs {h0.dim}")
-    if isinstance(levels, (int, np.integer)):
-        levels = (int(levels),)
-    else:
-        levels = tuple(int(j) for j in levels)
+    if not hasattr(levels, "__iter__"):  # one level
+        levels = (levels,)
+    levels = tuple(require_integer(j, "levels") for j in levels)
     for j in levels:
         if not 0 <= j < h0.dim:
             raise ValueError(f"level {j} outside 0..{h0.dim - 1}")

@@ -45,7 +45,7 @@ At its numeric eps the engine also stops each chain, and the flow, early:
 `lie_majorant` bounds every term not yet computed (Deprit 1969, Celest.
 Mech. 1:12) from the induced 1-norm each series keeps of its slots, which
 bounds the spectral norm of a Hermitian or anti-Hermitian matrix, and
-`chain_stops` and `flow_at` drop the tails that weigh less than unit
+`chain_stops` and `flow_cut` drop the tails that weigh less than unit
 roundoff at eps.  H_0's chain is bounded more tightly (`h0_majorant`): the
 engine's generator solves the homological equation, so each term
 ad A_m (H_0) of that chain is the averaging residual -(H_m - Hbar_m), whose
@@ -389,31 +389,31 @@ def flow_coefficients(agen: OperatorSeries):
 
 
 def flow_cut(agen: OperatorSeries, eps: float):
-    """(stop, dropped, norm): the cut `flow_at` makes of the flow of agen at
-    eps, from w = lie_majorant(agen, eps, 1.0).  The flow sums U_0..U_{stop-1}:
-    the longest tail past U_0 = I whose majorant at eps is below u is left
+    """(stop, dropped, norm): where `flow_at` cuts the flow of agen at eps,
+    from w = lie_majorant(agen, eps, 1.0).  It sums U_0..U_{stop-1}: the
+    longest tail past U_0 = I whose majorant at eps is below u is left
     out, and `dropped` is that majorant, 0.0 for none.  norm =
     sum_{p<stop} w[p] bounds the 2-norm of the flow, and of each partial sum
-    of it; for |eps| <= 1, max(1, hbar) norm / weight(eps, stop - 1) bounds
-    that of each U_p it sums and of each product `flow_coefficients` forms
-    for them, since eps^p/p! falls with p."""
+    of it; max(1, hbar) norm / min(1, |weight(eps, stop - 1)|) bounds that of
+    each U_p it sums and of each product `flow_coefficients` forms for them,
+    at every eps: |eps|^p/p! is log-concave in p, so its least value over
+    p = 0..stop-1 is at p = 0 or p = stop - 1."""
     w = lie_majorant(agen, eps, 1.0)
     stop, dropped = _cut(w, 1.0, 1, UNIT_ROUNDOFF)
     return stop, dropped, sum(w[:stop])
 
 
-def flow_at(agen: OperatorSeries, eps: float, cut=None):
-    """(flow, dropped): the flow of agen at eps, sum_p eps^p/p! U_p, summed
-    as the coefficients come, in `weighted_sum`'s order and skipping zero
-    ones, to the cut `flow_cut` makes; `cut`, where given, is that cut,
-    already taken.  A weight that overflows raises as in `weight`."""
-    stop, dropped, _ = flow_cut(agen, eps) if cut is None else cut
+def flow_at(agen: OperatorSeries, eps: float, stop: int) -> np.ndarray:
+    """The flow of agen at eps, sum_{p<stop} eps^p/p! U_p, summed as the
+    coefficients come, in `weighted_sum`'s order and skipping zero ones;
+    stop is the one `flow_cut` gives.  A weight that overflows raises as in
+    `weight`."""
     coeffs = itertools.islice(flow_coefficients(agen), stop)
     out = next(coeffs)  # a fresh I, which no later coefficient reads
     for p, u in enumerate(coeffs, start=1):
         if u is not None and u.any():
             out += weight(eps, p) * u
-    return out, dropped
+    return out
 
 
 def lie_majorant(agen: OperatorSeries, eps: float, factor: float) -> list:

@@ -1,6 +1,8 @@
 """Caller-supplied operators are validated once, where they enter; series the
 engine computes from validated operands are not checked again."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,3 +116,43 @@ def test_step_does_not_revalidate_the_series_it_builds(monkeypatch):
     for _ in range(4):
         state = sp.step(state)
     assert calls == []
+
+
+def _rs(**kwargs):
+    return sp.rs_corrections(sp.eigh(H0), H0, **kwargs)
+
+
+I2 = np.eye(2)
+INTEGER_INPUTS = {
+    # the orders 0.5 and 0 passed the distinct-orders check, then were both
+    # stored as order 0
+    "term_order": (lambda: sp.make_model(2, [(0.5, I2), (0, I2)]), "terms[0]: order"),
+    "dimension": (lambda: sp.make_model(True, [(0, np.eye(1))]), "dimension"),  # dim 1
+    "levels_float": (lambda: _rs(levels=[0.9]), "levels"),  # answered for level 0
+    "levels_bool": (lambda: _rs(levels=True), "levels"),  # answered for level 1
+    # these two raised a bare TypeError
+    "max_order": (lambda: _rs(max_order=2.5), "max_order"),
+    "energy_order": (lambda: _rs().energy(0.1, 0, order=2.5), "order"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_INPUTS))
+def test_integer_inputs_are_checked_at_the_boundary(case):
+    call, name = INTEGER_INPUTS[case]
+    pattern = rf"(^|: ){re.escape(name)} must be an integer, got "
+    with pytest.raises(ValueError, match=pattern) as err:
+        call()
+    # a model's errors are ModelFormatErrors
+    assert isinstance(err.value, sp.ModelFormatError) == (case in ("term_order", "dimension"))
+
+
+def test_integer_like_inputs_still_pass():
+    # numpy integers are integers, and a scalar level is one level
+    model = sp.make_model(np.int64(2), [(np.int64(0), np.eye(2)), (1, np.ones((2, 2)))])
+    assert model.dim == 2 and [p for p, _ in model.h_coeffs] == [0, 1]
+    assert all(type(p) is int for p, _ in model.h_coeffs)
+    v = random_hermitian(np.random.default_rng(8), 3)
+    rs = sp.rs_corrections(sp.eigh(H0), v, max_order=np.int64(3), levels=np.int64(2))
+    assert rs.levels == (2,) and rs.max_order == 3
+    assert rs.levels == sp.rs_corrections(sp.eigh(H0), v, levels=(j for j in [2])).levels
+    assert rs.energy(0.1, 2, order=np.int64(2)) == rs.energy(0.1, 2, order=2)

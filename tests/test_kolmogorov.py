@@ -1235,7 +1235,7 @@ def _window_state(rng, n, stage, order, degenerate, real, window, tiny, eps=0.05
         series=sp.OperatorSeries._computed(slots, hbar),
         levels=levels,
         blocks=blocks,
-        basis=basis,
+        _basis=kolmogorov._Pending(eps, basis),
         deg_tol=linalg.default_deg_tol(levels),
         gap_guard=1e-6 * float(np.ptp(levels)),
         history=(),
@@ -1310,8 +1310,9 @@ def test_average_of_live_slots_matches_the_full_window(
     eps=st.sampled_from([0.02, 0.05, -0.3]),
 )
 def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, tiny, eps):
-    # a generator with no live slot forms no flow and no image product, yet
-    # gives what conjugate_slots and flow_at give on the zero generator,
+    # a generator with no live slot forms no flow and no image product, not
+    # even when its basis is read, yet gives what conjugate_slots and flow_at
+    # give on the zero generator,
     # chains dropped whole past the window included, with the fold and the
     # rotation by the block unitary as for any stage
     stage, order, window = case
@@ -1325,6 +1326,7 @@ def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, 
         mp.setattr(kolmogorov, "flow_at", lambda *args: calls.append("flow_at"))
         mp.setattr(series, "_next_image", lambda *args: calls.append("_next_image"))
         got = sp.step(state)
+        got.basis
     assert calls == []
 
     # the full route, as a stage with a live generator takes it
@@ -1340,7 +1342,8 @@ def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, 
     h0_norm = sp.max_norm(levels)
     stops, dropped = series.chain_stops(gen, s, h0_norm, eps, hi)
     k = series.conjugate_slots(gen, s, levels, stops)
-    flow, flow_dropped = series.flow_at(gen, eps)
+    flow_stop, flow_dropped, _ = series.flow_cut(gen, eps)
+    flow = series.flow_at(gen, eps, flow_stop)
     basis = state.basis @ flow
     rest = k[hi + 1 :]
     if q is not None:
@@ -1394,11 +1397,14 @@ def test_stages_work_only_on_their_live_slots(eps, monkeypatch):
         live = any(state.series.norms[lo : hi + 1])
         before = dict(calls)
         state = sp.step(state)
-        # every stage conjugates; only a live generator forms a flow
+        # every stage conjugates; no stage forms a flow before its basis is read
         assert calls["conjugate_slots"] - before["conjugate_slots"] == 1
-        assert calls["flow_at"] - before["flow_at"] == int(live)
+        assert calls["flow_at"] == 0
         zero_windows += not live
     assert zero_windows >= 1  # stage 5's window is below rounding at both eps
+    # the read forms one flow per live generator
+    state.basis
+    assert calls["flow_at"] == 5 - zero_windows
     assert calls["slots"] <= LIVE_SLOT_CEILINGS[eps]
 
 
@@ -1455,9 +1461,8 @@ def test_eigenvectors_built_on_read_match_the_stepped_basis(
 
 
 def test_only_a_read_of_the_eigenvectors_forms_the_flows(monkeypatch):
-    # the CLI reads energies alone, so it forms no flow; a run at |eps| <= 1
-    # forms one per live stage when its eigenvectors are read, and one at
-    # |eps| > 1 forms them as it runs
+    # the CLI reads energies alone, so it forms no flow; a run forms one per
+    # live stage when its eigenvectors are read, at eps 1.5 as at 0.05
     calls = _counting(monkeypatch, "flow_at")
     for method in ("compare", "su"):
         args = [
@@ -1476,9 +1481,9 @@ def test_only_a_read_of_the_eigenvectors_forms_the_flows(monkeypatch):
     assert len(calls) == live
     calls.clear()
     res = sp.run(model, 1.5, 16)
-    assert len(calls) == _live_generators(res.history) >= 1
+    assert calls == []
     res.eigenvectors
-    assert len(calls) == _live_generators(res.history)
+    assert len(calls) == _live_generators(res.history) >= 1
 
 
 @pytest.mark.parametrize(
@@ -1522,3 +1527,58 @@ def test_a_run_past_its_pending_bound_builds_the_basis_at_once(
     events.clear()
     np.testing.assert_array_equal(res.eigenvectors, want)
     assert "".join(events) == on_read
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    real=st.booleans(),
+    eps=st.sampled_from([0.05, -0.3, 1.5, -2.0]),
+    data=st.data(),
+)
+def test_deferred_basis_matches_the_basis_built_at_once(
+    n, order, seed, degenerate, real, eps, data
+):
+    # one basis path at every eps: a state's basis and a run's eigenvectors,
+    # built on first read, are the arrays built stage by stage (the bound
+    # set to 0, so each stage with a flow is built at once), to the bit; a
+    # step forms no flow until its basis is read, unless a stage passed the
+    # bound, and a read forms each live stage's flow once
+    n_stages = data.draw(st.integers(1, default_n_stages(order)), label="n_stages")
+    model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
+
+    def eigenvectors():
+        return sp.run(model, eps, order, n_stages=n_stages).eigenvectors
+
+    def stepped():
+        state = sp.init(model, eps, order)
+        for _ in range(n_stages):
+            state = sp.step(state)
+        return state
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kolmogorov, "_PENDING_LIMIT", 0.0)
+        want = eigenvectors()
+        want_basis = stepped().basis
+    got = eigenvectors()
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+
+    calls = []
+    real_flow_at = kolmogorov.flow_at
+
+    def counted(*args):
+        calls.append(args)
+        return real_flow_at(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kolmogorov, "flow_at", counted)
+        state = stepped()
+        assert bool(calls) == (state._basis.bound == math.inf)
+        basis = state.basis
+        assert state.basis is basis
+    assert len(calls) == _live_generators(state.history)
+    np.testing.assert_array_equal(basis, want_basis)
