@@ -19,7 +19,7 @@ bounded by the averaging residuals its generator solves for.  The slots
 past the cut are exact zeros, and a stage works only on its live slots: it
 averages, scans and folds the live slots of its window alone, and a stage
 whose generator has no live slot forms no flow and no basis product
-(`_advance`).  Results are bit-identical to running every stage in full.
+(`step`).  Results are bit-identical to running every stage in full.
 
 `init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
 diagonal up to degeneracy blocks, which alone are diagonalized after each
@@ -30,8 +30,8 @@ eigendecomposition, the rotated terms and stage 1's conjugation images do
 not depend on eps or the order, so they are memoized on the model
 (`_start`); each run cuts stage 1's chains at its own eps and takes the
 cached images up to its cut, and the images are capped at P + 1 matrices.
-Every stage of `step` and of `run`, stage 1 included, takes one path:
-`_average`, then `_advance`, which hands stage 1 the cache.  Both
+`run` is `init` and then `step` once per stage, stage 1 included: `step` is
+the one stage body, and reads the cache from the stage-0 state.  Both
 rotations are symmetrized, so every slot the engine builds is Hermitian and
 every generator anti-Hermitian to the bit, as the conjugation kernel needs.
 A level's label is its index in this never re-sorted basis (inside a
@@ -44,16 +44,12 @@ basis product, unless a bound on the basis comes near overflow.
 
 import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import (
-    SmallDenominatorError,
-    average_diagonal,
-    default_gap_guard,
-    guarded_min_gap,
-)
+from .averaging import average_diagonal, default_gap_guard, guarded_min_gap
 from .linalg import (
     SpectralData,
     default_deg_tol,
@@ -162,25 +158,25 @@ class SuResult:
         return max((info.slot_residual for info in self.history), default=0.0)
 
 
+@dataclass(frozen=True)
 class _Start:
     """The eps-free start of every run on one model at one (deg_tol,
     gap_guard), all read-only: the H_0 spectral data and the resolved
     tolerances, the perturbation terms in the H_0 eigenbasis,
-    {p: V^H H_p V} for p >= 1, from the first `init`, and stage 1's
-    conjugation images, {j: (T_1(H_j), T_2(H_j), ...)} with chain 0 that of
-    H_0's levels.  Stage 1's generator solves the homological equation of
-    H_1 against H_0, so neither it nor its images depend on eps or the
-    order; a run's eps only sets how many of them it sums.  A run at order
-    P adds the images it makes while the cache holds fewer than P + 1
+    {p: V^H H_p V} for p >= 1, and stage 1's conjugation images,
+    {j: (T_1(H_j), T_2(H_j), ...)} with chain 0 that of H_0's levels.
+    Stage 1's generator solves the homological equation of H_1 against
+    H_0, so neither it nor its images depend on eps or the order; a run's
+    eps only sets how many of them it sums.  A run at order P adds the
+    images it makes while the cache holds fewer than P + 1
     (`conjugate_slots`), so the entry holds at most (m + 1 + P + 1) d^2
     numbers for m terms and the largest P run."""
 
-    def __init__(self, spectral: SpectralData, deg_tol: float, gap_guard: float):
-        self.spectral = spectral
-        self.deg_tol = deg_tol
-        self.gap_guard = gap_guard
-        self.terms = None
-        self.images = {}
+    spectral: SpectralData
+    deg_tol: float
+    gap_guard: float
+    terms: dict
+    images: dict = field(default_factory=dict)
 
 
 def _start(model: ModelSpec, deg_tol, gap_guard) -> _Start:
@@ -195,10 +191,16 @@ def _start(model: ModelSpec, deg_tol, gap_guard) -> _Start:
         spectral = eigh(model.coefficient(0), deg_tol=deg_tol)
         for a in (spectral.eigenvalues, spectral.eigenvectors, spectral.blocks):
             read_only(a)
+        v = spectral.eigenvectors
         start = _Start(
             spectral,
             default_deg_tol(spectral.eigenvalues) if deg_tol is None else deg_tol,
             default_gap_guard(spectral) if gap_guard is None else gap_guard,
+            {
+                p: read_only(hermitian_part(v.conj().T @ mat @ v))
+                for p, mat in model.h_coeffs
+                if p
+            },
         )
         model._memo.clear()
         model._memo[key] = start
@@ -222,13 +224,6 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
     eps = require_finite(eps, "eps")
     start = _start(model, deg_tol, gap_guard)
     spectral = start.spectral
-    if start.terms is None:
-        v = spectral.eigenvectors
-        start.terms = {
-            p: read_only(hermitian_part(v.conj().T @ mat @ v))
-            for p, mat in model.h_coeffs
-            if p
-        }
     state = KolmogorovState(
         stage=0,
         eps=eps,
@@ -267,80 +262,66 @@ def _diagonalize_blocks(h0, blocks, deg_tol):
     return lam, degeneracy_blocks(lam, deg_tol), q
 
 
-def _fold(state: KolmogorovState, n, lo, live, averaged):
-    """(levels, blocks, q) of H_0 plus the averaged live window slots at
-    their weights at eps, as `_diagonalize_blocks` gives them.  Where every
-    block is one level, H_0 and the averaged slots are diagonal: their
-    diagonals are added to the levels, with no dense H_0 and no q, and with
-    no live slot the levels and blocks stay as they are."""
+def _fold(state: KolmogorovState, averaged):
+    """(levels, blocks, q) of H_0 plus the averaged live window slots
+    {p: Hbar_p} at their weights at eps, as `_diagonalize_blocks` gives
+    them.  Where every block is one level, H_0 and the averaged slots are
+    diagonal: their diagonals are added to the levels, with no dense H_0 and
+    no q, and with no live slot the levels and blocks stay as they are."""
     single = one_level_blocks(state.blocks)
-    if single and not live:
+    if single and not averaged:
         return state.levels.copy(), state.blocks, None
     if single:
         h0 = state.levels.copy()
     else:
         h0 = np.diag(state.levels).astype(state.series.dtype, copy=False)
-    try:
-        for p in live:
-            avg = averaged[p - lo]
-            h0 += weight(state.eps, p) * (avg.diagonal().real if single else avg)
-    except WeightOverflowError as exc:
-        raise WeightOverflowError(f"stage {n}: {exc}") from exc
+    for p, avg in averaged.items():
+        h0 += weight(state.eps, p) * (avg.diagonal().real if single else avg)
     if not np.isfinite(h0).all():
-        raise ValueError(f"stage {n}: H_0 has a non-finite entry")
+        raise ValueError("H_0 has a non-finite entry")
     if single:
         return h0, degeneracy_blocks(h0, state.deg_tol), None
     return _diagonalize_blocks(h0, state.blocks, state.deg_tol)
 
 
-def _average(state: KolmogorovState, n, lo, hi):
-    """Stage n's homological equation for the window lo..hi, with one set of
-    denominators: (averaged slots, generator slots A_lo..A_hi, their
-    (norm, bound) scans, smallest denominator gap).  Only the live slots of
-    the window are stacked and averaged; a zero slot averages to the shared
-    zero, with generator slot zero and scan (0.0, 0.0).  The gap guard is
-    checked, and min_gap taken, whatever is live.  A non-finite generator
-    slot raises naming it."""
+def _average(state: KolmogorovState, lo, hi):
+    """The homological equation of the window lo..hi, with one set of
+    denominators: ({p: Hbar_p} for the live window slots, the generator
+    series with A_p in slot p - 1 and the state's shared zero elsewhere, the
+    smallest denominator gap).  Only the live slots of the window are
+    stacked and averaged.  The gap guard is checked, and min_gap taken,
+    whatever is live.  A non-finite generator slot raises naming it."""
     series = state.series
-    width = hi - lo + 1
     live = [p for p in range(lo, hi + 1) if series.norms[p]]
-    zero = series.coeffs[0]  # the state's shared zero
-    averaged, a_window, a_scans = [zero] * width, [zero] * width, [(0.0, 0.0)] * width
-    try:
-        if live:
-            avg, a, min_gap = average_diagonal(
-                state.levels,
-                state.blocks,
-                np.stack([series.coeffs[p] for p in live]),
-                series.hbar,
-                state.gap_guard,
-            )
-        else:
-            min_gap = guarded_min_gap(state.levels, state.blocks, state.gap_guard)
-    except SmallDenominatorError as exc:
-        raise SmallDenominatorError(
-            f"stage {n}: {exc}", indices=exc.indices, gap=exc.gap
-        ) from exc
-    for i, p in enumerate(live):
-        averaged[p - lo], a_window[p - lo] = avg[i], a[i]
-        a_scans[p - lo] = finite_norms(a[i], f"stage {n}: generator slot A_{p}")
-    return averaged, a_window, a_scans, min_gap
+    a_slots = [series.coeffs[0]] * (series.order + 1)  # the state's shared zero
+    a_scans = [(0.0, 0.0)] * (series.order + 1)  # (norm, bound) of a zero slot
+    averaged = {}
+    if live:
+        avg, a, min_gap = average_diagonal(
+            state.levels,
+            state.blocks,
+            np.stack([series.coeffs[p] for p in live]),
+            series.hbar,
+            state.gap_guard,
+        )
+        for i, p in enumerate(live):
+            averaged[p], a_slots[p - 1] = avg[i], a[i]
+            a_scans[p - 1] = finite_norms(a[i], f"generator slot A_{p}")
+    else:
+        min_gap = guarded_min_gap(state.levels, state.blocks, state.gap_guard)
+    return averaged, OperatorSeries._computed(a_slots, series.hbar, a_scans), min_gap
 
 
-def _apply_stage(basis, n, gen, eps, stop, q):
-    """basis times stage n's flow at eps, summed to `stop` as `flow_cut`
+def _apply_stage(basis, gen, eps, stop, q):
+    """basis times a stage's flow at eps, summed to `stop` as `flow_cut`
     gives it (None for a generator with no live slot, whose flow is I and is
     not formed), then times the blocks' unitary q (None for none).  A weight
-    that overflows, or a non-finite entry of basis @ flow, raises naming
-    stage n."""
+    that overflows, or a non-finite entry of basis @ flow, raises a
+    ValueError, which `step` names by its stage."""
     if stop is not None:
-        try:
-            flow = flow_at(gen, eps, stop)
-        except WeightOverflowError as exc:
-            raise WeightOverflowError(f"stage {n}: {exc}") from exc
-        basis = basis @ flow
+        basis = basis @ flow_at(gen, eps, stop)
         if not np.isfinite(basis).all():
-            raise ValueError(f"stage {n}: the basis has a non-finite entry")
+            raise ValueError("the basis has a non-finite entry")
     if q is not None:
         basis = basis @ q
     return basis
@@ -366,8 +347,8 @@ class _Pending:
         self.eps, self.bound = eps, bound
         self._parts = (basis, steps)  # read and replaced whole, see `build`
 
-    def add(self, n, gen, cut, q):
-        """This basis then stage n, for the cut `flow_cut` made of its flow
+    def add(self, gen, cut, q):
+        """This basis then a stage, for the cut `flow_cut` made of its flow
         (None for no live slot: the flow I, which adds no factor)."""
         bound, stop, limit = self.bound, None, math.inf
         if cut is not None:
@@ -381,7 +362,7 @@ class _Pending:
             read_only(gen.coeffs[p])
         if q is not None:
             read_only(q)
-        stage = functools.partial(_apply_stage, n=n, gen=gen, eps=self.eps, stop=stop, q=q)
+        stage = functools.partial(_apply_stage, gen=gen, eps=self.eps, stop=stop, q=q)
         return self._then(stage, bound, not bound * max(1.0, gen.hbar) < limit)
 
     def normalized(self):
@@ -409,77 +390,91 @@ class _Pending:
         return basis
 
 
-def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
-    """Stage n from its averaging (see `_average`): fold the averaged slots
-    into H_0 and rediagonalize its blocks, conjugate, check the eliminated
-    slots, add the flow and the blocks' unitary q to the basis (`_Pending`),
-    and rotate the surviving slots by q.  The fold needs only the averaged
-    slots, so q is known before the conjugation, and each surviving slot is
-    scanned once, after q.
+@contextmanager
+def _stage_errors(n):
+    """Add "stage n: " to a ValueError raised inside, in place, so that it
+    keeps its type and fields (`SmallDenominatorError.indices`, `.gap`)."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"stage {n}: {exc}",)
+        raise
 
-    Only live slots cost work: the fold adds the averaged slots of the live
-    window slots (`_fold`), and the slot check skips a window slot that is
-    zero on both sides.  A generator with no live slot conjugates as any
-    other, each chain being its leaf alone (`chain_stops`, `_t_images`),
-    but forms no flow and no basis product; with one-level blocks and no
-    live slot the fold keeps the levels.  A stage-0 state from `init`
-    carries the model's cache of stage 1's images, which the conjugation
-    reads and fills; the state returned carries none."""
-    averaged, a_window, a_scans, min_gap = averaging
+
+# Every array a stage returns is checked to be finite (generator and series
+# slots, H_0, basis), so an overflow in it is a ValueError naming the stage,
+# not a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
+def step(state: KolmogorovState) -> KolmogorovState:
+    """Advance one stage; returns a new state, the input is untouched.
+
+    Stage n averages the slots of its window lo..hi against H_0
+    (`_average`), folds the averages into H_0 and rediagonalizes its blocks
+    (`_fold`), conjugates, checks the eliminated slots, adds the flow and
+    the blocks' unitary q to the basis (`_Pending`), and rotates the
+    surviving slots by q.  The fold needs only the averages, so q is known
+    before the conjugation, and each surviving slot is scanned once, after q.
+
+    Only live slots cost work: the fold adds the averages of the live
+    window slots, and the slot check skips a window slot that is zero on
+    both sides.  A generator with no live slot conjugates as any other, each
+    chain being its leaf alone (`chain_stops`, `_t_images`), but forms no
+    flow and no basis product; with one-level blocks and no live slot the
+    fold keeps the levels.  A stage-0 state from `init` carries the model's
+    cache of stage 1's images, which the conjugation reads and fills; the
+    state returned carries none.  A ValueError raised by the stage names it
+    ("stage n: ")."""
+    n = state.stage + 1
     P = state.order
+    if n > default_n_stages(P):
+        raise ValueError(
+            f"stage {n}: no orders are left to eliminate at truncation order {P}"
+        )
+    lo, hi = 2 ** (n - 1), min(2**n - 1, P)
     series = state.series
-    hbar = series.hbar
     zero = series.coeffs[0]  # the state's shared zero
     zero_scan = (0.0, 0.0)  # (norm, bound) of a zero slot
-    a_slots = [zero] * (P + 1)
-    a_slots[lo - 1 : hi] = a_window
-    gen_scans = [zero_scan] * (lo - 1) + list(a_scans) + [zero_scan] * (P + 1 - hi)
-    gen = OperatorSeries._computed(a_slots, hbar, gen_scans)
-    live = [p for p in range(lo, hi + 1) if series.norms[p]]
+    with _stage_errors(n):
+        averaged, gen, min_gap = _average(state, lo, hi)
+        levels, blocks, q = _fold(state, averaged)
 
-    levels, blocks, q = _fold(state, n, lo, live, averaged)
+        h0_norm = max_norm(state.levels)  # ||H_0||_2
+        stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
+        k = conjugate_slots(gen, series, state.levels, stops, state._images)
+        scale = max(h0_norm, *series.norms)
 
-    h0_norm = max_norm(state.levels)  # ||H_0||_2
-    stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
-    k = conjugate_slots(gen, series, state.levels, stops, state._images)
-    scale = max(h0_norm, *series.norms)
+        def deviations():
+            # slots below the window are predicted zero, the window its
+            # averages; a zero slot is skipped where K_p is zero too
+            yield from ((p, c) for p, c in enumerate(k[:lo]) if c is not None)
+            for p in range(lo, hi + 1):
+                if p in averaged:
+                    yield p, averaged[p] if k[p] is None else k[p] - averaged[p]
+                elif k[p] is not None:
+                    yield p, k[p]
 
-    def deviations():
-        # slots below the window are predicted zero, the window its averages,
-        # zero for a zero slot, which is skipped where K_p is zero too
-        yield from ((p, c) for p, c in enumerate(k[:lo]) if c is not None)
-        for p, avg in enumerate(averaged, start=lo):
-            if p in live:
-                yield p, avg if k[p] is None else k[p] - avg
-            elif k[p] is not None:
-                yield p, k[p]
-
-    # each deviation is scanned as it is made, and an overflow shows as a
-    # non-finite slot
-    residual = max(
-        (finite_norm(c, f"stage {n}: coefficient {p}") for p, c in deviations()),
-        default=0.0,
-    )
-    if residual > 1e-8 * max(scale, 1e-300):
-        raise ConsistencyError(
-            f"stage {n}: eliminated slots deviate from their averaged values "
-            f"by {residual:.3e} (scale {scale:.3e})"
+        # each deviation is scanned as it is made, and an overflow shows as a
+        # non-finite slot
+        residual = max(
+            (finite_norm(c, f"coefficient {p}") for p, c in deviations()),
+            default=0.0,
         )
+        if residual > 1e-8 * max(scale, 1e-300):
+            raise ConsistencyError(
+                f"stage {n}: eliminated slots deviate from their averaged values "
+                f"by {residual:.3e} (scale {scale:.3e})"
+            )
 
-    cut = flow_cut(gen, state.eps) if gen.live else None
-    basis = state._basis.add(n, gen, cut, q)
-    rest = k[hi + 1 :]
-    if q is not None:
-        rest = [c if c is None else hermitian_part(q.conj().T @ c @ q) for c in rest]
-    scans = [zero_scan if c is None else None for c in rest]
-    try:
+        cut = flow_cut(gen, state.eps) if gen.live else None
+        basis = state._basis.add(gen, cut, q)
+        rest = k[hi + 1 :]
+        if q is not None:
+            rest = [c if c is None else hermitian_part(q.conj().T @ c @ q) for c in rest]
         survivors = OperatorSeries._computed(
             [zero] * (hi + 1) + [zero if c is None else c for c in rest],
-            hbar,
-            [zero_scan] * (hi + 1) + scans,
+            series.hbar,
+            [zero_scan] * (hi + 1) + [zero_scan if c is None else None for c in rest],
         )
-    except ValueError as exc:
-        raise ValueError(f"stage {n}: {exc}") from exc
     info = StageInfo(
         stage=n,
         slot_residual=residual,
@@ -501,22 +496,6 @@ def _advance(state: KolmogorovState, n, lo, hi, averaging) -> KolmogorovState:
     )
 
 
-# Every array a stage returns is checked to be finite (generator and series
-# slots, H_0, basis), so an overflow in it is a ValueError naming the stage,
-# not a numpy warning.
-@np.errstate(over="ignore", invalid="ignore")
-def step(state: KolmogorovState) -> KolmogorovState:
-    """Advance one stage; returns a new state, the input is untouched."""
-    n = state.stage + 1
-    P = state.order
-    if n > default_n_stages(P):
-        raise ValueError(
-            f"stage {n}: no orders are left to eliminate at truncation order {P}"
-        )
-    lo, hi = 2 ** (n - 1), min(2**n - 1, P)
-    return _advance(state, n, lo, hi, _average(state, n, lo, hi))
-
-
 # A basis whose entries are finite can still have columns whose squared
 # norm overflows; that is checked here, with numpy's warnings off.
 @np.errstate(over="ignore", invalid="ignore")
@@ -532,7 +511,10 @@ def _unit_columns(basis):
 
 def default_n_stages(order: int) -> int:
     # ceil(log2(order + 1)): exactly covers every representable slot
-    return int(order).bit_length()
+    order = require_integer(order, "order")
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+    return order.bit_length()
 
 
 def run(

@@ -10,6 +10,7 @@ deterministic ordering, degeneracy blocks and column phases.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -105,9 +106,17 @@ def finite_norms(a, what) -> tuple:
     return norm, min(float(mod.sum(axis=0).max()), cap)
 
 
+def _require_real(value, what) -> float:
+    """float(value); ValueError naming `what` unless value is a real number
+    (a numpy real scalar passes; a str, bool, None, complex or array fails)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def require_finite(value, what) -> float:
-    """float(value); raises ValueError naming `what` for NaN or Inf."""
-    value = float(value)
+    """float(value); raises ValueError naming `what` unless it is a finite real."""
+    value = _require_real(value, what)
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value}")
     return value
@@ -115,7 +124,7 @@ def require_finite(value, what) -> float:
 
 def require_positive(value, what) -> float:
     """hbar as a float; ValueError naming `what` unless it and 1/it are finite, > 0."""
-    value = float(value)
+    value = _require_real(value, what)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{what} must be positive and finite, got {value}")
     if not math.isfinite(1.0 / value):

@@ -200,6 +200,8 @@ def _dimension_and_hbar(data, provenance):
     dim = data["dimension"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ModelFormatError(f"{provenance}: 'dimension' must be an integer")
+    if dim < 1:
+        raise ModelFormatError(f"{provenance}: 'dimension' must be at least 1, got {dim}")
     hbar = data.get("hbar", 1.0)
     if not _is_number(hbar):
         raise ModelFormatError(f"{provenance}: 'hbar' must be a real number")
@@ -229,7 +231,9 @@ def model_from_dict(data, provenance="memory") -> ModelSpec:
             raise ModelFormatError(f"{provenance}: missing required field {field!r}")
     dim, hbar = _dimension_and_hbar(data, provenance)
     name = data.get("name", "custom")
-    if isinstance(name, str) and name in BUILTIN_MODELS:
+    if not isinstance(name, str):
+        raise ModelFormatError(f"{provenance}: 'name' must be a string, got {name!r}")
+    if name in BUILTIN_MODELS:
         raise ModelFormatError(
             f"{provenance}: 'name' {name!r} is reserved for the builtin model; "
             f"select it with 'builtin'"

@@ -20,6 +20,7 @@ from .averaging import SmallDenominatorError, default_gap_guard
 from .linalg import (
     HERMITICITY_TOL,
     SpectralData,
+    require_finite,
     require_hermitian,
     require_integer,
     require_tolerance,
@@ -48,13 +49,13 @@ class RsCorrections:
         return self.coeffs[self._row(level)].copy()
 
     def energy(self, eps: float, level: int, order=None) -> float:
-        """Cumulative energy E0 + sum_{l<=order} c_l eps^l, summed in python
-        floats; OverflowError when it is not finite."""
+        """Cumulative energy E0 + sum_{l<=order} c_l eps^l at a finite eps,
+        summed in python floats; OverflowError when it is not finite."""
         order = self.max_order if order is None else require_integer(order, "order")
         if not 0 <= order <= self.max_order:
             raise ValueError(f"order must be in 0..{self.max_order}, got {order}")
         i = self._row(level)
-        eps = float(eps)
+        eps = require_finite(eps, "eps")
         e = float(self.e0[i])
         for l in range(1, order + 1):
             e += float(self.coeffs[i, l - 1]) * eps**l

@@ -133,6 +133,7 @@ INTEGER_INPUTS = {
     # these two raised a bare TypeError
     "max_order": (lambda: _rs(max_order=2.5), "max_order"),
     "energy_order": (lambda: _rs().energy(0.1, 0, order=2.5), "order"),
+    "n_stages_order": (lambda: sp.default_n_stages(2.7), "order"),  # returned 2
 }
 
 
@@ -156,3 +157,67 @@ def test_integer_like_inputs_still_pass():
     assert rs.levels == (2,) and rs.max_order == 3
     assert rs.levels == sp.rs_corrections(sp.eigh(H0), v, levels=(j for j in [2])).levels
     assert rs.energy(0.1, 2, order=np.int64(2)) == rs.energy(0.1, 2, order=2)
+
+
+M3 = sp.make_model(3, [(0, H0), (1, 0.1 * np.ones((3, 3)))])
+SCALAR_INPUTS = {
+    # each ran: float() took the str, and True as 1.0
+    "eps_str": (lambda: sp.run(M3, "0.1", 4), "eps must be a real number, got '0.1'"),
+    "eps_bool": (lambda: sp.run(M3, True, 4), "eps must be a real number, got True"),
+    "deg_tol_str": (
+        lambda: sp.eigh(H0, deg_tol="1e-3"),
+        "deg_tol must be a real number, got '1e-3'",
+    ),
+    "hbar_str": (
+        lambda: sp.make_model(1, [(0, np.eye(1))], hbar="1"),
+        "hbar must be a real number, got '1'",
+    ),
+    # each raised a bare TypeError
+    "eps_none": (lambda: sp.run(M3, None, 4), "eps must be a real number, got None"),
+    "eps_complex": (lambda: sp.run(M3, 0.1j, 4), "eps must be a real number, got 0.1j"),
+    "hbar_none": (
+        lambda: sp.OperatorSeries((H0,), hbar=None),
+        "hbar must be a real number, got None",
+    ),
+    # named no field: "could not convert string to float: 'x'"
+    "gap_guard_str": (
+        lambda: sp.run(M3, 0.1, 4, gap_guard="x"),
+        "gap_guard must be a real number, got 'x'",
+    ),
+    # ran with a deprecation warning
+    "eps_array": (
+        lambda: sp.run(M3, np.array([0.1]), 4),
+        "eps must be a real number, got array([0.1])",
+    ),
+    # raised OverflowError: the order-4 energy of level 0 at eps nan is nan
+    "energy_eps_nan": (lambda: _rs().energy(float("nan"), 0), "eps must be finite, got nan"),
+    # returned 0 and 2
+    "n_stages_order_0": (lambda: sp.default_n_stages(0), "order must be at least 1, got 0"),
+    "n_stages_order_negative": (
+        lambda: sp.default_n_stages(-3),
+        "order must be at least 1, got -3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_INPUTS))
+def test_scalar_inputs_are_checked_at_the_boundary(case):
+    call, message = SCALAR_INPUTS[case]
+    with pytest.raises(ValueError, match=rf"(^|: ){re.escape(message)}$"):
+        call()
+
+
+def test_real_scalar_inputs_still_pass():
+    # numpy real scalars and python ints are real numbers
+    want = sp.run(M3, 0.25, 4, gap_guard=1e-6)
+    for eps in (np.float64(0.25), np.float32(0.25)):
+        got = sp.run(M3, eps, 4, gap_guard=np.float64(1e-6))
+        assert all(np.array_equal(a, b) for a, b in zip(got.energies, want.energies))
+    assert sp.run(M3, 0, 4).energies[-1].tolist() == H0.diagonal().real.tolist()
+    model = sp.make_model(1, [(0, np.eye(1))], hbar=np.float32(0.5))
+    assert model.hbar == 0.5 and type(model.hbar) is float
+    assert sp.eigh(H0, deg_tol=np.float64(1e-3)).blocks.tolist() == [0, 1, 2]
+    assert _rs().energy(np.float64(0.0), 0) == 0.0
+    assert [sp.default_n_stages(P) for P in (1, 2, 3, 4, 7, 8, np.int64(62))] == [
+        1, 2, 2, 3, 3, 4, 6,
+    ]

@@ -161,6 +161,22 @@ def test_terms_file_cannot_take_a_builtin_name():
     assert sp.model_from_dict(doc).name == "my_oscillator"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("dimension", 0, "'dimension' must be at least 1, got 0"),
+     ("dimension", -1, "'dimension' must be at least 1, got -1"),
+     ("name", 5, "'name' must be a string, got 5")],
+    ids=["dimension_zero", "dimension_negative", "name_int"],
+)
+def test_terms_document_errors_name_the_field(field, value, message):
+    # a dimension below 1 was reported as a matrix shape ("matrix must be -1
+    # rows of -1 entries"), and a name of 5 reached the report's config.model
+    doc = {"dimension": 1, "terms": [{"order": 0, "matrix": [[1.0]]}], field: value}
+    with pytest.raises(sp.ModelFormatError) as err:
+        sp.model_from_dict(doc, "m.json")
+    assert str(err.value) == f"m.json: {message}"
+
+
 def test_load_rejects_missing_order_zero(tmp_path):
     path = _write_model(
         tmp_path,
