@@ -56,7 +56,6 @@ from .linalg import (
     degeneracy_blocks,
     eigh,
     finite_norm,
-    finite_norms,
     fix_column_phases,
     hermitian_part,
     max_norm,
@@ -292,10 +291,8 @@ def _average(state: KolmogorovState, lo, hi):
     stacked and averaged.  The gap guard is checked, and min_gap taken,
     whatever is live.  A non-finite generator slot raises naming it."""
     series = state.series
-    live = [p for p in range(lo, hi + 1) if series.norms[p]]
-    a_slots = [series.coeffs[0]] * (series.order + 1)  # the state's shared zero
-    a_scans = [(0.0, 0.0)] * (series.order + 1)  # (norm, bound) of a zero slot
-    averaged = {}
+    live = [p for p in series.live if lo <= p <= hi]
+    avg = a = ()
     if live:
         avg, a, min_gap = average_diagonal(
             state.levels,
@@ -304,12 +301,12 @@ def _average(state: KolmogorovState, lo, hi):
             series.hbar,
             state.gap_guard,
         )
-        for i, p in enumerate(live):
-            averaged[p], a_slots[p - 1] = avg[i], a[i]
-            a_scans[p - 1] = finite_norms(a[i], f"generator slot A_{p}")
     else:
         min_gap = guarded_min_gap(state.levels, state.blocks, state.gap_guard)
-    return averaged, OperatorSeries._computed(a_slots, series.hbar, a_scans), min_gap
+    a = {p - 1: x for p, x in zip(live, a)}  # A_p is slot p - 1
+    zero = series.coeffs[0]  # the state's shared zero
+    gen = OperatorSeries._computed(series.order, series.hbar, zero, a, generator=True)
+    return dict(zip(live, avg)), gen, min_gap
 
 
 def _apply_stage(basis, gen, eps, stop, q):
@@ -432,8 +429,6 @@ def step(state: KolmogorovState) -> KolmogorovState:
         )
     lo, hi = 2 ** (n - 1), min(2**n - 1, P)
     series = state.series
-    zero = series.coeffs[0]  # the state's shared zero
-    zero_scan = (0.0, 0.0)  # (norm, bound) of a zero slot
     with _stage_errors(n):
         averaged, gen, min_gap = _average(state, lo, hi)
         levels, blocks, q = _fold(state, averaged)
@@ -467,14 +462,10 @@ def step(state: KolmogorovState) -> KolmogorovState:
 
         cut = flow_cut(gen, state.eps) if gen.live else None
         basis = state._basis.add(gen, cut, q)
-        rest = k[hi + 1 :]
+        rest = {p: k[p] for p in range(hi + 1, P + 1) if k[p] is not None}
         if q is not None:
-            rest = [c if c is None else hermitian_part(q.conj().T @ c @ q) for c in rest]
-        survivors = OperatorSeries._computed(
-            [zero] * (hi + 1) + [zero if c is None else c for c in rest],
-            series.hbar,
-            [zero_scan] * (hi + 1) + [zero_scan if c is None else None for c in rest],
-        )
+            rest = {p: hermitian_part(q.conj().T @ c @ q) for p, c in rest.items()}
+        survivors = OperatorSeries._computed(P, series.hbar, series.coeffs[0], rest)
     info = StageInfo(
         stage=n,
         slot_residual=residual,

@@ -120,9 +120,23 @@ def _validate_terms(dim, terms, hbar, name, provenance, context):
     )
 
 
+def _check_name(name, context):
+    """ModelFormatError under `context` unless name is a string that no
+    builtin model reserves."""
+    if not isinstance(name, str):
+        raise ModelFormatError(f"{context}: 'name' must be a string, got {name!r}")
+    if name in BUILTIN_MODELS:
+        raise ModelFormatError(
+            f"{context}: 'name' {name!r} is reserved for the builtin model; "
+            f"select it with 'builtin'"
+        )
+
+
 def make_model(dim, terms, hbar=1.0, name="custom", provenance="memory") -> ModelSpec:
     """Validated ModelSpec from (order, matrix) pairs; matrices are
-    Hermiticity-checked and symmetrized."""
+    Hermiticity-checked and symmetrized.  The name is checked as in
+    `model_from_dict`, and a bad one is reported under `provenance`."""
+    _check_name(name, provenance)
     return _validate_terms(dim, list(terms), hbar, name, provenance, name)
 
 
@@ -231,13 +245,7 @@ def model_from_dict(data, provenance="memory") -> ModelSpec:
             raise ModelFormatError(f"{provenance}: missing required field {field!r}")
     dim, hbar = _dimension_and_hbar(data, provenance)
     name = data.get("name", "custom")
-    if not isinstance(name, str):
-        raise ModelFormatError(f"{provenance}: 'name' must be a string, got {name!r}")
-    if name in BUILTIN_MODELS:
-        raise ModelFormatError(
-            f"{provenance}: 'name' {name!r} is reserved for the builtin model; "
-            f"select it with 'builtin'"
-        )
+    _check_name(name, provenance)
     if not isinstance(data["terms"], list) or not data["terms"]:
         raise ModelFormatError(f"{provenance}: 'terms' must be a nonempty list")
     terms = []

@@ -2,7 +2,9 @@
 
 A series sum_p eps^p/p! X_p is stored as the coefficient list [X_0..X_P];
 the factorial weights are part of the grading, not of the stored matrices.
-A transform is given by its generator series, whose slot l holds the
+A series the engine computes is built from its live slots {p: X_p} alone
+(`OperatorSeries._computed`); one read-only zero fills the rest.  A
+transform is given by its generator series, whose slot l holds the
 generator of order l + 1.  The public functions (`conjugate_series`,
 `u_coefficients`) take the Hermitian W_{l+1}: the transform is generated by
 -W(eps) and acts on operators through the expansion maps
@@ -102,19 +104,23 @@ class OperatorSeries:
     The constructor validates caller-supplied coefficients (`require_hermitian`)
     and hbar, and stores each coefficient's Hermitian part, so that every slot
     is Hermitian to the bit, all in one dtype: float64 when every coefficient
-    is real, complex128 otherwise.  The engine builds the series it computes
-    from such operands through `_computed`, which skips those steps.  norms[p]
-    is max_norm(coeffs[p]); entries are finite, so a slot is an exact zero
-    matrix exactly when its norm is 0 (see `live`).  bounds[p] is the
-    induced 1-norm of coeffs[p] (`finite_norms`), taken in the same pass: a
-    bound on its spectral norm, since every slot is Hermitian or, for a
-    generator, anti-Hermitian, which `lie_majorant` and `chain_stops` read.
+    is real, complex128 otherwise.  The engine builds every series it computes
+    through `_computed`, which skips those steps: it is given the order, hbar,
+    one read-only zero and the live slots {p: X_p} alone, puts the zero in
+    every other slot, and scans each live slot once and no zero.  norms[p] is
+    max_norm(coeffs[p]); entries are finite, so a slot is an exact zero
+    matrix exactly when its norm is 0, and `live` lists the other orders,
+    ascending, once.  bounds[p] is the induced 1-norm of coeffs[p]
+    (`finite_norms`), taken in the same pass: a bound on its spectral norm,
+    since every slot is Hermitian or, for a generator, anti-Hermitian, which
+    `lie_majorant` and `chain_stops` read.
     """
 
     coeffs: tuple
     hbar: float = 1.0
     norms: tuple = field(init=False, compare=False, repr=False)
     bounds: tuple = field(init=False, compare=False, repr=False)
+    live: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.coeffs:
@@ -131,44 +137,39 @@ class OperatorSeries:
                     f"expected {mats[0].shape[0]}"
                 )
         dtype = _common_dtype(mats)
-        self._set(tuple(c.astype(dtype, copy=False) for c in mats), hbar)
+        mats = tuple(c.astype(dtype, copy=False) for c in mats)
+        self._set(mats, hbar, range(len(mats)))
 
-    def _set(self, mats, hbar, scans=None):
-        """Store the fields; a non-finite slot raises ValueError naming it,
-        which is how an overflow inside the engine surfaces.  Each distinct
-        array is scanned once, so a zero shared by many slots costs one scan;
-        scans[p], where given and not None, is slot p's (norm, bound),
-        already taken."""
+    def _set(self, mats, hbar, scanned, generator=False):
+        """Store the fields, scanning the slots `scanned`, ascending; every
+        other slot is zero.  A non-finite slot raises ValueError naming it,
+        `coefficient p` or `generator slot A_{p+1}`, which is how an overflow
+        inside the engine surfaces."""
         if len(mats) - 1 > MAX_ORDER:
             raise ValueError(
                 f"series order {len(mats) - 1} exceeds the cap {MAX_ORDER}"
             )
-        scans = [None] * len(mats) if scans is None else list(scans)
-        scanned = {}
-        for p, c in enumerate(mats):
-            if scans[p] is None:
-                if id(c) not in scanned:
-                    scanned[id(c)] = finite_norms(c, f"coefficient {p}")
-                scans[p] = scanned[id(c)]
+        scans = [(0.0, 0.0)] * len(mats)  # (norm, bound) of a zero slot
+        for p in scanned:
+            what = f"generator slot A_{p + 1}" if generator else f"coefficient {p}"
+            scans[p] = finite_norms(mats[p], what)
         object.__setattr__(self, "coeffs", mats)
         object.__setattr__(self, "hbar", hbar)
         object.__setattr__(self, "norms", tuple(norm for norm, _ in scans))
         object.__setattr__(self, "bounds", tuple(bound for _, bound in scans))
+        object.__setattr__(self, "live", [p for p in scanned if scans[p][0] != 0.0])
 
     @classmethod
-    def _computed(cls, mats, hbar, scans=None):
-        """Series of square matrices of one dtype, computed from validated
-        operands, with a validated hbar: Hermitian to the bit, or, for a
-        generator, anti-Hermitian to the bit.  Only the order cap, the norms
-        and the non-finite check are done; `scans` as in `_set`."""
+    def _computed(cls, order, hbar, zero, live, generator=False):
+        """Series of the given order with `live` {p: X_p} in its slots and the
+        read-only `zero` in every other, all of zero's shape and dtype and
+        computed from validated operands with a validated hbar: Hermitian, or
+        for a generator series anti-Hermitian, to the bit.  Only the order
+        cap, the norms and the non-finite check are done, on `live` alone."""
+        mats = tuple(live.get(p, zero) for p in range(order + 1))
         series = object.__new__(cls)
-        series._set(tuple(mats), hbar, scans)
+        series._set(mats, hbar, sorted(live), generator)
         return series
-
-    @property
-    def live(self) -> list:
-        """Orders whose coefficient is not the zero matrix, ascending."""
-        return [p for p, norm in enumerate(self.norms) if norm != 0.0]
 
     @property
     def order(self) -> int:
@@ -186,10 +187,11 @@ class OperatorSeries:
 def _anti_hermitian(gen: OperatorSeries) -> OperatorSeries:
     """The generator series A = -iW of gen's Hermitian slots W, exact; real
     when every slot's imaginary part is exactly 0, complex128 otherwise."""
-    a = [-1j * w for w in gen.coeffs]
-    if not any(c.imag.any() for c in a):
-        a = [np.ascontiguousarray(c.real) for c in a]
-    return OperatorSeries._computed(a, gen.hbar)
+    a = {l: -1j * gen.coeffs[l] for l in gen.live}
+    if not any(c.imag.any() for c in a.values()):
+        a = {l: np.ascontiguousarray(c.real) for l, c in a.items()}
+    zero = shared_zero(gen.dim, _common_dtype(a.values()))
+    return OperatorSeries._computed(gen.order, gen.hbar, zero, a, generator=True)
 
 
 def _add(acc, term):
@@ -356,7 +358,8 @@ def conjugate_series(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
     agen = _anti_hermitian(gen)
     out = conjugate_slots(agen, h)
     zero = shared_zero(h.dim, np.result_type(agen.dtype, h.dtype))
-    return OperatorSeries._computed([zero if c is None else c for c in out], h.hbar)
+    live = {p: c for p, c in enumerate(out) if c is not None}
+    return OperatorSeries._computed(h.order, h.hbar, zero, live)
 
 
 def flow_coefficients(agen: OperatorSeries):
@@ -580,11 +583,8 @@ def zero_padded(coeffs_by_order, dim: int, order: int, hbar: float) -> OperatorS
     unless one of them is complex.  A matrix already in that dtype fills its
     slot as it is, so the caller must not write into it later."""
     dtype = _common_dtype(coeffs_by_order.values())
-    slots = [shared_zero(dim, dtype)] * (order + 1)
-    for p, mat in coeffs_by_order.items():
+    for p in coeffs_by_order:
         if p > order:
-            raise ValueError(
-                f"term of order {p} does not fit truncation order {order}"
-            )
-        slots[p] = mat.astype(dtype, copy=False)
-    return OperatorSeries._computed(slots, hbar)
+            raise ValueError(f"term of order {p} does not fit truncation order {order}")
+    live = {p: mat.astype(dtype, copy=False) for p, mat in coeffs_by_order.items()}
+    return OperatorSeries._computed(order, hbar, shared_zero(dim, dtype), live)

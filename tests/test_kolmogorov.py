@@ -666,6 +666,37 @@ def test_series_norms_match_their_slots_after_every_step(degenerate):
         _check_h0_slot(state)
 
 
+def test_init_and_step_scan_each_live_slot_once(monkeypatch):
+    # a series the engine builds scans its live slots, each once, and never
+    # the shared zero that fills the rest
+    rng = np.random.default_rng(61)
+    terms = [(0, np.diag([1.0, 2.5, 4.0, 6.0]))]
+    terms += [(p, _random_symmetric(rng, 4, 0.1)) for p in (1, 3)]
+    model = sp.make_model(4, terms)
+    scanned = []
+    real = series.finite_norms
+
+    def counted(a, what):
+        scanned.append((a, what))
+        return real(a, what)
+
+    monkeypatch.setattr(series, "finite_norms", counted)
+    state = sp.init(model, 0.1, 5)
+    s = state.series
+    assert s.live == [1, 3]
+    assert [(id(a), what) for a, what in scanned] == [
+        (id(s.coeffs[p]), f"coefficient {p}") for p in s.live
+    ]
+
+    scanned.clear()
+    s = sp.step(state).series
+    assert [what for _, what in scanned] == ["generator slot A_1"] + [
+        f"coefficient {p}" for p in s.live
+    ]
+    assert [id(a) for a, _ in scanned[1:]] == [id(s.coeffs[p]) for p in s.live]
+    assert all(a.any() for a, _ in scanned)
+
+
 def test_run_identical_across_blas_thread_counts():
     # the library path, cold and on a memo hit: LAPACK and the GEMMs may
     # block their reductions differently per thread count
@@ -1233,7 +1264,9 @@ def _window_state(rng, n, stage, order, degenerate, real, window, tiny, eps=0.05
     return kolmogorov.KolmogorovState(
         stage=stage - 1,
         eps=eps,
-        series=sp.OperatorSeries._computed(slots, hbar),
+        series=sp.OperatorSeries._computed(
+            order, hbar, zero, {p: c for p, c in enumerate(slots) if c is not zero}
+        ),
         levels=levels,
         blocks=blocks,
         _basis=kolmogorov._Pending(eps, basis),
@@ -1346,7 +1379,7 @@ def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, 
     for p, x in enumerate(avg, start=lo):
         h0 += eps**p / math.factorial(p) * x
     want_levels, want_blocks, q = kolmogorov._diagonalize_blocks(h0, state.blocks, state.deg_tol)
-    gen = sp.OperatorSeries._computed([series.shared_zero(n, s.dtype)] * (order + 1), s.hbar)
+    gen = sp.OperatorSeries._computed(order, s.hbar, series.shared_zero(n, s.dtype), {})
     h0_norm = sp.max_norm(levels)
     stops, dropped = series.chain_stops(gen, s, h0_norm, eps, hi)
     k = series.conjugate_slots(gen, s, levels, stops)

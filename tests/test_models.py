@@ -177,6 +177,27 @@ def test_terms_document_errors_name_the_field(field, value, message):
     assert str(err.value) == f"m.json: {message}"
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [(5, "'name' must be a string, got 5"),
+     (None, "'name' must be a string, got None"),
+     ("quartic_oscillator", "'name' 'quartic_oscillator' is reserved for the builtin "
+      "model; select it with 'builtin'")],
+    ids=["int", "none", "builtin"],
+)
+def test_make_model_checks_the_name_as_a_document_does(name, message):
+    terms = [(0, np.eye(1))]
+    with pytest.raises(sp.ModelFormatError) as err:
+        sp.make_model(1, terms, name=name, provenance="api")
+    assert str(err.value) == f"api: {message}"
+    # the same name in a terms document fails with the same message
+    doc = {"name": name, "dimension": 1, "terms": [{"order": 0, "matrix": [[1.0]]}]}
+    with pytest.raises(sp.ModelFormatError) as err:
+        sp.model_from_dict(doc, "api")
+    assert str(err.value) == f"api: {message}"
+    assert sp.make_model(1, terms, name="mine").name == "mine"
+
+
 def test_load_rejects_missing_order_zero(tmp_path):
     path = _write_model(
         tmp_path,
