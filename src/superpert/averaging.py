@@ -9,11 +9,13 @@ average and its primitive are, in A's eigenbasis,
 so that (i/hbar)[Bbar, A] = 0 and (i/hbar)[S, A] = Bbar - B hold at
 working precision by construction.  For degenerate A the full intra-block
 part is retained, which still commutes with A.  `average_diagonal` applies
-these formulas in A's eigenbasis, to one matrix or to a stack of them with
-one set of denominators, and returns the primitive as the engine's
-anti-Hermitian generator -iS, with entries -hbar B_jk / (E_j - E_k): real
-for a real B, so a real model stays in real arithmetic.  `average` rotates
-B in and the results out, and returns the Hermitian S.
+these formulas in A's eigenbasis to a sequence of matrices, with one set of
+denominators and no stacked copy of them, and returns each primitive as the
+engine's anti-Hermitian generator -iS, with entries -hbar B_jk / (E_j - E_k):
+real for a real B, so a real model stays in real arithmetic.  Where every
+block is one level, each average is the diagonal of its B, kept as a vector
+on the levels.  `average` rotates B in and the results out, and returns the
+Hermitian average and S as matrices.
 
 Cross-block gaps below the guard abort with a diagnostic instead of
 amplifying noise through the denominators.
@@ -88,9 +90,12 @@ def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingRes
     if gap_guard is None:
         gap_guard = default_gap_guard(spectral)
     v = spectral.eigenvectors
-    bbar_t, a_t, _ = average_diagonal(
-        spectral.eigenvalues, spectral.blocks, v.conj().T @ b @ v, hbar, gap_guard
+    bt = v.conj().T @ b @ v
+    (bbar_t,), (a_t,), _ = average_diagonal(
+        spectral.eigenvalues, spectral.blocks, [bt], hbar, gap_guard
     )
+    if bbar_t.ndim == 1:  # as a matrix: bt's own diagonal, rounding and all
+        bbar_t = np.diag(bt.diagonal())
     b_bar = hermitian_part(v @ bbar_t @ v.conj().T)
     s_of_b = hermitian_part(v @ (1j * a_t) @ v.conj().T)  # S = iA
     return AveragingResult(b_bar, s_of_b)
@@ -114,36 +119,45 @@ def guarded_min_gap(lam, blocks, gap_guard):
     return float(np.min(gaps, initial=np.inf))
 
 
-def average_diagonal(lam, blocks, bt, hbar, gap_guard):
-    """(Bbar, -iS, min_gap) for A = diag(lam) with block labels `blocks`.
+def average_diagonal(lam, blocks, slots, hbar, gap_guard):
+    """(averages, generators, min_gap) for A = diag(lam) with block labels
+    `blocks`: each slot's Bbar and -iS, in the order of `slots`.
 
-    bt holds B in A's eigenbasis, one matrix (d, d) or a stack (k, d, d)
-    averaged slot by slot; Bbar and -iS have its shape and dtype.  Masking
-    and the antisymmetric real denominators keep the symmetry exact: for bt
-    Hermitian to the bit, Bbar is Hermitian and -iS anti-Hermitian to the bit.
-    gap_guard and min_gap are as in `guarded_min_gap`.  Where every block is
-    one level, the blocks are the diagonal, which is indexed, not masked.
-    A complex -hbar B is divided by the real denominators as numpy's
-    complex-by-real division does it, each part times the one reciprocal,
-    which is cheaper and equal to the bit; a real one by real division,
-    which the reciprocal is not."""
+    slots is a sequence of matrices B in A's eigenbasis, averaged one by one
+    against one set of denominators, with no stacked copy.  Where every
+    block is one level, Bbar is the real diagonal of B, a vector on the
+    levels; otherwise it is B masked to its blocks, with B's dtype.  -iS has
+    B's dtype.  Masking and the antisymmetric real denominators keep the
+    symmetry exact: for B Hermitian to the bit, Bbar is Hermitian and -iS
+    anti-Hermitian to the bit.  gap_guard and min_gap are as in
+    `guarded_min_gap`, checked also for no slot.  -iS is -hbar B divided
+    in place: a real one by real division, which the reciprocal is not; a
+    complex one as numpy's complex-by-real division does it, each part times
+    the one reciprocal, in one contiguous pass over its float64 view, which
+    is cheaper and equal to the bit."""
     min_gap = guarded_min_gap(lam, blocks, gap_guard)
-    if one_level_blocks(blocks):
-        inside = np.diag_indices(len(lam))
-        bbar_t = np.zeros_like(bt)
-        bbar_t[(..., *inside)] = bt[(..., *inside)]
+    d = len(lam)
+    single = one_level_blocks(blocks)
+    if single:
+        inside = np.diag_indices(d)
     else:
-        same = blocks[:, None] == blocks[None, :]
-        inside = (same,)
-        bbar_t = np.where(same, bt, 0.0)
+        inside = same = blocks[:, None] == blocks[None, :]
     denom = lam[:, None] - lam[None, :]
-    denom[inside] = 1.0  # intra-block entries are masked out anyway
-    a_t = -hbar * bt
-    if np.iscomplexobj(a_t):
-        inv = 1.0 / denom
-        a_t.real *= inv
-        a_t.imag *= inv
-    else:
-        a_t /= denom
-    a_t[(..., *inside)] = 0.0
-    return bbar_t, a_t, min_gap
+    denom[inside] = 1.0  # intra-block entries are zeroed anyway
+    inv = None  # 1/denom, each entry twice, to scale a complex slot's float64 view
+    averages, generators = [], []
+    for b in slots:
+        averages.append(b.diagonal().real if single else np.where(same, b, 0.0))
+        a = np.multiply(-hbar, b, order="C")
+        if np.iscomplexobj(a):
+            if inv is None:
+                inv = np.empty((d, d, 2))
+                inv[..., 0] = inv[..., 1] = 1.0 / denom
+                inv = inv.reshape(d, 2 * d)
+            parts = a.view(np.float64)
+            parts *= inv
+        else:
+            a /= denom
+        a[inside] = 0.0
+        generators.append(a)
+    return averages, generators, min_gap

@@ -24,8 +24,10 @@ whose generator has no live slot forms no flow and no basis product
 `init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
 diagonal up to degeneracy blocks, which alone are diagonalized after each
 fold, so it is kept only as its levels (slot 0 of the series is zero).
-Where every block is one level the averaged slots are diagonal too, and
-their diagonals are added to the levels with no dense H_0 (`_fold`).  The
+A stage averages the live slots of its window one by one against one set
+of denominators, and stacks no copy of the window (`_average`).  Where
+every block is one level the averaged slots are diagonal too: each average
+is a vector on the levels, added to them with no dense H_0 (`_fold`).  The
 eigendecomposition, the rotated terms and stage 1's conjugation images do
 not depend on eps or the order, so they are memoized on the model
 (`_start`); each run cuts stage 1's chains at its own eps and takes the
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import average_diagonal, default_gap_guard, guarded_min_gap
+from .averaging import average_diagonal, default_gap_guard
 from .linalg import (
     SpectralData,
     default_deg_tol,
@@ -264,9 +266,10 @@ def _diagonalize_blocks(h0, blocks, deg_tol):
 def _fold(state: KolmogorovState, averaged):
     """(levels, blocks, q) of H_0 plus the averaged live window slots
     {p: Hbar_p} at their weights at eps, as `_diagonalize_blocks` gives
-    them.  Where every block is one level, H_0 and the averaged slots are
-    diagonal: their diagonals are added to the levels, with no dense H_0 and
-    no q, and with no live slot the levels and blocks stay as they are."""
+    them.  Where every block is one level, H_0 and the averages are vectors
+    on the levels (`average_diagonal`): they are added to the levels, with
+    no dense H_0 and no q, and with no live slot the levels and blocks stay
+    as they are."""
     single = one_level_blocks(state.blocks)
     if single and not averaged:
         return state.levels.copy(), state.blocks, None
@@ -275,7 +278,7 @@ def _fold(state: KolmogorovState, averaged):
     else:
         h0 = np.diag(state.levels).astype(state.series.dtype, copy=False)
     for p, avg in averaged.items():
-        h0 += weight(state.eps, p) * (avg.diagonal().real if single else avg)
+        h0 += weight(state.eps, p) * avg
     if not np.isfinite(h0).all():
         raise ValueError("H_0 has a non-finite entry")
     if single:
@@ -288,25 +291,34 @@ def _average(state: KolmogorovState, lo, hi):
     denominators: ({p: Hbar_p} for the live window slots, the generator
     series with A_p in slot p - 1 and the state's shared zero elsewhere, the
     smallest denominator gap).  Only the live slots of the window are
-    stacked and averaged.  The gap guard is checked, and min_gap taken,
-    whatever is live.  A non-finite generator slot raises naming it."""
+    averaged, each in place, with no stacked copy; where every block is one
+    level, Hbar_p is a vector on the levels.  The gap guard is checked, and
+    min_gap taken, whatever is live.  A non-finite generator slot raises
+    naming it."""
     series = state.series
     live = [p for p in series.live if lo <= p <= hi]
-    avg = a = ()
-    if live:
-        avg, a, min_gap = average_diagonal(
-            state.levels,
-            state.blocks,
-            np.stack([series.coeffs[p] for p in live]),
-            series.hbar,
-            state.gap_guard,
-        )
-    else:
-        min_gap = guarded_min_gap(state.levels, state.blocks, state.gap_guard)
+    avg, a, min_gap = average_diagonal(
+        state.levels,
+        state.blocks,
+        [series.coeffs[p] for p in live],
+        series.hbar,
+        state.gap_guard,
+    )
     a = {p - 1: x for p, x in zip(live, a)}  # A_p is slot p - 1
     zero = series.coeffs[0]  # the state's shared zero
     gen = OperatorSeries._computed(series.order, series.hbar, zero, a, generator=True)
     return dict(zip(live, avg)), gen, min_gap
+
+
+def _deviation_norm(p, c):
+    """finite_norm of slot p's deviation c, where a vector c stands for the
+    diagonal matrix it holds: a non-finite entry j is named as (j, j)."""
+    if c.ndim == 1:
+        norm = max_norm(c)
+        if math.isfinite(norm):
+            return norm
+        c = np.diag(c)
+    return finite_norm(c, f"coefficient {p}")
 
 
 def _apply_stage(basis, gen, eps, stop, q):
@@ -443,17 +455,22 @@ def step(state: KolmogorovState) -> KolmogorovState:
             # averages; a zero slot is skipped where K_p is zero too
             yield from ((p, c) for p, c in enumerate(k[:lo]) if c is not None)
             for p in range(lo, hi + 1):
-                if p in averaged:
-                    yield p, averaged[p] if k[p] is None else k[p] - averaged[p]
-                elif k[p] is not None:
-                    yield p, k[p]
+                avg = averaged.get(p)
+                if avg is None:
+                    if k[p] is not None:
+                        yield p, k[p]
+                elif k[p] is None:
+                    yield p, avg
+                elif avg.ndim == 1:  # the diagonal of Hbar_p
+                    dev = k[p].copy()
+                    dev[np.diag_indices(len(avg))] -= avg
+                    yield p, dev
+                else:
+                    yield p, k[p] - avg
 
         # each deviation is scanned as it is made, and an overflow shows as a
         # non-finite slot
-        residual = max(
-            (finite_norm(c, f"coefficient {p}") for p, c in deviations()),
-            default=0.0,
-        )
+        residual = max((_deviation_norm(p, c) for p, c in deviations()), default=0.0)
         if residual > 1e-8 * max(scale, 1e-300):
             raise ConsistencyError(
                 f"stage {n}: eliminated slots deviate from their averaged values "

@@ -74,7 +74,7 @@ def rs_corrections(h0: SpectralData, v, max_order=4, levels=0, gap_guard=None):
     h0 : SpectralData of the unperturbed operator
     v : Hermitian perturbation matrix (the coefficient of eps)
     max_order : 1..4
-    levels : int or iterable of ints; each must be nondegenerate
+    levels : int or iterable of distinct ints; each must be nondegenerate
     gap_guard : minimum allowed gap to any other level (None = 1e-6 * range)
 
     Raises
@@ -87,12 +87,14 @@ def rs_corrections(h0: SpectralData, v, max_order=4, levels=0, gap_guard=None):
     v = require_hermitian(v, what="perturbation")
     if v.shape[0] != h0.dim:
         raise ValueError(f"dimension mismatch: {v.shape[0]} vs {h0.dim}")
-    if not hasattr(levels, "__iter__"):  # one level
-        levels = (levels,)
+    if not hasattr(levels, "__iter__") or getattr(levels, "ndim", None) == 0:
+        levels = (levels,)  # one level, a 0-d array included
     levels = tuple(require_integer(j, "levels") for j in levels)
-    for j in levels:
+    for i, j in enumerate(levels):
         if not 0 <= j < h0.dim:
             raise ValueError(f"level {j} outside 0..{h0.dim - 1}")
+        if j in levels[:i]:
+            raise ValueError(f"levels lists {j} more than once")
     gap_guard = require_tolerance(gap_guard, "gap_guard")
     if gap_guard is None:
         gap_guard = default_gap_guard(h0)

@@ -196,11 +196,12 @@ def test_stacked_average_matches_slot_by_slot():
     rng = np.random.default_rng(44)
     lam = np.array([0.0, 0.0, 0.7, 1.5, 1.5, 1.5, 2.0])
     blocks = np.array([0, 0, 1, 2, 2, 2, 3])
-    stack = np.stack([random_hermitian(rng, 7) for _ in range(4)])
-    bbar, s, gap = average_diagonal(lam, blocks, stack, 0.8, 1e-6)
-    assert bbar.shape == s.shape == stack.shape
-    for bt, b1, s1 in zip(stack, bbar, s):
-        b2, s2, gap2 = average_diagonal(lam, blocks, bt, 0.8, 1e-6)
+    slots = [random_hermitian(rng, 7) for _ in range(4)]
+    bbar, s, gap = average_diagonal(lam, blocks, slots, 0.8, 1e-6)
+    assert len(bbar) == len(s) == len(slots)
+    for bt, b1, s1 in zip(slots, bbar, s):
+        assert b1.shape == s1.shape == bt.shape
+        (b2,), (s2,), gap2 = average_diagonal(lam, blocks, [bt], 0.8, 1e-6)
         np.testing.assert_array_equal(b1, b2)
         np.testing.assert_array_equal(s1, s2)
         assert gap2 == gap
@@ -232,9 +233,9 @@ def test_generator_is_the_masked_quotient_to_the_bit(
 ):
     # a complex -hbar B is divided by the real denominators as each part
     # times one reciprocal: that must equal numpy's own quotient bit for bit,
-    # at every magnitude, as the real quotient does; and the average is the
-    # masked stack to the bit, where one-level blocks index the diagonal
-    # and a degenerate pair masks its block
+    # at every magnitude, as the real quotient does; and each average is
+    # its masked slot to the bit where a degenerate pair masks its block,
+    # and the slot's real diagonal as a vector where every block is one level
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.uniform(-5.0, 5.0, n))
     if degenerate:
@@ -249,9 +250,15 @@ def test_generator_is_the_masked_quotient_to_the_bit(
     denom = np.where(same, 1.0, lam[:, None] - lam[None, :])
     with np.errstate(all="ignore"):
         want = np.where(same, 0.0, -hbar * stack / denom)
-        avg, got, _ = average_diagonal(lam, blocks, stack, hbar, 0.0)
-    assert got.dtype == want.dtype == stack.dtype
-    np.testing.assert_array_equal(got, want)
-    want_avg = np.where(same, stack, 0.0)
-    assert avg.dtype == want_avg.dtype
-    np.testing.assert_array_equal(avg, want_avg)
+        avg, got, _ = average_diagonal(lam, blocks, list(stack), hbar, 0.0)
+    assert len(avg) == len(got) == k
+    for b, a, w, g in zip(stack, avg, want, got):
+        assert g.dtype == w.dtype == stack.dtype
+        np.testing.assert_array_equal(g, w)
+        if sp.linalg.one_level_blocks(blocks):  # the slot's real diagonal
+            want_avg = b.diagonal().real
+            assert a.ndim == 1
+        else:
+            want_avg = np.where(same, b, 0.0)
+        assert a.dtype == want_avg.dtype
+        np.testing.assert_array_equal(a, want_avg)

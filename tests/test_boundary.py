@@ -137,6 +137,13 @@ INTEGER_INPUTS = {
 }
 
 
+@pytest.mark.parametrize("levels", [[1, 1], (0, 2, 0), np.array([2, 2])])
+def test_repeated_rs_level_is_rejected(levels):
+    # a repeated level was computed twice, and energy read the first row
+    with pytest.raises(ValueError, match=r"^levels lists \d more than once$"):
+        _rs(levels=levels)
+
+
 @pytest.mark.parametrize("case", sorted(INTEGER_INPUTS))
 def test_integer_inputs_are_checked_at_the_boundary(case):
     call, name = INTEGER_INPUTS[case]
@@ -156,6 +163,10 @@ def test_integer_like_inputs_still_pass():
     rs = sp.rs_corrections(sp.eigh(H0), v, max_order=np.int64(3), levels=np.int64(2))
     assert rs.levels == (2,) and rs.max_order == 3
     assert rs.levels == sp.rs_corrections(sp.eigh(H0), v, levels=(j for j in [2])).levels
+    # a 0-d integer array is one level too; it raised a bare TypeError
+    zero_d = sp.rs_corrections(sp.eigh(H0), v, max_order=3, levels=np.array(2))
+    assert zero_d.levels == (2,)
+    np.testing.assert_array_equal(zero_d.coeffs, rs.coeffs)
     assert rs.energy(0.1, 2, order=np.int64(2)) == rs.energy(0.1, 2, order=2)
 
 

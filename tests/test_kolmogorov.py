@@ -136,8 +136,9 @@ def test_zero_eps_is_trivial():
 def test_integrable_part_stays_diagonal_for_diagonal_models(monkeypatch):
     # nondegenerate diagonal unperturbed part: every stage's averaged terms
     # are diagonal in the original basis, so the folded H_0 must be too; the
-    # stage adds their diagonals to the levels, with no dense H_0 and no
-    # block diagonalization, and must give the dense fold's diagonal
+    # averages are vectors on the levels, which the stage adds to the levels
+    # with no dense H_0 and no block diagonalization, and it must give the
+    # dense fold's diagonal
     folds = []
     real = kolmogorov._fold
 
@@ -157,7 +158,8 @@ def test_integrable_part_stays_diagonal_for_diagonal_models(monkeypatch):
         state = sp.step(state)
         h0 = np.diag(entering)
         for p, avg in folds[n].items():
-            h0 += series.weight(0.06, p) * avg
+            assert avg.shape == entering.shape  # a vector on the levels
+            h0 += series.weight(0.06, p) * np.diag(avg)
         off = h0 - np.diag(np.diag(h0))
         assert sp.max_norm(off) <= 1e-10 * sp.max_norm(h0)
         # the fold moved the levels, and they are the folded H_0's diagonal
@@ -241,7 +243,7 @@ def test_consistency_error_message_names_stage(monkeypatch):
 
     def doubled(*args):
         averaged, a_window, min_gap = real(*args)
-        return averaged, 2.0 * a_window, min_gap
+        return averaged, [2.0 * a for a in a_window], min_gap
 
     monkeypatch.setattr(kolmogorov, "average_diagonal", doubled)
     model = sp.build_quartic_oscillator(8)
@@ -253,9 +255,9 @@ def test_one_averaging_call_per_stage(monkeypatch):
     calls = []
     real = kolmogorov.average_diagonal
 
-    def counting(lam, blocks, bt, hbar, gap_guard):
-        calls.append(bt.shape[0])
-        return real(lam, blocks, bt, hbar, gap_guard)
+    def counting(lam, blocks, slots, hbar, gap_guard):
+        calls.append(len(slots))
+        return real(lam, blocks, slots, hbar, gap_guard)
 
     monkeypatch.setattr(kolmogorov, "average_diagonal", counting)
     state = sp.init(sp.build_quartic_oscillator(12), 0.05, 7)
@@ -840,7 +842,7 @@ def _dim16_model():
 def test_run_working_set_is_linear_in_order():
     # a stage holds each series' P + 1 slots and a window of images, not the
     # P^2/2 images of the whole Cauchy product; the bound lies between the
-    # two.  The run's traced peak is about 4.25 (P + 1) matrices (numpy 2.4
+    # two.  The run's traced peak is about 4.0 (P + 1) matrices (numpy 2.4
     # on x86-64), since it keeps its stages' generators until the
     # eigenvectors are read, and the whole product about 16.9.  At eps 20
     # every chain's majorant stays above rounding, so the cut drops no term
@@ -855,6 +857,29 @@ def test_run_working_set_is_linear_in_order():
         tracemalloc.stop()
     assert [info.truncation_bound for info in res.history] == [0.0] * len(res.history)
     assert peak <= 5 * (P + 1) * d * d * 16
+
+
+def test_window_average_holds_its_generators_and_one_set_of_denominators():
+    # a one-level window of k live complex slots is averaged slot by slot in
+    # place: the k generator slots it returns, the denominators and their
+    # interleaved reciprocal, and level vectors for the averages, under
+    # (k + 2) d^2 complex entries; a stacked copy of the window, dense
+    # averages and a generator stack would need about 3k
+    rng = np.random.default_rng(60)
+    d, k = 64, 4
+    h0 = np.diag(np.arange(1.0, d + 1)).astype(complex)
+    terms = [(p, random_hermitian(rng, d, 0.01)) for p in range(k, 2 * k)]
+    state = sp.init(sp.make_model(d, [(0, h0), *terms]), 0.05, 2 * k - 1)
+    assert sp.linalg.one_level_blocks(state.blocks) and state.series.dtype == complex
+    tracemalloc.start()
+    try:
+        averaged, gen, _ = kolmogorov._average(state, k, 2 * k - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (k + 2) * d * d * 16
+    assert sorted(averaged) == list(range(k, 2 * k)) and len(gen.live) == k
+    assert all(avg.shape == (d,) for avg in averaged.values())
 
 
 def test_overflowing_final_basis_is_an_error_not_a_warning():
@@ -1300,8 +1325,8 @@ def test_average_of_live_slots_matches_the_full_window(
     n, case, seed, degenerate, real, hbar, guard
 ):
     # only the live slots of a window are averaged: slot by slot, the result
-    # equals average_diagonal on the whole window's stack, with the same
-    # scans and min_gap, and the gap guard raises as it does on the stack
+    # equals average_diagonal on every slot of the window, with the same
+    # scans and min_gap, and the gap guard raises as it does on every slot
     stage, order, window = case
     state = _window_state(
         np.random.default_rng(seed), n, stage, order, degenerate, real, window, False,
@@ -1311,10 +1336,9 @@ def test_average_of_live_slots_matches_the_full_window(
         state = dataclasses.replace(state, gap_guard=guard)
     lo, hi = 2 ** (stage - 1), min(2**stage - 1, order)
     s = state.series
-    stack = np.stack(s.coeffs[lo : hi + 1])
     try:
         want_avg, want_a, want_gap = kolmogorov.average_diagonal(
-            state.levels, state.blocks, stack, hbar, state.gap_guard
+            state.levels, state.blocks, s.coeffs[lo : hi + 1], hbar, state.gap_guard
         )
     except sp.SmallDenominatorError as want:
         # the stage's average raises first, named by the stage
@@ -1331,9 +1355,13 @@ def test_average_of_live_slots_matches_the_full_window(
             assert gen.coeffs[p] is s.coeffs[0] and gen.norms[p] == gen.bounds[p] == 0.0
     for i, p in enumerate(range(lo, hi + 1)):
         a = gen.coeffs[p - 1]
-        avg = averaged.get(p, s.coeffs[0])  # a zero slot has no average
-        assert avg.dtype == a.dtype == s.dtype
-        np.testing.assert_array_equal(avg, want_avg[i])
+        assert a.dtype == s.dtype
+        if p in averaged:  # a vector on the levels where every block is one level
+            avg = averaged[p]
+            assert avg.dtype == (s.dtype if avg.ndim == 2 else np.float64)
+            np.testing.assert_array_equal(avg, want_avg[i])
+        else:  # a zero slot has no average
+            assert not want_avg[i].any()
         np.testing.assert_array_equal(a, want_a[i])
         assert (gen.norms[p - 1], gen.bounds[p - 1]) == linalg.finite_norms(want_a[i], "A")
         if not s.norms[p]:  # a zero slot is the shared zero, never computed
@@ -1372,12 +1400,12 @@ def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, 
 
     # the full route, as a stage with a live generator takes it
     avg, a, _ = kolmogorov.average_diagonal(
-        levels, state.blocks, np.stack(s.coeffs[lo : hi + 1]), s.hbar, state.gap_guard
+        levels, state.blocks, s.coeffs[lo : hi + 1], s.hbar, state.gap_guard
     )
-    assert not a.any()
+    assert not any(x.any() for x in a)
     h0 = np.diag(levels).astype(s.dtype)
     for p, x in enumerate(avg, start=lo):
-        h0 += eps**p / math.factorial(p) * x
+        h0 += eps**p / math.factorial(p) * (np.diag(x) if x.ndim == 1 else x)
     want_levels, want_blocks, q = kolmogorov._diagonalize_blocks(h0, state.blocks, state.deg_tol)
     gen = sp.OperatorSeries._computed(order, s.hbar, series.shared_zero(n, s.dtype), {})
     h0_norm = sp.max_norm(levels)
@@ -1408,7 +1436,7 @@ def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, 
 # Ceilings on the slots each run of the model below hands to
 # average_diagonal, stage by stage from init, as measured when H_0's chain
 # was cut by the averaging residuals; when a stage first averaged only its
-# live slots they were 8 and 10, and stacking every window slot hands it 16.
+# live slots they were 8 and 10, and handing it every window slot gives 16.
 LIVE_SLOT_CEILINGS = {0.02: 7, 0.05: 9}
 
 
@@ -1418,9 +1446,9 @@ def test_stages_work_only_on_their_live_slots(eps, monkeypatch):
     calls = {"slots": 0, "conjugate_slots": 0, "flow_at": 0}
     real_average = kolmogorov.average_diagonal
 
-    def averaging(lam, blocks, bt, *args):
-        calls["slots"] += bt.shape[0]
-        return real_average(lam, blocks, bt, *args)
+    def averaging(lam, blocks, slots, *args):
+        calls["slots"] += len(slots)
+        return real_average(lam, blocks, slots, *args)
 
     monkeypatch.setattr(kolmogorov, "average_diagonal", averaging)
     for name in ("conjugate_slots", "flow_at"):

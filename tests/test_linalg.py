@@ -281,11 +281,11 @@ def test_averaging_gap_is_the_smallest_cross_block_gap(case):
         if blocks[j] != blocks[k]
     ]
     bt = random_hermitian(np.random.default_rng(seed), n)
-    _, _, min_gap = average_diagonal(levels, blocks, bt, 1.0, 0.0)
+    _, _, min_gap = average_diagonal(levels, blocks, [bt], 1.0, 0.0)
     assert min_gap == min(cross, default=float("inf"))
     if cross:
         with pytest.raises(sp.SmallDenominatorError) as err:
-            average_diagonal(levels, blocks, bt, 1.0, min_gap)
+            average_diagonal(levels, blocks, [bt], 1.0, min_gap)
         assert err.value.gap == min_gap
 
 
