@@ -25,9 +25,9 @@ whose generator has no live slot forms no flow and no basis product
 diagonal up to degeneracy blocks, which alone are diagonalized after each
 fold, so it is kept only as its levels (slot 0 of the series is zero).
 A stage averages the live slots of its window one by one against one set
-of denominators, and stacks no copy of the window (`_average`).  Where
-every block is one level the averaged slots are diagonal too: each average
-is a vector on the levels, added to them with no dense H_0 (`_fold`).  The
+of denominators, and stacks no copy of the window (`_average`).  Each
+average is kept as its degeneracy blocks, grouped by size (`block_groups`),
+and the fold diagonalizes those blocks, with no dense H_0 (`_fold`).  The
 eigendecomposition, the rotated terms and stage 1's conjugation images do
 not depend on eps or the order, so they are memoized on the model
 (`_start`); each run cuts stage 1's chains at its own eps and takes the
@@ -54,6 +54,7 @@ import numpy as np
 from .averaging import average_diagonal, default_gap_guard
 from .linalg import (
     SpectralData,
+    block_groups,
     default_deg_tol,
     degeneracy_blocks,
     eigh,
@@ -61,7 +62,6 @@ from .linalg import (
     fix_column_phases,
     hermitian_part,
     max_norm,
-    one_level_blocks,
     read_only,
     require_finite,
     require_integer,
@@ -240,66 +240,50 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
     return state
 
 
-def _diagonalize_blocks(h0, blocks, deg_tol):
-    """(levels, blocks, q): the levels of h0, which is diagonal outside
-    the block labels `blocks`, their degeneracy blocks, and the unitary of
-    h0's eigenvectors.  One stacked eigh per block size; as in `eigh`, each
-    eigenvector keeps its dominant component's index."""
-    lam = h0.diagonal().real.copy()
-    counts = np.bincount(blocks)
-    size_of = counts[blocks]  # the size of each level's block
-    by_block = np.argsort(blocks, kind="stable")  # index order inside a block
-    sizes = np.flatnonzero(np.bincount(size_of))  # the sizes present, ascending
-    sizes = sizes[sizes > 1]
-    q = np.eye(len(lam), dtype=h0.dtype)
-    for size in sizes:
-        idx = by_block[size_of[by_block] == size].reshape(-1, size)
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        vals, vecs = np.linalg.eigh(h0[rows, cols])
-        dominant = np.argmax(np.abs(vecs), axis=1)
-        perm = np.argsort(dominant, axis=1, kind="stable")
+def _fold(state: KolmogorovState, groups, averaged):
+    """(levels, blocks, q) of H_0 plus the live window averages {p: Hbar_p},
+    one stack of blocks per group of `groups`, at their weights at eps: the
+    levels, their degeneracy blocks and the unitary of H_0's eigenvectors
+    (None where every block is one level).  Each larger block size gets one
+    stacked eigh; as in `eigh`, an eigenvector keeps its dominant index."""
+    lam = state.levels.copy()
+    q = None
+    for g, idx in enumerate(groups):
+        n, s = idx.shape
+        if s == 1:
+            for p, avg in averaged.items():
+                lam[idx[:, 0]] += weight(state.eps, p) * avg[g][:, 0, 0].real
+            continue
+        h = np.zeros((n, s, s), state.series.dtype)
+        h.reshape(n, -1)[:, :: s + 1] = lam[idx]  # each block's diagonal
+        for p, avg in averaged.items():
+            h += weight(state.eps, p) * avg[g]
+        if not np.isfinite(h).all():
+            raise ValueError("H_0 has a non-finite entry")
+        vals, vecs = np.linalg.eigh(h)
+        perm = np.argsort(np.argmax(np.abs(vecs), axis=1), axis=1, kind="stable")
         lam[idx] = np.take_along_axis(vals, perm, axis=1)
-        q[rows, cols] = np.take_along_axis(vecs, perm[:, None, :], axis=2)
-    return lam, degeneracy_blocks(lam, deg_tol), q
-
-
-def _fold(state: KolmogorovState, averaged):
-    """(levels, blocks, q) of H_0 plus the averaged live window slots
-    {p: Hbar_p} at their weights at eps, as `_diagonalize_blocks` gives
-    them.  Where every block is one level, H_0 and the averages are vectors
-    on the levels (`average_diagonal`): they are added to the levels, with
-    no dense H_0 and no q, and with no live slot the levels and blocks stay
-    as they are."""
-    single = one_level_blocks(state.blocks)
-    if single and not averaged:
-        return state.levels.copy(), state.blocks, None
-    if single:
-        h0 = state.levels.copy()
-    else:
-        h0 = np.diag(state.levels).astype(state.series.dtype, copy=False)
-    for p, avg in averaged.items():
-        h0 += weight(state.eps, p) * avg
-    if not np.isfinite(h0).all():
+        q = np.eye(len(lam), dtype=h.dtype) if q is None else q
+        q[idx[:, :, None], idx[:, None, :]] = np.take_along_axis(vecs, perm[:, None], 2)
+    if not np.isfinite(lam).all():
         raise ValueError("H_0 has a non-finite entry")
-    if single:
-        return h0, degeneracy_blocks(h0, state.deg_tol), None
-    return _diagonalize_blocks(h0, state.blocks, state.deg_tol)
+    return lam, degeneracy_blocks(lam, state.deg_tol), q
 
 
-def _average(state: KolmogorovState, lo, hi):
+def _average(state: KolmogorovState, groups, lo, hi):
     """The homological equation of the window lo..hi, with one set of
     denominators: ({p: Hbar_p} for the live window slots, the generator
     series with A_p in slot p - 1 and the state's shared zero elsewhere, the
     smallest denominator gap).  Only the live slots of the window are
-    averaged, each in place, with no stacked copy; where every block is one
-    level, Hbar_p is a vector on the levels.  The gap guard is checked, and
-    min_gap taken, whatever is live.  A non-finite generator slot raises
-    naming it."""
+    averaged, each in place, with no stacked copy; Hbar_p is its blocks, one
+    stack per group of `groups`.  The gap guard is checked, and min_gap
+    taken, whatever is live.  A non-finite generator slot raises naming it."""
     series = state.series
     live = [p for p in series.live if lo <= p <= hi]
     avg, a, min_gap = average_diagonal(
         state.levels,
         state.blocks,
+        groups,
         [series.coeffs[p] for p in live],
         series.hbar,
         state.gap_guard,
@@ -308,17 +292,6 @@ def _average(state: KolmogorovState, lo, hi):
     zero = series.coeffs[0]  # the state's shared zero
     gen = OperatorSeries._computed(series.order, series.hbar, zero, a, generator=True)
     return dict(zip(live, avg)), gen, min_gap
-
-
-def _deviation_norm(p, c):
-    """finite_norm of slot p's deviation c, where a vector c stands for the
-    diagonal matrix it holds: a non-finite entry j is named as (j, j)."""
-    if c.ndim == 1:
-        norm = max_norm(c)
-        if math.isfinite(norm):
-            return norm
-        c = np.diag(c)
-    return finite_norm(c, f"coefficient {p}")
 
 
 def _apply_stage(basis, gen, eps, stop, q):
@@ -428,10 +401,9 @@ def step(state: KolmogorovState) -> KolmogorovState:
     window slots, and the slot check skips a window slot that is zero on
     both sides.  A generator with no live slot conjugates as any other, each
     chain being its leaf alone (`chain_stops`, `_t_images`), but forms no
-    flow and no basis product; with one-level blocks and no live slot the
-    fold keeps the levels.  A stage-0 state from `init` carries the model's
-    cache of stage 1's images, which the conjugation reads and fills; the
-    state returned carries none.  A ValueError raised by the stage names it
+    flow and no basis product.  A stage-0 state from `init` carries the
+    model's cache of stage 1's images, which the conjugation reads and fills;
+    the state returned carries none.  A ValueError raised by the stage names it
     ("stage n: ")."""
     n = state.stage + 1
     P = state.order
@@ -442,35 +414,29 @@ def step(state: KolmogorovState) -> KolmogorovState:
     lo, hi = 2 ** (n - 1), min(2**n - 1, P)
     series = state.series
     with _stage_errors(n):
-        averaged, gen, min_gap = _average(state, lo, hi)
-        levels, blocks, q = _fold(state, averaged)
+        groups = block_groups(state.blocks)
+        averaged, gen, min_gap = _average(state, groups, lo, hi)
+        levels, blocks, q = _fold(state, groups, averaged)
 
         h0_norm = max_norm(state.levels)  # ||H_0||_2
         stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
         k = conjugate_slots(gen, series, state.levels, stops, state._images)
         scale = max(h0_norm, *series.norms)
 
-        def deviations():
-            # slots below the window are predicted zero, the window its
-            # averages; a zero slot is skipped where K_p is zero too
-            yield from ((p, c) for p, c in enumerate(k[:lo]) if c is not None)
-            for p in range(lo, hi + 1):
-                avg = averaged.get(p)
-                if avg is None:
-                    if k[p] is not None:
-                        yield p, k[p]
-                elif k[p] is None:
-                    yield p, avg
-                elif avg.ndim == 1:  # the diagonal of Hbar_p
-                    dev = k[p].copy()
-                    dev[np.diag_indices(len(avg))] -= avg
-                    yield p, dev
-                else:
-                    yield p, k[p] - avg
+        def deviation_norms():
+            # K_p is predicted zero below the window and its average in it (it
+            # is never None for a live slot: chain p starts at T_0 = H_p); an
+            # overflow shows as a non-finite deviation, scanned as it is made
+            for p in range(hi + 1):
+                dev = k[p]
+                if p in averaged:
+                    dev = dev.copy()
+                    for idx, avg in zip(groups, averaged[p]):
+                        dev[idx[:, :, None], idx[:, None, :]] -= avg
+                if dev is not None:
+                    yield finite_norm(dev, f"coefficient {p}")
 
-        # each deviation is scanned as it is made, and an overflow shows as a
-        # non-finite slot
-        residual = max((_deviation_norm(p, c) for p, c in deviations()), default=0.0)
+        residual = max(deviation_norms(), default=0.0)
         if residual > 1e-8 * max(scale, 1e-300):
             raise ConsistencyError(
                 f"stage {n}: eliminated slots deviate from their averaged values "

@@ -234,9 +234,21 @@ def degeneracy_blocks(lam, deg_tol=None) -> np.ndarray:
     return block
 
 
-def one_level_blocks(blocks) -> bool:
-    """Whether every degeneracy block of the labels `blocks` holds one level."""
-    return np.bincount(blocks).max() == 1
+def block_groups(blocks) -> list:
+    """The degeneracy blocks of the labels `blocks`, grouped by size: for each
+    size s present, ascending, an (n, s) index array whose rows are its n
+    blocks by label, each with its levels in ascending index.  Where every
+    block is one level this is arange(d) as (d, 1), found without a sort."""
+    counts = np.bincount(blocks)
+    if counts.max() == 1:
+        return [np.arange(len(blocks))[:, None]]
+    size_of = counts[blocks]  # the size of each level's block
+    groups = []
+    for s in np.flatnonzero(np.bincount(size_of)):
+        members = np.flatnonzero(size_of == s)
+        members = members[np.argsort(blocks[members], kind="stable")]  # by block
+        groups.append(members.reshape(-1, s))
+    return groups
 
 
 def fix_column_phases(v) -> np.ndarray:

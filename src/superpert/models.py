@@ -80,6 +80,19 @@ def _model_error(context):
         raise ModelFormatError(f"{context}: {exc}") from exc
 
 
+def _pairs(terms) -> list:
+    """terms as a list; ValueError naming `terms` unless it is iterable, or
+    `terms[i]` unless that is an (order, matrix) tuple or list."""
+    try:
+        terms = list(terms)
+    except TypeError:
+        raise ValueError(f"terms must be iterable, got {type(terms).__name__}") from None
+    for i, term in enumerate(terms):
+        if not (isinstance(term, (tuple, list)) and len(term) == 2):
+            raise ValueError(f"terms[{i}] must be an (order, matrix) pair")
+    return terms
+
+
 def _validate_terms(dim, terms, hbar, name, provenance, context):
     """ModelSpec from (order, matrix) pairs; a bad matrix is named by its
     index in `terms` and its order.  The matrices are stored as float64 when
@@ -87,7 +100,8 @@ def _validate_terms(dim, terms, hbar, name, provenance, context):
     with _model_error(context):
         dim = require_integer(dim, "dimension")
         hbar = require_positive(hbar, "hbar")
-        orders = [require_integer(t[0], f"terms[{i}]: order") for i, t in enumerate(terms)]
+        terms = _pairs(terms)
+        orders = [require_integer(p, f"terms[{i}]: order") for i, (p, _) in enumerate(terms)]
     if dim < 1:
         raise ModelFormatError(f"{context}: dimension must be positive, got {dim}")
     if len(set(orders)) != len(orders):
@@ -137,7 +151,7 @@ def make_model(dim, terms, hbar=1.0, name="custom", provenance="memory") -> Mode
     Hermiticity-checked and symmetrized.  The name is checked as in
     `model_from_dict`, and a bad one is reported under `provenance`."""
     _check_name(name, provenance)
-    return _validate_terms(dim, list(terms), hbar, name, provenance, name)
+    return _validate_terms(dim, terms, hbar, name, provenance, name)
 
 
 def build_quartic_oscillator(dim: int, hbar: float = 1.0) -> ModelSpec:
@@ -147,6 +161,7 @@ def build_quartic_oscillator(dim: int, hbar: float = 1.0) -> ModelSpec:
     each depends only on its own indices, so the retained entries are the
     exact infinite-basis ones for any truncation.
     """
+    dim = require_integer(dim, "dim")
     if dim < 8:
         raise ValueError(f"quartic oscillator needs dim >= 8, got {dim}")
     n = np.arange(dim, dtype=float)

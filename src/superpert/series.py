@@ -68,6 +68,7 @@ from .linalg import (
     finite_norms,
     hermitian_part,
     read_only,
+    require_finite,
     require_hermitian,
     require_positive,
 )
@@ -563,7 +564,11 @@ def weight(eps, p: int) -> float:
 
 def weighted_sum(mats, eps: float) -> np.ndarray:
     """sum_p eps^p/p! mats[p], in float64 unless a matrix is complex; skips
-    a zero matrix, whose weight is then not formed (see `weight`)."""
+    a zero matrix, whose weight is then not formed (see `weight`).  eps must
+    be a finite real and mats nonempty; ValueError names the one at fault."""
+    eps = require_finite(eps, "eps")
+    if not len(mats):
+        raise ValueError("mats must hold at least one matrix")
     out = np.array(mats[0], dtype=_common_dtype(mats), copy=True)
     for p in range(1, len(mats)):
         c = mats[p]

@@ -196,13 +196,16 @@ def test_stacked_average_matches_slot_by_slot():
     rng = np.random.default_rng(44)
     lam = np.array([0.0, 0.0, 0.7, 1.5, 1.5, 1.5, 2.0])
     blocks = np.array([0, 0, 1, 2, 2, 2, 3])
+    groups = sp.linalg.block_groups(blocks)
     slots = [random_hermitian(rng, 7) for _ in range(4)]
-    bbar, s, gap = average_diagonal(lam, blocks, slots, 0.8, 1e-6)
+    bbar, s, gap = average_diagonal(lam, blocks, groups, slots, 0.8, 1e-6)
     assert len(bbar) == len(s) == len(slots)
     for bt, b1, s1 in zip(slots, bbar, s):
-        assert b1.shape == s1.shape == bt.shape
-        (b2,), (s2,), gap2 = average_diagonal(lam, blocks, [bt], 0.8, 1e-6)
-        np.testing.assert_array_equal(b1, b2)
+        assert s1.shape == bt.shape
+        assert [b.shape for b in b1] == [(2, 1, 1), (1, 2, 2), (1, 3, 3)]
+        (b2,), (s2,), gap2 = average_diagonal(lam, blocks, groups, [bt], 0.8, 1e-6)
+        for stack1, stack2 in zip(b1, b2, strict=True):
+            np.testing.assert_array_equal(stack1, stack2)
         np.testing.assert_array_equal(s1, s2)
         assert gap2 == gap
     assert gap == pytest.approx(0.5)
@@ -234,13 +237,14 @@ def test_generator_is_the_masked_quotient_to_the_bit(
     # a complex -hbar B is divided by the real denominators as each part
     # times one reciprocal: that must equal numpy's own quotient bit for bit,
     # at every magnitude, as the real quotient does; and each average is
-    # its masked slot to the bit where a degenerate pair masks its block,
-    # and the slot's real diagonal as a vector where every block is one level
+    # its masked slot to the bit, kept as its blocks grouped by size: where
+    # every block is one level, the slot's diagonal as one (n, 1, 1) stack
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.uniform(-5.0, 5.0, n))
     if degenerate:
         lam[1] = lam[0]
     blocks = sp.linalg.degeneracy_blocks(lam, 0.0)
+    groups = sp.linalg.block_groups(blocks)
     stack = np.stack([random_hermitian(rng, n, 10.0**exponent) for _ in range(k)])
     if real:
         stack = stack.real.copy()
@@ -250,15 +254,17 @@ def test_generator_is_the_masked_quotient_to_the_bit(
     denom = np.where(same, 1.0, lam[:, None] - lam[None, :])
     with np.errstate(all="ignore"):
         want = np.where(same, 0.0, -hbar * stack / denom)
-        avg, got, _ = average_diagonal(lam, blocks, list(stack), hbar, 0.0)
+        avg, got, _ = average_diagonal(lam, blocks, groups, list(stack), hbar, 0.0)
     assert len(avg) == len(got) == k
+    if not degenerate:  # every block is one level
+        np.testing.assert_array_equal(groups[0], np.arange(n)[:, None])
     for b, a, w, g in zip(stack, avg, want, got):
         assert g.dtype == w.dtype == stack.dtype
         np.testing.assert_array_equal(g, w)
-        if sp.linalg.one_level_blocks(blocks):  # the slot's real diagonal
-            want_avg = b.diagonal().real
-            assert a.ndim == 1
-        else:
-            want_avg = np.where(same, b, 0.0)
-        assert a.dtype == want_avg.dtype
-        np.testing.assert_array_equal(a, want_avg)
+        if not degenerate:  # the slot's diagonal
+            np.testing.assert_array_equal(a[0][:, 0, 0], b.diagonal())
+        masked = np.zeros_like(b)
+        for idx, blk in zip(groups, a, strict=True):
+            assert blk.dtype == b.dtype and blk.shape == (len(idx), idx.shape[1], idx.shape[1])
+            masked[idx[:, :, None], idx[:, None, :]] = blk
+        np.testing.assert_array_equal(masked, np.where(same, b, 0.0))

@@ -134,7 +134,26 @@ INTEGER_INPUTS = {
     "max_order": (lambda: _rs(max_order=2.5), "max_order"),
     "energy_order": (lambda: _rs().energy(0.1, 0, order=2.5), "order"),
     "n_stages_order": (lambda: sp.default_n_stages(2.7), "order"),  # returned 2
+    # these two raised a bare TypeError, and True "needs dim >= 8, got True"
+    "quartic_dim_str": (lambda: sp.build_quartic_oscillator("8"), "dim"),
+    "quartic_dim_none": (lambda: sp.build_quartic_oscillator(None), "dim"),
+    "quartic_dim_bool": (lambda: sp.build_quartic_oscillator(True), "dim"),
 }
+
+
+@pytest.mark.parametrize(
+    "terms, name",
+    [
+        ([5], "terms[0]"),  # a bare TypeError
+        ([(0,)], "terms[0]"),  # these two, an unpacking ValueError naming no term
+        ([(0, I2, "x")], "terms[0]"),
+        ([(0, I2), (1,)], "terms[1]"),
+        (None, "terms"),  # a bare TypeError
+    ],
+)
+def test_malformed_terms_are_named(terms, name):
+    with pytest.raises(sp.ModelFormatError, match=rf"^custom: {re.escape(name)} must be "):
+        sp.make_model(2, terms)
 
 
 @pytest.mark.parametrize("levels", [[1, 1], (0, 2, 0), np.array([2, 2])])

@@ -136,36 +136,35 @@ def test_zero_eps_is_trivial():
 def test_integrable_part_stays_diagonal_for_diagonal_models(monkeypatch):
     # nondegenerate diagonal unperturbed part: every stage's averaged terms
     # are diagonal in the original basis, so the folded H_0 must be too; the
-    # averages are vectors on the levels, which the stage adds to the levels
-    # with no dense H_0 and no block diagonalization, and it must give the
-    # dense fold's diagonal
-    folds = []
+    # averages are their diagonals, one (d, 1, 1) stack, which the stage adds
+    # to the levels with no dense H_0 and no block diagonalization (no q),
+    # and it must give the dense fold's diagonal
+    folds, rotations = [], []
     real = kolmogorov._fold
 
-    def recording(state, averaged):
+    def recording(state, groups, averaged):
         folds.append(averaged)
-        return real(state, averaged)
-
-    def dense(*args):
-        raise AssertionError("a nondegenerate stage diagonalized its blocks")
+        out = real(state, groups, averaged)
+        rotations.append(out[2])
+        return out
 
     monkeypatch.setattr(kolmogorov, "_fold", recording)
-    monkeypatch.setattr(kolmogorov, "_diagonalize_blocks", dense)
     model = sp.build_quartic_oscillator(14)
     state = sp.init(model, 0.06, 4)
     for n in range(3):
         entering = state.levels
         state = sp.step(state)
         h0 = np.diag(entering)
-        for p, avg in folds[n].items():
-            assert avg.shape == entering.shape  # a vector on the levels
-            h0 += series.weight(0.06, p) * np.diag(avg)
+        for p, (avg,) in folds[n].items():
+            assert avg.shape == (len(entering), 1, 1)  # the diagonal alone
+            h0 += series.weight(0.06, p) * np.diag(avg[:, 0, 0])
         off = h0 - np.diag(np.diag(h0))
         assert sp.max_norm(off) <= 1e-10 * sp.max_norm(h0)
         # the fold moved the levels, and they are the folded H_0's diagonal
         assert sp.max_norm(np.diag(h0) - entering) > 0.0
         np.testing.assert_array_equal(state.levels, np.diag(h0))
     assert len(folds) == 3
+    assert rotations == [None] * 3
 
 
 def test_unitary_equivalence_scaling():
@@ -255,9 +254,9 @@ def test_one_averaging_call_per_stage(monkeypatch):
     calls = []
     real = kolmogorov.average_diagonal
 
-    def counting(lam, blocks, slots, hbar, gap_guard):
+    def counting(lam, blocks, groups, slots, hbar, gap_guard):
         calls.append(len(slots))
-        return real(lam, blocks, slots, hbar, gap_guard)
+        return real(lam, blocks, groups, slots, hbar, gap_guard)
 
     monkeypatch.setattr(kolmogorov, "average_diagonal", counting)
     state = sp.init(sp.build_quartic_oscillator(12), 0.05, 7)
@@ -701,7 +700,8 @@ def test_init_and_step_scan_each_live_slot_once(monkeypatch):
 
 def test_run_identical_across_blas_thread_counts():
     # the library path, cold and on a memo hit: LAPACK and the GEMMs may
-    # block their reductions differently per thread count
+    # block their reductions differently per thread count; the doubly
+    # degenerate model takes the stacked eigh of the fold's larger blocks
     code = (
         "import hashlib, numpy as np, superpert as sp\n"
         "rng = np.random.default_rng(60)\n"
@@ -712,12 +712,16 @@ def test_run_identical_across_blas_thread_counts():
         "q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]\n"
         "h0 = (q * np.cumsum(1.0 + rng.uniform(size=n))) @ q.conj().T\n"
         "model = sp.make_model(n, [(0, h0), (1, herm(0.05)), (2, herm(0.05))])\n"
+        "pairs = (q * np.repeat(np.cumsum(1.0 + rng.uniform(size=n // 2)), 2)) @ q.conj().T\n"
+        "paired = sp.make_model(n, [(0, pairs), (1, herm(0.05))])\n"
         "digest = hashlib.sha256()\n"
-        "for eps in (0.02, 0.05, 0.02):\n"
-        "    res = sp.run(model, eps, 8)\n"
-        "    for e in res.energies:\n"
-        "        digest.update(e.tobytes())\n"
-        "    digest.update(res.eigenvectors.tobytes())\n"
+        "for m in (model, paired):\n"
+        "    for eps in (0.02, 0.05, 0.02):\n"
+        "        res = sp.run(m, eps, 8)\n"
+        "        for e in res.energies:\n"
+        "            digest.update(e.tobytes())\n"
+        "        digest.update(res.eigenvectors.tobytes())\n"
+        "        digest.update(repr(res.history).encode())\n"
         "print(digest.hexdigest())\n"
     )
     src = str(Path(sp.__file__).resolve().parents[1])
@@ -775,21 +779,21 @@ def test_overflow_in_a_rotated_surviving_slot_names_its_stage():
     terms = [(0, h0), (1, random_hermitian(rng, 4, 0.3)), (2, 8e307 * np.ones((4, 4)))]
     model = sp.make_model(4, terms)
     conjugated, rotations = [], []
-    real_conjugate, real_blocks = kolmogorov.conjugate_slots, kolmogorov._diagonalize_blocks
+    real_conjugate, real_fold = kolmogorov.conjugate_slots, kolmogorov._fold
 
     def conjugate(*args):
         out = real_conjugate(*args)
         conjugated.append([c for c in out if c is not None])
         return out
 
-    def blocks(*args):
-        out = real_blocks(*args)
+    def fold(*args):
+        out = real_fold(*args)
         rotations.append(out[2] is not None)
         return out
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(kolmogorov, "conjugate_slots", conjugate)
-        mp.setattr(kolmogorov, "_diagonalize_blocks", blocks)
+        mp.setattr(kolmogorov, "_fold", fold)
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="stage 1: .*non-finite"):
             sp.run(model, 1.0, 4)
@@ -862,7 +866,7 @@ def test_run_working_set_is_linear_in_order():
 def test_window_average_holds_its_generators_and_one_set_of_denominators():
     # a one-level window of k live complex slots is averaged slot by slot in
     # place: the k generator slots it returns, the denominators and their
-    # interleaved reciprocal, and level vectors for the averages, under
+    # interleaved reciprocal, and the diagonals for the averages, under
     # (k + 2) d^2 complex entries; a stacked copy of the window, dense
     # averages and a generator stack would need about 3k
     rng = np.random.default_rng(60)
@@ -870,16 +874,17 @@ def test_window_average_holds_its_generators_and_one_set_of_denominators():
     h0 = np.diag(np.arange(1.0, d + 1)).astype(complex)
     terms = [(p, random_hermitian(rng, d, 0.01)) for p in range(k, 2 * k)]
     state = sp.init(sp.make_model(d, [(0, h0), *terms]), 0.05, 2 * k - 1)
-    assert sp.linalg.one_level_blocks(state.blocks) and state.series.dtype == complex
+    groups = sp.linalg.block_groups(state.blocks)
+    assert [idx.shape for idx in groups] == [(d, 1)] and state.series.dtype == complex
     tracemalloc.start()
     try:
-        averaged, gen, _ = kolmogorov._average(state, k, 2 * k - 1)
+        averaged, gen, _ = kolmogorov._average(state, groups, k, 2 * k - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= (k + 2) * d * d * 16
     assert sorted(averaged) == list(range(k, 2 * k)) and len(gen.live) == k
-    assert all(avg.shape == (d,) for avg in averaged.values())
+    assert all([a.shape for a in avg] == [(d, 1, 1)] for avg in averaged.values())
 
 
 def test_overflowing_final_basis_is_an_error_not_a_warning():
@@ -943,6 +948,32 @@ def test_import_loads_no_scipy(module):
         f"import sys, {module}; "
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
         "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_runs_import_no_further_module():
+    # once the package and the CLI are imported, a run loads nothing more:
+    # a lazily imported numpy submodule would add to every run's memory
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, numpy as np, superpert as sp, superpert.cli as cli\n"
+        "pairs = np.diag(np.repeat([1.0, 2.5, 4.0], 2))\n"
+        "v = np.arange(36.0).reshape(6, 6) / 100.0\n"
+        "paired = sp.make_model(6, [(0, pairs), (1, v + v.T)])\n"
+        "quartic = sp.build_quartic_oscillator(10)\n"
+        "args = cli.build_parser().parse_args(['--method', 'compare', '--builtin',\n"
+        "    'quartic_oscillator', '--dim', '10', '--eps', '0.05', '--levels', '0,1'])\n"
+        "before = set(sys.modules)\n"
+        "for model in (paired, quartic):\n"
+        "    sp.run(model, 0.05, 8).eigenvectors\n"
+        "    sp.average(sp.eigh(model.coefficient(0)), model.coefficient(1))\n"
+        "report = cli.compute_report(args)\n"
+        "cli.render_report(report, 'json'), cli.render_report(report, 'csv')\n"
+        "loaded = sorted(set(sys.modules) - before)\n"
+        "assert not loaded, loaded\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
@@ -1336,9 +1367,10 @@ def test_average_of_live_slots_matches_the_full_window(
         state = dataclasses.replace(state, gap_guard=guard)
     lo, hi = 2 ** (stage - 1), min(2**stage - 1, order)
     s = state.series
+    groups = linalg.block_groups(state.blocks)
     try:
         want_avg, want_a, want_gap = kolmogorov.average_diagonal(
-            state.levels, state.blocks, s.coeffs[lo : hi + 1], hbar, state.gap_guard
+            state.levels, state.blocks, groups, s.coeffs[lo : hi + 1], hbar, state.gap_guard
         )
     except sp.SmallDenominatorError as want:
         # the stage's average raises first, named by the stage
@@ -1346,7 +1378,7 @@ def test_average_of_live_slots_matches_the_full_window(
             sp.step(state)
         assert (got.value.indices, got.value.gap) == (want.indices, want.gap)
         return
-    averaged, gen, min_gap = kolmogorov._average(state, lo, hi)
+    averaged, gen, min_gap = kolmogorov._average(state, groups, lo, hi)
     assert min_gap == want_gap
     assert gen.order == order and gen.hbar == hbar
     assert sorted(averaged) == [p for p in range(lo, hi + 1) if s.norms[p]]
@@ -1356,12 +1388,12 @@ def test_average_of_live_slots_matches_the_full_window(
     for i, p in enumerate(range(lo, hi + 1)):
         a = gen.coeffs[p - 1]
         assert a.dtype == s.dtype
-        if p in averaged:  # a vector on the levels where every block is one level
-            avg = averaged[p]
-            assert avg.dtype == (s.dtype if avg.ndim == 2 else np.float64)
-            np.testing.assert_array_equal(avg, want_avg[i])
+        if p in averaged:  # one stack of blocks per group, in the slot's dtype
+            for avg, want in zip(averaged[p], want_avg[i], strict=True):
+                assert avg.dtype == s.dtype
+                np.testing.assert_array_equal(avg, want)
         else:  # a zero slot has no average
-            assert not want_avg[i].any()
+            assert not any(want.any() for want in want_avg[i])
         np.testing.assert_array_equal(a, want_a[i])
         assert (gen.norms[p - 1], gen.bounds[p - 1]) == linalg.finite_norms(want_a[i], "A")
         if not s.norms[p]:  # a zero slot is the shared zero, never computed
@@ -1399,14 +1431,21 @@ def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, 
     assert calls == []
 
     # the full route, as a stage with a live generator takes it
+    groups = linalg.block_groups(state.blocks)
     avg, a, _ = kolmogorov.average_diagonal(
-        levels, state.blocks, s.coeffs[lo : hi + 1], s.hbar, state.gap_guard
+        levels, state.blocks, groups, s.coeffs[lo : hi + 1], s.hbar, state.gap_guard
     )
     assert not any(x.any() for x in a)
+    averaged = dict(enumerate(avg, start=lo))
+    want_levels, want_blocks, q = kolmogorov._fold(state, groups, averaged)
+    # the fold, as one dense H_0: its blocks' eigenvalues are the levels
     h0 = np.diag(levels).astype(s.dtype)
-    for p, x in enumerate(avg, start=lo):
-        h0 += eps**p / math.factorial(p) * (np.diag(x) if x.ndim == 1 else x)
-    want_levels, want_blocks, q = kolmogorov._diagonalize_blocks(h0, state.blocks, state.deg_tol)
+    for p, stacks in averaged.items():
+        for idx, x in zip(groups, stacks):
+            h0[idx[:, :, None], idx[:, None, :]] += eps**p / math.factorial(p) * x
+    np.testing.assert_allclose(
+        np.sort(want_levels), np.linalg.eigvalsh(h0), rtol=0, atol=1e-12 * sp.max_norm(h0)
+    )
     gen = sp.OperatorSeries._computed(order, s.hbar, series.shared_zero(n, s.dtype), {})
     h0_norm = sp.max_norm(levels)
     stops, dropped = series.chain_stops(gen, s, h0_norm, eps, hi)
@@ -1433,6 +1472,59 @@ def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, 
         assert dropped > 0.0 and not got.series.norms[hi + 1]
 
 
+@settings(max_examples=60)
+@given(
+    n=st.integers(3, 8),  # levels of some range, so the default gap guard is not 0
+    order=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    real=st.booleans(),
+    inside=st.booleans(),
+    exponent=st.integers(-18, -1),
+    hbar=st.sampled_from([1e-3, 1.0, 1e3]),
+    eps=st.sampled_from([0.05, -0.3]),
+)
+def test_every_live_window_slot_is_conjugated(
+    n, order, seed, degenerate, real, inside, exponent, hbar, eps
+):
+    # the slot check subtracts each live window slot's average from K_p, so
+    # K_p must exist: chain p keeps T_0 = H_p, since chain_stops starts its
+    # cut at keep - p + 1 >= 1, however tiny the slots that cut the chains.
+    # Terms inside the blocks of a diagonal H_0 make a generator with no live
+    # slot, whose H_0 chain adds nothing to K_p
+    rng = np.random.default_rng(seed)
+    levels = np.cumsum(1.0 + rng.uniform(0.0, 1.0, size=n))
+    if degenerate:
+        levels = np.repeat(levels[: (n + 1) // 2], 2)[:n]
+    same = levels[:, None] == levels[None, :] if inside else True
+    hermitian = _random_symmetric if real else random_hermitian
+    terms = [
+        (p, np.where(same, hermitian(rng, n, 10.0**exponent), 0.0))
+        for p in range(1, min(order, 3) + 1)
+    ]
+    model = sp.make_model(n, [(0, np.diag(levels)), *terms], hbar=hbar)
+    if not inside:  # a rotation would leave rounding outside the blocks
+        q = _random_orthogonal(rng, n) if real else _random_unitary(rng, n)
+        model = _rotated(model, q).with_hbar(hbar)
+    state = sp.init(model, eps, order)
+    cut = False
+    for stage in range(1, default_n_stages(order) + 1):
+        lo, hi = 2 ** (stage - 1), min(2**stage - 1, order)
+        s = state.series
+        groups = linalg.block_groups(state.blocks)
+        try:
+            averaged, gen, _ = kolmogorov._average(state, groups, lo, hi)
+        except sp.SmallDenominatorError:
+            break  # a pair split below the gap guard: no stage gets to its check
+        stops, _ = series.chain_stops(gen, s, sp.max_norm(state.levels), eps, hi)
+        k = series.conjugate_slots(gen, s, state.levels, stops)
+        assert all(k[p] is not None for p in averaged)
+        cut |= any(stops[j] < order - j + 1 for j in s.live)
+        state = sp.step(state)
+    if exponent <= -10:  # tiny slots cut some chain short
+        assert cut
+
+
 # Ceilings on the slots each run of the model below hands to
 # average_diagonal, stage by stage from init, as measured when H_0's chain
 # was cut by the averaging residuals; when a stage first averaged only its
@@ -1446,9 +1538,9 @@ def test_stages_work_only_on_their_live_slots(eps, monkeypatch):
     calls = {"slots": 0, "conjugate_slots": 0, "flow_at": 0}
     real_average = kolmogorov.average_diagonal
 
-    def averaging(lam, blocks, slots, *args):
+    def averaging(lam, blocks, groups, slots, *args):
         calls["slots"] += len(slots)
-        return real_average(lam, blocks, slots, *args)
+        return real_average(lam, blocks, groups, slots, *args)
 
     monkeypatch.setattr(kolmogorov, "average_diagonal", averaging)
     for name in ("conjugate_slots", "flow_at"):
@@ -1503,10 +1595,10 @@ def test_eigenvectors_built_on_read_match_the_stepped_basis(
     want = linalg.fix_column_phases(kolmogorov._unit_columns(state.basis))
 
     kept = []  # weak references to the block unitaries and generator slots
-    real_blocks, real_conjugate = kolmogorov._diagonalize_blocks, kolmogorov.conjugate_slots
+    real_fold, real_conjugate = kolmogorov._fold, kolmogorov.conjugate_slots
 
-    def blocks(*args):
-        out = real_blocks(*args)
+    def fold(*args):
+        out = real_fold(*args)
         if out[2] is not None:
             kept.append(weakref.ref(out[2]))
         return out
@@ -1516,7 +1608,7 @@ def test_eigenvectors_built_on_read_match_the_stepped_basis(
         return real_conjugate(gen, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kolmogorov, "_diagonalize_blocks", blocks)
+        mp.setattr(kolmogorov, "_fold", fold)
         mp.setattr(kolmogorov, "conjugate_slots", conjugate)
         res = sp.run(model, eps, order, n_stages=n_stages)
     assert all(ref() is not None for ref in kept)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superpert as sp
+from superpert import kolmogorov, series
 from superpert.averaging import average_diagonal
-from superpert.kolmogorov import _diagonalize_blocks
-from superpert.linalg import degeneracy_blocks, fix_column_phases
+from superpert.linalg import block_groups, degeneracy_blocks, fix_column_phases
 
 from conftest import random_hermitian
 
@@ -281,11 +281,12 @@ def test_averaging_gap_is_the_smallest_cross_block_gap(case):
         if blocks[j] != blocks[k]
     ]
     bt = random_hermitian(np.random.default_rng(seed), n)
-    _, _, min_gap = average_diagonal(levels, blocks, [bt], 1.0, 0.0)
+    groups = block_groups(blocks)
+    _, _, min_gap = average_diagonal(levels, blocks, groups, [bt], 1.0, 0.0)
     assert min_gap == min(cross, default=float("inf"))
     if cross:
         with pytest.raises(sp.SmallDenominatorError) as err:
-            average_diagonal(levels, blocks, [bt], 1.0, min_gap)
+            average_diagonal(levels, blocks, groups, [bt], 1.0, min_gap)
         assert err.value.gap == min_gap
 
 
@@ -297,8 +298,30 @@ def test_block_diagonalization_matches_per_block_eigh(case):
     blocks = degeneracy_blocks(levels, deg_tol)
     n = len(levels)
     same = blocks[:, None] == blocks[None, :]
-    h0 = np.diag(levels) + np.where(same, random_hermitian(rng, n, scale=0.01), 0.0)
-    lam, new_blocks, q = _diagonalize_blocks(h0, blocks, deg_tol)
+    pert = random_hermitian(rng, n, scale=0.01)
+    h0 = np.diag(levels) + np.where(same, pert, 0.0)
+    # the fold of the blocks of pert, at eps 1 where its weight is 1.0
+    zero = series.shared_zero(n, np.complex128)
+    state = kolmogorov.KolmogorovState(
+        stage=0,
+        eps=1.0,
+        series=sp.OperatorSeries._computed(1, 1.0, zero, {}),
+        levels=levels,
+        blocks=blocks,
+        _basis=None,
+        deg_tol=deg_tol,
+        gap_guard=0.0,
+        history=(),
+    )
+    groups = block_groups(blocks)
+    # each row is one whole block in ascending index, the sizes ascend
+    rows = [row for idx in groups for row in idx.tolist()]
+    assert sorted(j for row in rows for j in row) == list(range(n))
+    assert len(rows) == len(set(blocks.tolist()))
+    assert all(len({blocks[j] for j in row}) == 1 and row == sorted(row) for row in rows)
+    assert [idx.shape[1] for idx in groups] == sorted({len(row) for row in rows})
+    averaged = {1:[pert[idx[:, :, None], idx[:, None, :]] for idx in groups]}
+    lam, new_blocks, q = kolmogorov._fold(state, groups, averaged)
     # reference: one eigh per block of two or more, columns by dominant index
     want_lam = h0.diagonal().real.copy()
     want_q = np.eye(n, dtype=np.complex128)

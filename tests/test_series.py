@@ -277,6 +277,31 @@ def test_overflowing_weight_names_eps():
     assert isinstance(err.value, ValueError)
 
 
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        (np.nan, "must be finite"),  # NaN and Inf gave a NaN/Inf matrix and a warning
+        (np.inf, "must be finite"),
+        (True, "must be a real number"),  # taken as 1
+        ("0.1", "must be a real number"),  # a bare TypeError
+        (0.1j, "must be a real number"),  # a UFuncTypeError
+    ],
+)
+def test_weighted_sum_checks_eps(eps, message):
+    s = sp.OperatorSeries((np.eye(2), np.ones((2, 2))), 1.0)
+    for call in (lambda: sp.weighted_sum(s.coeffs, eps), lambda: sp.eval_series(s, eps)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^eps {message}, got "):
+                call()
+
+
+def test_weighted_sum_of_no_matrix_is_an_error():
+    # it raised an IndexError
+    with pytest.raises(ValueError, match="^mats must hold at least one matrix$"):
+        sp.weighted_sum([], 0.1)
+
+
 def test_truncated_flow_unitarity_defect_scaling():
     rng = np.random.default_rng(29)
     P = 4
