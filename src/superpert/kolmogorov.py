@@ -28,13 +28,15 @@ A stage averages the live slots of its window one by one against one set
 of denominators, and stacks no copy of the window (`_average`).  Each
 average is kept as its degeneracy blocks, grouped by size (`block_groups`),
 and the fold diagonalizes those blocks, with no dense H_0 (`_fold`).  The
-eigendecomposition, the rotated terms and stage 1's conjugation images do
-not depend on eps or the order, so they are memoized on the model
-(`_start`); each run cuts stage 1's chains at its own eps and takes the
-cached images up to its cut, and the images are capped at P + 1 matrices.
-`run` is `init` and then `step` once per stage, stage 1 included: `step` is
-the one stage body, and reads the cache from the stage-0 state.  Both
-rotations are symmetrized, so every slot the engine builds is Hermitian and
+eigendecomposition and the rotated terms do not depend on eps or the
+order, so they are memoized on the model (`_start`).  Nor does stage 1's
+generator, so eps only sets its cut: which images each conjugated slot K_p
+sums.  The memo also keeps stage 1's conjugated slots, each under its order
+and the chains that reach it (`_slot_keys`), at most 2(P + 1) of them; a
+run whose cut finds all its slots there forms none of them, and where q is
+None scans none.  `run` is `init` and then `step` once per stage, stage 1
+included: `step` is the one stage body, and reads the cache from the
+stage-0 state.  Both rotations are symmetrized, so every slot the engine builds is Hermitian and
 every generator anti-Hermitian to the bit, as the conjugation kernel needs.
 A level's label is its index in this never re-sorted basis (inside a
 block, the index it overlaps most); its eigenvector of H(eps) is that
@@ -46,6 +48,7 @@ basis product, unless a bound on the basis comes near overflow.
 
 import functools
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -110,9 +113,9 @@ class KolmogorovState:
     deg_tol: float  # resolved once from the H_0 levels when not given
     gap_guard: float  # resolved once from the H_0 levels when not given
     history: tuple
-    # a stage-0 state from `init`: the model's cache of stage 1's images
-    # (`_Start.images`); a state made otherwise has none and makes its own
-    _images: dict | None = field(default=None, init=False, repr=False, compare=False)
+    # a stage-0 state from `init`: the model's cache of stage 1's conjugated
+    # slots (`_Start.slots`); a state made otherwise has none and conjugates
+    _slots: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def basis(self) -> np.ndarray:
@@ -164,20 +167,23 @@ class _Start:
     """The eps-free start of every run on one model at one (deg_tol,
     gap_guard), all read-only: the H_0 spectral data and the resolved
     tolerances, the perturbation terms in the H_0 eigenbasis,
-    {p: V^H H_p V} for p >= 1, and stage 1's conjugation images,
-    {j: (T_1(H_j), T_2(H_j), ...)} with chain 0 that of H_0's levels.
-    Stage 1's generator solves the homological equation of H_1 against
-    H_0, so neither it nor its images depend on eps or the order; a run's
-    eps only sets how many of them it sums.  A run at order P adds the
-    images it makes while the cache holds fewer than P + 1
-    (`conjugate_slots`), so the entry holds at most (m + 1 + P + 1) d^2
+    {p: V^H H_p V} for p >= 1, and stage 1's conjugated slots,
+    {(p, chains): (K_p, scan)} (`_slot_keys`).  Stage 1's generator solves
+    the homological equation of H_1 against H_0, so neither it nor its
+    images depend on eps or the order; a run's eps only sets which chains
+    reach each slot, and a slot with the same chains is the same sum of the
+    same images, in the same order.  scan is K_p's (norm, bound) where a
+    survivors series took it unrotated, else None: stage 1's blocks are
+    H_0's, so its q is None on every run or on none.  A stage that
+    finishes adds the slots of its cut if they fit in 2(P + 1) in all
+    (`_keep_slots`), so the entry holds at most (m + 1 + 2(P + 1)) d^2
     numbers for m terms and the largest P run."""
 
     spectral: SpectralData
     deg_tol: float
     gap_guard: float
     terms: dict
-    images: dict = field(default_factory=dict)
+    slots: dict = field(default_factory=dict)
 
 
 def _start(model: ModelSpec, deg_tol, gap_guard) -> _Start:
@@ -217,8 +223,8 @@ def unperturbed(model: ModelSpec, deg_tol=None, gap_guard=None) -> SpectralData:
 def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None):
     """Stage-0 state: the model's series in its H_0 eigenbasis, zero-padded,
     with the basis V0.  The eigenbasis, the rotated terms and stage 1's
-    images are the model's memo (see `run`); the state hands the images to
-    the `step` that takes it to stage 1."""
+    conjugated slots are the model's memo (see `run`); the state hands the
+    slots to the `step` that takes it to stage 1."""
     order = require_integer(order, "order")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"truncation order must be in 1..{MAX_ORDER}, got {order}")
@@ -236,7 +242,7 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
         gap_guard=start.gap_guard,
         history=(),
     )
-    object.__setattr__(state, "_images", start.images)
+    object.__setattr__(state, "_slots", start.slots)
     return state
 
 
@@ -292,6 +298,54 @@ def _average(state: KolmogorovState, groups, lo, hi):
     zero = series.coeffs[0]  # the state's shared zero
     gen = OperatorSeries._computed(series.order, series.hbar, zero, a, generator=True)
     return dict(zip(live, avg)), gen, min_gap
+
+
+def _slot_keys(stops) -> dict:
+    """{p: (p, chains)} for the slots p >= 1 that a conjugation at `stops`
+    reaches: chains lists, ascending, the chains j (0 for H_0's levels) with
+    j <= p < j + stops[j].  K_0 is left out of every conjugation."""
+    starts = [(j, stop) for j, stop in enumerate(stops) if stop]
+    keys = {}
+    for p in range(1, len(stops)):
+        chains = tuple(j for j, stop in starts if j <= p < j + stop)
+        if chains:
+            keys[p] = (p, chains)
+    return keys
+
+
+def _cached_slots(cache, keys, order):
+    """(k, known) for a cut whose slots under `keys` the cache holds all of:
+    the slots K_0..K_order as `conjugate_slots` gives them, and {p: (norm,
+    bound)} of those kept with a scan; None for a miss or no cache."""
+    if keys is None or not all(key in cache for key in keys.values()):
+        return None
+    k, known = [None] * (order + 1), {}
+    for p, key in keys.items():
+        k[p], scan = cache[key]
+        if scan is not None:
+            known[p] = scan
+    return k, known
+
+
+# Taken while stage 1's slots are added to a model's cache, so that its
+# budget is counted exactly when several threads add at once.
+_CACHING = threading.Lock()
+
+
+def _keep_slots(cache, keys, k, survivors):
+    """Add stage 1's slots k to `cache` under their keys, read-only, if every
+    one not yet there fits in 2(P + 1) slots in all; survivors, the series of
+    the slots past the window (p > 1) unrotated, or None where q rotated
+    them, gives their scans.  First come: nothing is evicted."""
+    with _CACHING:
+        new = [p for p, key in keys.items() if key not in cache]
+        if len(cache) + len(new) > 2 * len(k):
+            return
+        for p in new:
+            scan = None
+            if survivors is not None and p > 1:
+                scan = survivors.norms[p], survivors.bounds[p]
+            cache[keys[p]] = (k[p] if k[p] is None else read_only(k[p]), scan)
 
 
 def _apply_stage(basis, gen, eps, stop, q):
@@ -402,8 +456,10 @@ def step(state: KolmogorovState) -> KolmogorovState:
     both sides.  A generator with no live slot conjugates as any other, each
     chain being its leaf alone (`chain_stops`, `_t_images`), but forms no
     flow and no basis product.  A stage-0 state from `init` carries the
-    model's cache of stage 1's images, which the conjugation reads and fills;
-    the state returned carries none.  A ValueError raised by the stage names it
+    model's cache of stage 1's conjugated slots: a cut whose slots are all
+    there takes them, and where q is None their scans too, and a stage that
+    conjugated adds its slots once it has finished (`_keep_slots`); the
+    state returned carries none.  A ValueError raised by the stage names it
     ("stage n: ")."""
     n = state.stage + 1
     P = state.order
@@ -420,7 +476,9 @@ def step(state: KolmogorovState) -> KolmogorovState:
 
         h0_norm = max_norm(state.levels)  # ||H_0||_2
         stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
-        k = conjugate_slots(gen, series, state.levels, stops, state._images)
+        keys = None if state._slots is None else _slot_keys(stops)
+        hit = _cached_slots(state._slots, keys, P)
+        k, known = hit or (conjugate_slots(gen, series, state.levels, stops), {})
         scale = max(h0_norm, *series.norms)
 
         def deviation_norms():
@@ -448,7 +506,11 @@ def step(state: KolmogorovState) -> KolmogorovState:
         rest = {p: k[p] for p in range(hi + 1, P + 1) if k[p] is not None}
         if q is not None:
             rest = {p: hermitian_part(q.conj().T @ c @ q) for p, c in rest.items()}
-        survivors = OperatorSeries._computed(P, series.hbar, series.coeffs[0], rest)
+        survivors = OperatorSeries._computed(
+            P, series.hbar, series.coeffs[0], rest, known=known
+        )
+    if keys is not None and not hit:
+        _keep_slots(state._slots, keys, k, survivors if q is None else None)
     info = StageInfo(
         stage=n,
         slot_residual=residual,
@@ -508,11 +570,11 @@ def run(
     it raises comes from this call, at its stage.
 
     `run` is `init` followed by `step` n_stages times.  The work that
-    depends on neither eps nor the order (the H_0 eigendecomposition, the
-    rotated terms and stage 1's conjugation images, at most P + 1 of them)
-    is done on the first calls for a model and these tolerances, and kept
-    on the model; later calls give results bit-identical to a cold call,
-    whichever calls filled the memo.
+    depends on neither eps nor the order (the H_0 eigendecomposition and
+    the rotated terms) is done on the first call for a model and these
+    tolerances, and kept on the model, with stage 1's conjugated slots for
+    each cut a call makes, at most 2(P + 1) of them; later calls give
+    results bit-identical to a cold call, whichever calls filled the memo.
 
     Parameters
     ----------

@@ -229,8 +229,9 @@ def degeneracy_blocks(lam, deg_tol=None) -> np.ndarray:
     if deg_tol is None:
         deg_tol = default_deg_tol(lam)
     order = np.argsort(lam, kind="stable")
-    block = np.empty(len(order), dtype=np.int64)
-    block[order] = np.cumsum(np.diff(lam[order], prepend=lam[order[:1]]) > deg_tol)
+    s = lam[order]
+    block = np.zeros(len(order), dtype=np.int64)  # the lowest level's is 0
+    block[order[1:]] = np.cumsum(s[1:] - s[:-1] > deg_tol)
     return block
 
 

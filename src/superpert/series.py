@@ -39,9 +39,9 @@ the Cauchy product's order.  The stage engine gives H_0 as its levels, a
 half the work.  The flow coefficients follow the same rule,
 and `flow_at` sums them at eps as they come.  A transform of an order-P
 series therefore holds O(P) matrices at once, the P + 1 slots of K and one
-window of images, not the P^2/2 images of the whole Cauchy product.  The
-stage engine's first stage also hands `conjugate_slots` a cache of images
-shared across its runs, which holds at most P + 1 more.
+window of images, not the P^2/2 images of the whole Cauchy product, and
+keeps nothing across calls; the stage engine caches its first stage's
+slots itself (see `kolmogorov`).
 
 At its numeric eps the engine also stops each chain, and the flow, early:
 `lie_majorant` bounds every term not yet computed (Deprit 1969, Celest.
@@ -57,7 +57,6 @@ The public functions are formal series in eps and keep every term.
 
 import itertools
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -141,17 +140,21 @@ class OperatorSeries:
         mats = tuple(c.astype(dtype, copy=False) for c in mats)
         self._set(mats, hbar, range(len(mats)))
 
-    def _set(self, mats, hbar, scanned, generator=False):
-        """Store the fields, scanning the slots `scanned`, ascending; every
-        other slot is zero.  A non-finite slot raises ValueError naming it,
-        `coefficient p` or `generator slot A_{p+1}`, which is how an overflow
-        inside the engine surfaces."""
+    def _set(self, mats, hbar, scanned, generator=False, known=None):
+        """Store the fields, scanning the slots `scanned`, ascending, but for
+        those whose (norm, bound) `known` holds; every other slot is zero.  A
+        non-finite slot raises ValueError naming it, `coefficient p` or
+        `generator slot A_{p+1}`, which is how an overflow inside the engine
+        surfaces."""
         if len(mats) - 1 > MAX_ORDER:
             raise ValueError(
                 f"series order {len(mats) - 1} exceeds the cap {MAX_ORDER}"
             )
         scans = [(0.0, 0.0)] * len(mats)  # (norm, bound) of a zero slot
         for p in scanned:
+            if known and p in known:
+                scans[p] = known[p]
+                continue
             what = f"generator slot A_{p + 1}" if generator else f"coefficient {p}"
             scans[p] = finite_norms(mats[p], what)
         object.__setattr__(self, "coeffs", mats)
@@ -161,15 +164,16 @@ class OperatorSeries:
         object.__setattr__(self, "live", [p for p in scanned if scans[p][0] != 0.0])
 
     @classmethod
-    def _computed(cls, order, hbar, zero, live, generator=False):
+    def _computed(cls, order, hbar, zero, live, generator=False, known=None):
         """Series of the given order with `live` {p: X_p} in its slots and the
         read-only `zero` in every other, all of zero's shape and dtype and
         computed from validated operands with a validated hbar: Hermitian, or
         for a generator series anti-Hermitian, to the bit.  Only the order
-        cap, the norms and the non-finite check are done, on `live` alone."""
+        cap, the norms and the non-finite check are done, on `live` alone,
+        and not on a slot whose (norm, bound) `known` already holds."""
         mats = tuple(live.get(p, zero) for p in range(order + 1))
         series = object.__new__(cls)
-        series._set(mats, hbar, sorted(live), generator)
+        series._set(mats, hbar, sorted(live), generator, known)
         return series
 
     @property
@@ -243,20 +247,16 @@ def _next_image(a, live, window, p, hbar):
     return y
 
 
-def _t_images(agen: OperatorSeries, x: np.ndarray, up_to: int, prefix=()):
+def _t_images(agen: OperatorSeries, x: np.ndarray, up_to: int):
     """Yield T_0(x), ..., T_up_to(x) for the anti-Hermitian generator series
     agen, None for an image no term lands in; only the images a later one
     still reads are kept.  With no live generator slot every later image is
-    zero, and T_0 alone is yielded.  `prefix` holds T_1(x), T_2(x), ...
-    already made, at most up_to of them: they are yielded as they are, and
-    the window that computes the rest starts from the last max(live) + 1 of
-    T_0 and the prefix."""
+    zero, and T_0 alone is yielded."""
     a, live, hbar = agen.coeffs, agen.live, agen.hbar
     window = _window(live)
-    window.extend((x, *prefix))
+    window.append(x)
     yield x
-    yield from prefix
-    for p in range(len(prefix), up_to if live else 0):
+    for p in range(up_to if live else 0):
         t = _next_image(a, live, window, p, hbar)
         window.append(t)
         yield t
@@ -270,9 +270,7 @@ def _check_match(gen: OperatorSeries, h: OperatorSeries):
         )
 
 
-def conjugate_slots(
-    agen: OperatorSeries, h: OperatorSeries, levels=None, stops=None, images=None
-):
+def conjugate_slots(agen: OperatorSeries, h: OperatorSeries, levels=None, stops=None):
     """The slots K_0..K_P of h transformed by the anti-Hermitian generator
     series agen, the Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j), as a
     list with None for a slot no term lands in; the stage engine's route,
@@ -284,18 +282,11 @@ def conjugate_slots(
     for a stop of 0; without, every chain runs to order P.  The slots have
     the dtype agen and h promote to; their entries are not checked.
 
-    `images`, where given, is a cache of the images of agen shared across
-    calls, {j: (T_1(H_j), T_2(H_j), ...)}, chain 0 being H_0's: each chain
-    takes its cached prefix up to its stop and computes only the rest
-    (`_t_images`).  Its new images are published, read-only, while the cache
-    holds fewer than P + 1 images in all, in chain order, each chain as one
-    new tuple, so a concurrent reader sees the old tuple or the new one.
-
     Terms are added into the K slots in place.  A slot first reached by an
     image of H_0's chain (binomial 1) starts from that image itself: the
     chain only reads it, and later chains write into it once the chain is
-    done.  T_0 is h's own H_j, and a cached image is shared, so a slot that
-    would start from either starts from a copy."""
+    done.  T_0 is h's own H_j, so a slot that would start from it starts
+    from a copy."""
     _check_match(agen, h)
     dtype = np.result_type(agen.dtype, h.dtype)
     out = [None] * (h.order + 1)
@@ -305,51 +296,18 @@ def conjugate_slots(
         if not stop:
             continue
         x = x.astype(dtype, copy=False)
-        cached, shared = (), 0  # images T_1..T_shared may be in the cache
-        if images is not None:
-            cached = images.get(j, ())[: stop - 1]
-            shared = len(cached) + max(h.order + 1 - _held(images), 0)
-        chain = []  # T_1..T_shared, which the cache may take
-        for k, term in enumerate(_t_images(agen, x, stop - 1, cached)):
-            if 0 < k <= shared:
-                chain.append(term)
+        for k, term in enumerate(_t_images(agen, x, stop - 1)):
             if term is None or term.ndim == 1:
                 continue
             p = j + k
             c = binomial(p, j)
             if out[p] is not None:
                 out[p] += term if c == 1.0 else c * term
-            elif c == 1.0 and k > shared:
+            elif c == 1.0 and k:
                 out[p] = term
             else:
                 out[p] = c * term
-        if images is not None:
-            _publish(images, j, chain, h.order + 1)
     return out
-
-
-# Taken while a cache of `conjugate_slots` is written, so that the cap is
-# counted exactly when several threads publish at once.
-_PUBLISHING = threading.Lock()
-
-
-def _held(images) -> int:
-    """The number of images a cache of `conjugate_slots` holds; its chains
-    are read at once, as a tuple, so a chain added meanwhile is no error."""
-    return sum(map(len, tuple(images.values())))
-
-
-def _publish(images, j, chain, cap):
-    """Extend chain j of the cache `images` to the images `chain` made of it,
-    T_1(H_j), T_2(H_j), ..., while the cache holds fewer than cap images in
-    all, counted now; the cached tuple is a prefix of chain, and the images
-    added are marked read-only."""
-    with _PUBLISHING:
-        held = images.get(j, ())
-        room = cap - _held(images)
-        if room > 0 and len(chain) > len(held):
-            added = chain[len(held) : len(held) + room]
-            images[j] = held + tuple(t if t is None else read_only(t) for t in added)
 
 
 def conjugate_series(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:

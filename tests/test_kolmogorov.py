@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import superpert as sp
@@ -452,9 +453,10 @@ def test_run_and_step_leave_their_inputs_unchanged(n, order, seed, degenerate, r
             _check_shared_zeros(state.series.coeffs)
             res = sp.run(model, 0.05, order)
             assert [m.tobytes() for _, m in model.h_coeffs] == terms
-            # one call per stage
-            conjugating += len(state.history) + len(res.history)
-    assert len(gens) == conjugating
+            # one call per stage, but for stage 1 where it takes its slots
+            # from the model's cache: every time after the first
+            conjugating += len(state.history) + len(res.history) - 2
+    assert len(gens) == conjugating + 1
     for coeffs, before in gens:
         assert [a.tobytes() for a in coeffs] == before
         _check_shared_zeros(coeffs)
@@ -486,127 +488,216 @@ def _same_result(a, b):
     assert a.history == b.history
 
 
-def _images(model):
-    """The cache of stage 1's images in model's one memo entry."""
+def _slots(model):
+    """The cache of stage 1's conjugated slots in model's one memo entry."""
     (start,) = model._memo.values()
-    return start.images
+    return start.slots
 
 
-def _stage_one_chains(monkeypatch):
-    """Record, per call of kolmogorov.conjugate_slots that is given a cache
-    of images, the number of images it held on entry and the (up_to, cached
-    prefix length) of each chain it runs."""
-    calls = []
-    real_conjugate, real_t_images = kolmogorov.conjugate_slots, series._t_images
+def _check_slot_cache(model, order):
+    # at most 2(P + 1) slots for the largest order P run, each read-only
+    cache = _slots(model)
+    assert len(cache) <= 2 * (order + 1)
+    for k, _ in cache.values():
+        assert k is None or not k.flags.writeable
 
-    def conjugate(gen, h, levels, stops, images):
-        if images is not None:
-            calls.append((series._held(images), []))
-        return real_conjugate(gen, h, levels, stops, images)
 
-    def t_images(agen, x, up_to, prefix=()):
-        if calls:
-            calls[-1][1].append((up_to, len(prefix)))
-        return real_t_images(agen, x, up_to, prefix)
+def _stage_one_calls(monkeypatch):
+    """Record, per stage 1 given the model's cache of slots, (the number of
+    slots the cache held on entry, whether the stage conjugated)."""
+    calls, conjugated = [], []
+    real_step, real_conjugate = kolmogorov.step, kolmogorov.conjugate_slots
 
+    def step(state):
+        if state._slots is None:
+            return real_step(state)
+        held, before = len(state._slots), len(conjugated)
+        try:
+            return real_step(state)
+        finally:
+            calls.append((held, len(conjugated) > before))
+
+    def conjugate(*args):
+        conjugated.append(args)
+        return real_conjugate(*args)
+
+    monkeypatch.setattr(kolmogorov, "step", step)
     monkeypatch.setattr(kolmogorov, "conjugate_slots", conjugate)
-    monkeypatch.setattr(series, "_t_images", t_images)
     return calls
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-@pytest.mark.parametrize("eps_list", [(0.02, 0.07), (0.07, 0.02)], ids=["up", "down"])
+@pytest.mark.parametrize(
+    "eps_list", [(0.02, 0.07, 0.02), (0.07, 0.02, 0.07)], ids=["up", "down"]
+)
 def test_memo_hit_matches_a_cold_run(real, eps_list, monkeypatch):
     rng = np.random.default_rng(58)
     model = _random_rotated_model(rng, 8, degenerate=True, real=real)
     eighs = _counting(monkeypatch, "eigh")
     averages = _counting(monkeypatch, "average_diagonal")
-    chains = _stage_one_chains(monkeypatch)
-    for hit, eps in enumerate(eps_list):
+    calls = _stage_one_calls(monkeypatch)
+    for i, eps in enumerate(eps_list):
         before = len(eighs), len(averages)
         warm = sp.run(model, eps, 8)
         # a hit makes no eigh of H_0, and every run averages all 4 stages
-        assert (len(eighs), len(averages)) == (before[0] + 1 - hit, before[1] + 4)
+        assert (len(eighs), len(averages)) == (before[0] + (i == 0), before[1] + 4)
         _same_result(warm, sp.run(_fresh(model), eps, 8))
-    # stage 1 of the first run starts from an empty cache, and of the second
-    # from the images the first left, whichever eps came first (the cold runs
-    # on fresh models come between them)
-    (first, _), _, (held, taken), _ = chains
-    assert first == 0 and 0 < held <= 9
-    assert any(cached for _, cached in taken)
+    # stage 1 of the first run starts from an empty cache and conjugates,
+    # as do the cold runs on fresh models between the warm ones; the third
+    # run is at the cut of the first, so it takes every slot from the cache
+    first, cold, _, cold_again, third, cold_last = calls
+    assert first == cold == cold_again == cold_last == (0, True)
+    assert third[0] > 0 and not third[1]
+    _check_slot_cache(model, 8)
 
 
-@pytest.mark.parametrize("eps_list", [(0.01, 0.05, 0.1), (0.1, 0.05, 0.01)], ids=["up", "down"])
+@pytest.mark.parametrize("eps_list", [(1e-4, 1e-3, 1e-2, 0.1), (0.1, 1e-2, 1e-3, 1e-4)], ids=["up", "down"])
 def test_stage_one_images_past_the_cap_are_made_again(eps_list, monkeypatch):
-    # a model the size of the benchmark's degenerate sweep: its chains need
-    # more images than the P + 1 = 9 the cache keeps, so a warm run takes
-    # the cached prefix of a chain and computes the rest, and still gives
-    # what a cold run gives
-    model = _random_rotated_model(np.random.default_rng(67), 40, degenerate=True, real=False)
-    chains = _stage_one_chains(monkeypatch)
-    for eps in eps_list:
-        _same_result(sp.run(model, eps, 8), sp.run(_fresh(model), eps, 8))
-    assert series._held(_images(model)) == 9
-    warm = [c for held, c in chains if held][-1]
-    assert any(0 < cached < up_to for up_to, cached in warm)
+    # the order-16 runs fill the cache past the 2(P + 1) = 10 slots an
+    # order-4 run may add to, so an order-4 cut with a slot not there is
+    # conjugated as a cold run does it, on every call, adds nothing, and
+    # still gives what a cold run gives
+    model = _random_rotated_model(np.random.default_rng(67), 6, degenerate=False, real=True)
+    for eps in (0.5, 0.3, 0.2, 0.1):
+        sp.run(model, eps, 16)
+    held = len(_slots(model))
+    assert held > 10
+    calls = _stage_one_calls(monkeypatch)
+    for eps in np.geomspace(eps_list[0], eps_list[-1], 10):
+        for _ in range(2):
+            _same_result(sp.run(model, eps, 4), sp.run(_fresh(model), eps, 4))
+    assert len(_slots(model)) == held
+    warm = calls[::2]  # the cold runs on fresh models come between them
+    assert all(count == held for count, _ in warm)
+    missed = [conjugated for _, conjugated in warm]
+    assert any(missed) and not all(missed)
+    assert missed[::2] == missed[1::2]  # a missed cut misses again
+    _check_slot_cache(model, 16)
 
 
-def test_stage_one_image_cache_is_capped_and_read_only():
-    # the images do not depend on the order, so one cache serves them all;
-    # it keeps at most P + 1 images for the largest P run, each read-only
+def test_stage_one_slot_cache_is_capped_and_read_only():
+    # the slots do not depend on the order, so one cache serves them all;
+    # it keeps at most 2(P + 1) slots for the largest P run, each read-only
     model = _random_rotated_model(np.random.default_rng(68), 8, degenerate=False, real=True)
     for order, eps in [(4, 0.3), (12, 0.05), (8, 0.3), (12, 0.5), (2, 0.5)]:
         _same_result(sp.run(model, eps, order), sp.run(_fresh(model), eps, order))
-        assert series._held(_images(model)) <= 13
-    images = [t for chain in _images(model).values() for t in chain]
-    assert series._held(_images(model)) == len(images) > 5
-    for t in images:
-        with pytest.raises(ValueError, match="read-only"):
-            t[0, 0] = 1.0
+        _check_slot_cache(model, 12)
+    assert len(_slots(model)) > 5
+
+
+def _cache_model(kind):
+    """A new dim-6 model for the slot cache's property test: "real" has
+    one-level blocks, "paired" is complex and doubly degenerate, so that its
+    stage 1 rotates the slots by the blocks' unitary q."""
+    rng = np.random.default_rng(67)
+    return _random_rotated_model(rng, 6, degenerate=kind == "paired", real=kind == "real")
+
+
+def _outcome(model, eps, order):
+    """(energies, eigenvectors, repr(history)) of a run, or the error it raises."""
+    try:
+        res = sp.run(model, eps, order)
+    except ValueError as exc:
+        return repr(exc)
+    return res.energies, res.eigenvectors, repr(res.history)
+
+
+@functools.lru_cache(maxsize=None)
+def _cold_outcome(kind, eps, order):
+    return _outcome(_cache_model(kind), eps, order)
+
+
+_CACHE_EPS = [-0.3, -0.05, 1e-4, 2.2e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5]
+_POSITIVE_EPS = [eps for eps in _CACHE_EPS if eps > 0]
+
+
+@settings(max_examples=25)
+@example(kind="real", runs=[(8, eps) for eps in _POSITIVE_EPS])  # rising
+@example(kind="paired", runs=[(8, eps) for eps in _POSITIVE_EPS[::-1]])  # falling
+@example(kind="paired", runs=[(4, 0.05), (4, 0.05), (4, -0.05), (4, -0.05)])
+# order 16 fills the cache past the budget of an order-4 run, whose cut
+# at 2.2e-4 then misses on every call
+@example(kind="real", runs=[(16, eps) for eps in (0.5, 0.3, 0.2, 0.1)] + [(4, 2.2e-4)] * 2)
+@given(
+    kind=st.sampled_from(["real", "paired"]),
+    runs=st.lists(
+        st.tuples(st.sampled_from([1, 2, 4, 8, 16]), st.sampled_from(_CACHE_EPS)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_slot_cache_gives_cold_results_in_any_order(kind, runs):
+    # runs in any order on one model, with its cache of stage 1's slots,
+    # give to the bit what cold runs on new models give, errors included;
+    # the cache stays within its budget, and each slot in it is read-only
+    model = _cache_model(kind)
+    top = 0
+    for order, eps in runs:
+        got, want = _outcome(model, eps, order), _cold_outcome(kind, eps, order)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert all(np.array_equal(x, y) for x, y in zip(got[0], want[0]))
+            assert len(got[0]) == len(want[0])
+            assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+        top = max(top, order)
+        _check_slot_cache(model, top)
 
 
 def test_threads_sharing_one_model_match_serial_cold_runs():
-    # two threads fill and read one model's cache of stage 1's images at
-    # once; each image is published as one new tuple per chain, so every
-    # result is the one a cold run gives
+    # four threads, more than the cores, fill and read one model's cache of
+    # stage 1's slots at once, with thread switches forced often; a stage
+    # adds its slots under one lock once it has finished, and no slot is
+    # replaced, so every result is the one a cold run gives and the cache
+    # keeps its budget
     eps_list = [0.02, 0.05, 0.1, 0.2]
     base = _random_rotated_model(np.random.default_rng(69), 8, degenerate=True, real=False)
     want = {eps: sp.run(_fresh(base), eps, 8) for eps in eps_list}
-    for _ in range(3):
-        model = _fresh(base)
-        barrier = threading.Barrier(2)
-        got = [[], []]
+    n_threads = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            model = _fresh(base)
+            barrier = threading.Barrier(n_threads)
+            got = [[] for _ in range(n_threads)]
 
-        def sweep(i):
-            barrier.wait()
-            for eps in eps_list[:: 1 - 2 * i]:
-                res = sp.run(model, eps, 8)
-                got[i].append((eps, res.energies, res.eigenvectors))
+            def sweep(i):
+                barrier.wait()
+                for eps in eps_list[:: 1 - 2 * (i % 2)]:
+                    res = sp.run(model, eps, 8)
+                    got[i].append((eps, res.energies, res.eigenvectors))
 
-        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert [len(g) for g in got] == [4, 4]
-        for eps, energies, vecs in got[0] + got[1]:
-            assert all(np.array_equal(x, y) for x, y in zip(energies, want[eps].energies))
-            assert np.array_equal(vecs, want[eps].eigenvectors)
+            threads = [threading.Thread(target=sweep, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert [len(g) for g in got] == [4] * n_threads
+            for eps, energies, vecs in sum(got, []):
+                assert all(np.array_equal(x, y) for x, y in zip(energies, want[eps].energies))
+                assert np.array_equal(vecs, want[eps].eigenvectors)
+            _check_slot_cache(model, 8)
+    finally:
+        sys.setswitchinterval(interval)
 
 
-def test_stage_one_failure_after_its_conjugation_raises_on_every_call():
+def test_stage_one_failure_after_its_conjugation_raises_on_every_call(monkeypatch):
     # the order-1 term is so large that stage 1's images overflow and its
-    # flow is not finite; the images a failing call left in the cache give
-    # the same error on a warm call as on a fresh model
+    # flow is not finite; a stage that fails adds no slot to the cache, so
+    # a warm call conjugates again and gives the same error as a fresh model
     rng = np.random.default_rng(66)
     m = rng.standard_normal((6, 6))
     model = sp.make_model(6, [(0, np.diag(np.arange(6.0))), (1, 5e149 * (m + m.T))])
+    calls = _stage_one_calls(monkeypatch)
     for target in (model, model, _fresh(model)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^stage 1: the basis has a non-finite entry$"):
                 sp.run(target, 1e-140, 8)
-    assert series._held(_images(model)) == 9
+    assert calls == [(0, True)] * 3
+    assert _slots(model) == {}
 
 
 def test_changed_tolerances_or_hbar_miss_the_memo(monkeypatch):
@@ -619,7 +710,7 @@ def test_changed_tolerances_or_hbar_miss_the_memo(monkeypatch):
         (model, {}),
         (model.with_hbar(0.5), {}),
     ]
-    chains = _stage_one_chains(monkeypatch)
+    stage_one = _stage_one_calls(monkeypatch)
     for m, kwargs in calls:
         before = len(eighs)
         got = sp.run(m, 0.05, 4, **kwargs)
@@ -627,11 +718,12 @@ def test_changed_tolerances_or_hbar_miss_the_memo(monkeypatch):
         sp.run(m, 0.05, 4, **kwargs)
         assert len(eighs) == before + 1
         _same_result(got, sp.run(_fresh(m), 0.05, 4, **kwargs))
-        # the new entry starts with an empty cache of stage 1's images, and
-        # the run that hits it starts from what the miss left
-        (missed, _), (hit, _), (fresh, _) = chains
-        assert missed == fresh == 0 < hit
-        chains.clear()
+        # the new entry starts with an empty cache of stage 1's slots, and
+        # the run that hits it takes every slot the miss left
+        missed, hit, fresh = stage_one
+        assert missed == fresh == (0, True)
+        assert hit[0] > 0 and not hit[1]
+        stage_one.clear()
 
 
 def test_stage_one_small_denominator_raises_on_every_call(monkeypatch):
@@ -1248,8 +1340,9 @@ def test_cut_keeps_the_forward_error_against_high_precision(eps):
 # d times the max-norm for each slot (115, 62) and (164, 117).  A looser
 # majorant cuts later and fails this before any timing shows it.
 CUT_WORK_CEILINGS = {0.02: (54, 40), 0.05: (104, 68)}
-# The same on a warm run, which takes stage 1's images from the model's
-# cache, as measured when that cache was added.
+# The same on a warm run, as measured when stage 1's images were first
+# cached; a warm run now takes stage 1's conjugated slots from the model's
+# cache and makes none of its images.
 WARM_CUT_WORK_CEILINGS = {0.02: (37, 24), 0.05: (87, 52)}
 
 
@@ -1683,11 +1776,17 @@ def test_a_run_past_its_pending_bound_builds_the_basis_at_once(
 
         monkeypatch.setattr(kolmogorov, name, recorded)
     monkeypatch.setattr(kolmogorov, "_PENDING_LIMIT", limit)
-    res = sp.run(model, 0.3, 8)
-    assert "".join(events) == during_run
-    events.clear()
-    np.testing.assert_array_equal(res.eigenvectors, want)
-    assert "".join(events) == on_read
+    # the steps above filled the model's cache, so a run on it takes stage
+    # 1's slots from there and makes no stage-1 conjugation; a fresh model
+    # makes every one
+    warm = during_run.replace("C", "", 1)
+    for target, expected in ((_fresh(model), during_run), (model, warm)):
+        events.clear()
+        res = sp.run(target, 0.3, 8)
+        assert "".join(events) == expected
+        events.clear()
+        np.testing.assert_array_equal(res.eigenvectors, want)
+        assert "".join(events) == on_read
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,11 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import superpert as sp
-from superpert import kolmogorov, series
+from superpert import kolmogorov, linalg, series
 from superpert.averaging import average_diagonal
 from superpert.linalg import block_groups, degeneracy_blocks, fix_column_phases
 
@@ -145,6 +145,36 @@ def test_degeneracy_blocks_chain():
     assert s.blocks.tolist() == [0, 0, 0, 1]
     s2 = sp.eigh(a, deg_tol=t / 2)
     assert s2.blocks.tolist() == [0, 1, 2, 3]
+
+
+def _diff_labels(lam, deg_tol):
+    # the labels as np.diff forms them: each sorted level's gap to the one
+    # below, with the lowest level prepended for a first gap of 0
+    order = np.argsort(lam, kind="stable")
+    block = np.empty(len(order), dtype=np.int64)
+    block[order] = np.cumsum(np.diff(lam[order], prepend=lam[order[:1]]) > deg_tol)
+    return block
+
+
+@settings(max_examples=100)
+@example(levels=[2.0] * 5, deg_tol=0.0)  # all equal
+@example(levels=[-1.0, -1.0 + 1e-9, -3.0, -1.0], deg_tol=1e-9)  # ties, negative
+@given(
+    levels=st.lists(
+        st.sampled_from([-3.0, -1.0, -1e-9, 0.0, 1e-9, 2e-9, 0.5]) | st.floats(-10, 10),
+        min_size=1,
+        max_size=12,
+    ),
+    deg_tol=st.sampled_from([0.0, 1e-9, 1.5e-9, 0.5, None]),
+)
+def test_degeneracy_blocks_match_the_diff_formula(levels, deg_tol):
+    # ties, all-equal levels, a zero tolerance and negative levels label as
+    # the np.diff form does
+    lam = np.array(levels)
+    got = degeneracy_blocks(lam, deg_tol)
+    tol = linalg.default_deg_tol(lam) if deg_tol is None else deg_tol
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _diff_labels(lam, tol))
 
 
 @pytest.mark.parametrize(
