@@ -7,7 +7,7 @@ corrections through order 4 and dense exact diagonalization are included
 as baselines, plus a batch CLI producing deterministic CSV/JSON reports.
 """
 
-from .averaging import AveragingResult, SmallDenominatorError, average
+from .averaging import SmallDenominatorError
 from .kolmogorov import (
     ConsistencyError,
     KolmogorovState,
@@ -20,7 +20,6 @@ from .kolmogorov import (
 )
 from .linalg import (
     SpectralData,
-    commutator_ad,
     eigh,
     hermitian_part,
     hermiticity_defect,
@@ -41,16 +40,13 @@ from .series import (
     MAX_ORDER,
     OperatorSeries,
     WeightOverflowError,
-    conjugate_series,
     eval_series,
-    u_coefficients,
     weighted_sum,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragingResult",
     "BUILTIN_MODELS",
     "ConsistencyError",
     "KolmogorovState",
@@ -64,10 +60,7 @@ __all__ = [
     "StageInfo",
     "SuResult",
     "WeightOverflowError",
-    "average",
     "build_quartic_oscillator",
-    "commutator_ad",
-    "conjugate_series",
     "default_n_stages",
     "eigh",
     "eval_series",
@@ -82,7 +75,6 @@ __all__ = [
     "rs_corrections",
     "run",
     "step",
-    "u_coefficients",
     "weighted_sum",
     "__version__",
 ]

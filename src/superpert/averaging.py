@@ -14,25 +14,15 @@ denominators and no stacked copy of them, and returns each primitive as the
 engine's anti-Hermitian generator -iS, with entries -hbar B_jk / (E_j - E_k):
 real for a real B, so a real model stays in real arithmetic.  Each average
 is kept as its degeneracy blocks, one (n, s, s) stack per n blocks of size
-s (`block_groups`).  `average` rotates B in and the results out, and
-returns the Hermitian average and S as matrices.
+s (`block_groups`).
 
 Cross-block gaps below the guard abort with a diagnostic instead of
 amplifying noise through the denominators.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import (
-    SpectralData,
-    block_groups,
-    hermitian_part,
-    require_hermitian,
-    require_positive,
-    require_tolerance,
-)
+from .linalg import SpectralData
 
 
 class SmallDenominatorError(ValueError):
@@ -42,12 +32,6 @@ class SmallDenominatorError(ValueError):
         super().__init__(message)
         self.indices = indices
         self.gap = gap
-
-
-@dataclass(frozen=True)
-class AveragingResult:
-    b_bar: np.ndarray
-    s_of_b: np.ndarray
 
 
 def default_gap_guard(spectral: SpectralData) -> float:
@@ -62,45 +46,6 @@ def _boundary_gaps(lam, blocks):
     cut = np.flatnonzero(np.diff(blocks[order]))
     j, k = order[cut], order[cut + 1]
     return j, k, lam[k] - lam[j]
-
-
-def average(spectral: SpectralData, b, hbar=1.0, gap_guard=None) -> AveragingResult:
-    """Split B into its A-commuting average and the generator primitive.
-
-    Parameters
-    ----------
-    spectral : SpectralData of the reference operator A
-    b : Hermitian matrix to average
-    hbar : positive scale of the adjoint action
-    gap_guard : float or None
-        Denominator guard, finite and nonnegative; None means 1e-6 times
-        A's spectral range.
-
-    Returns
-    -------
-    AveragingResult with b_bar (the average) and s_of_b (the primitive,
-    i.e. the generator solving (i/hbar)[S, A] = Bbar - B), both Hermitian,
-    expressed in the original basis.
-    """
-    b = require_hermitian(b, what="averaging input")
-    if b.shape[0] != spectral.dim:
-        raise ValueError(f"dimension mismatch: {b.shape[0]} vs {spectral.dim}")
-    hbar = require_positive(hbar, "hbar")
-    gap_guard = require_tolerance(gap_guard, "gap_guard")
-    if gap_guard is None:
-        gap_guard = default_gap_guard(spectral)
-    v = spectral.eigenvectors
-    bt = v.conj().T @ b @ v
-    groups = block_groups(spectral.blocks)
-    (avg,), (a_t,), _ = average_diagonal(
-        spectral.eigenvalues, spectral.blocks, groups, [bt], hbar, gap_guard
-    )
-    bbar_t = np.zeros_like(bt)
-    for idx, stack in zip(groups, avg):
-        bbar_t[idx[:, :, None], idx[:, None, :]] = stack
-    b_bar = hermitian_part(v @ bbar_t @ v.conj().T)
-    s_of_b = hermitian_part(v @ (1j * a_t) @ v.conj().T)  # S = iA
-    return AveragingResult(b_bar, s_of_b)
 
 
 def guarded_min_gap(lam, blocks, gap_guard):

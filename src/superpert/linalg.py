@@ -33,11 +33,6 @@ def as_operator(a) -> np.ndarray:
     return a
 
 
-def _require_same_shape(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def read_only(a: np.ndarray) -> np.ndarray:
     """a, marked read-only: for an array that is shared once it is made."""
     a.flags.writeable = False
@@ -169,15 +164,6 @@ def require_hermitian(a, tol=HERMITICITY_TOL, what="matrix"):
             f"{d[j, k]:.3e}, above {bound:.3e}"
         )
     return a
-
-
-def commutator_ad(w, a, hbar=1.0) -> np.ndarray:
-    """Adjoint action (i/hbar)(WA - AW); Hermitian for Hermitian W, A."""
-    hbar = require_positive(hbar, "hbar")
-    w = as_array(w)
-    a = as_array(a)
-    _require_same_shape(w, a)
-    return (1j / hbar) * (w @ a - a @ w)
 
 
 @dataclass(frozen=True)

@@ -5,21 +5,19 @@ the factorial weights are part of the grading, not of the stored matrices.
 A series the engine computes is built from its live slots {p: X_p} alone
 (`OperatorSeries._computed`); one read-only zero fills the rest.  A
 transform is given by its generator series, whose slot l holds the
-generator of order l + 1.  The public functions (`conjugate_series`,
-`u_coefficients`) take the Hermitian W_{l+1}: the transform is generated by
--W(eps) and acts on operators through the expansion maps
+generator of order l + 1.  For Hermitian W_{l+1}, the transform generated
+by -W(eps) acts on operators through the expansion maps
 
     T_0 = id,   T_{p+1} = sum_{l=0}^{p} C(p, l) ad W_{l+1} o T_{p-l}
 
 where ad W = (i/hbar)[W, .].  Conjugating a Hamiltonian series is the
 Cauchy product K_p = sum_j C(p, j) T_{p-j}(H_j).
 
-Internally a generator is stored as the anti-Hermitian A = -iW, which is
-real antisymmetric when the model is real, so one kernel runs in the dtype
-of its operands: float64 for a real model, complex128 otherwise.  The
-public functions convert W exactly at entry (`_anti_hermitian`); the stage
+A generator slot holds the anti-Hermitian A = -iW, which is real
+antisymmetric when the model is real, so one kernel runs in the dtype of
+its operands: float64 for a real model, complex128 otherwise.  The stage
 engine builds the A slots itself and calls `conjugate_slots` and
-`flow_coefficients` directly.  With ad W = -(1/hbar)[A, .], and
+`flow_coefficients`.  With ad W = -(1/hbar)[A, .], and
 [A, T] = Y + Y^H with Y = A T for anti-Hermitian A and Hermitian T, the
 kernel `_next_image` accumulates Y = sum_l C(p, l) A_{l+1} T_{p-l}(x), one
 matrix product per live term, and takes T_{p+1}(x) = -(1/hbar)(Y + Y^H)
@@ -52,7 +50,6 @@ roundoff at eps.  H_0's chain is bounded more tightly (`h0_majorant`): the
 engine's generator solves the homological equation, so each term
 ad A_m (H_0) of that chain is the averaging residual -(H_m - Hbar_m), whose
 1-norm is at most the bound the series keeps of H_m, not 2 ||A_m|| ||H_0||.
-The public functions are formal series in eps and keep every term.
 """
 
 import itertools
@@ -63,7 +60,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    finite_norm,
     finite_norms,
     hermitian_part,
     read_only,
@@ -189,16 +185,6 @@ class OperatorSeries:
         return self.coeffs[0].dtype
 
 
-def _anti_hermitian(gen: OperatorSeries) -> OperatorSeries:
-    """The generator series A = -iW of gen's Hermitian slots W, exact; real
-    when every slot's imaginary part is exactly 0, complex128 otherwise."""
-    a = {l: -1j * gen.coeffs[l] for l in gen.live}
-    if not any(c.imag.any() for c in a.values()):
-        a = {l: np.ascontiguousarray(c.real) for l, c in a.items()}
-    zero = shared_zero(gen.dim, _common_dtype(a.values()))
-    return OperatorSeries._computed(gen.order, gen.hbar, zero, a, generator=True)
-
-
 def _add(acc, term):
     """acc + term, where acc None is an empty sum; may reuse acc's memory."""
     if acc is None:
@@ -270,17 +256,18 @@ def _check_match(gen: OperatorSeries, h: OperatorSeries):
         )
 
 
-def conjugate_slots(agen: OperatorSeries, h: OperatorSeries, levels=None, stops=None):
+def conjugate_slots(agen: OperatorSeries, h: OperatorSeries, levels, stops):
     """The slots K_0..K_P of h transformed by the anti-Hermitian generator
     series agen, the Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j), as a
     list with None for a slot no term lands in; the stage engine's route,
     which scans each slot where it next uses it.  The chain of each live H_j
     is added into the K slots as it is produced, for j ascending.  The
     engine gives H_0 = diag(levels) as `levels`, with h's slot 0 zero: its
-    chain runs first, and K_0 = H_0 is left out (None).  With `stops` (see
-    `chain_stops`), chain j computes only T_0..T_{stops[j]-1} and is skipped
-    for a stop of 0; without, every chain runs to order P.  The slots have
-    the dtype agen and h promote to; their entries are not checked.
+    chain runs first, and K_0 = H_0 is left out (None); with levels None,
+    H_0 is h's slot 0.  Chain j computes only T_0..T_{stops[j]-1} (see
+    `chain_stops`) and is skipped for a stop of 0; a stop of P - j + 1 keeps
+    the whole chain.  The slots have the dtype agen and h promote to; their
+    entries are not checked.
 
     Terms are added into the K slots in place.  A slot first reached by an
     image of H_0's chain (binomial 1) starts from that image itself: the
@@ -292,7 +279,7 @@ def conjugate_slots(agen: OperatorSeries, h: OperatorSeries, levels=None, stops=
     out = [None] * (h.order + 1)
     chains = [] if levels is None else [(0, levels)]
     for j, x in chains + [(j, h.coeffs[j]) for j in h.live]:
-        stop = h.order - j + 1 if stops is None else stops[j]
+        stop = stops[j]
         if not stop:
             continue
         x = x.astype(dtype, copy=False)
@@ -308,17 +295,6 @@ def conjugate_slots(agen: OperatorSeries, h: OperatorSeries, levels=None, stops=
             else:
                 out[p] = c * term
     return out
-
-
-def conjugate_series(gen: OperatorSeries, h: OperatorSeries) -> OperatorSeries:
-    """Series transformed by gen, Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j),
-    a zero slot where no term lands; a non-finite slot raises ValueError
-    naming it."""
-    agen = _anti_hermitian(gen)
-    out = conjugate_slots(agen, h)
-    zero = shared_zero(h.dim, np.result_type(agen.dtype, h.dtype))
-    live = {p: c for p, c in enumerate(out) if c is not None}
-    return OperatorSeries._computed(h.order, h.hbar, zero, live)
 
 
 def flow_coefficients(agen: OperatorSeries):
@@ -482,29 +458,6 @@ def chain_stops(agen: OperatorSeries, h: OperatorSeries, h0_norm: float, eps, ke
     return stops, dropped
 
 
-# The flow of a finite generator can overflow where its series stays finite;
-# each coefficient is checked here instead, with numpy's warnings off.
-@np.errstate(over="ignore", invalid="ignore")
-def u_coefficients(gen: OperatorSeries):
-    """Coefficients of the flow generated by gen: Phi(eps) ~ sum_p eps^p/p! U_p.
-
-    The flow solves U' = -(i/hbar) U W(eps) with U_0 = I, so that
-    U(eps)^{-1} A U(eps) reproduces the conjugated series to O(eps^{P+1}).
-    Structurally zero coefficients share one read-only zero matrix.  A
-    coefficient with a NaN or Inf entry raises ValueError naming it.
-    """
-    agen = _anti_hermitian(gen)
-    zero = shared_zero(agen.dim, agen.dtype)
-    out = []
-    for p, u in enumerate(flow_coefficients(agen)):
-        if u is None:
-            u = zero
-        else:
-            finite_norm(u, f"flow coefficient U_{p}")
-        out.append(u)
-    return out
-
-
 class WeightOverflowError(ValueError):
     """The weight eps^p/p! of an order overflows a float at eps."""
 
@@ -523,15 +476,20 @@ def weight(eps, p: int) -> float:
 def weighted_sum(mats, eps: float) -> np.ndarray:
     """sum_p eps^p/p! mats[p], in float64 unless a matrix is complex; skips
     a zero matrix, whose weight is then not formed (see `weight`).  eps must
-    be a finite real and mats nonempty; ValueError names the one at fault."""
+    be a finite real and mats nonempty; ValueError names the one at fault.
+    Where the matrices are finite but a weighted one or the sum overflows,
+    WeightOverflowError names eps, with no numpy warning."""
     eps = require_finite(eps, "eps")
     if not len(mats):
         raise ValueError("mats must hold at least one matrix")
     out = np.array(mats[0], dtype=_common_dtype(mats), copy=True)
-    for p in range(1, len(mats)):
-        c = mats[p]
-        if c.any():
-            out += weight(eps, p) * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(1, len(mats)):
+            c = mats[p]
+            if c.any():
+                out += weight(eps, p) * c
+    if not np.isfinite(out).all() and all(np.isfinite(c).all() for c in mats):
+        raise WeightOverflowError(f"the weighted sum overflows a float at eps {eps:g}")
     return out
 
 

@@ -18,6 +18,11 @@ import numpy as np
 import superpert as sp
 
 
+def commutator_ad(w, a, hbar=1.0):
+    """Adjoint action (i/hbar)(WA - AW); Hermitian for Hermitian W, A."""
+    return (1j / hbar) * (w @ a - a @ w)
+
+
 def t_images(gen, a, up_to):
     """[T_0(a), ..., T_up_to(a)] under the transform generated by gen."""
     w, hbar = gen.coeffs, gen.hbar
@@ -25,7 +30,7 @@ def t_images(gen, a, up_to):
     for p in range(up_to):
         nxt = np.zeros_like(images[0])
         for l in range(p + 1):
-            nxt += math.comb(p, l) * sp.commutator_ad(w[l], images[p - l], hbar)
+            nxt += math.comb(p, l) * commutator_ad(w[l], images[p - l], hbar)
         images.append(nxt)
     return images
 
@@ -67,7 +72,7 @@ def conjugate_series_table(gen, h):
     for p in range(1, order + 1):
         kp = np.zeros_like(out[0])
         for j in range(1, p + 1):
-            ad = sp.commutator_ad(w[j - 1], out[p - j], hbar)
+            ad = commutator_ad(w[j - 1], out[p - j], hbar)
             kp += math.comb(p - 1, j - 1) * (ad + images[j][p - j])
         out.append(kp)
     return sp.OperatorSeries(tuple(out), hbar)

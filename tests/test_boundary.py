@@ -33,7 +33,6 @@ ENTRY_POINTS = {
     ),
     "OperatorSeries": lambda m: sp.OperatorSeries((H0, m)),
     "eigh": sp.eigh,
-    "average": lambda m: sp.average(sp.eigh(H0), m),
     "rs_corrections": lambda m: sp.rs_corrections(sp.eigh(H0), m),
 }
 

@@ -660,11 +660,11 @@ def test_compare_quartic_makes_only_real_dense_eigh(capsys, monkeypatch):
      ("--gap-guard", "-1e-6"), ("--eps", "0.1,0.1"), ("--levels", "0,0"),
      ("--eps", "1e300"), ("--stages", "0"), ("--stages", "-1"),
      ("--stages", "4"), ("--order", str(sp.MAX_ORDER + 1)), ("--dim", "4"),
-     ("--hbar", "-1"), ("--hbar", "1e-310")],
+     ("--hbar", "-1"), ("--hbar", "1e-310"), ("--eps", "1e308")],
     ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative", "eps_repeated",
          "levels_repeated", "eps_overflow", "stages", "stages_negative",
          "stages_past_last", "order_past_cap", "dim_below_builtin_minimum",
-         "hbar_negative", "hbar_reciprocal_overflows"],
+         "hbar_negative", "hbar_reciprocal_overflows", "eps_weighted_sum_overflows"],
 )
 def test_bad_numeric_flag_is_named(capsys, flag, value):
     args = [

@@ -3,6 +3,8 @@ import io
 import re
 from pathlib import Path
 
+import superpert as sp
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -17,3 +19,11 @@ def test_readme_quick_start_runs():
     lines = out.getvalue().splitlines()
     assert len(lines) == 2
     assert float(lines[0]) > 0.0  # the stage-3 ground energy
+
+
+def test_readme_public_api_is_all():
+    # the "Public API" list names every public name once, sorted
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Public API") :].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([^`]+)`", section, re.MULTILINE)
+    assert listed == sorted(sp.__all__)

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import superpert as sp
-from superpert import linalg, series
+from superpert import series
 from superpert.series import OperatorSeries, binomial, zero_padded
 
+import kernels
 import reference
 from conftest import random_hermitian
 
@@ -65,7 +66,7 @@ def test_eval_matches_horner():
 
 def _kernel_images(gen, a, up_to):
     """[T_0(a), ..., T_up_to(a)] from the package's one-product kernel."""
-    return list(series._t_images(series._anti_hermitian(gen), a, up_to))
+    return list(series._t_images(kernels.anti_hermitian(gen), a, up_to))
 
 
 def test_t_apply_order_zero_and_one():
@@ -75,7 +76,7 @@ def test_t_apply_order_zero_and_one():
     ts = _transform_only_w1(w1, 3, hbar=0.5)
     images = _kernel_images(ts, a, 1)
     np.testing.assert_array_equal(images[0], a)
-    np.testing.assert_allclose(images[1], sp.commutator_ad(w1, a, 0.5), atol=1e-15)
+    np.testing.assert_allclose(images[1], reference.commutator_ad(w1, a, 0.5), atol=1e-15)
     np.testing.assert_array_equal(reference.t_apply(ts, 0, a), a)
     with pytest.raises(ValueError, match="order index"):
         reference.t_apply(ts, 4, a)
@@ -120,7 +121,7 @@ def test_conjugate_identity_when_generator_vanishes():
     zero_gen = OperatorSeries(
         tuple(np.zeros((4, 4), dtype=complex) for _ in range(5))
     )
-    k = sp.conjugate_series(zero_gen, h)
+    k = kernels.conjugate_series(zero_gen, h)
     for p in range(5):
         np.testing.assert_array_equal(k.coeffs[p], h.coeffs[p])
         # each K_p = T_0(H_p) is a copy, not h's own slot
@@ -132,11 +133,11 @@ def test_conjugate_unrolled_single_generator():
     w1 = random_hermitian(rng, 3)
     h0 = random_hermitian(rng, 3)
     h = zero_padded({0: h0}, 3, 2, 1.0)
-    k = sp.conjugate_series(_transform_only_w1(w1, 2), h)
-    ad1 = sp.commutator_ad(w1, h0)
+    k = kernels.conjugate_series(_transform_only_w1(w1, 2), h)
+    ad1 = reference.commutator_ad(w1, h0)
     np.testing.assert_array_equal(k.coeffs[0], h0)
     np.testing.assert_allclose(k.coeffs[1], ad1, atol=1e-14)
-    np.testing.assert_allclose(k.coeffs[2], sp.commutator_ad(w1, ad1), atol=1e-13)
+    np.testing.assert_allclose(k.coeffs[2], reference.commutator_ad(w1, ad1), atol=1e-13)
 
 
 def test_conjugation_routes_agree():
@@ -144,7 +145,7 @@ def test_conjugation_routes_agree():
     for P in range(1, 7):
         h = _series(rng, 4, P, hbar=0.9)
         gen = _series(rng, 4, P, hbar=0.9, scale=0.8)
-        k1 = sp.conjugate_series(gen, h)
+        k1 = kernels.conjugate_series(gen, h)
         k2 = reference.conjugate_series_table(gen, h)
         for p in range(P + 1):
             scale = max(1.0, sp.max_norm(k1.coeffs[p]), sp.max_norm(k2.coeffs[p]))
@@ -164,7 +165,7 @@ def test_conjugation_routes_agree_on_random_series(n, order, seed, hbar, zero_w,
     rng = np.random.default_rng(seed)
     h = _series(rng, n, order, hbar=hbar, zero_slots=zero_h)
     gen = _series(rng, n, order, hbar=hbar, scale=0.5, zero_slots=zero_w)
-    k1 = sp.conjugate_series(gen, h)
+    k1 = kernels.conjugate_series(gen, h)
     k2 = reference.conjugate_series_table(gen, h)
     for c1, c2 in zip(k1.coeffs, k2.coeffs):
         scale = max(1.0, sp.max_norm(c1), sp.max_norm(c2))
@@ -175,26 +176,27 @@ def test_conjugation_preserves_hermiticity():
     rng = np.random.default_rng(27)
     h = _series(rng, 5, 5)
     ts = _series(rng, 5, 5, scale=0.7)
-    k = sp.conjugate_series(ts, h)
+    k = kernels.conjugate_series(ts, h)
     for c in k.coeffs:
         assert sp.hermiticity_defect(c) == 0.0
 
 
 def test_commutator_ad_is_left_to_the_cross_check_route(monkeypatch):
     # the engine's conjugations run on the one-product kernel; only the
-    # reference route uses the two-product commutator
+    # reference route uses the two-product commutator, which the package
+    # does not define
     calls = []
-    real = linalg.commutator_ad
+    real = reference.commutator_ad
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "superpert" and hasattr(module, "commutator_ad"):
-            monkeypatch.setattr(module, "commutator_ad", counted)
-    sp.run(sp.build_quartic_oscillator(10), 0.1, 8)
-    assert calls == []
+    monkeypatch.setattr(reference, "commutator_ad", counted)
+    assert not [
+        name for name, module in sys.modules.items()
+        if name.partition(".")[0] == "superpert" and hasattr(module, "commutator_ad")
+    ]
     rng = np.random.default_rng(34)
     reference.conjugate_series_table(_series(rng, 4, 3, scale=0.5), _series(rng, 4, 3))
     assert len(calls) > 0
@@ -205,12 +207,12 @@ def test_reference_route_shares_no_kernel(monkeypatch):
     def unavailable(*args):
         raise AssertionError("the package's conjugation kernel was called")
 
-    for name in ("_next_image", "_t_images", "_anti_hermitian", "conjugate_slots"):
+    for name in ("_next_image", "_t_images", "conjugate_slots"):
         monkeypatch.setattr(series, name, unavailable)
     rng = np.random.default_rng(36)
     gen, h = _series(rng, 4, 3, scale=0.5), _series(rng, 4, 3)
     with pytest.raises(AssertionError, match="kernel was called"):
-        sp.conjugate_series(gen, h)
+        kernels.conjugate_series(gen, h)
     reference.conjugate_series_table(gen, h)
     reference.t_apply(gen, 3, h.coeffs[1])
 
@@ -227,40 +229,28 @@ def test_streamed_routes_with_sparse_live_generator_slots():
     for p, ref in enumerate(reference.t_images(gen, h.coeffs[0], P)):
         got = np.zeros((4, 4)) if images[p] is None else images[p]
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, sp.max_norm(ref)))
-    k = sp.conjugate_series(gen, h)
+    k = kernels.conjugate_series(gen, h)
     table = reference.conjugate_series_table(gen, h)
     for c1, c2 in zip(k.coeffs, table.coeffs):
         assert sp.max_norm(c1 - c2) <= 1e-12 * max(1.0, sp.max_norm(c2))
-    for u, ref in zip(sp.u_coefficients(gen), reference.u_coefficients(gen), strict=True):
+    for u, ref in zip(kernels.u_coefficients(gen), reference.u_coefficients(gen), strict=True):
         assert sp.max_norm(u - ref) <= 1e-12 * max(1.0, sp.max_norm(ref))
 
 
 def test_u_coefficients_trivial_and_powers():
     rng = np.random.default_rng(28)
     zero_gen = OperatorSeries(tuple(np.zeros((3, 3), dtype=complex) for _ in range(4)))
-    u = sp.u_coefficients(zero_gen)
+    u = kernels.u_coefficients(zero_gen)
     np.testing.assert_array_equal(u[0], np.eye(3))
     for p in range(1, 4):
         assert sp.max_norm(u[p]) == 0.0
 
     hbar = 0.6
     w1 = random_hermitian(rng, 3)
-    u = sp.u_coefficients(_transform_only_w1(w1, 3, hbar=hbar))
+    u = kernels.u_coefficients(_transform_only_w1(w1, 3, hbar=hbar))
     for p in range(4):
         ref = np.linalg.matrix_power((-1j / hbar) * w1, p)
         np.testing.assert_allclose(u[p], ref, atol=1e-13 * max(1.0, sp.max_norm(ref)))
-
-
-def test_overflowing_flow_coefficient_is_named():
-    # U_2 = -W_1^2 overflows although W_1 is finite; any numpy warning on
-    # the way would raise here
-    w1 = np.array([[0.0, 1e200], [1e200, 0.0]])
-    zero = np.zeros((2, 2))
-    gen = OperatorSeries((w1, zero, zero))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^flow coefficient U_2 has a non-finite entry"):
-            sp.u_coefficients(gen)
 
 
 def test_overflowing_weight_names_eps():
@@ -275,6 +265,19 @@ def test_overflowing_weight_names_eps():
         ) as err:
             sp.weighted_sum([one, one, one], 1e200)
     assert isinstance(err.value, ValueError)
+
+
+def test_overflowing_weighted_term_names_eps():
+    # eps = 1e308 is a finite weight, but eps times an entry of 2 is not, nor
+    # is 8e307 plus eps; this gave an inf matrix and a numpy warning
+    one, message = np.eye(2), r"^the weighted sum overflows a float at eps 1e\+308$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mats in ([one, 2.0 * one], [8e307 * one, one]):
+            s = sp.OperatorSeries(tuple(mats))
+            for call in (sp.weighted_sum, lambda m, e: sp.eval_series(s, e)):
+                with pytest.raises(sp.WeightOverflowError, match=message):
+                    call(mats, 1e308)
 
 
 @pytest.mark.parametrize(
@@ -306,7 +309,7 @@ def test_truncated_flow_unitarity_defect_scaling():
     rng = np.random.default_rng(29)
     P = 4
     ts = _series(rng, 4, P, scale=0.6)
-    u = sp.u_coefficients(ts)
+    u = kernels.u_coefficients(ts)
 
     def defect(eps):
         ueval = sp.weighted_sum(u, eps)
@@ -321,8 +324,8 @@ def test_truncated_flow_matches_series_conjugation():
     P = 4
     h = _series(rng, 4, P)
     ts = _series(rng, 4, P, scale=0.6)
-    k = sp.conjugate_series(ts, h)
-    u = sp.u_coefficients(ts)
+    k = kernels.conjugate_series(ts, h)
+    u = kernels.u_coefficients(ts)
 
     def err(eps):
         ueval = sp.weighted_sum(u, eps)
@@ -346,10 +349,10 @@ def test_series_validation():
     with pytest.raises(ValueError, match="hbar"):
         OperatorSeries((a,), hbar=-1.0)
     with pytest.raises(ValueError, match="mismatch|order"):
-        sp.conjugate_series(OperatorSeries((a, a)), OperatorSeries((a,)))
+        kernels.conjugate_series(OperatorSeries((a, a)), OperatorSeries((a,)))
 
 
-@pytest.mark.parametrize("route", [sp.conjugate_series, reference.conjugate_series_table])
+@pytest.mark.parametrize("route", [kernels.conjugate_series, reference.conjugate_series_table])
 def test_conjugation_rejects_mismatched_hbar(route):
     # the two routes used to take hbar from different operands, so with
     # hbar 1 against 2 they disagreed instead of failing
@@ -420,7 +423,7 @@ def _full_images(a, x, up_to, hbar):
 def _full_conjugations(ts, h):
     """(Cauchy route, flow coefficients) without skipping."""
     P, hbar = h.order, h.hbar
-    a = series._anti_hermitian(ts).coeffs
+    a = kernels.anti_hermitian(ts).coeffs
     images = [_full_images(a, h.coeffs[j], P - j, hbar) for j in range(P + 1)]
     cauchy, u = [], [np.eye(h.dim, dtype=complex)]
     for p in range(P + 1):
@@ -452,8 +455,8 @@ def test_zero_slot_skipping_is_exact(n, order, seed, zero_w, zero_h):
     ts = _series(rng, n, order, hbar=0.7, scale=0.5, zero_slots=zero_w)
     cauchy, u = _full_conjugations(ts, h)
     for got, want in (
-        (sp.conjugate_series(ts, h).coeffs, cauchy),
-        (sp.u_coefficients(ts), u),
+        (kernels.conjugate_series(ts, h).coeffs, cauchy),
+        (kernels.u_coefficients(ts), u),
     ):
         assert len(got) == len(want)
         for g, r in zip(got, want):
@@ -486,12 +489,12 @@ def test_levels_chain_matches_the_dense_diagonal_chain(n, order, seed, real, zer
 
     levels = rng.uniform(-3.0, 3.0, n)
     w = [zero if l in zero_w else 0.5 * hermitian(-1) for l in range(order + 1)]
-    agen = series._anti_hermitian(OperatorSeries(tuple(w), 0.7))
+    agen = kernels.anti_hermitian(OperatorSeries(tuple(w), 0.7))
     slots = [zero if p in zero_h else hermitian(1) for p in range(1, order + 1)]
     h = OperatorSeries((zero, *slots), 0.7)
     dense = OperatorSeries((np.diag(levels),) + h.coeffs[1:], 0.7)
-    got = series.conjugate_slots(agen, h, levels)
-    want = series.conjugate_slots(agen, dense)
+    got = kernels.conjugate_slots(agen, h, levels)
+    want = kernels.conjugate_slots(agen, dense)
     # None stands for a zero slot
     dtypes = {c.dtype for c in got + want if c is not None}
     assert len(dtypes) == 1
@@ -527,9 +530,9 @@ def test_public_routes_run_real_for_an_imaginary_generator():
 
     h = OperatorSeries(tuple(real_symmetric() for _ in range(P + 1)), 0.8)
     gen = OperatorSeries(tuple(imaginary_hermitian() for _ in range(P + 1)), 0.8)
-    k = sp.conjugate_series(gen, h)
+    k = kernels.conjugate_series(gen, h)
     assert {c.dtype for c in k.coeffs} == {np.dtype(np.float64)}
-    assert {u.dtype for u in sp.u_coefficients(gen)} == {np.dtype(np.float64)}
+    assert {u.dtype for u in kernels.u_coefficients(gen)} == {np.dtype(np.float64)}
     assert _kernel_images(gen, h.coeffs[1], 2)[2].dtype == np.float64
     table = reference.conjugate_series_table(gen, h)
     for c1, c2 in zip(k.coeffs, table.coeffs):
@@ -545,7 +548,7 @@ def test_lie_majorant_is_the_weighted_binomial_recursion(factor, eps):
     # induced 1-norm (largest column sum of moduli) of each generator slot
     rng = np.random.default_rng(38)
     n, P, hbar = 4, 10, 0.7
-    agen = series._anti_hermitian(_series(rng, n, P, hbar=hbar, zero_slots=(0, 3, 4)))
+    agen = kernels.anti_hermitian(_series(rng, n, P, hbar=hbar, zero_slots=(0, 3, 4)))
     g = [np.linalg.norm(a, 1) for a in agen.coeffs]
     m = [1.0]
     for k in range(P):
@@ -570,7 +573,7 @@ def test_chain_stops_keep_every_weighted_term_at_a_huge_eps():
     # T_1, which no generator slot reaches (slot 0 is zero)
     rng = np.random.default_rng(39)
     P = 6
-    agen = series._anti_hermitian(_series(rng, 3, P, zero_slots=(0, 4, 5, 6)))
+    agen = kernels.anti_hermitian(_series(rng, 3, P, zero_slots=(0, 4, 5, 6)))
     h = _series(rng, 3, P, zero_slots=(0, 1))
     stops, dropped = series.chain_stops(agen, h, 2.0, 1e300, 1)
     assert dropped == 0.0
