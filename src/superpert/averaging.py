@@ -11,10 +11,10 @@ working precision by construction.  For degenerate A the full intra-block
 part is retained, which still commutes with A.  `average_diagonal` applies
 these formulas in A's eigenbasis to a sequence of matrices, with one set of
 denominators and no stacked copy of them, and returns each primitive as the
-engine's anti-Hermitian generator -iS, with entries -hbar B_jk / (E_j - E_k):
-real for a real B, so a real model stays in real arithmetic.  Each average
-is kept as its degeneracy blocks, one (n, s, s) stack per n blocks of size
-s (`block_groups`).
+engine's anti-Hermitian generator G = iS/hbar, with entries
+B_jk / (E_j - E_k): hbar cancels, and G is real for a real B, so a real
+model stays in real arithmetic.  Each average is kept as its degeneracy
+blocks, one (n, s, s) stack per n blocks of size s (`block_groups`).
 
 Cross-block gaps below the guard abort with a diagnostic instead of
 amplifying noise through the denominators.
@@ -66,21 +66,22 @@ def guarded_min_gap(lam, blocks, gap_guard):
     return float(np.min(gaps, initial=np.inf))
 
 
-def average_diagonal(lam, blocks, groups, slots, hbar, gap_guard):
+def average_diagonal(lam, blocks, groups, slots, gap_guard):
     """(averages, generators, min_gap) for A = diag(lam) with block labels
-    `blocks` and their `block_groups`: each slot's Bbar and -iS, in order.
+    `blocks` and their `block_groups`: each slot's Bbar and G, in order.
 
     slots is a sequence of matrices B in A's eigenbasis, averaged one by one
     against one set of denominators, with no stacked copy.  Bbar is a list of
-    B's blocks, one (n, s, s) stack per (n, s) group; it and -iS have B's
+    B's blocks, one (n, s, s) stack per (n, s) group; it and G have B's
     dtype.  Gathering the blocks and the antisymmetric real denominators keep
-    the symmetry exact: for B Hermitian to the bit, Bbar is Hermitian and -iS
+    the symmetry exact: for B Hermitian to the bit, Bbar is Hermitian and G
     anti-Hermitian to the bit.  gap_guard and min_gap are as in
-    `guarded_min_gap`, checked also for no slot.  -iS is -hbar B divided
-    in place: a real one by real division, which the reciprocal is not; a
-    complex one as numpy's complex-by-real division does it, each part times
-    the one reciprocal, in one contiguous pass over its float64 view, which
-    is cheaper and equal to the bit."""
+    `guarded_min_gap`, checked also for no slot.  G is B divided by the
+    denominators into a fresh array: a real B by real division, which the
+    reciprocal is not; a complex B as numpy's complex-by-real division does
+    it, each part times the one reciprocal, in one contiguous pass over the
+    float64 view of a C-ordered copy, which is cheaper and equal to the
+    bit."""
     min_gap = guarded_min_gap(lam, blocks, gap_guard)
     d = len(lam)
     # the flat indices of each group's blocks, (n, s, s), and of all of them
@@ -94,16 +95,16 @@ def average_diagonal(lam, blocks, groups, slots, hbar, gap_guard):
     averages = [[b.take(f) for f in flat] for b in slots]
     generators = []
     for b in slots:
-        a = np.multiply(-hbar, b, order="C")
-        if np.iscomplexobj(a):
+        if np.iscomplexobj(b):
             if inv is None:
                 inv = np.empty((d, d, 2))
                 inv[..., 0] = inv[..., 1] = 1.0 / denom
                 inv = inv.reshape(d, 2 * d)
-            parts = a.view(np.float64)
+            g = np.array(b, order="C")
+            parts = g.view(np.float64)
             parts *= inv
         else:
-            a /= denom
-        np.put(a, inside, 0.0)
-        generators.append(a)
+            g = np.divide(b, denom)
+        np.put(g, inside, 0.0)
+        generators.append(g)
     return averages, generators, min_gap

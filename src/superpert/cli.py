@@ -358,7 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--deg-tol", type=float, default=None)
     parser.add_argument("--gap-guard", type=float, default=None)
-    parser.add_argument("--hbar", type=float, default=None)
+    parser.add_argument(
+        "--hbar",
+        type=float,
+        default=None,
+        help="recorded in the report's config; the terms are the operator in "
+        "energy units, so hbar does not enter the computation",
+    )
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     return parser

@@ -9,17 +9,19 @@ values and zeroed, and everything from order 2^n up is kept transformed.
 The engine therefore works at a fixed evaluation point eps; its H_0 is an
 expansion in functions of eps, not a plain power series.
 
-A generator slot is stored as the anti-Hermitian A_p = -iW_p (see
-`series`), so the engine runs in the dtype of the model: real arithmetic
-throughout for a real model, complex128 for a complex one.  Since eps is a
-number, each stage stops its conjugation chains and its flow sum once the
-Lie-series majorant of the rest is below rounding at eps (`chain_stops`,
-`flow_cut`), and records the majorant of what it dropped; H_0's chain is
-bounded by the averaging residuals its generator solves for.  The slots
-past the cut are exact zeros, and a stage works only on its live slots: it
-averages, scans and folds the live slots of its window alone, and a stage
-whose generator has no live slot forms no flow and no basis product
-(`step`).  Results are bit-identical to running every stage in full.
+A generator slot is stored as the anti-Hermitian G_p = iW_p/hbar (see
+`series`), B_jk/(E_j - E_k) off the blocks, so hbar cancels out and the
+engine never reads a model's hbar.  It runs in the dtype of the model: real
+arithmetic throughout for a real model, complex128 for a complex one.
+Since eps is a number, each stage stops its conjugation chains and its
+flow sum once the Lie-series majorant of the rest is below rounding at eps
+(`chain_stops`, `flow_cut`), and records the majorant of what it dropped;
+H_0's chain is bounded by the averaging residuals its generator solves
+for.  The slots past the cut are exact zeros, and a stage works only on its
+live slots: it averages, scans and folds the live slots of its window
+alone, and a stage whose generator has no live slot forms no flow and no
+basis product (`step`).  Results are bit-identical to running every stage
+in full.
 
 `init` rotates the series into the eigenbasis of H_0 once; H_0 then stays
 diagonal up to degeneracy blocks, which alone are diagonalized after each
@@ -94,7 +96,7 @@ class StageInfo:
     slot_residual: float  # max |K_p - predicted|_max over eliminated slots
     series_scale: float  # max coefficient norm of the series entering the stage
     min_gap: float  # smallest denominator gap in this stage's averaging basis
-    generator_norms: tuple  # max_norm of the generator slots (|A_p| = |W_p|)
+    generator_norms: tuple  # max_norm of the generator slots (|G_p| = |W_p|/hbar)
     # spectral-norm majorant at eps of the dropped images, plus ||H_0||_2
     # times that of the dropped flow tail; 0.0 when nothing with weight went
     truncation_bound: float
@@ -234,7 +236,7 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
     state = KolmogorovState(
         stage=0,
         eps=eps,
-        series=zero_padded(start.terms, model.dim, order, model.hbar),
+        series=zero_padded(start.terms, model.dim, order),
         levels=spectral.eigenvalues,
         blocks=spectral.blocks,
         _basis=_Pending(eps, spectral.eigenvectors),
@@ -279,24 +281,19 @@ def _fold(state: KolmogorovState, groups, averaged):
 def _average(state: KolmogorovState, groups, lo, hi):
     """The homological equation of the window lo..hi, with one set of
     denominators: ({p: Hbar_p} for the live window slots, the generator
-    series with A_p in slot p - 1 and the state's shared zero elsewhere, the
+    series with G_p in slot p - 1 and the state's shared zero elsewhere, the
     smallest denominator gap).  Only the live slots of the window are
     averaged, each in place, with no stacked copy; Hbar_p is its blocks, one
     stack per group of `groups`.  The gap guard is checked, and min_gap
     taken, whatever is live.  A non-finite generator slot raises naming it."""
     series = state.series
     live = [p for p in series.live if lo <= p <= hi]
-    avg, a, min_gap = average_diagonal(
-        state.levels,
-        state.blocks,
-        groups,
-        [series.coeffs[p] for p in live],
-        series.hbar,
-        state.gap_guard,
+    avg, g, min_gap = average_diagonal(
+        state.levels, state.blocks, groups, [series.coeffs[p] for p in live], state.gap_guard
     )
-    a = {p - 1: x for p, x in zip(live, a)}  # A_p is slot p - 1
+    g = {p - 1: x for p, x in zip(live, g)}  # G_p is slot p - 1
     zero = series.coeffs[0]  # the state's shared zero
-    gen = OperatorSeries._computed(series.order, series.hbar, zero, a, generator=True)
+    gen = OperatorSeries._computed(series.order, zero, g, generator=True)
     return dict(zip(live, avg)), gen, min_gap
 
 
@@ -373,11 +370,11 @@ class _Pending:
     the steps still to apply to it, each a stage as `_apply_stage` applies
     it (with read-only references to what the stage made) or, last, the
     unit columns with fixed phases.  bound, the product of the flows'
-    `flow_cut` norms, bounds ||basis||_2, each partial product and, times
-    max(1, hbar) / min(1, |weight(eps, stop - 1)|), each flow coefficient
-    and product a stage forms.  Past _PENDING_LIMIT, or where that weight
-    overflows, a stage and every later step is applied at once, with the
-    errors it raises, and bound is inf."""
+    `flow_cut` norms, bounds ||basis||_2, each partial product and, divided
+    by min(1, |weight(eps, stop - 1)|), each flow coefficient and product a
+    stage forms.  Past _PENDING_LIMIT, or where that weight overflows, a
+    stage and every later step is applied at once, with the errors it
+    raises, and bound is inf."""
 
     def __init__(self, eps, basis, steps=(), bound=1.0):
         self.eps, self.bound = eps, bound
@@ -399,7 +396,7 @@ class _Pending:
         if q is not None:
             read_only(q)
         stage = functools.partial(_apply_stage, gen=gen, eps=self.eps, stop=stop, q=q)
-        return self._then(stage, bound, not bound * max(1.0, gen.hbar) < limit)
+        return self._then(stage, bound, not bound < limit)
 
     def normalized(self):
         """This basis with unit columns and fixed phases, applied at once
@@ -506,9 +503,7 @@ def step(state: KolmogorovState) -> KolmogorovState:
         rest = {p: k[p] for p in range(hi + 1, P + 1) if k[p] is not None}
         if q is not None:
             rest = {p: hermitian_part(q.conj().T @ c @ q) for p, c in rest.items()}
-        survivors = OperatorSeries._computed(
-            P, series.hbar, series.coeffs[0], rest, known=known
-        )
+        survivors = OperatorSeries._computed(P, series.coeffs[0], rest, known=known)
     if keys is not None and not hit:
         _keep_slots(state._slots, keys, k, survivors if q is None else None)
     info = StageInfo(

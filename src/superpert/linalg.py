@@ -46,9 +46,14 @@ def max_norm(a) -> float:
 
 
 def hermitian_part(a) -> np.ndarray:
-    """(a + a^H)/2 over the last two axes, so a stack of matrices works."""
+    """(a + a^H)/2 over the last two axes, so a stack of matrices works; a
+    finite a gives a finite result."""
     a = as_array(a)
-    out = a + a.conj().swapaxes(-1, -2)
+    try:
+        with np.errstate(over="raise"):
+            out = a + a.conj().swapaxes(-1, -2)
+    except FloatingPointError:  # halve first, only here: a halved subnormal rounds
+        return a / 2.0 + a.conj().swapaxes(-1, -2) / 2.0
     out /= 2.0
     return out
 
@@ -118,7 +123,8 @@ def require_finite(value, what) -> float:
 
 
 def require_positive(value, what) -> float:
-    """hbar as a float; ValueError naming `what` unless it and 1/it are finite, > 0."""
+    """float(value); raises ValueError naming `what` unless it and its
+    reciprocal are finite and it is > 0."""
     value = _require_real(value, what)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{what} must be positive and finite, got {value}")

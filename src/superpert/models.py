@@ -64,7 +64,7 @@ class ModelSpec:
         return np.zeros((self.dim, self.dim), dtype=self.h_coeffs[0][1].dtype)
 
     def series(self, order: int) -> OperatorSeries:
-        return zero_padded(dict(self.h_coeffs), self.dim, order, self.hbar)
+        return zero_padded(dict(self.h_coeffs), self.dim, order)
 
     def with_hbar(self, hbar: float) -> "ModelSpec":
         with _model_error(self.name):

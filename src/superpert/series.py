@@ -13,16 +13,17 @@ by -W(eps) acts on operators through the expansion maps
 where ad W = (i/hbar)[W, .].  Conjugating a Hamiltonian series is the
 Cauchy product K_p = sum_j C(p, j) T_{p-j}(H_j).
 
-A generator slot holds the anti-Hermitian A = -iW, which is real
-antisymmetric when the model is real, so one kernel runs in the dtype of
-its operands: float64 for a real model, complex128 otherwise.  The stage
-engine builds the A slots itself and calls `conjugate_slots` and
-`flow_coefficients`.  With ad W = -(1/hbar)[A, .], and
-[A, T] = Y + Y^H with Y = A T for anti-Hermitian A and Hermitian T, the
-kernel `_next_image` accumulates Y = sum_l C(p, l) A_{l+1} T_{p-l}(x), one
-matrix product per live term, and takes T_{p+1}(x) = -(1/hbar)(Y + Y^H)
-once.  That halves the matrix products of the two-product commutator, and
-the image is Hermitian to the bit.  The kernel needs Hermitian operands and
+A generator slot holds the anti-Hermitian G = iW/hbar, B_jk/(E_j - E_k)
+in the engine (see `averaging`), so ad W = [G, .] and no kernel, series or
+bound carries hbar.  G is real antisymmetric when the model is real, so one
+kernel runs in the dtype of its operands: float64 for a real model,
+complex128 otherwise.  The stage engine builds the G slots itself and calls
+`conjugate_slots` and `flow_coefficients`.  With [G, T] = Y + Y^H for
+Y = G T, G anti-Hermitian and T Hermitian, the kernel `_next_image`
+accumulates Y = sum_l C(p, l) G_{l+1} T_{p-l}(x), one matrix product per
+live term, and takes T_{p+1}(x) = Y + Y^H once.  That halves the matrix
+products of the two-product commutator, and the image is Hermitian to the
+bit.  The kernel needs Hermitian operands and
 anti-Hermitian generators to the bit, so every matrix that is Hermitian
 only up to rounding is symmetrized where it enters a series: the public
 `OperatorSeries` constructor symmetrizes its coefficients, and the stage
@@ -33,7 +34,7 @@ generator slots l, so `_t_images` keeps the last max(live) + 1 images, not
 the whole chain; `conjugate_slots` adds each chain T_0..T_{P-j}(H_j) into the
 K slots as it is produced, for j ascending, so each K_p sums its terms in
 the Cauchy product's order.  The stage engine gives H_0 as its levels, a
-1-D T_0, whose images take A * levels for A diag(levels), bit for bit, at
+1-D T_0, whose images take G * levels for G diag(levels), bit for bit, at
 half the work.  The flow coefficients follow the same rule,
 and `flow_at` sums them at eps as they come.  A transform of an order-P
 series therefore holds O(P) matrices at once, the P + 1 slots of K and one
@@ -48,8 +49,8 @@ bounds the spectral norm of a Hermitian or anti-Hermitian matrix, and
 `chain_stops` and `flow_cut` drop the tails that weigh less than unit
 roundoff at eps.  H_0's chain is bounded more tightly (`h0_majorant`): the
 engine's generator solves the homological equation, so each term
-ad A_m (H_0) of that chain is the averaging residual -(H_m - Hbar_m), whose
-1-norm is at most the bound the series keeps of H_m, not 2 ||A_m|| ||H_0||.
+[G_m, H_0] of that chain is the averaging residual -(H_m - Hbar_m), whose
+1-norm is at most the bound the series keeps of H_m, not 2 ||G_m|| ||H_0||.
 """
 
 import itertools
@@ -65,7 +66,6 @@ from .linalg import (
     read_only,
     require_finite,
     require_hermitian,
-    require_positive,
 )
 
 # Cap on the order of a series.  _BINOM holds float64 binomials, exact
@@ -98,11 +98,11 @@ class OperatorSeries:
     """Finite graded family: coeffs[p] multiplies eps^p/p!.
 
     The constructor validates caller-supplied coefficients (`require_hermitian`)
-    and hbar, and stores each coefficient's Hermitian part, so that every slot
-    is Hermitian to the bit, all in one dtype: float64 when every coefficient
-    is real, complex128 otherwise.  The engine builds every series it computes
-    through `_computed`, which skips those steps: it is given the order, hbar,
-    one read-only zero and the live slots {p: X_p} alone, puts the zero in
+    and stores each coefficient's Hermitian part, so that every slot is
+    Hermitian to the bit, all in one dtype: float64 when every coefficient is
+    real, complex128 otherwise.  The engine builds every series it computes
+    through `_computed`, which skips those steps: it is given the order, one
+    read-only zero and the live slots {p: X_p} alone, puts the zero in
     every other slot, and scans each live slot once and no zero.  norms[p] is
     max_norm(coeffs[p]); entries are finite, so a slot is an exact zero
     matrix exactly when its norm is 0, and `live` lists the other orders,
@@ -113,7 +113,6 @@ class OperatorSeries:
     """
 
     coeffs: tuple
-    hbar: float = 1.0
     norms: tuple = field(init=False, compare=False, repr=False)
     bounds: tuple = field(init=False, compare=False, repr=False)
     live: list = field(init=False, compare=False, repr=False)
@@ -121,7 +120,6 @@ class OperatorSeries:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("series needs at least the order-0 coefficient")
-        hbar = require_positive(self.hbar, "hbar")
         mats = tuple(
             hermitian_part(require_hermitian(c, what=f"coefficient {p}"))
             for p, c in enumerate(self.coeffs)
@@ -134,14 +132,14 @@ class OperatorSeries:
                 )
         dtype = _common_dtype(mats)
         mats = tuple(c.astype(dtype, copy=False) for c in mats)
-        self._set(mats, hbar, range(len(mats)))
+        self._set(mats, range(len(mats)))
 
-    def _set(self, mats, hbar, scanned, generator=False, known=None):
+    def _set(self, mats, scanned, generator=False, known=None):
         """Store the fields, scanning the slots `scanned`, ascending, but for
         those whose (norm, bound) `known` holds; every other slot is zero.  A
         non-finite slot raises ValueError naming it, `coefficient p` or
-        `generator slot A_{p+1}`, which is how an overflow inside the engine
-        surfaces."""
+        `generator slot A_{p+1}` (the generator of order p + 1), which is how
+        an overflow inside the engine surfaces."""
         if len(mats) - 1 > MAX_ORDER:
             raise ValueError(
                 f"series order {len(mats) - 1} exceeds the cap {MAX_ORDER}"
@@ -154,22 +152,21 @@ class OperatorSeries:
             what = f"generator slot A_{p + 1}" if generator else f"coefficient {p}"
             scans[p] = finite_norms(mats[p], what)
         object.__setattr__(self, "coeffs", mats)
-        object.__setattr__(self, "hbar", hbar)
         object.__setattr__(self, "norms", tuple(norm for norm, _ in scans))
         object.__setattr__(self, "bounds", tuple(bound for _, bound in scans))
         object.__setattr__(self, "live", [p for p in scanned if scans[p][0] != 0.0])
 
     @classmethod
-    def _computed(cls, order, hbar, zero, live, generator=False, known=None):
+    def _computed(cls, order, zero, live, generator=False, known=None):
         """Series of the given order with `live` {p: X_p} in its slots and the
         read-only `zero` in every other, all of zero's shape and dtype and
-        computed from validated operands with a validated hbar: Hermitian, or
-        for a generator series anti-Hermitian, to the bit.  Only the order
+        computed from validated operands: Hermitian, or for a generator
+        series anti-Hermitian, to the bit.  Only the order
         cap, the norms and the non-finite check are done, on `live` alone,
         and not on a slot whose (norm, bound) `known` already holds."""
         mats = tuple(live.get(p, zero) for p in range(order + 1))
         series = object.__new__(cls)
-        series._set(mats, hbar, sorted(live), generator, known)
+        series._set(mats, sorted(live), generator, known)
         return series
 
     @property
@@ -207,14 +204,14 @@ def _window(live):
     return deque(maxlen=max(live, default=0) + 1)
 
 
-def _next_image(a, live, window, p, hbar):
+def _next_image(g, live, window, p):
     """T_{p+1}(x) from the window [..., T_{p-1}(x), T_p(x)] of `_t_images`,
     None if no term lands.
 
-    Y = sum_l C(p, l) A_{l+1} T_{p-l}(x) over live generator slots and
-    images, one matrix product each; then -(1/hbar)[A, T] = -(1/hbar)(Y + Y^H)
-    for the whole sum, which is exact only for A anti-Hermitian and T
-    Hermitian to the bit.  Each sum starts from its first term, so the
+    Y = sum_l C(p, l) G_{l+1} T_{p-l}(x) over live generator slots and
+    images, one matrix product each; then [G, T] = Y + Y^H for the whole
+    sum, which is exact only for G anti-Hermitian and T Hermitian to the
+    bit.  Each sum starts from its first term, so the
     nonzero terms add up in the same order as in the full recursion and
     skipped orders are structural zeros.  Every product is fresh, so it is
     scaled and summed in place; no array of the window is written."""
@@ -223,42 +220,33 @@ def _next_image(a, live, window, p, hbar):
         if l > p:
             break
         src = window[-1 - l]
-        if src is not None:  # a 1-D T_0 is diagonal: A diag(x) is A * x
-            prod = a[l] * src if src.ndim == 1 else a[l] @ src
+        if src is not None:  # a 1-D T_0 is diagonal: G diag(x) is G * x
+            prod = g[l] * src if src.ndim == 1 else g[l] @ src
             y = _add(y, _scaled(binomial(p, l), prod))
     if y is None:
         return None
     y += y.conj().T
-    y *= -1.0 / hbar
     return y
 
 
-def _t_images(agen: OperatorSeries, x: np.ndarray, up_to: int):
+def _t_images(gen: OperatorSeries, x: np.ndarray, up_to: int):
     """Yield T_0(x), ..., T_up_to(x) for the anti-Hermitian generator series
-    agen, None for an image no term lands in; only the images a later one
+    gen, None for an image no term lands in; only the images a later one
     still reads are kept.  With no live generator slot every later image is
     zero, and T_0 alone is yielded."""
-    a, live, hbar = agen.coeffs, agen.live, agen.hbar
+    g, live = gen.coeffs, gen.live
     window = _window(live)
     window.append(x)
     yield x
     for p in range(up_to if live else 0):
-        t = _next_image(a, live, window, p, hbar)
+        t = _next_image(g, live, window, p)
         window.append(t)
         yield t
 
 
-def _check_match(gen: OperatorSeries, h: OperatorSeries):
-    if (gen.order, gen.dim, gen.hbar) != (h.order, h.dim, h.hbar):
-        raise ValueError(
-            f"generator (order {gen.order}, dim {gen.dim}, hbar {gen.hbar}) "
-            f"does not match series (order {h.order}, dim {h.dim}, hbar {h.hbar})"
-        )
-
-
-def conjugate_slots(agen: OperatorSeries, h: OperatorSeries, levels, stops):
+def conjugate_slots(gen: OperatorSeries, h: OperatorSeries, levels, stops):
     """The slots K_0..K_P of h transformed by the anti-Hermitian generator
-    series agen, the Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j), as a
+    series gen, of h's order and dimension, the Cauchy product K_p = sum_j C(p,j) T_{p-j}(H_j), as a
     list with None for a slot no term lands in; the stage engine's route,
     which scans each slot where it next uses it.  The chain of each live H_j
     is added into the K slots as it is produced, for j ascending.  The
@@ -266,7 +254,7 @@ def conjugate_slots(agen: OperatorSeries, h: OperatorSeries, levels, stops):
     chain runs first, and K_0 = H_0 is left out (None); with levels None,
     H_0 is h's slot 0.  Chain j computes only T_0..T_{stops[j]-1} (see
     `chain_stops`) and is skipped for a stop of 0; a stop of P - j + 1 keeps
-    the whole chain.  The slots have the dtype agen and h promote to; their
+    the whole chain.  The slots have the dtype gen and h promote to; their
     entries are not checked.
 
     Terms are added into the K slots in place.  A slot first reached by an
@@ -274,8 +262,12 @@ def conjugate_slots(agen: OperatorSeries, h: OperatorSeries, levels, stops):
     chain only reads it, and later chains write into it once the chain is
     done.  T_0 is h's own H_j, so a slot that would start from it starts
     from a copy."""
-    _check_match(agen, h)
-    dtype = np.result_type(agen.dtype, h.dtype)
+    if (gen.order, gen.dim) != (h.order, h.dim):
+        raise ValueError(
+            f"generator (order {gen.order}, dim {gen.dim}) "
+            f"does not match series (order {h.order}, dim {h.dim})"
+        )
+    dtype = np.result_type(gen.dtype, h.dtype)
     out = [None] * (h.order + 1)
     chains = [] if levels is None else [(0, levels)]
     for j, x in chains + [(j, h.coeffs[j]) for j in h.live]:
@@ -283,7 +275,7 @@ def conjugate_slots(agen: OperatorSeries, h: OperatorSeries, levels, stops):
         if not stop:
             continue
         x = x.astype(dtype, copy=False)
-        for k, term in enumerate(_t_images(agen, x, stop - 1)):
+        for k, term in enumerate(_t_images(gen, x, stop - 1)):
             if term is None or term.ndim == 1:
                 continue
             p = j + k
@@ -297,56 +289,56 @@ def conjugate_slots(agen: OperatorSeries, h: OperatorSeries, levels, stops):
     return out
 
 
-def flow_coefficients(agen: OperatorSeries):
+def flow_coefficients(gen: OperatorSeries):
     """Yield the coefficients U_0 = I, U_1, ..., U_P of the flow of the
-    anti-Hermitian generator series agen: Phi(eps) ~ sum_p eps^p/p! U_p, the
-    solution of U' = (1/hbar) U A(eps), in agen's dtype; None for a
-    structurally zero coefficient.  Only the coefficients a later one still
-    reads are kept.  Each sum is built in its own memory, so no generator
-    slot or kept coefficient is written, and is scaled by 1/hbar unless hbar
-    is 1.  U_0 is a fresh I that no later coefficient reads (U_0 A_p is
-    taken as A_p), so the caller may write into it."""
-    a, live, hbar = agen.coeffs, agen.live, agen.hbar
+    anti-Hermitian generator series gen: Phi(eps) ~ sum_p eps^p/p! U_p, the
+    solution of U' = -U G(eps), in gen's dtype; None for a structurally zero
+    coefficient.  Only the coefficients a later one still reads are kept.
+    Each sum is built in its own memory, so no generator slot or kept
+    coefficient is written, and is negated once.  U_0 is a fresh I that no
+    later coefficient reads (U_0 G_p is taken as G_p), so the caller may
+    write into it."""
+    g, live = gen.coeffs, gen.live
     window = _window(live)
-    u = np.eye(agen.dim, dtype=agen.dtype)
+    u = np.eye(gen.dim, dtype=gen.dtype)
     window.append(u)
     yield u
-    for p in range(agen.order):
+    for p in range(gen.order):
         nxt = None
         for l in live:
             if l > p:
                 break
-            if l == p:  # U_0 A_p is A_p, and C(p, p) = 1
-                nxt = a[l].copy() if nxt is None else _add(nxt, a[l])
+            if l == p:  # U_0 G_p is G_p, and C(p, p) = 1
+                nxt = g[l].copy() if nxt is None else _add(nxt, g[l])
             elif window[-1 - l] is not None:
-                nxt = _add(nxt, _scaled(binomial(p, l), window[-1 - l] @ a[l]))
-        if nxt is not None and hbar != 1.0:
-            nxt *= 1.0 / hbar
+                nxt = _add(nxt, _scaled(binomial(p, l), window[-1 - l] @ g[l]))
+        if nxt is not None:
+            np.negative(nxt, out=nxt)
         window.append(nxt)
         yield nxt
 
 
-def flow_cut(agen: OperatorSeries, eps: float):
-    """(stop, dropped, norm): where `flow_at` cuts the flow of agen at eps,
-    from w = lie_majorant(agen, eps, 1.0).  It sums U_0..U_{stop-1}: the
+def flow_cut(gen: OperatorSeries, eps: float):
+    """(stop, dropped, norm): where `flow_at` cuts the flow of gen at eps,
+    from w = lie_majorant(gen, eps, 1.0).  It sums U_0..U_{stop-1}: the
     longest tail past U_0 = I whose majorant at eps is below u is left
     out, and `dropped` is that majorant, 0.0 for none.  norm =
     sum_{p<stop} w[p] bounds the 2-norm of the flow, and of each partial sum
-    of it; max(1, hbar) norm / min(1, |weight(eps, stop - 1)|) bounds that of
+    of it; norm / min(1, |weight(eps, stop - 1)|) bounds that of
     each U_p it sums and of each product `flow_coefficients` forms for them,
     at every eps: |eps|^p/p! is log-concave in p, so its least value over
     p = 0..stop-1 is at p = 0 or p = stop - 1."""
-    w = lie_majorant(agen, eps, 1.0)
+    w = lie_majorant(gen, eps, 1.0)
     stop, dropped = _cut(w, 1.0, 1, UNIT_ROUNDOFF)
     return stop, dropped, sum(w[:stop])
 
 
-def flow_at(agen: OperatorSeries, eps: float, stop: int) -> np.ndarray:
-    """The flow of agen at eps, sum_{p<stop} eps^p/p! U_p, summed as the
+def flow_at(gen: OperatorSeries, eps: float, stop: int) -> np.ndarray:
+    """The flow of gen at eps, sum_{p<stop} eps^p/p! U_p, summed as the
     coefficients come, in `weighted_sum`'s order and skipping zero ones;
     stop is the one `flow_cut` gives.  A weight that overflows raises as in
     `weight`."""
-    coeffs = itertools.islice(flow_coefficients(agen), stop)
+    coeffs = itertools.islice(flow_coefficients(gen), stop)
     out = next(coeffs)  # a fresh I, which no later coefficient reads
     for p, u in enumerate(coeffs, start=1):
         if u is not None and u.any():
@@ -354,55 +346,54 @@ def flow_at(agen: OperatorSeries, eps: float, stop: int) -> np.ndarray:
     return out
 
 
-def lie_majorant(agen: OperatorSeries, eps: float, factor: float) -> list:
+def lie_majorant(gen: OperatorSeries, eps: float, factor: float) -> list:
     """Weighted Lie-series majorant of a chain with a unit leaf: w[k] >=
     |eps|^k/k! ||X_k||_2, k = 0..P, for ||X_0||_2 <= 1 and
-    X_{k+1} = sum_l C(k, l) c(A_{l+1}, X_{k-l}), where
-    ||c(A, X)||_2 <= (factor/hbar) ||A||_2 ||X||_2: factor 2 for the images
-    (c = -(1/hbar)[A, .]), 1 for the flow coefficients (c = (1/hbar) X A).
-    A slot is bounded by its stored induced 1-norm, bounds[l] >= ||A_{l+1}||_2,
-    so no matrix is read, and the weights are folded into the recursion,
+    X_{k+1} = sum_l C(k, l) c(G_{l+1}, X_{k-l}), where
+    ||c(G, X)||_2 <= factor ||G||_2 ||X||_2: factor 2 for the images
+    (c = [G, .]), 1 for the flow coefficients (c = -X G).  A slot is
+    bounded by its stored induced 1-norm, bounds[l] >= ||G_{l+1}||_2, so no
+    matrix is read, and the weights are folded into the recursion,
 
-        w[k+1] = factor/(hbar (k+1)) sum_l bounds[l] |eps|^{l+1}/l! w[k-l],
+        w[k+1] = factor/(k+1) sum_l bounds[l] |eps|^{l+1}/l! w[k-l],
 
     so no factorial is formed; an overflow gives inf, which cuts nothing."""
-    return _majorant(agen, eps, factor, [1.0])
+    return _majorant(gen, eps, factor, [1.0])
 
 
-def h0_majorant(agen: OperatorSeries, leaves: dict, eps: float) -> list:
+def h0_majorant(gen: OperatorSeries, leaves: dict, eps: float) -> list:
     """Weighted majorant of H_0's chain, w[k] >= |eps|^k/k! ||T_k(H_0)||_2,
     for a generator that solves the homological equation of the stage's
     series h against H_0, with `leaves` as `_leaves` gives them.  Each term
-    C(k, k) ad A_{k+1} (H_0) of the image recursion is then an averaging
+    C(k, k) [G_{k+1}, H_0] of the image recursion is then an averaging
     residual, -(H_{k+1} - Hbar_{k+1}): H_{k+1} off the degeneracy blocks,
     whose induced 1-norm is at most h's bounds[k+1].  So the `lie_majorant`
     recursion from w[0] = ||H_0||_2 takes that term as
     |eps|^{k+1}/(k+1)! bounds[k+1] = leaves[k+1] for a live generator slot
-    k, 0 for a zero one, in place of (2/hbar) ||A_{k+1}|| ||H_0||."""
+    k, 0 for a zero one, in place of 2 ||G_{k+1}|| ||H_0||."""
     residual = [
-        leaves.get(l + 1, 0.0) if bound else 0.0 for l, bound in enumerate(agen.bounds[:-1])
+        leaves.get(l + 1, 0.0) if bound else 0.0 for l, bound in enumerate(gen.bounds[:-1])
     ]
-    return _majorant(agen, eps, 2.0, [leaves[0]], residual)
+    return _majorant(gen, eps, 2.0, [leaves[0]], residual)
 
 
-def _majorant(agen, eps, factor, w, residual=None):
+def _majorant(gen, eps, factor, w, residual=None):
     """w extended from w[0] to w[0..P] by the recursion of `lie_majorant`;
     with `residual`, its term l = k is residual[k] instead."""
     x = abs(eps)
     slots, power = [], x  # power = |eps|^{l+1}/l!
-    for l, bound in enumerate(agen.bounds[:-1]):
+    for l, bound in enumerate(gen.bounds[:-1]):
         if bound:
             slots.append((l, bound * power))
         power = power * x / (l + 1)
-    rate = factor / agen.hbar
-    for k in range(agen.order):
+    for k in range(gen.order):
         total = 0.0
         for l, g in slots:
             if l > k or (l == k and residual is not None):
                 break
             if w[k - l]:
                 total += g * w[k - l]
-        nxt = rate / (k + 1) * total
+        nxt = factor / (k + 1) * total
         if residual is not None:
             nxt += residual[k]
         w.append(nxt)
@@ -437,9 +428,9 @@ def _leaves(h: OperatorSeries, h0_norm: float, eps):
     return leaves, UNIT_ROUNDOFF * h0_norm / len(leaves)
 
 
-def chain_stops(agen: OperatorSeries, h: OperatorSeries, h0_norm: float, eps, keep):
+def chain_stops(gen: OperatorSeries, h: OperatorSeries, h0_norm: float, eps, keep):
     """(stops, dropped) for `conjugate_slots` of h, with H_0 given as levels of
-    spectral norm h0_norm, for a generator agen that solves the homological
+    spectral norm h0_norm, for a generator gen that solves the homological
     equation of h against H_0.  Term k of chain j >= 1 weighs
     |eps|^{j+k}/(j! k!) ||T_k(H_j)||_2 <= leaf_j w[k] at eps (see `_leaves`);
     H_0's chain has its own table, `h0_majorant`, which bounds each of its
@@ -448,9 +439,9 @@ def chain_stops(agen: OperatorSeries, h: OperatorSeries, h0_norm: float, eps, ke
     u h0_norm / (number of chains), so `dropped`, the majorant of all that
     is dropped, stays below u h0_norm.  A chain past `keep` may go whole."""
     leaves, budget = _leaves(h, h0_norm, eps)
-    w = lie_majorant(agen, eps, 2.0)
+    w = lie_majorant(gen, eps, 2.0)
     stops = [0] * (h.order + 1)
-    stops[0], dropped = _cut(h0_majorant(agen, leaves, eps), 1.0, keep + 1, budget)
+    stops[0], dropped = _cut(h0_majorant(gen, leaves, eps), 1.0, keep + 1, budget)
     for j, leaf in leaves.items():
         if j:
             stops[j], tail = _cut(w[: h.order - j + 1], leaf, max(keep - j + 1, 0), budget)
@@ -498,7 +489,7 @@ def eval_series(s: OperatorSeries, eps: float) -> np.ndarray:
     return weighted_sum(s.coeffs, eps)
 
 
-def zero_padded(coeffs_by_order, dim: int, order: int, hbar: float) -> OperatorSeries:
+def zero_padded(coeffs_by_order, dim: int, order: int) -> OperatorSeries:
     """Series of the given order from a sparse {order: matrix} mapping of
     validated Hermitian matrices, e.g. a model's read-only terms; in float64
     unless one of them is complex.  A matrix already in that dtype fills its
@@ -508,4 +499,4 @@ def zero_padded(coeffs_by_order, dim: int, order: int, hbar: float) -> OperatorS
         if p > order:
             raise ValueError(f"term of order {p} does not fit truncation order {order}")
     live = {p: mat.astype(dtype, copy=False) for p, mat in coeffs_by_order.items()}
-    return OperatorSeries._computed(order, hbar, shared_zero(dim, dtype), live)
+    return OperatorSeries._computed(order, shared_zero(dim, dtype), live)

@@ -23,9 +23,9 @@ def commutator_ad(w, a, hbar=1.0):
     return (1j / hbar) * (w @ a - a @ w)
 
 
-def t_images(gen, a, up_to):
-    """[T_0(a), ..., T_up_to(a)] under the transform generated by gen."""
-    w, hbar = gen.coeffs, gen.hbar
+def t_images(gen, a, up_to, hbar=1.0):
+    """[T_0(a), ..., T_up_to(a)] under the transform generated by gen at hbar."""
+    w = gen.coeffs
     images = [np.array(a, dtype=complex)]
     for p in range(up_to):
         nxt = np.zeros_like(images[0])
@@ -35,17 +35,17 @@ def t_images(gen, a, up_to):
     return images
 
 
-def t_apply(gen, p, a):
+def t_apply(gen, p, a, hbar=1.0):
     """Image T_p(a) of one square operator a under the transform generated
-    by gen."""
+    by gen at hbar."""
     if not 0 <= p <= gen.order:
         raise ValueError(f"order index {p} outside 0..{gen.order}")
-    return t_images(gen, a, p)[p]
+    return t_images(gen, a, p, hbar)[p]
 
 
-def u_coefficients(gen):
+def u_coefficients(gen, hbar=1.0):
     """Flow coefficients U_0 = I, U_{p+1} = sum_l C(p, l) U_{p-l} (-i/hbar) W_{l+1}."""
-    w, hbar = gen.coeffs, gen.hbar
+    w = gen.coeffs
     u = [np.eye(gen.dim, dtype=complex)]
     for p in range(gen.order):
         nxt = np.zeros_like(u[0])
@@ -55,19 +55,19 @@ def u_coefficients(gen):
     return u
 
 
-def conjugate_series_table(gen, h):
-    """h transformed by gen through the stagewise recursion
+def conjugate_series_table(gen, h, hbar=1.0):
+    """h transformed by gen at hbar through the stagewise recursion
 
         K_0 = H_0,  K_p = sum_{j=1}^{p} C(p-1, j-1) (ad W_j(K_{p-j}) + T_{p-j}(H_j)),
 
     the cross-check of the package's Cauchy route."""
-    if (gen.order, gen.dim, gen.hbar) != (h.order, h.dim, h.hbar):
+    if (gen.order, gen.dim) != (h.order, h.dim):
         raise ValueError(
-            f"generator (order {gen.order}, dim {gen.dim}, hbar {gen.hbar}) "
-            f"does not match series (order {h.order}, dim {h.dim}, hbar {h.hbar})"
+            f"generator (order {gen.order}, dim {gen.dim}) "
+            f"does not match series (order {h.order}, dim {h.dim})"
         )
-    w, hbar, order = gen.coeffs, h.hbar, h.order
-    images = [None] + [t_images(gen, h.coeffs[j], order - j) for j in range(1, order + 1)]
+    w, order = gen.coeffs, h.order
+    images = [None] + [t_images(gen, h.coeffs[j], order - j, hbar) for j in range(1, order + 1)]
     out = [np.array(h.coeffs[0], dtype=complex)]
     for p in range(1, order + 1):
         kp = np.zeros_like(out[0])
@@ -75,7 +75,7 @@ def conjugate_series_table(gen, h):
             ad = commutator_ad(w[j - 1], out[p - j], hbar)
             kp += math.comb(p - 1, j - 1) * (ad + images[j][p - j])
         out.append(kp)
-    return sp.OperatorSeries(tuple(out), hbar)
+    return sp.OperatorSeries(tuple(out))
 
 
 def min_cross_block_gap(spectral):

@@ -210,10 +210,10 @@ def test_criterion_8_conjugation_consistency():
     for P in range(1, 7):
         h_coeffs = tuple(random_hermitian(rng, 4) for _ in range(P + 1))
         w_coeffs = tuple(random_hermitian(rng, 4, scale=0.7) for _ in range(P + 1))
-        h = sp.OperatorSeries(h_coeffs, 0.9)
-        ts = sp.OperatorSeries(w_coeffs, 0.9)
-        k1 = kernels.conjugate_series(ts, h)
-        k2 = reference.conjugate_series_table(ts, h)
+        h = sp.OperatorSeries(h_coeffs)
+        ts = sp.OperatorSeries(w_coeffs)
+        k1 = kernels.conjugate_series(ts, h, 0.9)
+        k2 = reference.conjugate_series_table(ts, h, 0.9)
         for p in range(P + 1):
             scale = max(1.0, sp.max_norm(k1.coeffs[p]))
             worst = max(worst, sp.max_norm(k1.coeffs[p] - k2.coeffs[p]) / scale)

@@ -193,12 +193,12 @@ def test_stacked_average_matches_slot_by_slot():
     blocks = np.array([0, 0, 1, 2, 2, 2, 3])
     groups = sp.linalg.block_groups(blocks)
     slots = [random_hermitian(rng, 7) for _ in range(4)]
-    bbar, s, gap = average_diagonal(lam, blocks, groups, slots, 0.8, 1e-6)
+    bbar, s, gap = average_diagonal(lam, blocks, groups, slots, 1e-6)
     assert len(bbar) == len(s) == len(slots)
     for bt, b1, s1 in zip(slots, bbar, s):
         assert s1.shape == bt.shape
         assert [b.shape for b in b1] == [(2, 1, 1), (1, 2, 2), (1, 3, 3)]
-        (b2,), (s2,), gap2 = average_diagonal(lam, blocks, groups, [bt], 0.8, 1e-6)
+        (b2,), (s2,), gap2 = average_diagonal(lam, blocks, groups, [bt], 1e-6)
         for stack1, stack2 in zip(b1, b2, strict=True):
             np.testing.assert_array_equal(stack1, stack2)
         np.testing.assert_array_equal(s1, s2)
@@ -223,13 +223,10 @@ def test_hermitian_part_of_a_stack():
     seed=st.integers(0, 2**32 - 1),
     degenerate=st.booleans(),
     real=st.booleans(),
-    hbar=st.sampled_from([1.0, 0.7, 3e-5]),
     exponent=st.integers(-300, 300),
 )
-def test_generator_is_the_masked_quotient_to_the_bit(
-    n, k, seed, degenerate, real, hbar, exponent
-):
-    # a complex -hbar B is divided by the real denominators as each part
+def test_generator_is_the_masked_quotient_to_the_bit(n, k, seed, degenerate, real, exponent):
+    # a complex B is divided by the real denominators as each part
     # times one reciprocal: that must equal numpy's own quotient bit for bit,
     # at every magnitude, as the real quotient does; and each average is
     # its masked slot to the bit, kept as its blocks grouped by size: where
@@ -248,8 +245,8 @@ def test_generator_is_the_masked_quotient_to_the_bit(
     same = blocks[:, None] == blocks[None, :]
     denom = np.where(same, 1.0, lam[:, None] - lam[None, :])
     with np.errstate(all="ignore"):
-        want = np.where(same, 0.0, -hbar * stack / denom)
-        avg, got, _ = average_diagonal(lam, blocks, groups, list(stack), hbar, 0.0)
+        want = np.where(same, 0.0, stack / denom)
+        avg, got, _ = average_diagonal(lam, blocks, groups, list(stack), 0.0)
     assert len(avg) == len(got) == k
     if not degenerate:  # every block is one level
         np.testing.assert_array_equal(groups[0], np.arange(n)[:, None])

@@ -204,10 +204,6 @@ SCALAR_INPUTS = {
     # each raised a bare TypeError
     "eps_none": (lambda: sp.run(M3, None, 4), "eps must be a real number, got None"),
     "eps_complex": (lambda: sp.run(M3, 0.1j, 4), "eps must be a real number, got 0.1j"),
-    "hbar_none": (
-        lambda: sp.OperatorSeries((H0,), hbar=None),
-        "hbar must be a real number, got None",
-    ),
     # named no field: "could not convert string to float: 'x'"
     "gap_guard_str": (
         lambda: sp.run(M3, 0.1, 4, gap_guard="x"),

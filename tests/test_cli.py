@@ -706,32 +706,60 @@ def test_unwritable_out_path_is_one_error_line(capsys, tmp_path, target):
 
 
 def test_engine_overflow_is_one_error_line(capsys):
-    # hbar 1e300 overflows the conjugation kernel at stage 3; any numpy
-    # warning on the way would raise here
+    # eps 1e10 at order 16 overflows the basis at stage 3; any numpy warning
+    # on the way would raise here
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _run(
             ["--method", "su", "--builtin", "quartic_oscillator", "--dim", "12",
-             "--eps", "0.1", "--hbar", "1e300"],
+             "--eps", "1e10", "--order", "16"],
             capsys,
         )
     assert code == 1 and out == ""
     assert err.startswith("error: stage 3: ") and err.count("\n") == 1
 
 
-def test_overflowing_generator_is_named_as_the_generator(capsys):
-    # hbar 1e308 overflows the stage-1 generator -hbar B/(E_j - E_k) itself,
-    # before any Hamiltonian slot is built from it
+def test_overflowing_generator_is_named_as_the_generator(capsys, tmp_path):
+    # B_01 = 1e307 over the gap 0.05 overflows the stage-1 generator
+    # B/(E_j - E_k) itself, before any Hamiltonian slot is built from it
+    coupling = np.zeros((3, 3))
+    coupling[0, 1] = coupling[1, 0] = 1e307
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dimension": 3,
+                "terms": [
+                    {"order": 0, "matrix": np.diag([0.0, 0.05, 1.0]).tolist()},
+                    {"order": 1, "matrix": coupling.tolist()},
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _run(
-            ["--method", "su", "--builtin", "quartic_oscillator", "--dim", "12",
-             "--eps", "0.1", "--hbar", "1e308", "--order", "8"],
+            ["--method", "su", "--model", str(path), "--eps", "0.1", "--order", "8"],
             capsys,
         )
     assert code == 1 and out == ""
     assert err.startswith("error: stage 1: generator slot A_1 has a non-finite entry")
     assert err.count("\n") == 1
+
+
+def test_compare_report_does_not_depend_on_hbar(capsys):
+    # hbar is recorded in the report's config and enters no computation
+    args = ["--method", "compare", "--builtin", "quartic_oscillator", "--dim", "40",
+            "--eps", "0.02,0.1", "--levels", "0,1", "--format", "json"]
+    reports = []
+    for hbar in (1.0, 2.5):
+        code, out, err = _run(args + ["--hbar", str(hbar)], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["config"].pop("hbar") == hbar
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_overflowing_eps_is_named_for_rs_alone(capsys):

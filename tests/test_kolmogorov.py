@@ -256,9 +256,9 @@ def test_one_averaging_call_per_stage(monkeypatch):
     calls = []
     real = kolmogorov.average_diagonal
 
-    def counting(lam, blocks, groups, slots, hbar, gap_guard):
+    def counting(lam, blocks, groups, slots, gap_guard):
         calls.append(len(slots))
-        return real(lam, blocks, groups, slots, hbar, gap_guard)
+        return real(lam, blocks, groups, slots, gap_guard)
 
     monkeypatch.setattr(kolmogorov, "average_diagonal", counting)
     state = sp.init(sp.build_quartic_oscillator(12), 0.05, 7)
@@ -701,6 +701,24 @@ def test_stage_one_failure_after_its_conjugation_raises_on_every_call(monkeypatc
     assert _slots(model) == {}
 
 
+@pytest.mark.parametrize("hbar", [0.37, 2.5, 1e300])
+def test_hbar_does_not_enter_the_engine(hbar):
+    # a generator slot is iW/hbar = B/(E_j - E_k), so hbar cancels out of
+    # every kernel: a run at any hbar is the run at hbar 1, to the bit
+    rng = np.random.default_rng(61)
+    models = [
+        sp.build_quartic_oscillator(40),
+        _random_rotated_model(rng, 8, degenerate=True, real=False),
+    ]
+    for model in models:
+        want = sp.run(model, 0.05, 8)
+        got = sp.run(model.with_hbar(hbar), 0.05, 8)
+        assert repr(got.history) == repr(want.history)
+        for e, e1 in zip(got.energies, want.energies, strict=True):
+            np.testing.assert_array_equal(e, e1)
+        np.testing.assert_array_equal(got.eigenvectors, want.eigenvectors)
+
+
 def test_changed_tolerances_or_hbar_miss_the_memo(monkeypatch):
     model = sp.build_quartic_oscillator(12)
     eighs = _counting(monkeypatch, "eigh")
@@ -1140,10 +1158,10 @@ def test_engine_runs_in_the_dtype_of_the_model(real, monkeypatch):
     assert model.coefficient(3).dtype == dtype  # an absent order
     dtypes, gens = _stage_dtypes(model, 8, monkeypatch)
     assert dtypes == {dtype}
-    # A = -iW for the Hermitian generator W: anti-Hermitian to the bit, which
-    # for a real model is A + A^T == 0
-    assert {sp.max_norm(a + a.conj().T) for a in gens} == {0.0}
-    assert any(a.any() for a in gens)
+    # G = iW/hbar for the Hermitian generator W: anti-Hermitian to the bit,
+    # which for a real model is G + G^T == 0
+    assert {sp.max_norm(g + g.conj().T) for g in gens} == {0.0}
+    assert any(g.any() for g in gens)
     assert sp.run(model, 0.05, 8).eigenvectors.dtype == dtype
 
 
@@ -1233,7 +1251,7 @@ def test_stored_bounds_bound_the_spectral_norm(n, order, seed, degenerate, real)
     model = _random_rotated_model(rng, n, degenerate, real)
     hermitian = _random_symmetric if real else random_hermitian
     zero = np.zeros((n, n))
-    _check_bounds(sp.OperatorSeries((hermitian(rng, n), zero, hermitian(rng, n, 1e-3)), 0.7))
+    _check_bounds(sp.OperatorSeries((hermitian(rng, n), zero, hermitian(rng, n, 1e-3))))
     gens, rotations = [], []
     real_conjugate, real_blocks = kolmogorov.conjugate_slots, kolmogorov._fold
 
@@ -1365,7 +1383,7 @@ def test_cut_work_stays_within_its_measured_counts(eps, monkeypatch):
     counts = [0, 0]
     real_next_image = series._next_image
 
-    def counting(a, live, window, p, hbar):
+    def counting(g, live, window, p):
         # the kernel's products: one per live slot l <= p whose image
         # T_{p-l} is a matrix (a 1-D T_0 is a broadcast, not a product)
         counts[0] += 1
@@ -1374,7 +1392,7 @@ def test_cut_work_stays_within_its_measured_counts(eps, monkeypatch):
             for l in live
             if l <= p and window[-1 - l] is not None and window[-1 - l].ndim == 2
         )
-        return real_next_image(a, live, window, p, hbar)
+        return real_next_image(g, live, window, p)
 
     monkeypatch.setattr(series, "_next_image", counting)
     for ceilings in (CUT_WORK_CEILINGS, WARM_CUT_WORK_CEILINGS):
@@ -1386,7 +1404,7 @@ def test_cut_work_stays_within_its_measured_counts(eps, monkeypatch):
         assert counts[1] <= products
 
 
-def _window_state(rng, n, stage, order, degenerate, real, window, tiny, eps=0.05, hbar=1.0):
+def _window_state(rng, n, stage, order, degenerate, real, window, tiny, eps=0.05):
     """A state entering `stage` at truncation order `order`, with H_0 =
     diag(levels), paired when degenerate, and a random basis.  Slots below
     the window are zero; window slot p is given by window[p - lo]: "zero",
@@ -1414,7 +1432,7 @@ def _window_state(rng, n, stage, order, degenerate, real, window, tiny, eps=0.05
         stage=stage - 1,
         eps=eps,
         series=sp.OperatorSeries._computed(
-            order, hbar, zero, {p: c for p, c in enumerate(slots) if c is not zero}
+            order, zero, {p: c for p, c in enumerate(slots) if c is not zero}
         ),
         levels=levels,
         blocks=blocks,
@@ -1442,19 +1460,15 @@ def _stage_window(draw, kinds):
     seed=st.integers(0, 2**32 - 1),
     degenerate=st.booleans(),
     real=st.booleans(),
-    hbar=st.sampled_from([1.0, 0.7]),
     guard=st.sampled_from([None, 10.0]),
 )
-def test_average_of_live_slots_matches_the_full_window(
-    n, case, seed, degenerate, real, hbar, guard
-):
+def test_average_of_live_slots_matches_the_full_window(n, case, seed, degenerate, real, guard):
     # only the live slots of a window are averaged: slot by slot, the result
     # equals average_diagonal on every slot of the window, with the same
     # scans and min_gap, and the gap guard raises as it does on every slot
     stage, order, window = case
     state = _window_state(
-        np.random.default_rng(seed), n, stage, order, degenerate, real, window, False,
-        hbar=hbar,
+        np.random.default_rng(seed), n, stage, order, degenerate, real, window, False
     )
     if guard is not None:
         state = dataclasses.replace(state, gap_guard=guard)
@@ -1462,8 +1476,8 @@ def test_average_of_live_slots_matches_the_full_window(
     s = state.series
     groups = linalg.block_groups(state.blocks)
     try:
-        want_avg, want_a, want_gap = kolmogorov.average_diagonal(
-            state.levels, state.blocks, groups, s.coeffs[lo : hi + 1], hbar, state.gap_guard
+        want_avg, want_g, want_gap = kolmogorov.average_diagonal(
+            state.levels, state.blocks, groups, s.coeffs[lo : hi + 1], state.gap_guard
         )
     except sp.SmallDenominatorError as want:
         # the stage's average raises first, named by the stage
@@ -1473,24 +1487,24 @@ def test_average_of_live_slots_matches_the_full_window(
         return
     averaged, gen, min_gap = kolmogorov._average(state, groups, lo, hi)
     assert min_gap == want_gap
-    assert gen.order == order and gen.hbar == hbar
+    assert gen.order == order and gen.dim == n
     assert sorted(averaged) == [p for p in range(lo, hi + 1) if s.norms[p]]
     for p in range(order + 1):
         if not lo <= p + 1 <= hi:  # outside the window, the shared zero
             assert gen.coeffs[p] is s.coeffs[0] and gen.norms[p] == gen.bounds[p] == 0.0
     for i, p in enumerate(range(lo, hi + 1)):
-        a = gen.coeffs[p - 1]
-        assert a.dtype == s.dtype
+        g = gen.coeffs[p - 1]
+        assert g.dtype == s.dtype
         if p in averaged:  # one stack of blocks per group, in the slot's dtype
             for avg, want in zip(averaged[p], want_avg[i], strict=True):
                 assert avg.dtype == s.dtype
                 np.testing.assert_array_equal(avg, want)
         else:  # a zero slot has no average
             assert not any(want.any() for want in want_avg[i])
-        np.testing.assert_array_equal(a, want_a[i])
-        assert (gen.norms[p - 1], gen.bounds[p - 1]) == linalg.finite_norms(want_a[i], "A")
+        np.testing.assert_array_equal(g, want_g[i])
+        assert (gen.norms[p - 1], gen.bounds[p - 1]) == linalg.finite_norms(want_g[i], "G")
         if not s.norms[p]:  # a zero slot is the shared zero, never computed
-            assert a is s.coeffs[0] and not a.flags.writeable
+            assert g is s.coeffs[0] and not g.flags.writeable
 
 
 @settings(max_examples=60)
@@ -1525,10 +1539,10 @@ def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, 
 
     # the full route, as a stage with a live generator takes it
     groups = linalg.block_groups(state.blocks)
-    avg, a, _ = kolmogorov.average_diagonal(
-        levels, state.blocks, groups, s.coeffs[lo : hi + 1], s.hbar, state.gap_guard
+    avg, g, _ = kolmogorov.average_diagonal(
+        levels, state.blocks, groups, s.coeffs[lo : hi + 1], state.gap_guard
     )
-    assert not any(x.any() for x in a)
+    assert not any(x.any() for x in g)
     averaged = dict(enumerate(avg, start=lo))
     want_levels, want_blocks, q = kolmogorov._fold(state, groups, averaged)
     # the fold, as one dense H_0: its blocks' eigenvalues are the levels
@@ -1539,7 +1553,7 @@ def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, 
     np.testing.assert_allclose(
         np.sort(want_levels), np.linalg.eigvalsh(h0), rtol=0, atol=1e-12 * sp.max_norm(h0)
     )
-    gen = sp.OperatorSeries._computed(order, s.hbar, series.shared_zero(n, s.dtype), {})
+    gen = sp.OperatorSeries._computed(order, series.shared_zero(n, s.dtype), {})
     h0_norm = sp.max_norm(levels)
     stops, dropped = series.chain_stops(gen, s, h0_norm, eps, hi)
     k = series.conjugate_slots(gen, s, levels, stops)

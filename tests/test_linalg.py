@@ -119,6 +119,24 @@ def test_entry_whose_modulus_overflows_is_named(entry):
                 sp.OperatorSeries((np.eye(2), v))
 
 
+def test_hermitian_part_keeps_entries_near_either_float_limit():
+    # a + a^H overflowed above about 9e307, so make_model stored this finite
+    # term as inf with a numpy warning, and OperatorSeries rejected it
+    big = np.diag([1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = sp.make_model(2, [(0, big)])
+        s = sp.OperatorSeries((big,))
+        huge = np.array([[1e308, 1e308 + 1e308j], [1e308 - 1e308j, -1e308]])
+        np.testing.assert_array_equal(sp.hermitian_part(huge), huge)
+    np.testing.assert_array_equal(model.coefficient(0), big)
+    np.testing.assert_array_equal(s.coeffs[0], big)
+    assert s.norms == (1e308,)
+    # halving first would round a subnormal entry away
+    tiny = np.diag([5e-324, 1.0])
+    np.testing.assert_array_equal(sp.hermitian_part(tiny), tiny)
+
+
 def test_degeneracy_blocks_chain():
     t = 1e-4
     a = np.diag([0.0, t, 2.0 * t, 1.0]).astype(complex)
@@ -294,11 +312,11 @@ def test_averaging_gap_is_the_smallest_cross_block_gap(case):
     ]
     bt = random_hermitian(np.random.default_rng(seed), n)
     groups = block_groups(blocks)
-    _, _, min_gap = average_diagonal(levels, blocks, groups, [bt], 1.0, 0.0)
+    _, _, min_gap = average_diagonal(levels, blocks, groups, [bt], 0.0)
     assert min_gap == min(cross, default=float("inf"))
     if cross:
         with pytest.raises(sp.SmallDenominatorError) as err:
-            average_diagonal(levels, blocks, groups, [bt], 1.0, min_gap)
+            average_diagonal(levels, blocks, groups, [bt], min_gap)
         assert err.value.gap == min_gap
 
 
@@ -317,7 +335,7 @@ def test_block_diagonalization_matches_per_block_eigh(case):
     state = kolmogorov.KolmogorovState(
         stage=0,
         eps=1.0,
-        series=sp.OperatorSeries._computed(1, 1.0, zero, {}),
+        series=sp.OperatorSeries._computed(1, zero, {}),
         levels=levels,
         blocks=blocks,
         _basis=None,

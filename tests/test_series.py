@@ -17,21 +17,21 @@ import reference
 from conftest import random_hermitian
 
 
-def _series(rng, n, order, hbar=1.0, scale=1.0, zero_slots=()):
+def _series(rng, n, order, scale=1.0, zero_slots=()):
     coeffs = []
     for p in range(order + 1):
         if p in zero_slots:
             coeffs.append(np.zeros((n, n), dtype=complex))
         else:
             coeffs.append(random_hermitian(rng, n, scale=scale))
-    return OperatorSeries(tuple(coeffs), hbar)
+    return OperatorSeries(tuple(coeffs))
 
 
-def _transform_only_w1(w1, order, hbar=1.0):
+def _transform_only_w1(w1, order):
     n = w1.shape[0]
     slots = [np.zeros((n, n), dtype=complex) for _ in range(order + 1)]
     slots[0] = w1
-    return OperatorSeries(tuple(slots), hbar)
+    return OperatorSeries(tuple(slots))
 
 
 def _horner(coeffs, eps):
@@ -64,17 +64,17 @@ def test_eval_matches_horner():
         assert sp.max_norm(direct - ref) <= 1e-13 * max(1.0, sp.max_norm(ref))
 
 
-def _kernel_images(gen, a, up_to):
-    """[T_0(a), ..., T_up_to(a)] from the package's one-product kernel."""
-    return list(series._t_images(kernels.anti_hermitian(gen), a, up_to))
+def _kernel_images(gen, a, up_to, hbar=1.0):
+    """[T_0(a), ..., T_up_to(a)] at hbar from the package's one-product kernel."""
+    return list(series._t_images(kernels.anti_hermitian(gen, hbar), a, up_to))
 
 
 def test_t_apply_order_zero_and_one():
     rng = np.random.default_rng(22)
     w1 = random_hermitian(rng, 4)
     a = random_hermitian(rng, 4)
-    ts = _transform_only_w1(w1, 3, hbar=0.5)
-    images = _kernel_images(ts, a, 1)
+    ts = _transform_only_w1(w1, 3)
+    images = _kernel_images(ts, a, 1, 0.5)
     np.testing.assert_array_equal(images[0], a)
     np.testing.assert_allclose(images[1], reference.commutator_ad(w1, a, 0.5), atol=1e-15)
     np.testing.assert_array_equal(reference.t_apply(ts, 0, a), a)
@@ -86,12 +86,12 @@ def test_t_apply_order_zero_and_one():
 
 def test_t_apply_of_a_hermitian_operand_is_hermitian_to_the_bit():
     rng = np.random.default_rng(32)
-    ts = _series(rng, 4, 3, hbar=0.7)
+    ts = _series(rng, 4, 3)
     a = random_hermitian(rng, 4)
-    images = _kernel_images(ts, a, 3)
+    images = _kernel_images(ts, a, 3, 0.7)
     for p in range(1, 4):
         assert sp.hermiticity_defect(images[p]) == 0.0
-        ref = reference.t_apply(ts, p, a)
+        ref = reference.t_apply(ts, p, a, 0.7)
         np.testing.assert_allclose(images[p], ref, rtol=0, atol=1e-13 * sp.max_norm(ref))
 
 
@@ -103,8 +103,8 @@ def test_t_expansion_against_matrix_exponential():
     w1 = random_hermitian(rng, 4)
     a = random_hermitian(rng, 4)
     P = 4
-    ts = _transform_only_w1(w1, P, hbar=hbar)
-    images = _kernel_images(ts, a, P)
+    ts = _transform_only_w1(w1, P)
+    images = _kernel_images(ts, a, P, hbar)
 
     def err(eps):
         approx = sum(eps**p / math.factorial(p) * images[p] for p in range(P + 1))
@@ -132,7 +132,7 @@ def test_conjugate_unrolled_single_generator():
     rng = np.random.default_rng(25)
     w1 = random_hermitian(rng, 3)
     h0 = random_hermitian(rng, 3)
-    h = zero_padded({0: h0}, 3, 2, 1.0)
+    h = zero_padded({0: h0}, 3, 2)
     k = kernels.conjugate_series(_transform_only_w1(w1, 2), h)
     ad1 = reference.commutator_ad(w1, h0)
     np.testing.assert_array_equal(k.coeffs[0], h0)
@@ -143,10 +143,10 @@ def test_conjugate_unrolled_single_generator():
 def test_conjugation_routes_agree():
     rng = np.random.default_rng(26)
     for P in range(1, 7):
-        h = _series(rng, 4, P, hbar=0.9)
-        gen = _series(rng, 4, P, hbar=0.9, scale=0.8)
-        k1 = kernels.conjugate_series(gen, h)
-        k2 = reference.conjugate_series_table(gen, h)
+        h = _series(rng, 4, P)
+        gen = _series(rng, 4, P, scale=0.8)
+        k1 = kernels.conjugate_series(gen, h, 0.9)
+        k2 = reference.conjugate_series_table(gen, h, 0.9)
         for p in range(P + 1):
             scale = max(1.0, sp.max_norm(k1.coeffs[p]), sp.max_norm(k2.coeffs[p]))
             assert sp.max_norm(k1.coeffs[p] - k2.coeffs[p]) <= 1e-11 * scale
@@ -163,10 +163,10 @@ def test_conjugation_routes_agree():
 )
 def test_conjugation_routes_agree_on_random_series(n, order, seed, hbar, zero_w, zero_h):
     rng = np.random.default_rng(seed)
-    h = _series(rng, n, order, hbar=hbar, zero_slots=zero_h)
-    gen = _series(rng, n, order, hbar=hbar, scale=0.5, zero_slots=zero_w)
-    k1 = kernels.conjugate_series(gen, h)
-    k2 = reference.conjugate_series_table(gen, h)
+    h = _series(rng, n, order, zero_slots=zero_h)
+    gen = _series(rng, n, order, scale=0.5, zero_slots=zero_w)
+    k1 = kernels.conjugate_series(gen, h, hbar)
+    k2 = reference.conjugate_series_table(gen, h, hbar)
     for c1, c2 in zip(k1.coeffs, k2.coeffs):
         scale = max(1.0, sp.max_norm(c1), sp.max_norm(c2))
         assert sp.max_norm(c1 - c2) <= 1e-11 * scale
@@ -222,18 +222,19 @@ def test_streamed_routes_with_sparse_live_generator_slots():
     # the live range spans, so a window sized from that span misreads
     rng = np.random.default_rng(37)
     P, hbar = 8, 0.7
-    gen = _series(rng, 4, P, hbar=hbar, scale=0.3, zero_slots=(0, 1, 3, 4, 6, 7, 8))
-    h = _series(rng, 4, P, hbar=hbar, zero_slots=(1, 4))
+    gen = _series(rng, 4, P, scale=0.3, zero_slots=(0, 1, 3, 4, 6, 7, 8))
+    h = _series(rng, 4, P, zero_slots=(1, 4))
     assert gen.live == [2, 5] and h.live == [0, 2, 3, 5, 6, 7, 8]
-    images = _kernel_images(gen, h.coeffs[0], P)
-    for p, ref in enumerate(reference.t_images(gen, h.coeffs[0], P)):
+    images = _kernel_images(gen, h.coeffs[0], P, hbar)
+    for p, ref in enumerate(reference.t_images(gen, h.coeffs[0], P, hbar)):
         got = np.zeros((4, 4)) if images[p] is None else images[p]
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, sp.max_norm(ref)))
-    k = kernels.conjugate_series(gen, h)
-    table = reference.conjugate_series_table(gen, h)
+    k = kernels.conjugate_series(gen, h, hbar)
+    table = reference.conjugate_series_table(gen, h, hbar)
     for c1, c2 in zip(k.coeffs, table.coeffs):
         assert sp.max_norm(c1 - c2) <= 1e-12 * max(1.0, sp.max_norm(c2))
-    for u, ref in zip(kernels.u_coefficients(gen), reference.u_coefficients(gen), strict=True):
+    us = zip(kernels.u_coefficients(gen, hbar), reference.u_coefficients(gen, hbar), strict=True)
+    for u, ref in us:
         assert sp.max_norm(u - ref) <= 1e-12 * max(1.0, sp.max_norm(ref))
 
 
@@ -247,7 +248,7 @@ def test_u_coefficients_trivial_and_powers():
 
     hbar = 0.6
     w1 = random_hermitian(rng, 3)
-    u = kernels.u_coefficients(_transform_only_w1(w1, 3, hbar=hbar))
+    u = kernels.u_coefficients(_transform_only_w1(w1, 3), hbar)
     for p in range(4):
         ref = np.linalg.matrix_power((-1j / hbar) * w1, p)
         np.testing.assert_allclose(u[p], ref, atol=1e-13 * max(1.0, sp.max_norm(ref)))
@@ -291,7 +292,7 @@ def test_overflowing_weighted_term_names_eps():
     ],
 )
 def test_weighted_sum_checks_eps(eps, message):
-    s = sp.OperatorSeries((np.eye(2), np.ones((2, 2))), 1.0)
+    s = sp.OperatorSeries((np.eye(2), np.ones((2, 2))))
     for call in (lambda: sp.weighted_sum(s.coeffs, eps), lambda: sp.eval_series(s, eps)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -346,21 +347,8 @@ def test_series_validation():
         OperatorSeries((a, np.eye(3, dtype=complex)))
     with pytest.raises(ValueError, match="Hermitian"):
         OperatorSeries((np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),))
-    with pytest.raises(ValueError, match="hbar"):
-        OperatorSeries((a,), hbar=-1.0)
     with pytest.raises(ValueError, match="mismatch|order"):
         kernels.conjugate_series(OperatorSeries((a, a)), OperatorSeries((a,)))
-
-
-@pytest.mark.parametrize("route", [kernels.conjugate_series, reference.conjugate_series_table])
-def test_conjugation_rejects_mismatched_hbar(route):
-    # the two routes used to take hbar from different operands, so with
-    # hbar 1 against 2 they disagreed instead of failing
-    rng = np.random.default_rng(29)
-    h = _series(rng, 3, 3, hbar=2.0)
-    gen = _series(rng, 3, 3, hbar=1.0, scale=0.5)
-    with pytest.raises(ValueError, match=r"hbar 1\.0\) does not match .*hbar 2\.0\)"):
-        route(gen, h)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -376,18 +364,6 @@ def test_series_rejects_non_finite_entries(bad):
         OperatorSeries((a, a, b))
 
 
-@pytest.mark.parametrize(
-    "bad, message",
-    [(np.nan, "hbar must be"), (np.inf, "hbar must be"), (0.0, "hbar must be"),
-     (1e-310, "^hbar must have a finite reciprocal, got 1e-310$")],
-    ids=["nan", "inf", "zero", "reciprocal_overflows"],
-)
-def test_series_rejects_bad_hbar(bad, message):
-    # at 1e-310, 1/hbar is inf, and conjugation used to give NaN slots
-    with pytest.raises(ValueError, match=message):
-        OperatorSeries((np.eye(2, dtype=complex),), hbar=bad)
-
-
 def test_series_constructor_symmetrizes():
     rng = np.random.default_rng(35)
     a = random_hermitian(rng, 4)
@@ -401,30 +377,29 @@ def test_series_constructor_symmetrizes():
 def test_series_norms_and_live_orders():
     a = np.array([[1.0, -3.0j], [3.0j, 0.5]])
     zero = np.zeros((2, 2))
-    s = OperatorSeries((a, zero, 2.0 * a, zero), hbar=0.5)
+    s = OperatorSeries((a, zero, 2.0 * a, zero))
     assert s.norms == (3.0, 0.0, 6.0, 0.0)
     assert s.live == [0, 2]
-    assert s.hbar == 0.5
 
 
-def _full_images(a, x, up_to, hbar):
+def _full_images(g, x, up_to):
     # the expansion maps with every term summed, zero or not: Y = sum of the
-    # products A T for the anti-Hermitian generator slots A = -iW,
-    # anti-Hermitized once per image
+    # products G T for the anti-Hermitian generator slots G = iW/hbar,
+    # taken to [G, T] = Y + Y^H once per image
     images = [np.array(x, dtype=complex)]
     for p in range(up_to):
         y = np.zeros_like(images[0])
         for l in range(p + 1):
-            y += binomial(p, l) * (a[l] @ images[p - l])
-        images.append((-1.0 / hbar) * (y + y.conj().T))
+            y += binomial(p, l) * (g[l] @ images[p - l])
+        images.append(y + y.conj().T)
     return images
 
 
-def _full_conjugations(ts, h):
-    """(Cauchy route, flow coefficients) without skipping."""
-    P, hbar = h.order, h.hbar
-    a = kernels.anti_hermitian(ts).coeffs
-    images = [_full_images(a, h.coeffs[j], P - j, hbar) for j in range(P + 1)]
+def _full_conjugations(ts, h, hbar):
+    """(Cauchy route, flow coefficients) at hbar without skipping."""
+    P = h.order
+    g = kernels.anti_hermitian(ts, hbar).coeffs
+    images = [_full_images(g, h.coeffs[j], P - j) for j in range(P + 1)]
     cauchy, u = [], [np.eye(h.dim, dtype=complex)]
     for p in range(P + 1):
         kp = np.zeros_like(h.coeffs[0])
@@ -434,8 +409,8 @@ def _full_conjugations(ts, h):
     for p in range(P):
         nxt = np.zeros_like(u[0])
         for l in range(p + 1):
-            nxt += binomial(p, l) * (u[p - l] @ a[l])
-        u.append((1.0 / hbar) * nxt)
+            nxt += binomial(p, l) * (u[p - l] @ g[l])
+        u.append(-nxt)
     return cauchy, u
 
 
@@ -451,12 +426,12 @@ def test_zero_slot_skipping_is_exact(n, order, seed, zero_w, zero_h):
     # skipping zero slots only leaves out exact zeros, so the results are
     # bit-identical to the recursions that sum every term
     rng = np.random.default_rng(seed)
-    h = _series(rng, n, order, hbar=0.7, zero_slots=zero_h)
-    ts = _series(rng, n, order, hbar=0.7, scale=0.5, zero_slots=zero_w)
-    cauchy, u = _full_conjugations(ts, h)
+    h = _series(rng, n, order, zero_slots=zero_h)
+    ts = _series(rng, n, order, scale=0.5, zero_slots=zero_w)
+    cauchy, u = _full_conjugations(ts, h, 0.7)
     for got, want in (
-        (kernels.conjugate_series(ts, h).coeffs, cauchy),
-        (kernels.u_coefficients(ts), u),
+        (kernels.conjugate_series(ts, h, 0.7).coeffs, cauchy),
+        (kernels.u_coefficients(ts, 0.7), u),
     ):
         assert len(got) == len(want)
         for g, r in zip(got, want):
@@ -473,15 +448,15 @@ def test_zero_slot_skipping_is_exact(n, order, seed, zero_w, zero_h):
     zero_h=st.sets(st.integers(1, 8)),
 )
 def test_levels_chain_matches_the_dense_diagonal_chain(n, order, seed, real, zero_w, zero_h):
-    # the stage engine hands H_0 to the conjugation as its levels; A * levels is
-    # A @ diag(levels) to the bit, so every K_p, p >= 1, equals the one the
+    # the stage engine hands H_0 to the conjugation as its levels; G * levels is
+    # G @ diag(levels) to the bit, so every K_p, p >= 1, equals the one the
     # dense diagonal slot gives, and K_0 is left zero
     rng = np.random.default_rng(seed)
     zero = np.zeros((n, n))
 
     def hermitian(sign):
         # real: a symmetric H_p, and W = iK for antisymmetric K, which gives
-        # the real generator A = -iW = K
+        # the real generator G = iW/hbar = -K/hbar
         if not real:
             return random_hermitian(rng, n)
         m = rng.standard_normal((n, n))
@@ -489,12 +464,12 @@ def test_levels_chain_matches_the_dense_diagonal_chain(n, order, seed, real, zer
 
     levels = rng.uniform(-3.0, 3.0, n)
     w = [zero if l in zero_w else 0.5 * hermitian(-1) for l in range(order + 1)]
-    agen = kernels.anti_hermitian(OperatorSeries(tuple(w), 0.7))
+    ggen = kernels.anti_hermitian(OperatorSeries(tuple(w)), 0.7)
     slots = [zero if p in zero_h else hermitian(1) for p in range(1, order + 1)]
-    h = OperatorSeries((zero, *slots), 0.7)
-    dense = OperatorSeries((np.diag(levels),) + h.coeffs[1:], 0.7)
-    got = kernels.conjugate_slots(agen, h, levels)
-    want = kernels.conjugate_slots(agen, dense)
+    h = OperatorSeries((zero, *slots))
+    dense = OperatorSeries((np.diag(levels),) + h.coeffs[1:])
+    got = kernels.conjugate_slots(ggen, h, levels)
+    want = kernels.conjugate_slots(ggen, dense)
     # None stands for a zero slot
     dtypes = {c.dtype for c in got + want if c is not None}
     assert len(dtypes) == 1
@@ -514,7 +489,7 @@ def test_binomials_exact_small_orders():
 
 
 def test_public_routes_run_real_for_an_imaginary_generator():
-    # W = iK with K real antisymmetric gives the real generator A = -iW = K:
+    # W = iK with K real antisymmetric gives the real generator G = iW/hbar:
     # a real series is then conjugated and flowed in real arithmetic, and
     # agrees with the complex reference route
     rng = np.random.default_rng(35)
@@ -528,13 +503,13 @@ def test_public_routes_run_real_for_an_imaginary_generator():
         m = rng.standard_normal((n, n))
         return 0.3j * (m - m.T) / 2.0
 
-    h = OperatorSeries(tuple(real_symmetric() for _ in range(P + 1)), 0.8)
-    gen = OperatorSeries(tuple(imaginary_hermitian() for _ in range(P + 1)), 0.8)
-    k = kernels.conjugate_series(gen, h)
+    h = OperatorSeries(tuple(real_symmetric() for _ in range(P + 1)))
+    gen = OperatorSeries(tuple(imaginary_hermitian() for _ in range(P + 1)))
+    k = kernels.conjugate_series(gen, h, 0.8)
     assert {c.dtype for c in k.coeffs} == {np.dtype(np.float64)}
-    assert {u.dtype for u in kernels.u_coefficients(gen)} == {np.dtype(np.float64)}
-    assert _kernel_images(gen, h.coeffs[1], 2)[2].dtype == np.float64
-    table = reference.conjugate_series_table(gen, h)
+    assert {u.dtype for u in kernels.u_coefficients(gen, 0.8)} == {np.dtype(np.float64)}
+    assert _kernel_images(gen, h.coeffs[1], 2, 0.8)[2].dtype == np.float64
+    table = reference.conjugate_series_table(gen, h, 0.8)
     for c1, c2 in zip(k.coeffs, table.coeffs):
         scale = max(1.0, sp.max_norm(c1), sp.max_norm(c2))
         assert sp.max_norm(c1 - c2) <= 1e-11 * scale
@@ -544,17 +519,19 @@ def test_public_routes_run_real_for_an_imaginary_generator():
 @pytest.mark.parametrize("eps", [0.05, -0.3, 0.0])
 def test_lie_majorant_is_the_weighted_binomial_recursion(factor, eps):
     # w[k] = |eps|^k/k! M_k for M_0 = 1 and
-    # M_{k+1} = (factor/hbar) sum_l C(k, l) ||A_{l+1}||_1 M_{k-l}, with the
-    # induced 1-norm (largest column sum of moduli) of each generator slot
+    # M_{k+1} = factor sum_l C(k, l) ||G_{l+1}||_1 M_{k-l}, with the induced
+    # 1-norm (largest column sum of moduli) of each generator slot
+    # G = iW/hbar, that is ||W_{l+1}||_1 / hbar
     rng = np.random.default_rng(38)
     n, P, hbar = 4, 10, 0.7
-    agen = kernels.anti_hermitian(_series(rng, n, P, hbar=hbar, zero_slots=(0, 3, 4)))
-    g = [np.linalg.norm(a, 1) for a in agen.coeffs]
+    w = _series(rng, n, P, zero_slots=(0, 3, 4))
+    ggen = kernels.anti_hermitian(w, hbar)
+    g = [np.linalg.norm(c, 1) / hbar for c in w.coeffs]
     m = [1.0]
     for k in range(P):
-        m.append(factor / hbar * sum(math.comb(k, l) * g[l] * m[k - l] for l in range(k + 1)))
+        m.append(factor * sum(math.comb(k, l) * g[l] * m[k - l] for l in range(k + 1)))
     want = [abs(eps) ** k / math.factorial(k) * m[k] for k in range(P + 1)]
-    np.testing.assert_allclose(series.lie_majorant(agen, eps, factor), want, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(series.lie_majorant(ggen, eps, factor), want, rtol=1e-13, atol=0)
 
 
 def test_cut_drops_the_longest_tail_below_its_budget():
@@ -573,9 +550,9 @@ def test_chain_stops_keep_every_weighted_term_at_a_huge_eps():
     # T_1, which no generator slot reaches (slot 0 is zero)
     rng = np.random.default_rng(39)
     P = 6
-    agen = kernels.anti_hermitian(_series(rng, 3, P, zero_slots=(0, 4, 5, 6)))
+    ggen = kernels.anti_hermitian(_series(rng, 3, P, zero_slots=(0, 4, 5, 6)))
     h = _series(rng, 3, P, zero_slots=(0, 1))
-    stops, dropped = series.chain_stops(agen, h, 2.0, 1e300, 1)
+    stops, dropped = series.chain_stops(ggen, h, 2.0, 1e300, 1)
     assert dropped == 0.0
     assert stops == [P + 1, 0, 5, 4, 3, 1, 1]
-    assert series.lie_majorant(agen, 1e300, 1.0)[2:] == [math.inf] * (P - 1)
+    assert series.lie_majorant(ggen, 1e300, 1.0)[2:] == [math.inf] * (P - 1)
