@@ -20,6 +20,8 @@ Cross-block gaps below the guard abort with a diagnostic instead of
 amplifying noise through the denominators.
 """
 
+import math
+
 import numpy as np
 
 from .linalg import SpectralData
@@ -43,8 +45,9 @@ def _boundary_gaps(lam, blocks):
     energy: j the level just below it, k the one just above.  Levels of two
     different blocks straddle a boundary, so their gap is at least one of these."""
     order = np.argsort(lam, kind="stable")
-    cut = np.flatnonzero(np.diff(blocks[order]))
-    j, k = order[cut], order[cut + 1]
+    labels = blocks[order]
+    cut = labels[1:] != labels[:-1]
+    j, k = order[:-1][cut], order[1:][cut]
     return j, k, lam[k] - lam[j]
 
 
@@ -53,9 +56,12 @@ def guarded_min_gap(lam, blocks, gap_guard):
     `blocks` (inf for a single block); raises SmallDenominatorError at the
     first block boundary whose gap is at most gap_guard, a resolved float."""
     j, k, gaps = _boundary_gaps(lam, blocks)
-    low = np.flatnonzero(gaps <= gap_guard)
-    if low.size:
-        j, k, gap = int(j[low[0]]), int(k[low[0]]), float(gaps[low[0]])
+    if not gaps.size:
+        return math.inf
+    low = gaps <= gap_guard
+    i = int(low.argmax())  # the first boundary at fault, if any
+    if low[i]:
+        j, k, gap = int(j[i]), int(k[i]), float(gaps[i])
         raise SmallDenominatorError(
             f"small denominator: levels {j} and {k} sit in different "
             f"degeneracy blocks but are only {gap:.6e} apart "
@@ -63,7 +69,7 @@ def guarded_min_gap(lam, blocks, gap_guard):
             indices=(j, k),
             gap=gap,
         )
-    return float(np.min(gaps, initial=np.inf))
+    return float(gaps.min())
 
 
 def average_diagonal(lam, blocks, groups, slots, gap_guard):
@@ -76,13 +82,15 @@ def average_diagonal(lam, blocks, groups, slots, gap_guard):
     dtype.  Gathering the blocks and the antisymmetric real denominators keep
     the symmetry exact: for B Hermitian to the bit, Bbar is Hermitian and G
     anti-Hermitian to the bit.  gap_guard and min_gap are as in
-    `guarded_min_gap`, checked also for no slot.  G is B divided by the
-    denominators into a fresh array: a real B by real division, which the
-    reciprocal is not; a complex B as numpy's complex-by-real division does
-    it, each part times the one reciprocal, in one contiguous pass over the
-    float64 view of a C-ordered copy, which is cheaper and equal to the
-    bit."""
+    `guarded_min_gap`, checked also for no slot, which forms nothing else.
+    G is B divided by the denominators into a fresh array: a real B by real
+    division, which the reciprocal is not; a complex B as numpy's
+    complex-by-real division does it, each part times the one reciprocal, in
+    one contiguous pass over the float64 view of a C-ordered copy, which is
+    cheaper and equal to the bit."""
     min_gap = guarded_min_gap(lam, blocks, gap_guard)
+    if not slots:
+        return [], [], min_gap
     d = len(lam)
     # the flat indices of each group's blocks, (n, s, s), and of all of them
     flat = [i[:, :, None] * d + i[:, None, :] for i in groups]

@@ -32,14 +32,20 @@ average is kept as its degeneracy blocks, grouped by size (`block_groups`),
 and the fold diagonalizes those blocks, with no dense H_0 (`_fold`).  The
 eigendecomposition and the rotated terms do not depend on eps or the
 order, so they are memoized on the model (`_start`).  Nor does stage 1's
-generator, so eps only sets its cut: which images each conjugated slot K_p
-sums.  The memo also keeps stage 1's conjugated slots, each under its order
-and the chains that reach it (`_slot_keys`), at most 2(P + 1) of them; a
-run whose cut finds all its slots there forms none of them, and where q is
-None scans none.  `run` is `init` and then `step` once per stage, stage 1
-included: `step` is the one stage body, and reads the cache from the
-stage-0 state.  Both rotations are symmetrized, so every slot the engine builds is Hermitian and
-every generator anti-Hermitian to the bit, as the conjugation kernel needs.
+averaging, which the memo keeps once a stage 1 has finished
+(`_StageOne`): its averages, generator, smallest gap and block groups,
+and the terms' scans, so a warm `init` scans nothing and a warm stage 1
+averages nothing.  Stage 1's generator being fixed, eps only sets its cut:
+which images each conjugated slot K_p sums.  The memo also keeps stage 1's
+conjugated slots, each under its order and the chains that reach it
+(`_slot_keys`), at most 2(P + 1) of them; a run whose cut finds all its
+slots there forms none of them, and where q is None scans none.  `run` is
+`init` and then `step` once per stage, stage 1 included: `step` is the one
+stage body, and reads the memo from the stage-0 state.  A stage's
+bookkeeping follows its live slots: with none in its window it forms no
+denominators, folds nothing and finds no blocks.  Both rotations are
+symmetrized, so every slot the engine builds is Hermitian and every
+generator anti-Hermitian to the bit, as the conjugation kernel needs.
 A level's label is its index in this never re-sorted basis (inside a
 block, the index it overlaps most); its eigenvector of H(eps) is that
 column of V0 * prod_n U_n(eps) Q_n.  Every state keeps V0 and each
@@ -115,9 +121,10 @@ class KolmogorovState:
     deg_tol: float  # resolved once from the H_0 levels when not given
     gap_guard: float  # resolved once from the H_0 levels when not given
     history: tuple
-    # a stage-0 state from `init`: the model's cache of stage 1's conjugated
-    # slots (`_Start.slots`); a state made otherwise has none and conjugates
-    _slots: dict | None = field(default=None, init=False, repr=False, compare=False)
+    # a stage-0 state from `init`: the model's memo entry, whose stage-1 work
+    # (`_Start.slots`, `_Start.stage_one`) its `step` reuses; a state made
+    # otherwise has none and does all of its stage's work
+    _start: "_Start | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def basis(self) -> np.ndarray:
@@ -165,27 +172,45 @@ class SuResult:
 
 
 @dataclass(frozen=True)
+class _StageOne:
+    """Stage 1's eps-free work on one `_Start`, read-only: the (norm, bound)
+    of each rotated term as `init`'s series takes it, H_0's `block_groups`,
+    the averages {p: Hbar_p} of the live window slots, the live generator
+    slots {l: G_{l+1}} with their (norm, bound), and the smallest gap."""
+
+    term_scans: dict
+    groups: list
+    averaged: dict
+    generators: dict
+    generator_scans: dict
+    min_gap: float
+
+
+@dataclass(frozen=True)
 class _Start:
     """The eps-free start of every run on one model at one (deg_tol,
     gap_guard), all read-only: the H_0 spectral data and the resolved
     tolerances, the perturbation terms in the H_0 eigenbasis,
-    {p: V^H H_p V} for p >= 1, and stage 1's conjugated slots,
-    {(p, chains): (K_p, scan)} (`_slot_keys`).  Stage 1's generator solves
-    the homological equation of H_1 against H_0, so neither it nor its
+    {p: V^H H_p V} for p >= 1, stage 1's averaging (`_StageOne`) and its
+    conjugated slots, {(p, chains): (K_p, scan)} (`_slot_keys`).  Stage 1
+    averages H_1 against H_0, so its averages and its generator solve the
+    same homological equation on every call, and neither they nor its
     images depend on eps or the order; a run's eps only sets which chains
     reach each slot, and a slot with the same chains is the same sum of the
     same images, in the same order.  scan is K_p's (norm, bound) where a
     survivors series took it unrotated, else None: stage 1's blocks are
-    H_0's, so its q is None on every run or on none.  A stage that
-    finishes adds the slots of its cut if they fit in 2(P + 1) in all
-    (`_keep_slots`), so the entry holds at most (m + 1 + 2(P + 1)) d^2
-    numbers for m terms and the largest P run."""
+    H_0's, so its q is None on every run or on none.  A stage 1 that
+    finishes adds its averaging if none is there yet, and the slots of its
+    cut if they fit in 2(P + 1) in all (`_keep_slots`), so the entry holds
+    at most (m + 3 + 2(P + 1)) d^2 numbers for m terms and the largest P
+    run: V, the terms, G_1, H_1's blocks and the slots."""
 
     spectral: SpectralData
     deg_tol: float
     gap_guard: float
     terms: dict
     slots: dict = field(default_factory=dict)
+    stage_one: _StageOne | None = None  # set once, see `_keep_stage_one`
 
 
 def _start(model: ModelSpec, deg_tol, gap_guard) -> _Start:
@@ -225,18 +250,20 @@ def unperturbed(model: ModelSpec, deg_tol=None, gap_guard=None) -> SpectralData:
 def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None):
     """Stage-0 state: the model's series in its H_0 eigenbasis, zero-padded,
     with the basis V0.  The eigenbasis, the rotated terms and stage 1's
-    conjugated slots are the model's memo (see `run`); the state hands the
-    slots to the `step` that takes it to stage 1."""
+    work are the model's memo (see `run`): once stage 1 has finished on it,
+    the series takes the terms' scans from it and scans none; the state
+    hands the memo to the `step` that takes it to stage 1."""
     order = require_integer(order, "order")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"truncation order must be in 1..{MAX_ORDER}, got {order}")
     eps = require_finite(eps, "eps")
     start = _start(model, deg_tol, gap_guard)
-    spectral = start.spectral
+    spectral, stage_one = start.spectral, start.stage_one
+    known = None if stage_one is None else stage_one.term_scans
     state = KolmogorovState(
         stage=0,
         eps=eps,
-        series=zero_padded(start.terms, model.dim, order),
+        series=zero_padded(start.terms, model.dim, order, known),
         levels=spectral.eigenvalues,
         blocks=spectral.blocks,
         _basis=_Pending(eps, spectral.eigenvectors),
@@ -244,7 +271,7 @@ def init(model: ModelSpec, eps: float, order: int, deg_tol=None, gap_guard=None)
         gap_guard=start.gap_guard,
         history=(),
     )
-    object.__setattr__(state, "_slots", start.slots)
+    object.__setattr__(state, "_start", start)
     return state
 
 
@@ -253,7 +280,11 @@ def _fold(state: KolmogorovState, groups, averaged):
     one stack of blocks per group of `groups`, at their weights at eps: the
     levels, their degeneracy blocks and the unitary of H_0's eigenvectors
     (None where every block is one level).  Each larger block size gets one
-    stacked eigh; as in `eigh`, an eigenvector keeps its dominant index."""
+    stacked eigh; as in `eigh`, an eigenvector keeps its dominant index.
+    With nothing averaged H_0 is unchanged: its levels and blocks are
+    copied, and q is None."""
+    if not averaged:
+        return state.levels.copy(), state.blocks.copy(), None
     lam = state.levels.copy()
     q = None
     for g, idx in enumerate(groups):
@@ -313,8 +344,8 @@ def _slot_keys(stops) -> dict:
 def _cached_slots(cache, keys, order):
     """(k, known) for a cut whose slots under `keys` the cache holds all of:
     the slots K_0..K_order as `conjugate_slots` gives them, and {p: (norm,
-    bound)} of those kept with a scan; None for a miss or no cache."""
-    if keys is None or not all(key in cache for key in keys.values()):
+    bound)} of those kept with a scan; None for a miss."""
+    if not all(key in cache for key in keys.values()):
         return None
     k, known = [None] * (order + 1), {}
     for p, key in keys.items():
@@ -324,9 +355,32 @@ def _cached_slots(cache, keys, order):
     return k, known
 
 
-# Taken while stage 1's slots are added to a model's cache, so that its
-# budget is counted exactly when several threads add at once.
+# Taken while stage 1's work is added to a model's memo, so that the slots'
+# budget is counted exactly, and one averaging kept, when several threads
+# add at once.
 _CACHING = threading.Lock()
+
+
+def _keep_stage_one(start: _Start, series: OperatorSeries, groups, averaged, gen, min_gap):
+    """Add stage 1's averaging to `start`, read-only, unless one is there:
+    first come.  series is the stage-0 series, which gives the terms' scans,
+    and gen the generator series."""
+    for idx in groups:
+        read_only(idx)
+    for blocks in averaged.values():
+        for b in blocks:
+            read_only(b)
+    stage_one = _StageOne(
+        term_scans={p: (series.norms[p], series.bounds[p]) for p in start.terms},
+        groups=groups,
+        averaged=averaged,
+        generators={l: read_only(gen.coeffs[l]) for l in gen.live},
+        generator_scans={l: (gen.norms[l], gen.bounds[l]) for l in gen.live},
+        min_gap=min_gap,
+    )
+    with _CACHING:
+        if start.stage_one is None:
+            object.__setattr__(start, "stage_one", stage_one)
 
 
 def _keep_slots(cache, keys, k, survivors):
@@ -453,11 +507,12 @@ def step(state: KolmogorovState) -> KolmogorovState:
     both sides.  A generator with no live slot conjugates as any other, each
     chain being its leaf alone (`chain_stops`, `_t_images`), but forms no
     flow and no basis product.  A stage-0 state from `init` carries the
-    model's cache of stage 1's conjugated slots: a cut whose slots are all
-    there takes them, and where q is None their scans too, and a stage that
-    conjugated adds its slots once it has finished (`_keep_slots`); the
-    state returned carries none.  A ValueError raised by the stage names it
-    ("stage n: ")."""
+    model's memo of stage 1's work: its averaging, once a stage 1 has
+    finished on it (`_keep_stage_one`), and its conjugated slots, of which a
+    cut whose slots are all there takes them, and where q is None their
+    scans too; a stage that conjugated adds its slots once it has finished
+    (`_keep_slots`).  The state returned carries no memo.  A ValueError
+    raised by the stage names it ("stage n: ")."""
     n = state.stage + 1
     P = state.order
     if n > default_n_stages(P):
@@ -465,16 +520,29 @@ def step(state: KolmogorovState) -> KolmogorovState:
             f"stage {n}: no orders are left to eliminate at truncation order {P}"
         )
     lo, hi = 2 ** (n - 1), min(2**n - 1, P)
-    series = state.series
+    series, start = state.series, state._start
+    stage_one = None if start is None else start.stage_one
     with _stage_errors(n):
-        groups = block_groups(state.blocks)
-        averaged, gen, min_gap = _average(state, groups, lo, hi)
+        if stage_one is None:
+            groups = block_groups(state.blocks)
+            averaged, gen, min_gap = _average(state, groups, lo, hi)
+        else:
+            groups, averaged, min_gap = stage_one.groups, stage_one.averaged, stage_one.min_gap
+            gen = OperatorSeries._computed(
+                P,
+                series.coeffs[0],
+                stage_one.generators,
+                generator=True,
+                known=stage_one.generator_scans,
+            )
         levels, blocks, q = _fold(state, groups, averaged)
 
         h0_norm = max_norm(state.levels)  # ||H_0||_2
         stops, dropped = chain_stops(gen, series, h0_norm, state.eps, hi)
-        keys = None if state._slots is None else _slot_keys(stops)
-        hit = _cached_slots(state._slots, keys, P)
+        keys = hit = None
+        if start is not None:
+            keys = _slot_keys(stops)
+            hit = _cached_slots(start.slots, keys, P)
         k, known = hit or (conjugate_slots(gen, series, state.levels, stops), {})
         scale = max(h0_norm, *series.norms)
 
@@ -502,10 +570,14 @@ def step(state: KolmogorovState) -> KolmogorovState:
         basis = state._basis.add(gen, cut, q)
         rest = {p: k[p] for p in range(hi + 1, P + 1) if k[p] is not None}
         if q is not None:
-            rest = {p: hermitian_part(q.conj().T @ c @ q) for p, c in rest.items()}
+            qh = q.conj().T
+            rest = {p: hermitian_part(qh @ c @ q) for p, c in rest.items()}
         survivors = OperatorSeries._computed(P, series.coeffs[0], rest, known=known)
-    if keys is not None and not hit:
-        _keep_slots(state._slots, keys, k, survivors if q is None else None)
+    if start is not None:
+        if stage_one is None:
+            _keep_stage_one(start, series, groups, averaged, gen, min_gap)
+        if not hit:
+            _keep_slots(start.slots, keys, k, survivors if q is None else None)
     info = StageInfo(
         stage=n,
         slot_residual=residual,
@@ -565,11 +637,12 @@ def run(
     it raises comes from this call, at its stage.
 
     `run` is `init` followed by `step` n_stages times.  The work that
-    depends on neither eps nor the order (the H_0 eigendecomposition and
-    the rotated terms) is done on the first call for a model and these
-    tolerances, and kept on the model, with stage 1's conjugated slots for
-    each cut a call makes, at most 2(P + 1) of them; later calls give
-    results bit-identical to a cold call, whichever calls filled the memo.
+    depends on neither eps nor the order (the H_0 eigendecomposition, the
+    rotated terms and their scans, and stage 1's averaging) is done on the
+    first call for a model and these tolerances, and kept on the model,
+    with stage 1's conjugated slots for each cut a call makes, at most
+    2(P + 1) of them; later calls give results bit-identical to a cold
+    call, whichever calls filled the memo.
 
     Parameters
     ----------

@@ -123,13 +123,11 @@ def require_finite(value, what) -> float:
 
 
 def require_positive(value, what) -> float:
-    """float(value); raises ValueError naming `what` unless it and its
-    reciprocal are finite and it is > 0."""
+    """float(value); raises ValueError naming `what` unless it is finite and
+    > 0."""
     value = _require_real(value, what)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{what} must be positive and finite, got {value}")
-    if not math.isfinite(1.0 / value):
-        raise ValueError(f"{what} must have a finite reciprocal, got {value}")
     return value
 
 

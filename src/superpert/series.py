@@ -78,10 +78,6 @@ _BINOM = [[float(math.comb(p, l)) for l in range(p + 1)] for p in range(MAX_ORDE
 UNIT_ROUNDOFF = 2.0**-53
 
 
-def binomial(p: int, l: int) -> float:
-    return _BINOM[p][l]
-
-
 def _common_dtype(mats):
     """complex128 if any of the matrices is complex, else float64."""
     return np.complex128 if any(np.iscomplexobj(c) for c in mats) else np.float64
@@ -144,17 +140,21 @@ class OperatorSeries:
             raise ValueError(
                 f"series order {len(mats) - 1} exceeds the cap {MAX_ORDER}"
             )
-        scans = [(0.0, 0.0)] * len(mats)  # (norm, bound) of a zero slot
+        norms, bounds = [0.0] * len(mats), [0.0] * len(mats)  # 0.0 for a zero slot
+        live = []
         for p in scanned:
             if known and p in known:
-                scans[p] = known[p]
-                continue
-            what = f"generator slot A_{p + 1}" if generator else f"coefficient {p}"
-            scans[p] = finite_norms(mats[p], what)
+                norm, bound = known[p]
+            else:
+                what = f"generator slot A_{p + 1}" if generator else f"coefficient {p}"
+                norm, bound = finite_norms(mats[p], what)
+            norms[p], bounds[p] = norm, bound
+            if norm != 0.0:
+                live.append(p)
         object.__setattr__(self, "coeffs", mats)
-        object.__setattr__(self, "norms", tuple(norm for norm, _ in scans))
-        object.__setattr__(self, "bounds", tuple(bound for _, bound in scans))
-        object.__setattr__(self, "live", [p for p in scanned if scans[p][0] != 0.0])
+        object.__setattr__(self, "norms", tuple(norms))
+        object.__setattr__(self, "bounds", tuple(bounds))
+        object.__setattr__(self, "live", live)
 
     @classmethod
     def _computed(cls, order, zero, live, generator=False, known=None):
@@ -164,9 +164,11 @@ class OperatorSeries:
         series anti-Hermitian, to the bit.  Only the order
         cap, the norms and the non-finite check are done, on `live` alone,
         and not on a slot whose (norm, bound) `known` already holds."""
-        mats = tuple(live.get(p, zero) for p in range(order + 1))
+        mats = [zero] * (order + 1)
+        for p, x in live.items():
+            mats[p] = x
         series = object.__new__(cls)
-        series._set(mats, sorted(live), generator, known)
+        series._set(tuple(mats), sorted(live), generator, known)
         return series
 
     @property
@@ -180,21 +182,6 @@ class OperatorSeries:
     @property
     def dtype(self) -> np.dtype:
         return self.coeffs[0].dtype
-
-
-def _add(acc, term):
-    """acc + term, where acc None is an empty sum; may reuse acc's memory."""
-    if acc is None:
-        return term
-    acc += term
-    return acc
-
-
-def _scaled(c, prod):
-    """c * prod for a fresh product, in place; C(p, 0) = C(p, p) = 1 is skipped."""
-    if c != 1.0:
-        prod *= c
-    return prod
 
 
 def _window(live):
@@ -214,15 +201,21 @@ def _next_image(g, live, window, p):
     bit.  Each sum starts from its first term, so the
     nonzero terms add up in the same order as in the full recursion and
     skipped orders are structural zeros.  Every product is fresh, so it is
-    scaled and summed in place; no array of the window is written."""
-    y = None
+    scaled, unless by C(p, 0) = C(p, p) = 1, and summed in place; no array of
+    the window is written."""
+    row, y = _BINOM[p], None
     for l in live:
         if l > p:
             break
         src = window[-1 - l]
         if src is not None:  # a 1-D T_0 is diagonal: G diag(x) is G * x
             prod = g[l] * src if src.ndim == 1 else g[l] @ src
-            y = _add(y, _scaled(binomial(p, l), prod))
+            if row[l] != 1.0:
+                prod *= row[l]
+            if y is None:
+                y = prod
+            else:
+                y += prod
     if y is None:
         return None
     y += y.conj().T
@@ -279,7 +272,7 @@ def conjugate_slots(gen: OperatorSeries, h: OperatorSeries, levels, stops):
             if term is None or term.ndim == 1:
                 continue
             p = j + k
-            c = binomial(p, j)
+            c = _BINOM[p][j]
             if out[p] is not None:
                 out[p] += term if c == 1.0 else c * term
             elif c == 1.0 and k:
@@ -304,14 +297,22 @@ def flow_coefficients(gen: OperatorSeries):
     window.append(u)
     yield u
     for p in range(gen.order):
-        nxt = None
+        row, nxt = _BINOM[p], None
         for l in live:
             if l > p:
                 break
-            if l == p:  # U_0 G_p is G_p, and C(p, p) = 1
-                nxt = g[l].copy() if nxt is None else _add(nxt, g[l])
+            if l == p:  # U_0 G_p is G_p, and C(p, p) = 1; G_p is not written
+                term = g[l] if nxt is not None else g[l].copy()
             elif window[-1 - l] is not None:
-                nxt = _add(nxt, _scaled(binomial(p, l), window[-1 - l] @ g[l]))
+                term = window[-1 - l] @ g[l]  # fresh, so scaled in place
+                if row[l] != 1.0:
+                    term *= row[l]
+            else:
+                continue
+            if nxt is None:
+                nxt = term
+            else:
+                nxt += term
         if nxt is not None:
             np.negative(nxt, out=nxt)
         window.append(nxt)
@@ -371,20 +372,21 @@ def h0_majorant(gen: OperatorSeries, leaves: dict, eps: float) -> list:
     recursion from w[0] = ||H_0||_2 takes that term as
     |eps|^{k+1}/(k+1)! bounds[k+1] = leaves[k+1] for a live generator slot
     k, 0 for a zero one, in place of 2 ||G_{k+1}|| ||H_0||."""
-    residual = [
-        leaves.get(l + 1, 0.0) if bound else 0.0 for l, bound in enumerate(gen.bounds[:-1])
-    ]
+    residual = {l: leaves.get(l + 1, 0.0) for l in gen.live}
     return _majorant(gen, eps, 2.0, [leaves[0]], residual)
 
 
 def _majorant(gen, eps, factor, w, residual=None):
     """w extended from w[0] to w[0..P] by the recursion of `lie_majorant`;
-    with `residual`, its term l = k is residual[k] instead."""
+    with `residual`, its term l = k is residual.get(k, 0.0) instead.  With no
+    live generator slot every later w[k] is 0."""
+    if not gen.live:
+        return w + [0.0] * gen.order
     x = abs(eps)
     slots, power = [], x  # power = |eps|^{l+1}/l!
-    for l, bound in enumerate(gen.bounds[:-1]):
-        if bound:
-            slots.append((l, bound * power))
+    for l in range(gen.live[-1] + 1):
+        if gen.bounds[l]:
+            slots.append((l, gen.bounds[l] * power))
         power = power * x / (l + 1)
     for k in range(gen.order):
         total = 0.0
@@ -394,7 +396,7 @@ def _majorant(gen, eps, factor, w, residual=None):
             if w[k - l]:
                 total += g * w[k - l]
         nxt = factor / (k + 1) * total
-        if residual is not None:
+        if residual is not None and k in residual:
             nxt += residual[k]
         w.append(nxt)
     return w
@@ -489,14 +491,15 @@ def eval_series(s: OperatorSeries, eps: float) -> np.ndarray:
     return weighted_sum(s.coeffs, eps)
 
 
-def zero_padded(coeffs_by_order, dim: int, order: int) -> OperatorSeries:
+def zero_padded(coeffs_by_order, dim: int, order: int, known=None) -> OperatorSeries:
     """Series of the given order from a sparse {order: matrix} mapping of
     validated Hermitian matrices, e.g. a model's read-only terms; in float64
     unless one of them is complex.  A matrix already in that dtype fills its
-    slot as it is, so the caller must not write into it later."""
+    slot as it is, so the caller must not write into it later; one whose
+    (norm, bound) `known` holds is not scanned."""
     dtype = _common_dtype(coeffs_by_order.values())
     for p in coeffs_by_order:
         if p > order:
             raise ValueError(f"term of order {p} does not fit truncation order {order}")
     live = {p: mat.astype(dtype, copy=False) for p, mat in coeffs_by_order.items()}
-    return OperatorSeries._computed(order, shared_zero(dim, dtype), live)
+    return OperatorSeries._computed(order, shared_zero(dim, dtype), live, known=known)

@@ -660,11 +660,11 @@ def test_compare_quartic_makes_only_real_dense_eigh(capsys, monkeypatch):
      ("--gap-guard", "-1e-6"), ("--eps", "0.1,0.1"), ("--levels", "0,0"),
      ("--eps", "1e300"), ("--stages", "0"), ("--stages", "-1"),
      ("--stages", "4"), ("--order", str(sp.MAX_ORDER + 1)), ("--dim", "4"),
-     ("--hbar", "-1"), ("--hbar", "1e-310"), ("--eps", "1e308")],
+     ("--hbar", "-1"), ("--eps", "1e308")],
     ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative", "eps_repeated",
          "levels_repeated", "eps_overflow", "stages", "stages_negative",
          "stages_past_last", "order_past_cap", "dim_below_builtin_minimum",
-         "hbar_negative", "hbar_reciprocal_overflows", "eps_weighted_sum_overflows"],
+         "hbar_negative", "eps_weighted_sum_overflows"],
 )
 def test_bad_numeric_flag_is_named(capsys, flag, value):
     args = [
@@ -758,6 +758,20 @@ def test_compare_report_does_not_depend_on_hbar(capsys):
         assert code == 0 and err == ""
         report = json.loads(out)
         assert report["config"].pop("hbar") == hbar
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_hbar_whose_reciprocal_overflows_is_accepted(capsys):
+    # no code forms 1/hbar, so an hbar of 1e-310 is recorded like any other
+    args = ["--method", "compare", "--builtin", "quartic_oscillator", "--dim", "12",
+            "--eps", "0.1", "--levels", "0", "--format", "json"]
+    reports = []
+    for hbar in ("1", "1e-310"):
+        code, out, err = _run(args + [f"--hbar={hbar}"], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["config"].pop("hbar") == float(hbar)
         reports.append(report)
     assert reports[0] == reports[1]
 

@@ -496,11 +496,18 @@ def _slots(model):
 
 
 def _check_slot_cache(model, order):
-    # at most 2(P + 1) slots for the largest order P run, each read-only
+    # at most 2(P + 1) slots for the largest order P run, each read-only,
+    # and every array of stage 1's averaging read-only too
     cache = _slots(model)
     assert len(cache) <= 2 * (order + 1)
     for k, _ in cache.values():
         assert k is None or not k.flags.writeable
+    (start,) = model._memo.values()
+    if start.stage_one is not None:
+        stage_one = start.stage_one
+        arrays = [*stage_one.groups, *stage_one.generators.values()]
+        arrays += [b for blocks in stage_one.averaged.values() for b in blocks]
+        assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def _stage_one_calls(monkeypatch):
@@ -510,9 +517,9 @@ def _stage_one_calls(monkeypatch):
     real_step, real_conjugate = kolmogorov.step, kolmogorov.conjugate_slots
 
     def step(state):
-        if state._slots is None:
+        if state._start is None:
             return real_step(state)
-        held, before = len(state._slots), len(conjugated)
+        held, before = len(state._start.slots), len(conjugated)
         try:
             return real_step(state)
         finally:
@@ -540,8 +547,9 @@ def test_memo_hit_matches_a_cold_run(real, eps_list, monkeypatch):
     for i, eps in enumerate(eps_list):
         before = len(eighs), len(averages)
         warm = sp.run(model, eps, 8)
-        # a hit makes no eigh of H_0, and every run averages all 4 stages
-        assert (len(eighs), len(averages)) == (before[0] + (i == 0), before[1] + 4)
+        # a hit makes no eigh of H_0, and averages stages 2-4 alone: stage
+        # 1's averaging is the memo's after the first run
+        assert (len(eighs), len(averages)) == (before[0] + (i == 0), before[1] + 3 + (i == 0))
         _same_result(warm, sp.run(_fresh(model), eps, 8))
     # stage 1 of the first run starts from an empty cache and conjugates,
     # as do the cold runs on fresh models between the warm ones; the third
@@ -549,6 +557,33 @@ def test_memo_hit_matches_a_cold_run(real, eps_list, monkeypatch):
     first, cold, _, cold_again, third, cold_last = calls
     assert first == cold == cold_again == cold_last == (0, True)
     assert third[0] > 0 and not third[1]
+    _check_slot_cache(model, 8)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_memo_hit_makes_no_stage_one_averaging_and_init_scans_nothing(real, monkeypatch):
+    # once a stage 1 has finished on the model, a run at another eps takes
+    # the terms' scans, stage 1's averages, generator, gap and block groups
+    # from the memo: its init scans no slot and its stage 1 averages nothing
+    model = _random_rotated_model(np.random.default_rng(70), 6, degenerate=True, real=real)
+    sp.run(model, 0.05, 8)
+    averages = _counting(monkeypatch, "average_diagonal")
+    groups = _counting(monkeypatch, "block_groups")
+    scanned = []
+    real_norms = series.finite_norms
+
+    def counted(a, what):
+        scanned.append(what)
+        return real_norms(a, what)
+
+    monkeypatch.setattr(series, "finite_norms", counted)
+    state = sp.init(model, 0.02, 8)
+    assert scanned == []
+    state = sp.step(state)
+    assert averages == groups == []
+    assert "generator slot A_1" not in scanned
+    assert state.history[0] == sp.step(sp.init(_fresh(model), 0.02, 8)).history[0]
+    _same_result(sp.run(model, 0.02, 8), sp.run(_fresh(model), 0.02, 8))
     _check_slot_cache(model, 8)
 
 
@@ -699,6 +734,7 @@ def test_stage_one_failure_after_its_conjugation_raises_on_every_call(monkeypatc
                 sp.run(target, 1e-140, 8)
     assert calls == [(0, True)] * 3
     assert _slots(model) == {}
+    assert model._memo[(None, None)].stage_one is None
 
 
 @pytest.mark.parametrize("hbar", [0.37, 2.5, 1e300])
@@ -757,6 +793,74 @@ def test_stage_one_small_denominator_raises_on_every_call(monkeypatch):
     sp.run(model, 0.1, 3, gap_guard=1e-9)
     with pytest.raises(sp.SmallDenominatorError, match=r"^stage 1: "):
         sp.run(model, 0.1, 3)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(2, 8),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    degenerate=st.booleans(),
+    real=st.booleans(),
+    first=st.sampled_from([1, 2]),
+    eps=st.sampled_from([1e-4, 0.05, 0.3]),
+)
+@example(n=4, order=4, seed=0, degenerate=True, real=True, first=2, eps=0.05)
+def test_every_state_labels_its_levels_by_their_degeneracy_blocks(
+    n, order, seed, degenerate, real, first, eps
+):
+    # the rule behind _fold's early exit: every state's blocks are
+    # degeneracy_blocks(levels, deg_tol), so a stage with nothing to fold
+    # keeps its input's blocks.  With the perturbation at order 2, stage 1
+    # averages nothing and keeps H_0's degenerate blocks; at eps 1e-4 the
+    # later stages' windows are cut empty, and a pair that order 2 splits
+    # by less than the guard raises, with no state to check
+    model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
+    if first == 2:
+        model = sp.make_model(n, [(0, model.coefficient(0)), (2, model.coefficient(1))])
+        order = max(order, 2)
+    for _ in ("cold", "warm"):
+        state = sp.init(model, eps, order)
+        while True:
+            blocks = linalg.degeneracy_blocks(state.levels, state.deg_tol)
+            assert np.array_equal(state.blocks, blocks)
+            if state.stage == default_n_stages(order):
+                break
+            try:
+                state = sp.step(state)
+            except sp.SmallDenominatorError:
+                break
+
+
+def test_a_stage_whose_series_has_no_live_slot_folds_and_scans_nothing(monkeypatch):
+    # diagonal H_0 and H_1: stage 1 folds H_1 into the levels and leaves no
+    # live slot, and the degenerate pair stays one block.  Stage 2 then
+    # averages nothing, so it finds no blocks and scans no slot, yet returns
+    # levels of its own and still guards its denominators
+    h0 = np.diag([0.0, 1.0, 1.0, 2.5])
+    h1 = np.diag([0.1, 0.2, 0.2, -0.3])
+    model = sp.make_model(4, [(0, h0), (1, h1)])
+    state = sp.step(sp.init(model, 0.1, 3, deg_tol=1e-12, gap_guard=1e-6))
+    assert state.series.live == [] and state.blocks.tolist() == [0, 1, 1, 2]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on a stage with no live slot")
+
+    monkeypatch.setattr(kolmogorov, "degeneracy_blocks", forbidden)
+    monkeypatch.setattr(series, "finite_norms", forbidden)
+    nxt = sp.step(state)
+    assert nxt.levels is not state.levels and nxt.blocks is not state.blocks
+    assert np.array_equal(nxt.levels, state.levels)
+    assert np.array_equal(nxt.blocks, state.blocks)
+    assert nxt.history[-1].min_gap == pytest.approx(1.0 + 0.1 * 0.1)
+    assert nxt.history[-1].generator_norms == (0.0,) * 4
+
+    close = dataclasses.replace(
+        state, levels=np.array([0.0, 1e-8, 1.02, 2.47]), blocks=np.arange(4)
+    )
+    with pytest.raises(sp.SmallDenominatorError, match=r"^stage 2: small denominator") as err:
+        sp.step(close)
+    assert err.value.indices == (0, 1)
 
 
 def _check_h0_slot(state):

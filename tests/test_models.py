@@ -136,15 +136,27 @@ def test_builtin_selector_checks_fields(field, value):
     "field, value, message",
     [("dimension", 4, "needs dim >= 8, got 4"),
      ("hbar", -1.0, "hbar must be positive and finite, got -1.0"),
-     ("hbar", float("inf"), "hbar must be positive and finite, got inf"),
-     ("hbar", 1e-310, "hbar must have a finite reciprocal, got 1e-310")],
-    ids=["dimension_small", "hbar_negative", "hbar_inf", "hbar_reciprocal_overflows"],
+     ("hbar", float("inf"), "hbar must be positive and finite, got inf")],
+    ids=["dimension_small", "hbar_negative", "hbar_inf"],
 )
 def test_builtin_selector_errors_name_the_file(field, value, message):
     doc = {"builtin": "quartic_oscillator", "dimension": 12, field: value}
     with pytest.raises(sp.ModelFormatError, match=r"^m\.json: ") as err:
         sp.model_from_dict(doc, "m.json")
     assert str(err.value).endswith(message)
+
+
+def test_hbar_whose_reciprocal_overflows_is_accepted(tmp_path):
+    # no code forms 1/hbar, so every way in takes an hbar of 1e-310
+    h0 = [[0.0, 0.0], [0.0, 2.0]]
+    assert sp.make_model(2, [(0, np.array(h0))], hbar=1e-310).hbar == 1e-310
+    assert sp.build_quartic_oscillator(8).with_hbar(1e-310).hbar == 1e-310
+    doc = {"builtin": "quartic_oscillator", "dimension": 12, "hbar": 1e-310}
+    assert sp.model_from_dict(doc, "m.json").hbar == 1e-310
+    path = _write_model(
+        tmp_path, {"dimension": 2, "hbar": 1e-310, "terms": [{"order": 0, "matrix": h0}]}
+    )
+    assert sp.load_model(path).hbar == 1e-310
 
 
 def test_terms_file_cannot_take_a_builtin_name():

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 import superpert as sp
 from superpert import series
-from superpert.series import OperatorSeries, binomial, zero_padded
+from superpert.series import OperatorSeries, zero_padded
 
 import kernels
 import reference
@@ -390,7 +390,7 @@ def _full_images(g, x, up_to):
     for p in range(up_to):
         y = np.zeros_like(images[0])
         for l in range(p + 1):
-            y += binomial(p, l) * (g[l] @ images[p - l])
+            y += math.comb(p, l) * (g[l] @ images[p - l])
         images.append(y + y.conj().T)
     return images
 
@@ -404,12 +404,12 @@ def _full_conjugations(ts, h, hbar):
     for p in range(P + 1):
         kp = np.zeros_like(h.coeffs[0])
         for j in range(p + 1):
-            kp += binomial(p, j) * images[j][p - j]
+            kp += math.comb(p, j) * images[j][p - j]
         cauchy.append(kp)
     for p in range(P):
         nxt = np.zeros_like(u[0])
         for l in range(p + 1):
-            nxt += binomial(p, l) * (u[p - l] @ g[l])
+            nxt += math.comb(p, l) * (u[p - l] @ g[l])
         u.append(-nxt)
     return cauchy, u
 
@@ -483,9 +483,10 @@ def test_levels_chain_matches_the_dense_diagonal_chain(n, order, seed, real, zer
 
 
 def test_binomials_exact_small_orders():
-    assert binomial(6, 3) == 20.0
-    assert binomial(0, 0) == 1.0
-    assert binomial(62, 31) == float(math.comb(62, 31))
+    # the kernels read their binomials from this float64 table
+    assert series._BINOM[6][3] == 20.0
+    assert series._BINOM[0][0] == 1.0
+    assert series._BINOM[62][31] == float(math.comb(62, 31))
 
 
 def test_public_routes_run_real_for_an_imaginary_generator():
