@@ -4,15 +4,15 @@ For a Hermitian A with spectral data (E_j, |j>) and a Hermitian B, the
 average and its primitive are, in A's eigenbasis,
 
     Bbar_jk = B_jk   if j, k share a degeneracy block, else 0
-    S_jk    = (hbar/i) B_jk / (E_j - E_k)   across blocks, else 0
+    S_jk    = -i B_jk / (E_j - E_k)   across blocks, else 0
 
-so that (i/hbar)[Bbar, A] = 0 and (i/hbar)[S, A] = Bbar - B hold at
-working precision by construction.  For degenerate A the full intra-block
-part is retained, which still commutes with A.  `average_diagonal` applies
-these formulas in A's eigenbasis to a sequence of matrices, with one set of
-denominators and no stacked copy of them, and returns each primitive as the
-engine's anti-Hermitian generator G = iS/hbar, with entries
-B_jk / (E_j - E_k): hbar cancels, and G is real for a real B, so a real
+so that i[Bbar, A] = 0 and i[S, A] = Bbar - B hold at working precision
+by construction (hbar = 1: A is the operator in energy units).  For
+degenerate A the full intra-block part is retained, which still commutes
+with A.  `average_diagonal` applies these formulas in A's eigenbasis to a
+sequence of matrices, with one set of denominators and no stacked copy of
+them, and returns each primitive as the engine's anti-Hermitian generator
+G = iS, with entries B_jk / (E_j - E_k): G is real for a real B, so a real
 model stays in real arithmetic.  Each average is kept as its degeneracy
 blocks, one (n, s, s) stack per n blocks of size s (`block_groups`).
 

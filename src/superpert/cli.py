@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .kolmogorov import default_n_stages, run, unperturbed
-from .linalg import eigh, require_finite, require_positive, require_tolerance
+from .linalg import eigh, require_finite, require_tolerance
 from .models import BUILTIN_MODELS, load_model
 from .rayleigh_schrodinger import rs_corrections
 from .series import MAX_ORDER, WeightOverflowError, eval_series
@@ -29,17 +29,13 @@ _METHODS = ("su", "rs", "exact", "compare")
 
 def _model_from_args(args):
     if args.model is not None:
-        model = load_model(args.model)
-    elif args.dim is None:
+        return load_model(args.model)
+    if args.dim is None:
         raise ValueError("--builtin requires --dim")
-    else:
-        try:
-            model = BUILTIN_MODELS[args.builtin](args.dim)
-        except ValueError as exc:  # a builtin model takes only its dimension
-            raise ValueError(f"--dim: {exc}") from exc
-    if args.hbar is not None:
-        model = model.with_hbar(require_positive(args.hbar, "--hbar"))
-    return model
+    try:
+        return BUILTIN_MODELS[args.builtin](args.dim)
+    except ValueError as exc:  # a builtin model takes only its dimension
+        raise ValueError(f"--dim: {exc}") from exc
 
 
 def match_labels(v_prev: np.ndarray, v_new: np.ndarray) -> np.ndarray:
@@ -157,7 +153,7 @@ def compute_report(args: argparse.Namespace) -> dict:
         )
     drift = None
     if args.method == "exact" and model.name in BUILTIN_MODELS:
-        bigger = BUILTIN_MODELS[model.name](model.dim + 20, hbar=model.hbar)
+        bigger = BUILTIN_MODELS[model.name](model.dim + 20)
         drift = (
             bigger.series(bigger.max_order),
             eigh(bigger.coefficient(0), deg_tol=deg_tol),
@@ -244,7 +240,6 @@ def compute_report(args: argparse.Namespace) -> dict:
             "model": model.name,
             "provenance": model.provenance,
             "dimension": model.dim,
-            "hbar": model.hbar,
             "method": args.method,
             "eps": list(eps_list),
             "levels": list(levels),
@@ -358,13 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--deg-tol", type=float, default=None)
     parser.add_argument("--gap-guard", type=float, default=None)
-    parser.add_argument(
-        "--hbar",
-        type=float,
-        default=None,
-        help="recorded in the report's config; the terms are the operator in "
-        "energy units, so hbar does not enter the computation",
-    )
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     return parser

@@ -9,10 +9,11 @@ values and zeroed, and everything from order 2^n up is kept transformed.
 The engine therefore works at a fixed evaluation point eps; its H_0 is an
 expansion in functions of eps, not a plain power series.
 
-A generator slot is stored as the anti-Hermitian G_p = iW_p/hbar (see
-`series`), B_jk/(E_j - E_k) off the blocks, so hbar cancels out and the
-engine never reads a model's hbar.  It runs in the dtype of the model: real
-arithmetic throughout for a real model, complex128 for a complex one.
+The terms are the operator in energy units (hbar = 1), and a generator
+slot is stored as the anti-Hermitian G_p = iW_p (see `series`),
+B_jk/(E_j - E_k) off the blocks.  The engine runs in the dtype of the
+model: real arithmetic throughout for a real model, complex128 for a
+complex one.
 Since eps is a number, each stage stops its conjugation chains and its
 flow sum once the Lie-series majorant of the rest is below rounding at eps
 (`chain_stops`, `flow_cut`), and records the majorant of what it dropped;
@@ -102,7 +103,7 @@ class StageInfo:
     slot_residual: float  # max |K_p - predicted|_max over eliminated slots
     series_scale: float  # max coefficient norm of the series entering the stage
     min_gap: float  # smallest denominator gap in this stage's averaging basis
-    generator_norms: tuple  # max_norm of the generator slots (|G_p| = |W_p|/hbar)
+    generator_norms: tuple  # max_norm of the generator slots (|G_p| = |W_p|)
     # spectral-norm majorant at eps of the dropped images, plus ||H_0||_2
     # times that of the dropped flow tail; 0.0 when nothing with weight went
     truncation_bound: float

@@ -122,15 +122,6 @@ def require_finite(value, what) -> float:
     return value
 
 
-def require_positive(value, what) -> float:
-    """float(value); raises ValueError naming `what` unless it is finite and
-    > 0."""
-    value = _require_real(value, what)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{what} must be positive and finite, got {value}")
-    return value
-
-
 def require_tolerance(value, what):
     """None, or a finite nonnegative float; raises ValueError naming `what`."""
     if value is None:

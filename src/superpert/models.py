@@ -5,6 +5,12 @@ The oscillator convention is H_0 = -d^2/dx^2 + x^2 (eigenvalues 1, 3, 5, ...)
 with x = (a + a^dagger)/sqrt(2), a_{n-1,n} = sqrt(n), and the quartic term
 x^4 as the order-1 perturbation.
 
+The terms are the operator in energy units, with hbar = 1: the generator
+of every transform is G = iW, and no model carries an hbar.  Since hbar
+enters the method only through W/hbar, it cancels out of every eigenvalue
+and eigenvector, so a model file's legacy 'hbar' key is ignored like any
+other key the loader does not read.
+
 A model's terms share one dtype, decided here at ingestion: float64 when
 every term's imaginary part is exactly zero, complex128 otherwise.  The
 engine follows that dtype, so a real model such as the oscillator runs in
@@ -18,14 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import (
-    as_array,
-    hermitian_part,
-    read_only,
-    require_hermitian,
-    require_integer,
-    require_positive,
-)
+from .linalg import as_array, hermitian_part, read_only, require_hermitian, require_integer
 from .series import OperatorSeries, zero_padded
 
 
@@ -37,11 +36,10 @@ class ModelFormatError(ValueError):
 class ModelSpec:
     dim: int
     h_coeffs: tuple  # ((order, matrix), ...), order 0 first, orders distinct, one dtype
-    hbar: float = 1.0
     name: str = "custom"
     provenance: str = "memory"
     # the engine's one memo entry for this model (see kolmogorov.run); a new
-    # model, e.g. from with_hbar, starts with an empty one
+    # model, e.g. from dataclasses.replace, starts with an empty one
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,10 +64,6 @@ class ModelSpec:
     def series(self, order: int) -> OperatorSeries:
         return zero_padded(dict(self.h_coeffs), self.dim, order)
 
-    def with_hbar(self, hbar: float) -> "ModelSpec":
-        with _model_error(self.name):
-            return replace(self, hbar=require_positive(hbar, "hbar"))
-
 
 @contextmanager
 def _model_error(context):
@@ -93,13 +87,12 @@ def _pairs(terms) -> list:
     return terms
 
 
-def _validate_terms(dim, terms, hbar, name, provenance, context):
+def _validate_terms(dim, terms, name, provenance, context):
     """ModelSpec from (order, matrix) pairs; a bad matrix is named by its
     index in `terms` and its order.  The matrices are stored as float64 when
     every imaginary part is exactly zero, else as complex128."""
     with _model_error(context):
         dim = require_integer(dim, "dimension")
-        hbar = require_positive(hbar, "hbar")
         terms = _pairs(terms)
         orders = [require_integer(p, f"terms[{i}]: order") for i, (p, _) in enumerate(terms)]
     if dim < 1:
@@ -128,7 +121,6 @@ def _validate_terms(dim, terms, hbar, name, provenance, context):
     return ModelSpec(
         dim=dim,
         h_coeffs=tuple(sorted(clean, key=lambda t: t[0])),
-        hbar=hbar,
         name=name,
         provenance=provenance,
     )
@@ -146,15 +138,15 @@ def _check_name(name, context):
         )
 
 
-def make_model(dim, terms, hbar=1.0, name="custom", provenance="memory") -> ModelSpec:
+def make_model(dim, terms, name="custom", provenance="memory") -> ModelSpec:
     """Validated ModelSpec from (order, matrix) pairs; matrices are
     Hermiticity-checked and symmetrized.  The name is checked as in
     `model_from_dict`, and a bad one is reported under `provenance`."""
     _check_name(name, provenance)
-    return _validate_terms(dim, terms, hbar, name, provenance, name)
+    return _validate_terms(dim, terms, name, provenance, name)
 
 
-def build_quartic_oscillator(dim: int, hbar: float = 1.0) -> ModelSpec:
+def build_quartic_oscillator(dim: int) -> ModelSpec:
     """Quartic anharmonic oscillator truncated to the lowest dim levels.
 
     x^4 = (a + a^dagger)^4 / 4 is built from its ladder matrix elements;
@@ -173,7 +165,6 @@ def build_quartic_oscillator(dim: int, hbar: float = 1.0) -> ModelSpec:
     return _validate_terms(
         dim,
         [(0, np.diag(2.0 * n + 1.0)), (1, x4)],
-        hbar,
         name="quartic_oscillator",
         provenance="builtin",
         context="quartic_oscillator",
@@ -224,17 +215,14 @@ def _parse_matrix(data, dim, context):
     )
 
 
-def _dimension_and_hbar(data, provenance):
-    """The document's integer 'dimension' and real 'hbar' (default 1)."""
+def _dimension(data, provenance):
+    """The document's integer 'dimension'."""
     dim = data["dimension"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ModelFormatError(f"{provenance}: 'dimension' must be an integer")
     if dim < 1:
         raise ModelFormatError(f"{provenance}: 'dimension' must be at least 1, got {dim}")
-    hbar = data.get("hbar", 1.0)
-    if not _is_number(hbar):
-        raise ModelFormatError(f"{provenance}: 'hbar' must be a real number")
-    return dim, float(hbar)
+    return dim
 
 
 def model_from_dict(data, provenance="memory") -> ModelSpec:
@@ -251,14 +239,14 @@ def model_from_dict(data, provenance="memory") -> ModelSpec:
             )
         if "dimension" not in data:
             raise ModelFormatError(f"{provenance}: builtin selector needs 'dimension'")
-        dim, hbar = _dimension_and_hbar(data, provenance)
+        dim = _dimension(data, provenance)
         with _model_error(provenance):
-            model = builder(dim, hbar=hbar)
+            model = builder(dim)
         return replace(model, provenance=provenance)
     for field in ("dimension", "terms"):
         if field not in data:
             raise ModelFormatError(f"{provenance}: missing required field {field!r}")
-    dim, hbar = _dimension_and_hbar(data, provenance)
+    dim = _dimension(data, provenance)
     name = data.get("name", "custom")
     _check_name(name, provenance)
     if not isinstance(data["terms"], list) or not data["terms"]:
@@ -274,7 +262,7 @@ def model_from_dict(data, provenance="memory") -> ModelSpec:
         if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise ModelFormatError(f"{context}: 'order' must be an integer >= 0")
         terms.append((order, _parse_matrix(term["matrix"], dim, context)))
-    return _validate_terms(dim, terms, hbar, name, provenance, provenance)
+    return _validate_terms(dim, terms, name, provenance, provenance)
 
 
 def load_model(path) -> ModelSpec:

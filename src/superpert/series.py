@@ -10,20 +10,20 @@ by -W(eps) acts on operators through the expansion maps
 
     T_0 = id,   T_{p+1} = sum_{l=0}^{p} C(p, l) ad W_{l+1} o T_{p-l}
 
-where ad W = (i/hbar)[W, .].  Conjugating a Hamiltonian series is the
-Cauchy product K_p = sum_j C(p, j) T_{p-j}(H_j).
+where ad W = i[W, .], with hbar = 1: every operator is in energy units.
+Conjugating a Hamiltonian series is the Cauchy product
+K_p = sum_j C(p, j) T_{p-j}(H_j).
 
-A generator slot holds the anti-Hermitian G = iW/hbar, B_jk/(E_j - E_k)
-in the engine (see `averaging`), so ad W = [G, .] and no kernel, series or
-bound carries hbar.  G is real antisymmetric when the model is real, so one
-kernel runs in the dtype of its operands: float64 for a real model,
-complex128 otherwise.  The stage engine builds the G slots itself and calls
-`conjugate_slots` and `flow_coefficients`.  With [G, T] = Y + Y^H for
-Y = G T, G anti-Hermitian and T Hermitian, the kernel `_next_image`
-accumulates Y = sum_l C(p, l) G_{l+1} T_{p-l}(x), one matrix product per
-live term, and takes T_{p+1}(x) = Y + Y^H once.  That halves the matrix
-products of the two-product commutator, and the image is Hermitian to the
-bit.  The kernel needs Hermitian operands and
+A generator slot holds the anti-Hermitian G = iW, B_jk/(E_j - E_k) in the
+engine (see `averaging`), so ad W = [G, .].  G is real antisymmetric when
+the model is real, so one kernel runs in the dtype of its operands: float64
+for a real model, complex128 otherwise.  The stage engine builds the G
+slots itself and calls `conjugate_slots` and `flow_coefficients`.  With
+[G, T] = Y + Y^H for Y = G T, G anti-Hermitian and T Hermitian, the kernel
+`_next_image` accumulates Y = sum_l C(p, l) G_{l+1} T_{p-l}(x), one matrix
+product per live term, and takes T_{p+1}(x) = Y + Y^H once.  That halves
+the matrix products of the two-product commutator, and the image is
+Hermitian to the bit.  The kernel needs Hermitian operands and
 anti-Hermitian generators to the bit, so every matrix that is Hermitian
 only up to rounding is symmetrized where it enters a series: the public
 `OperatorSeries` constructor symmetrizes its coefficients, and the stage

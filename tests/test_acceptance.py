@@ -178,18 +178,17 @@ def test_criterion_6_order_doubling():
 def test_criterion_7_closed_form_cross_checks():
     model = sp.build_quartic_oscillator(24)
     eps = 0.08
-    hbar = model.hbar
     h0 = model.coefficient(0)
     v = model.coefficient(1)
 
     def ad(w, x):
-        return reference.commutator_ad(w, x, hbar)
+        return reference.commutator_ad(w, x)
 
-    first = kernels.average(sp.eigh(h0), v, hbar)
+    first = kernels.average(sp.eigh(h0), v)
     w1, vbar = first.s_of_b, first.b_bar
     h12 = ad(w1, vbar + v)
     h13 = ad(w1, ad(w1, vbar + 2.0 * v))
-    second = kernels.average(sp.eigh(h0 + eps * vbar), h12, hbar)
+    second = kernels.average(sp.eigh(h0 + eps * vbar), h12)
     w2, h12bar = second.s_of_b, second.b_bar
     h24 = ad(w1, ad(w1, ad(w1, vbar + 3.0 * v))) + 3.0 * ad(w2, h12bar + h12)
 

@@ -166,13 +166,6 @@ def test_bad_gap_guard_is_rejected(bad):
         sp.init(model, 0.1, 2, deg_tol=1e-12, gap_guard=bad)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0], ids=["nan", "inf", "zero"])
-def test_bad_hbar_is_rejected(bad):
-    # the averaging takes hbar from the model, which rejects a bad one
-    with pytest.raises(ValueError, match="hbar must be"):
-        sp.build_quartic_oscillator(8).with_hbar(bad)
-
-
 def test_guard_default_scales_with_range():
     a = np.diag([0.0, 1.0, 2.0]).astype(complex)
     assert default_gap_guard(sp.eigh(a)) == pytest.approx(2e-6)

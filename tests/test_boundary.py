@@ -197,10 +197,6 @@ SCALAR_INPUTS = {
         lambda: sp.eigh(H0, deg_tol="1e-3"),
         "deg_tol must be a real number, got '1e-3'",
     ),
-    "hbar_str": (
-        lambda: sp.make_model(1, [(0, np.eye(1))], hbar="1"),
-        "hbar must be a real number, got '1'",
-    ),
     # each raised a bare TypeError
     "eps_none": (lambda: sp.run(M3, None, 4), "eps must be a real number, got None"),
     "eps_complex": (lambda: sp.run(M3, 0.1j, 4), "eps must be a real number, got 0.1j"),
@@ -239,8 +235,6 @@ def test_real_scalar_inputs_still_pass():
         got = sp.run(M3, eps, 4, gap_guard=np.float64(1e-6))
         assert all(np.array_equal(a, b) for a, b in zip(got.energies, want.energies))
     assert sp.run(M3, 0, 4).energies[-1].tolist() == H0.diagonal().real.tolist()
-    model = sp.make_model(1, [(0, np.eye(1))], hbar=np.float32(0.5))
-    assert model.hbar == 0.5 and type(model.hbar) is float
     assert sp.eigh(H0, deg_tol=np.float64(1e-3)).blocks.tolist() == [0, 1, 2]
     assert _rs().energy(np.float64(0.0), 0) == 0.0
     assert [sp.default_n_stages(P) for P in (1, 2, 3, 4, 7, 8, np.int64(62))] == [

@@ -660,11 +660,11 @@ def test_compare_quartic_makes_only_real_dense_eigh(capsys, monkeypatch):
      ("--gap-guard", "-1e-6"), ("--eps", "0.1,0.1"), ("--levels", "0,0"),
      ("--eps", "1e300"), ("--stages", "0"), ("--stages", "-1"),
      ("--stages", "4"), ("--order", str(sp.MAX_ORDER + 1)), ("--dim", "4"),
-     ("--hbar", "-1"), ("--eps", "1e308")],
+     ("--eps", "1e308")],
     ids=["eps", "deg_tol", "gap_guard", "gap_guard_negative", "eps_repeated",
          "levels_repeated", "eps_overflow", "stages", "stages_negative",
          "stages_past_last", "order_past_cap", "dim_below_builtin_minimum",
-         "hbar_negative", "eps_weighted_sum_overflows"],
+         "eps_weighted_sum_overflows"],
 )
 def test_bad_numeric_flag_is_named(capsys, flag, value):
     args = [
@@ -748,34 +748,6 @@ def test_overflowing_generator_is_named_as_the_generator(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
-def test_compare_report_does_not_depend_on_hbar(capsys):
-    # hbar is recorded in the report's config and enters no computation
-    args = ["--method", "compare", "--builtin", "quartic_oscillator", "--dim", "40",
-            "--eps", "0.02,0.1", "--levels", "0,1", "--format", "json"]
-    reports = []
-    for hbar in (1.0, 2.5):
-        code, out, err = _run(args + ["--hbar", str(hbar)], capsys)
-        assert code == 0 and err == ""
-        report = json.loads(out)
-        assert report["config"].pop("hbar") == hbar
-        reports.append(report)
-    assert reports[0] == reports[1]
-
-
-def test_hbar_whose_reciprocal_overflows_is_accepted(capsys):
-    # no code forms 1/hbar, so an hbar of 1e-310 is recorded like any other
-    args = ["--method", "compare", "--builtin", "quartic_oscillator", "--dim", "12",
-            "--eps", "0.1", "--levels", "0", "--format", "json"]
-    reports = []
-    for hbar in ("1", "1e-310"):
-        code, out, err = _run(args + [f"--hbar={hbar}"], capsys)
-        assert code == 0 and err == ""
-        report = json.loads(out)
-        assert report["config"].pop("hbar") == float(hbar)
-        reports.append(report)
-    assert reports[0] == reports[1]
-
-
 def test_overflowing_eps_is_named_for_rs_alone(capsys):
     # eps**k of the order-4 series overflows a float
     code, out, err = _run(
@@ -816,19 +788,6 @@ def test_overflowing_rs_energy_is_named_as_eps(capsys, fmt):
     assert code == 1 and out == ""
     assert err.startswith("error: --eps 1e+77") and "OverflowError" in err
     assert "RuntimeWarning" not in err
-
-
-def test_builtin_model_file_with_null_hbar_is_an_error(capsys, tmp_path):
-    path = tmp_path / "null_hbar.json"
-    path.write_text(
-        json.dumps({"builtin": "quartic_oscillator", "dimension": 12, "hbar": None}),
-        encoding="utf-8",
-    )
-    code, out, err = _run(
-        ["--method", "exact", "--model", str(path), "--eps", "0.1"], capsys
-    )
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "'hbar'" in err
 
 
 def test_bad_out_path_fails_before_the_report_is_computed(capsys, monkeypatch):

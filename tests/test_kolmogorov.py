@@ -28,18 +28,17 @@ from conftest import random_diagonal_model, random_hermitian
 def _quartic_closed_forms(model, eps):
     """The first eliminated slots written out as explicit nested commutators,
     built from the averaging primitives only (no series machinery)."""
-    hbar = model.hbar
     h0 = model.coefficient(0)
     v = model.coefficient(1)
 
     def ad(w, x):
-        return reference.commutator_ad(w, x, hbar)
+        return reference.commutator_ad(w, x)
 
-    first = kernels.average(sp.eigh(h0), v, hbar)
+    first = kernels.average(sp.eigh(h0), v)
     w1, vbar = first.s_of_b, first.b_bar
     h12 = ad(w1, vbar + v)
     h13 = ad(w1, ad(w1, vbar + 2.0 * v))
-    second = kernels.average(sp.eigh(h0 + eps * vbar), h12, hbar)
+    second = kernels.average(sp.eigh(h0 + eps * vbar), h12)
     w2, h12bar = second.s_of_b, second.b_bar
     h24 = ad(w1, ad(w1, ad(w1, vbar + 3.0 * v))) + 3.0 * ad(w2, h12bar + h12)
     return h12, h13, h24
@@ -422,15 +421,13 @@ def _check_shared_zeros(mats):
     seed=st.integers(0, 2**32 - 1),
     degenerate=st.booleans(),
     real=st.booleans(),
-    hbar=st.sampled_from([1.0, 0.7]),
 )
-def test_run_and_step_leave_their_inputs_unchanged(n, order, seed, degenerate, real, hbar):
+def test_run_and_step_leave_their_inputs_unchanged(n, order, seed, degenerate, real):
     # the stage kernels scale and sum in place: nothing they were given may
     # change (the model's terms, a state's slots, levels, blocks and basis,
     # a stage's generator slots), on the call that fills the model's memo
     # and on one that hits it
     model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
-    model = model.with_hbar(hbar)
     terms = [m.tobytes() for _, m in model.h_coeffs]
     assert not any(m.flags.writeable for _, m in model.h_coeffs)
     gens, conjugating = [], 0
@@ -737,24 +734,6 @@ def test_stage_one_failure_after_its_conjugation_raises_on_every_call(monkeypatc
     assert model._memo[(None, None)].stage_one is None
 
 
-@pytest.mark.parametrize("hbar", [0.37, 2.5, 1e300])
-def test_hbar_does_not_enter_the_engine(hbar):
-    # a generator slot is iW/hbar = B/(E_j - E_k), so hbar cancels out of
-    # every kernel: a run at any hbar is the run at hbar 1, to the bit
-    rng = np.random.default_rng(61)
-    models = [
-        sp.build_quartic_oscillator(40),
-        _random_rotated_model(rng, 8, degenerate=True, real=False),
-    ]
-    for model in models:
-        want = sp.run(model, 0.05, 8)
-        got = sp.run(model.with_hbar(hbar), 0.05, 8)
-        assert repr(got.history) == repr(want.history)
-        for e, e1 in zip(got.energies, want.energies, strict=True):
-            np.testing.assert_array_equal(e, e1)
-        np.testing.assert_array_equal(got.eigenvectors, want.eigenvectors)
-
-
 def test_changed_tolerances_or_hbar_miss_the_memo(monkeypatch):
     model = sp.build_quartic_oscillator(12)
     eighs = _counting(monkeypatch, "eigh")
@@ -763,7 +742,7 @@ def test_changed_tolerances_or_hbar_miss_the_memo(monkeypatch):
         (model, {"deg_tol": 1e-7}),
         (model, {"deg_tol": 1e-7, "gap_guard": 1e-9}),
         (model, {}),
-        (model.with_hbar(0.5), {}),
+        (_fresh(model), {}),
     ]
     stage_one = _stage_one_calls(monkeypatch)
     for m, kwargs in calls:
@@ -1262,7 +1241,7 @@ def test_engine_runs_in_the_dtype_of_the_model(real, monkeypatch):
     assert model.coefficient(3).dtype == dtype  # an absent order
     dtypes, gens = _stage_dtypes(model, 8, monkeypatch)
     assert dtypes == {dtype}
-    # G = iW/hbar for the Hermitian generator W: anti-Hermitian to the bit,
+    # G = iW for the Hermitian generator W: anti-Hermitian to the bit,
     # which for a real model is G + G^T == 0
     assert {sp.max_norm(g + g.conj().T) for g in gens} == {0.0}
     assert any(g.any() for g in gens)
@@ -1291,11 +1270,10 @@ def _stage_operands(model, eps, order):
     seed=st.integers(0, 2**32 - 1),
     degenerate=st.booleans(),
     real=st.booleans(),
-    hbar=st.sampled_from([1.0, 0.7]),
     eps=st.sampled_from([0.02, 0.05]),
 )
 def test_lie_majorant_bounds_every_image_and_flow_coefficient(
-    n, order, seed, degenerate, real, hbar, eps
+    n, order, seed, degenerate, real, eps
 ):
     # the cut rests on |eps|^k/k! ||X_k||_2 <= ||X_0||_2 w[k]: check it on the
     # spectral norm of every image of every chain, H_0's included, and of
@@ -1303,7 +1281,6 @@ def test_lie_majorant_bounds_every_image_and_flow_coefficient(
     # images also against the table of its own chain, h0_majorant, which
     # the stage's generator makes from the averaging residuals
     model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
-    model = model.with_hbar(hbar)
     for gen, h, levels in _stage_operands(model, eps, order):
         images = series.lie_majorant(gen, eps, 2.0)
         h0_norm = sp.max_norm(levels)
@@ -1400,16 +1377,14 @@ def _run_uncut(model, eps, order):
     seed=st.integers(0, 2**32 - 1),
     degenerate=st.booleans(),
     real=st.booleans(),
-    hbar=st.sampled_from([1.0, 0.7]),
     eps=st.sampled_from([0.02, 0.05]),
 )
-def test_cut_moves_results_by_at_most_its_bound(n, order, seed, degenerate, real, hbar, eps):
+def test_cut_moves_results_by_at_most_its_bound(n, order, seed, degenerate, real, eps):
     # what the cut drops weighs at most sum(truncation_bound) in spectral
     # norm: by Weyl the energies move by no more, and by Davis-Kahan an
     # eigenvector by no more than that over its gap; the two runs round
     # differently, which 4 ulps of ||H_0|| cover
     model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
-    model = model.with_hbar(hbar)
     cut = sp.run(model, eps, order)
     whole = _run_uncut(model, eps, order)
     bound = sum(info.truncation_bound for info in cut.history)
@@ -1692,11 +1667,10 @@ def test_identity_stage_matches_the_full_route(n, case, seed, degenerate, real, 
     real=st.booleans(),
     inside=st.booleans(),
     exponent=st.integers(-18, -1),
-    hbar=st.sampled_from([1e-3, 1.0, 1e3]),
     eps=st.sampled_from([0.05, -0.3]),
 )
 def test_every_live_window_slot_is_conjugated(
-    n, order, seed, degenerate, real, inside, exponent, hbar, eps
+    n, order, seed, degenerate, real, inside, exponent, eps
 ):
     # the slot check subtracts each live window slot's average from K_p, so
     # K_p must exist: chain p keeps T_0 = H_p, since chain_stops starts its
@@ -1713,10 +1687,10 @@ def test_every_live_window_slot_is_conjugated(
         (p, np.where(same, hermitian(rng, n, 10.0**exponent), 0.0))
         for p in range(1, min(order, 3) + 1)
     ]
-    model = sp.make_model(n, [(0, np.diag(levels)), *terms], hbar=hbar)
+    model = sp.make_model(n, [(0, np.diag(levels)), *terms])
     if not inside:  # a rotation would leave rounding outside the blocks
         q = _random_orthogonal(rng, n) if real else _random_unitary(rng, n)
-        model = _rotated(model, q).with_hbar(hbar)
+        model = _rotated(model, q)
     state = sp.init(model, eps, order)
     cut = False
     for stage in range(1, default_n_stages(order) + 1):
@@ -1787,19 +1761,17 @@ def test_stages_work_only_on_their_live_slots(eps, monkeypatch):
     seed=st.integers(0, 2**32 - 1),
     degenerate=st.booleans(),
     real=st.booleans(),
-    hbar=st.sampled_from([1.0, 0.7]),
     eps=st.sampled_from([0.05, -0.3]),
     data=st.data(),
 )
 def test_eigenvectors_built_on_read_match_the_stepped_basis(
-    n, order, seed, degenerate, real, hbar, eps, data
+    n, order, seed, degenerate, real, eps, data
 ):
     # run keeps each stage's generator and block unitary and builds the
     # basis on the first read of its eigenvectors: the same array, to the
     # bit, as the basis step builds as it goes; the read drops what it kept
     n_stages = data.draw(st.integers(1, default_n_stages(order)), label="n_stages")
     model = _random_rotated_model(np.random.default_rng(seed), n, degenerate, real)
-    model = model.with_hbar(hbar)
     state = sp.init(model, eps, order)
     for _ in range(n_stages):
         state = sp.step(state)

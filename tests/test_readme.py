@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -27,3 +28,14 @@ def test_readme_public_api_is_all():
     section = text[text.index("## Public API") :].split("\n## ", 1)[0]
     listed = re.findall(r"^- `([^`]+)`", section, re.MULTILINE)
     assert listed == sorted(sp.__all__)
+
+
+def test_readme_model_files_load():
+    # every JSON block of the "Model files" section is a valid model document
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Model files") :].split("\n## ", 1)[0]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.DOTALL)
+    assert len(blocks) == 2
+    for block in blocks:
+        model = sp.model_from_dict(json.loads(block), "README.md")
+        assert model.provenance == "README.md"
